@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build check vet lint sarif test test-race bench bench-engine perf-smoke soak soak-respawn soak-e17 results quick-results examples clean
+.PHONY: all build check vet lint sarif test test-race test-flperf bench bench-engine perf-smoke soak soak-respawn soak-e17 results quick-results examples clean
 
 all: build check
 
@@ -8,9 +8,10 @@ build:
 	go build ./...
 
 # The gate every change must pass: vet, the custom analyzer suite (plus
-# its SARIF artifact), and the full tests under the race detector (the
-# pooled engine makes -race mandatory, not optional).
-check: vet lint sarif test-race
+# its SARIF artifact), the full tests under the race detector (the
+# pooled engine makes -race mandatory, not optional), and the benchmark
+# harness's own tests.
+check: vet lint sarif test-race test-flperf
 
 vet:
 	go vet ./...
@@ -34,6 +35,11 @@ test:
 
 test-race:
 	go test -race ./...
+
+# cmd/flperf is a nested module, so `go test ./...` never reaches the tests
+# that drive the parallel runner and RunShard through its checkers.
+test-flperf:
+	go -C cmd/flperf test .
 
 # One testing.B per evaluation artifact plus micro-benchmarks.
 bench:

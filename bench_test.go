@@ -184,7 +184,7 @@ func BenchmarkEngineRound(b *testing.B) {
 }
 
 // BenchmarkEngineRoundParallel is BenchmarkEngineRound on the persistent
-// worker pool (Workers = GOMAXPROCS).
+// worker pool (one shard per GOMAXPROCS).
 func BenchmarkEngineRoundParallel(b *testing.B) {
 	const n = 256
 	g := congest.NewGraph(n)

@@ -106,10 +106,9 @@ var (
 	WithSeed = core.WithSeed
 	// WithParallel runs the simulator with parallel round execution.
 	WithParallel = core.WithParallel
-	// WithWorkers bounds the parallel worker/shard count; 0 means GOMAXPROCS.
-	WithWorkers = core.WithWorkers
-	// WithShards sets the topology shard count of the parallel runner
-	// (byte-identical executions at every shard count; a pure perf knob).
+	// WithShards sets the topology shard count of the parallel runner, 0
+	// meaning GOMAXPROCS (byte-identical executions at every shard count; a
+	// pure perf knob).
 	WithShards = core.WithShards
 	// WithDenseEngine selects the reference O(n)-per-round scheduler
 	// instead of the default active-frontier scheduler. Byte-identical

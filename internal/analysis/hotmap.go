@@ -13,11 +13,12 @@ import (
 // map creeping back in silently reintroduces hashing, pointer chasing, and
 // per-node allocation on the per-round path.
 var hotmapFiles = map[string]bool{
-	"congest.go":  true, // Graph + Env (Send once-per-neighbour check)
-	"engine.go":   true, // per-run environment construction
-	"shard.go":    true, // shard workers and the per-destination merge
-	"nodes.go":    true, // facility/client state machines
-	"frontier.go": true, // active-set bookkeeping on the per-round path
+	"congest.go":   true, // Graph + Env (Send once-per-neighbour check)
+	"engine.go":    true, // env layout and the span executor's round path
+	"shard.go":     true, // shard workers and the per-destination merge
+	"transport.go": true, // RunShard's round loop over the span executor
+	"nodes.go":     true, // facility/client state machines
+	"frontier.go":  true, // active-set bookkeeping on the per-round path
 }
 
 // Hotmap guards that layout: inside the hot-path files of the protocol

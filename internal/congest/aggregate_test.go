@@ -352,7 +352,7 @@ func TestAggregationParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parMins, parStats, err := AggregateMin(g, values, radius, Config{Seed: 5, Parallel: true, Workers: 4})
+	parMins, parStats, err := AggregateMin(g, values, radius, Config{Seed: 5, Parallel: true, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestAggregationParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parSums, _, err := ConvergecastSum(g, values, radius, Config{Seed: 5, Parallel: true, Workers: 3})
+	parSums, _, err := ConvergecastSum(g, values, radius, Config{Seed: 5, Parallel: true, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

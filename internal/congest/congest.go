@@ -195,13 +195,6 @@ func (g *Graph) NeighborIndex(u, v int) (int, bool) {
 	return pos, true
 }
 
-// directedCount returns the number of directed adjacency entries (2·edges),
-// which is also the total length of all rows. Engine use only.
-func (g *Graph) directedCount() int {
-	g.Finalize()
-	return g.rowStart[g.n]
-}
-
 // rowOffsets returns the CSR offsets of node u's row. Engine use only.
 func (g *Graph) rowOffsets(u int) (int, int) {
 	return g.rowStart[u], g.rowStart[u+1]
@@ -301,10 +294,10 @@ type Env struct {
 	arena     []byte
 	prevArena []byte
 	// rejected counts inbox frames this node's protocol logic refused as
-	// malformed (fail-closed decode paths). It is drained into
-	// Stats.Rejected during the deterministic merge — by the caller in the
-	// sequential and fault-delivery paths, by the owning shard's worker in
-	// the sharded merge — so the counter is a plain int under every runner.
+	// malformed (fail-closed decode paths) in its current round. The drain
+	// of the deterministic merge adds it to Stats.Rejected — on the caller
+	// goroutine, or on the owning shard's worker in the sharded merge — so
+	// the counter is a plain int under every runner; beginRound resets it.
 	rejected int64
 	// sleepUntil is the node's quiescence declaration for the rounds after
 	// this one (see SleepUntil); beginRound resets it, so the declaration
@@ -398,6 +391,7 @@ func (e *Env) Broadcast(payload []byte) {
 
 func (e *Env) beginRound() {
 	e.out = e.out[:0]
+	e.rejected = 0
 	e.gen++
 	e.sleepUntil = 0
 	// Double-buffer swap: the payloads staged last round (e.arena) are

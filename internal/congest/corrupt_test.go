@@ -91,7 +91,7 @@ func TestCorruptionDeterminism(t *testing.T) {
 			nodes[i] = &chatterNode{rounds: 10}
 		}
 		stats, err := Run(g, nodes, Config{
-			Seed: 7, MaxRounds: 20, Parallel: parallel, Workers: workers, Faults: faults,
+			Seed: 7, MaxRounds: 20, Parallel: parallel, Shards: workers, Faults: faults,
 		})
 		if err != nil {
 			t.Fatal(err)

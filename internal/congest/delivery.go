@@ -1,9 +1,6 @@
 package congest
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // Reliable configures the per-link acknowledge/retransmit shim. The shim
 // sits between Env.Send/Broadcast and the wire, so protocols opt in through
@@ -26,13 +23,16 @@ type Reliable struct {
 
 func (r Reliable) enabled() bool { return r.RetryBudget > 0 }
 
-// delivery is the fault-aware message path. The plain engine merge is a
-// two-line append (sharded across workers in the parallel runner); this
-// layer replaces it whenever faults or the reliable shim are configured,
-// running entirely on the caller goroutine during the deterministic merge
-// — the sharded runner's workers then run only the compute phase — so the
-// parallel runner stays byte-identical to the sequential one (invariant
-// I5). It shares the engine's halted/crashed/inbox storage.
+// delivery is the fault-aware message path. The plain engine merge hands
+// each message straight to span.deliver (sharded across workers in the
+// parallel runner); this layer replaces it whenever faults, the reliable
+// shim, or an observer are configured, running entirely on the caller
+// goroutine during the deterministic merge — the sharded runner's workers
+// then run only the compute walk — so the parallel runner stays
+// byte-identical to the sequential one (invariant I5). Every
+// protocol-visible delivery — staged, delayed, retransmitted, forged —
+// funnels through commit into the merging span's deliver, which keeps the
+// frontier's recipient list complete.
 //
 // Per merge round the order of operations — and therefore the order of
 // fault-stream draws — is fixed: (1) acknowledgements due this round, (2)
@@ -47,9 +47,8 @@ type delivery struct {
 	rng      *rand.Rand // nil when no probabilistic fault is configured
 	graph    *Graph
 	bitLimit int
-	halted   []bool
+	x        *span // the merging span: halted flags and deliver
 	crashed  []bool
-	inboxes  [][]Message
 	stats    *Stats
 	observe  bool
 	// byzFrom[id] is the round from which node id is byzantine, -1 when it
@@ -74,13 +73,6 @@ type delivery struct {
 	// onLinkDown receives the typed per-link report when the shim abandons
 	// a frame with its retry budget exhausted (Config.OnLinkDown).
 	onLinkDown func(LinkDownError)
-	// fr is the caller-side frontier of the sparse scheduler (nil in dense
-	// mode): commit records each recipient's first delivery of the round
-	// for the next round's inbox clears and wakes sleeping recipients.
-	// Every fault-path delivery — staged, delayed, retransmitted, forged —
-	// funnels through commit, so this one hook keeps the frontier's
-	// recipient list complete.
-	fr *frontier
 }
 
 // delayedMsg is one in-flight unit: either a plain message (payload owned
@@ -92,21 +84,21 @@ type delayedMsg struct {
 	f   *frame // non-nil when the unit is a shim frame
 }
 
-func newDelivery(faults *Faults, g *Graph, bitLimit int, rel Reliable, rng *rand.Rand, halted, crashed []bool, inboxes [][]Message, stats *Stats, observe bool, onLinkDown func(LinkDownError)) *delivery {
+func newDelivery(cfg *Config, g *Graph, rng *rand.Rand, x *span, crashed []bool) *delivery {
 	n := g.N()
+	faults := &cfg.Faults
 	d := &delivery{
 		faults:      faults,
 		sched:       faults.compile(n),
 		rng:         rng,
 		graph:       g,
-		bitLimit:    bitLimit,
-		halted:      halted,
+		bitLimit:    cfg.BitLimit,
+		x:           x,
 		crashed:     crashed,
-		inboxes:     inboxes,
-		stats:       stats,
-		observe:     observe,
+		stats:       x.stats,
+		observe:     cfg.Observer != nil,
 		checkFrames: faults.CorruptProb > 0 || len(faults.ByzantineFromRound) > 0,
-		onLinkDown:  onLinkDown,
+		onLinkDown:  cfg.OnLinkDown,
 	}
 	if len(faults.ByzantineFromRound) > 0 {
 		d.byzFrom = make([]int, n)
@@ -119,10 +111,10 @@ func newDelivery(faults *Faults, g *Graph, bitLimit int, rel Reliable, rng *rand
 		}
 		d.byzSent = make(map[uint64]int)
 	}
-	if rel.enabled() {
+	if cfg.Reliable.enabled() {
 		d.shim = &reliShim{
 			n:       n,
-			budget:  rel.RetryBudget,
+			budget:  cfg.Reliable.RetryBudget,
 			nextSeq: make(map[uint64]uint64),
 			recvWin: make(map[uint64]*SeqWindow),
 		}
@@ -199,7 +191,7 @@ func (d *delivery) injectForged(round int) {
 	}
 	n := d.graph.N()
 	for id := 0; id < n; id++ {
-		if !d.byzantineAt(id, round) || d.halted[id] {
+		if !d.byzantineAt(id, round) || d.x.halted[id] {
 			continue
 		}
 		for _, to := range d.graph.Neighbors(id) {
@@ -261,28 +253,18 @@ func (d *delivery) dropOnWire(from, to, round int) bool {
 	return d.faults.shouldDrop(d.rng, round)
 }
 
-// commit finalizes one protocol-visible delivery. Messages to halted nodes
-// are delivered to nobody but still observed, exactly as in the fault-free
-// engine. injected marks deliveries arriving outside the sender-ordered
-// walk (delayed messages, retransmissions), which must be spliced into the
-// inbox at their sorted position to preserve the born-sorted invariant.
+// commit finalizes one protocol-visible delivery: the observer sees it
+// even when the recipient has halted. injected marks deliveries arriving
+// outside the sender-ordered walk (delayed messages, retransmissions),
+// which are moved to their sorted position to preserve the born-sorted
+// invariant.
 func (d *delivery) commit(msg Message, injected bool) {
 	if d.observe {
 		d.delivered = append(d.delivered, msg)
 	}
-	if d.halted[msg.To] {
-		return
-	}
-	if d.fr != nil {
-		d.fr.noteRecipient(int32(msg.To), len(d.inboxes[msg.To]) == 0)
-	}
+	d.x.deliver(msg)
 	if injected {
-		d.inboxes[msg.To] = insertByFrom(d.inboxes[msg.To], msg)
-	} else {
-		d.inboxes[msg.To] = append(d.inboxes[msg.To], msg)
-	}
-	if d.fr != nil {
-		d.fr.wake(int32(msg.To))
+		settleLast(d.x.inboxes[msg.To])
 	}
 }
 
@@ -309,15 +291,14 @@ func (d *delivery) finishRound(round int) {
 	}
 }
 
-// insertByFrom splices msg into an inbox kept sorted by ascending sender
-// id, after any messages already present from the same sender (so
-// same-sender arrival order is preserved).
-func insertByFrom(inbox []Message, msg Message) []Message {
-	i := sort.Search(len(inbox), func(k int) bool { return inbox[k].From > msg.From })
-	inbox = append(inbox, Message{})
-	copy(inbox[i+1:], inbox[i:])
-	inbox[i] = msg
-	return inbox
+// settleLast moves the last message of an inbox that is otherwise sorted
+// by ascending sender id to its sorted position, after any messages already
+// present from the same sender (so same-sender arrival order is preserved).
+// An inbox that is sorted already is left as it is.
+func settleLast(inbox []Message) {
+	for i := len(inbox) - 1; i > 0 && inbox[i-1].From > inbox[i].From; i-- {
+		inbox[i-1], inbox[i] = inbox[i], inbox[i-1]
+	}
 }
 
 // reliShim is the per-link acknowledge/retransmit layer. Sequence state

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 )
 
@@ -24,22 +25,21 @@ type Config struct {
 	// Execution is byte-identical to the sequential runner for every shard
 	// count (invariant I5).
 	Parallel bool
-	// Workers bounds the parallel shard/worker count; 0 means GOMAXPROCS.
-	Workers int
-	// Shards overrides Workers as the shard/worker count when non-zero.
-	// The two are aliases — every worker owns exactly one shard — and the
-	// split exists so callers can name the intent (`-shards` on flbench).
+	// Shards is the parallel runner's shard count, one worker goroutine per
+	// shard; 0 means GOMAXPROCS.
 	Shards int
-	// Dense selects the reference O(n) scheduler: every round scans the
-	// full population for halt detection, compute, merge, and inbox
-	// clears, and Env.SleepUntil declarations are ignored (the declared
-	// no-op rounds execute for real). The default frontier scheduler
-	// instead walks only the active node list, the round's senders, and
-	// last round's recipients, making steady-state per-round cost
-	// O(active + delivered) instead of O(n). Both schedulers produce
-	// byte-identical executions (invariant I5) — the determinism matrices
-	// pin frontier runs against this mode — so Dense exists as the pinned
-	// reference and as the baseline of the E18 sparse-rounds benchmark.
+	// Dense selects the reference O(n) scheduler of the sequential runner:
+	// every round scans the full population for halt detection, compute,
+	// merge, and inbox clears, and Env.SleepUntil declarations are ignored
+	// (the declared no-op rounds execute for real). The default frontier
+	// scheduler instead walks only the active node list, the round's
+	// senders, and last round's recipients, making steady-state per-round
+	// cost O(active + delivered) instead of O(n). Both produce
+	// byte-identical executions (invariant I5); the determinism matrices pin
+	// every frontier runner against this mode, which keeps none of the
+	// frontier's lists, and it is the baseline of the E18 sparse-rounds
+	// benchmark. Run rejects it together with Parallel, and RunShard
+	// rejects it.
 	Dense bool
 	// Observer, when non-nil, is invoked after every round with the round
 	// number and the messages delivered in that round (sequential runner
@@ -115,28 +115,198 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	if cfg.Reliable.RetryBudget < 0 {
 		return Stats{}, fmt.Errorf("congest: RetryBudget %d is negative", cfg.Reliable.RetryBudget)
 	}
+	if cfg.Dense && cfg.Parallel {
+		return Stats{}, fmt.Errorf("congest: Dense is the sequential reference scheduler and cannot be combined with Parallel")
+	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = DefaultMaxRounds
 	}
 
-	// Freeze the topology and lay out all per-node environment state in flat
-	// blocks partitioned by the CSR row offsets: the Env structs themselves,
-	// the once-per-neighbour generation stamps (one slot per directed edge),
-	// and the two payload arenas. Shards own near-contiguous id ranges, so
-	// this id-ordered layout is also shard-affine — each worker's rounds walk
-	// a contiguous region of every array.
 	g.Finalize()
-	dir := g.directedCount()
+	n := len(nodes)
+	var stats Stats
+	// x is the caller-side span over every node: it runs the whole round in
+	// a sequential run and the merge of a parallel run whose delivery must
+	// stay on this goroutine.
+	x := &span{nodeSet: newNodeSet(g, nodes, 0, n, n, cfg), stats: &stats}
+
+	// Fault randomness lives on its own stream so that a Faults{} run is
+	// byte-identical to a fault-free run with the same seed. The stream is
+	// created whenever any fault feature is active — even schedule-only
+	// configurations, which draw nothing from it — so activation never
+	// depends on which fields happen to consume randomness. Observed runs
+	// take the same pipeline, which with nothing configured delivers every
+	// message on time and records the round's deliveries.
+	var crashed []bool
+	if cfg.Faults.active() || cfg.Reliable.enabled() || cfg.Observer != nil {
+		var faultRng *rand.Rand
+		if cfg.Faults.active() {
+			faultRng = rand.New(rand.NewSource(nodeSeed(cfg.Seed, 1<<30)))
+		}
+		crashed = make([]bool, n)
+		x.del = newDelivery(&cfg, g, faultRng, x, crashed)
+	}
+
+	// Fault delivery and observers need the merge on the caller goroutine
+	// (fault-stream draws and the observed order are defined in global
+	// sender order); honest unobserved parallel runs take the
+	// contention-free per-destination-shard merge.
+	var pool *shardPool
+	switch {
+	case cfg.Parallel && n > 0:
+		shards := cfg.Shards
+		if shards <= 0 {
+			shards = runtime.GOMAXPROCS(0)
+		}
+		pool = newShardPool(g, x.nodeSet, shards, x.del != nil)
+		defer pool.stop()
+		x.fr = pool.callerFrontier()
+	case !cfg.Dense:
+		x.fr = &frontier{asleep: make([]bool, n), timerAt: make([]int, n), active: idRange(0, n)}
+	}
+	// frontierOf names the frontier that schedules node id: nil on the
+	// dense reference, which keeps no lists.
+	frontierOf := func(id int) *frontier {
+		if pool != nil {
+			return pool.spans[pool.shardOf[id]].fr
+		}
+		return x.fr
+	}
+
+	// The crash/recovery schedules are maps; compile them once into fire
+	// lists sorted by (round, id) and consume them with cursors, so rounds
+	// past the last scheduled event pay nothing and no per-round walk ever
+	// touches randomized map iteration order.
+	var crashFires, recoverFires []fireEvent
+	if len(cfg.Faults.CrashAtRound) > 0 {
+		crashFires = compileFires(cfg.Faults.CrashAtRound)
+		recoverFires = compileFires(cfg.Faults.RecoverAtRound)
+	}
+	var crashCur, recoverCur int
+	// live counts the nodes not yet halted; the dense reference keeps it
+	// for the activity stats but detects global halt by a full scan.
+	live := n
+	end := func(rounds int, err error) (Stats, error) {
+		stats.Rounds = rounds
+		stats.FinalLive = live
+		return stats, err
+	}
+	// senders is the reused k-way merge buffer of a parallel run's
+	// caller-side merges.
+	var senders []int32
+
+	for round := 0; ; round++ {
+		if round >= maxRounds {
+			return end(round, fmt.Errorf("%w (budget %d)", ErrRoundLimit, maxRounds))
+		}
+		for crashCur < len(crashFires) && crashFires[crashCur].at == round {
+			id := int(crashFires[crashCur].id)
+			crashCur++
+			// A node whose crash never fired (it halted voluntarily first)
+			// stays down.
+			if x.halted[id] {
+				continue
+			}
+			x.halted[id] = true
+			crashed[id] = true
+			stats.Crashed++
+			live--
+			if fr := frontierOf(id); fr != nil {
+				fr.dropCrashed(int32(id))
+			}
+			if x.del.shim != nil {
+				x.del.shim.onCrash(id)
+			}
+		}
+		// Recovery rejoins a crashed node with empty protocol state: the
+		// environment (identity, neighbours, private rng) survives, the
+		// state machine restarts.
+		for recoverCur < len(recoverFires) && recoverFires[recoverCur].at == round {
+			id := int(recoverFires[recoverCur].id)
+			recoverCur++
+			if !crashed[id] {
+				continue
+			}
+			crashed[id] = false
+			x.halted[id] = false
+			stats.Recovered++
+			live++
+			if fr := frontierOf(id); fr != nil {
+				fr.revive(int32(id))
+			}
+			nodes[id].(Recoverable).Recover()
+		}
+		allHalted := live == 0
+		if cfg.Dense {
+			allHalted = !slices.Contains(x.halted, false)
+		}
+		if allHalted && !pendingFires(recoverFires[recoverCur:], crashed) {
+			return end(round, nil)
+		}
+		stats.LiveNodeRounds += int64(live)
+
+		var ids []int32
+		switch {
+		case pool != nil:
+			// Sleepers the caller-side merge delivered to wake in the
+			// frontiers of their shards.
+			x.fr.admitWoken(round)
+			halts, merged := pool.runRound(round)
+			live -= halts
+			if merged {
+				pool.collect(&stats)
+				continue
+			}
+			// A serial-merge run, or a round with a send violation: merge
+			// on this goroutine, which reproduces the sequential runner
+			// byte for byte (including the abort's partial accounting).
+			senders = pool.mergedSenders(senders[:0])
+			ids = senders
+		case cfg.Dense:
+			live -= x.computeDense(round)
+		default:
+			live -= x.compute(round)
+			ids = x.fr.senders
+		}
+		if err := x.merge(round, ids); err != nil {
+			return end(round+1, err)
+		}
+		if cfg.Observer != nil {
+			cfg.Observer(round, x.del.delivered)
+		}
+	}
+}
+
+// nodeSet is the node-indexed state of one execution, shared by all of its
+// spans — each holds a copy of these slice headers over the same backing
+// arrays: the caller's nodes, the Envs of the ids the execution runs, and
+// the halted flags and next-round inboxes, indexed by global node id.
+type nodeSet struct {
+	nodes   []Node
+	envs    []Env // the Env of node id is envs[id-lo]
+	lo      int
+	halted  []bool
+	inboxes [][]Message
+}
+
+// newNodeSet lays out the Envs of ids lo..hi-1 of an n-node graph and
+// initializes their nodes. The Env structs, the once-per-neighbour
+// generation stamps (one slot per directed edge) and the two payload arenas
+// each live in one flat block partitioned by the CSR row offsets and sized
+// to those ids' rows, so a shard's rounds walk a contiguous region of every
+// array and steady-state rounds allocate nothing.
+func newNodeSet(g *Graph, nodes []Node, lo, hi, n int, cfg Config) nodeSet {
+	base, top := g.rowStart[lo], g.rowStart[hi]
 	hint := payloadHint(cfg.BitLimit)
-	envStore := make([]Env, len(nodes))
-	genAll := make([]uint64, dir)
-	arenaAll := make([]byte, dir*hint)
-	prevAll := make([]byte, dir*hint)
-	envs := make([]*Env, len(nodes))
-	for id := range nodes {
+	genAll := make([]uint64, top-base)
+	arenaAll := make([]byte, (top-base)*hint)
+	prevAll := make([]byte, (top-base)*hint)
+	ns := nodeSet{nodes: nodes, envs: make([]Env, hi-lo), lo: lo, halted: make([]bool, n), inboxes: make([][]Message, n)}
+	for id := lo; id < hi; id++ {
 		s, e := g.rowOffsets(id)
-		env := &envStore[id]
+		s, e = s-base, e-base
+		env := &ns.envs[id-lo]
 		*env = Env{
 			id:       id,
 			graph:    g,
@@ -152,330 +322,192 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 			arena:     arenaAll[s*hint : s*hint : e*hint],
 			prevArena: prevAll[s*hint : s*hint : e*hint],
 		}
-		envs[id] = env
 		nodes[id].Init(env)
 	}
-
-	halted := make([]bool, len(nodes))
-	inboxes := make([][]Message, len(nodes))
-	var stats Stats
-
-	// Fault randomness lives on its own stream so that a Faults{} run is
-	// byte-identical to a fault-free run with the same seed. The stream is
-	// created whenever any fault feature is active — even schedule-only
-	// configurations, which draw nothing from it — so activation never
-	// depends on which fields happen to consume randomness.
-	var faultRng *rand.Rand
-	var crashed []bool
-	var del *delivery
-	if cfg.Faults.active() || cfg.Reliable.enabled() {
-		if cfg.Faults.active() {
-			faultRng = rand.New(rand.NewSource(nodeSeed(cfg.Seed, 1<<30)))
-		}
-		crashed = make([]bool, len(nodes))
-		del = newDelivery(&cfg.Faults, g, cfg.BitLimit, cfg.Reliable, faultRng, halted, crashed, inboxes, &stats, cfg.Observer != nil, cfg.OnLinkDown)
-	}
-
-	workers := cfg.Shards
-	if workers == 0 {
-		workers = cfg.Workers
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Fault delivery and observers need the merge on the caller goroutine
-	// (fault-stream draws and the observed order are defined in global
-	// sender order); honest unobserved runs take the contention-free
-	// per-destination-shard merge.
-	var pool *shardPool
-	if cfg.Parallel && len(nodes) > 0 {
-		pool = newShardPool(g, nodes, envs, halted, inboxes, workers, del != nil || cfg.Observer != nil, cfg.Dense)
-		defer pool.stop()
-	}
-
-	// Frontier scheduler state (all nil in dense mode): the sequential
-	// runner owns one frontier over every node; the sharded runner keeps
-	// per-shard frontiers inside the pool plus a caller-side frontier that
-	// tracks recipients and routes wakes whenever the merge runs on this
-	// goroutine. liveCount is maintained in both modes — it feeds the
-	// activity stats — but only the frontier scheduler trusts it for halt
-	// detection; dense mode keeps the reference full scan.
-	liveCount := len(nodes)
-	var fr, mf *frontier
-	if !cfg.Dense {
-		if pool != nil {
-			mf = pool.callerFrontier()
-		} else {
-			fr = newFrontier(len(nodes))
-			mf = fr
-		}
-	}
-	if del != nil {
-		del.fr = mf
-	}
-
-	m := &merger{
-		stats:   &stats,
-		del:     del,
-		mf:      mf,
-		halted:  halted,
-		inboxes: inboxes,
-		observe: cfg.Observer != nil,
-	}
-
-	// The crash/recovery schedules are maps; compile them once into fire
-	// lists sorted by (round, id) and consume them with cursors, so rounds
-	// past the last scheduled event pay nothing and no per-round walk ever
-	// touches randomized map iteration order.
-	var crashFires, recoverFires []fireEvent
-	if len(cfg.Faults.CrashAtRound) > 0 {
-		crashFires = compileFires(cfg.Faults.CrashAtRound)
-		recoverFires = compileFires(cfg.Faults.RecoverAtRound)
-	}
-	var crashCur, recoverCur int
-	// mergeIDs is the reused k-way merge buffer for the sharded frontier's
-	// caller-side merges.
-	var mergeIDs []int32
-
-	for round := 0; ; round++ {
-		if round >= maxRounds {
-			stats.Rounds = round
-			stats.FinalLive = liveCount
-			return stats, fmt.Errorf("%w (budget %d)", ErrRoundLimit, maxRounds)
-		}
-		for crashCur < len(crashFires) && crashFires[crashCur].at == round {
-			id := int(crashFires[crashCur].id)
-			crashCur++
-			// A node whose crash never fired (it halted voluntarily first)
-			// stays down.
-			if halted[id] {
-				continue
-			}
-			halted[id] = true
-			crashed[id] = true
-			stats.Crashed++
-			liveCount--
-			if fr != nil {
-				fr.dropCrashed(int32(id))
-			} else if pool != nil && !cfg.Dense {
-				pool.dropCrashed(int32(id))
-			}
-			if del.shim != nil {
-				del.shim.onCrash(id)
-			}
-		}
-		// Recovery rejoins a crashed node with empty protocol state: the
-		// environment (identity, neighbours, private rng) survives, the
-		// state machine restarts.
-		for recoverCur < len(recoverFires) && recoverFires[recoverCur].at == round {
-			id := int(recoverFires[recoverCur].id)
-			recoverCur++
-			if !crashed[id] {
-				continue
-			}
-			crashed[id] = false
-			halted[id] = false
-			stats.Recovered++
-			liveCount++
-			if fr != nil {
-				fr.revive(int32(id))
-			} else if pool != nil && !cfg.Dense {
-				pool.revive(int32(id))
-			}
-			nodes[id].(Recoverable).Recover()
-		}
-		allHalted := liveCount == 0
-		if cfg.Dense {
-			// Reference halt detection: the full scan the frontier
-			// scheduler's live counter replaces.
-			allHalted = true
-			for id := range nodes {
-				if !halted[id] {
-					allHalted = false
-					break
-				}
-			}
-		}
-		if allHalted && !pendingFires(recoverFires[recoverCur:], crashed) {
-			stats.Rounds = round
-			stats.FinalLive = liveCount
-			return stats, nil
-		}
-		stats.LiveNodeRounds += int64(liveCount)
-
-		if pool != nil {
-			shardMerged := pool.runRound(round)
-			liveCount -= pool.drainHalts()
-			if shardMerged {
-				// The round was merged shard-locally: delivery, inbox
-				// resets, and per-message accounting all happened inside
-				// the workers; only the shard counters remain to fold.
-				pool.collect(&stats)
-				continue
-			}
-			// serialMerge mode, or a send violation was detected: fall
-			// through to the caller-side merge below, which reproduces the
-			// sequential runner byte-for-byte (including the abort path's
-			// partial accounting — env.out was left intact).
-		} else if fr != nil {
-			// Frontier compute walk: run only the active nodes, compacting
-			// halters and sleepers out of the sorted list in place, and
-			// record the round's senders as a by-product.
-			fr.admitWoken(round)
-			fr.senders = fr.senders[:0]
-			keep := fr.active[:0]
-			for _, id := range fr.active {
-				if halted[id] {
-					continue
-				}
-				env := envs[id]
-				env.beginRound()
-				h := nodes[id].Round(round, inboxes[id])
-				if len(env.out) > 0 || env.sendErr != nil || env.rejected != 0 {
-					fr.senders = append(fr.senders, id)
-				}
-				if h {
-					halted[id] = true
-					liveCount--
-					continue
-				}
-				if env.sleepUntil > round+1 {
-					fr.park(id, env.sleepUntil)
-					continue
-				}
-				keep = append(keep, id)
-			}
-			fr.active = keep
-		} else {
-			for id, n := range nodes {
-				if halted[id] {
-					continue
-				}
-				envs[id].beginRound()
-				if n.Round(round, inboxes[id]) {
-					halted[id] = true
-					liveCount--
-				}
-			}
-		}
-
-		// Deterministic merge: walk staged messages in ascending sender-id
-		// order, account for them, and bucket them straight into next-round
-		// inboxes. Because each sender stages at most one message per
-		// recipient per round (enforced by Env.Send) and senders are walked
-		// in id order, every inbox comes out sorted by sender id with no
-		// per-inbox sort — an invariant the engine tests verify.
-		// The merge reuses the inbox and delivered buffers, so steady-state
-		// rounds allocate nothing here. Under the frontier scheduler the
-		// walk covers only the round's sender list (k-way merged across
-		// shards in parallel runs, since shard id ranges may interleave)
-		// and the clears cover only last round's recipients.
-		m.delivered = m.delivered[:0]
-		if mf != nil {
-			mf.clearInboxes(inboxes)
-		} else {
-			for id := range inboxes {
-				inboxes[id] = inboxes[id][:0]
-			}
-		}
-		if del != nil {
-			del.beginRound(round)
-		}
-		if mf != nil {
-			var ids []int32
-			if pool != nil {
-				mergeIDs = pool.mergedSenders(mergeIDs[:0])
-				ids = mergeIDs
-			} else {
-				ids = fr.senders
-			}
-			for _, id := range ids {
-				if err := m.drain(round, envs[id]); err != nil {
-					stats.Rounds = round + 1
-					stats.FinalLive = liveCount
-					return stats, err
-				}
-			}
-		} else {
-			for id := range nodes {
-				if err := m.drain(round, envs[id]); err != nil {
-					stats.Rounds = round + 1
-					stats.FinalLive = liveCount
-					return stats, err
-				}
-			}
-		}
-		if del != nil {
-			del.injectForged(round)
-			del.finishRound(round)
-			if cfg.Observer != nil {
-				cfg.Observer(round, del.delivered)
-			}
-		} else if cfg.Observer != nil {
-			cfg.Observer(round, m.delivered)
-		}
-	}
+	return ns
 }
 
-// merger drains one sender's staged state on the caller goroutine: message
-// accounting, fault-pipeline handoff or plain delivery, and the env's
-// out/rejected resets. It is the shared body of the dense full-population
-// walk and the frontier sender-list walk, so the two cannot drift.
-type merger struct {
-	stats     *Stats
-	del       *delivery
-	mf        *frontier // frontier bookkeeping (recipients, wakes); nil in dense mode
-	halted    []bool
-	inboxes   [][]Message
-	observe   bool
-	delivered []Message // observer's per-round view, reused across rounds
+func (ns *nodeSet) env(id int32) *Env { return &ns.envs[int(id)-ns.lo] }
+
+// owns reports whether node id runs in this execution.
+func (ns *nodeSet) owns(id int) bool { return uint(id-ns.lo) < uint(len(ns.envs)) }
+
+// span is the round executor: one compute walk over a set of nodes, one
+// drain that accounts each sender's output and routes every message, and
+// one delivery into the next round's inboxes. The runners differ only in
+// how they wire spans together — Run is one span over every node, a
+// parallel run is one span per shard joined by the k-way merge in shard.go,
+// and RunShard is one span whose remote traffic goes through a Transport.
+type span struct {
+	nodeSet
+	// fr schedules the span's nodes; nil only on the dense reference.
+	fr    *frontier
+	stats *Stats
+	// del, when set, is the fault pipeline every drained message takes.
+	del *delivery
+	// shardOf, when set, routes every drained message to
+	// outbox[shardOf[to]] for the parallel merge. Otherwise messages to
+	// owned nodes are delivered in place and the rest go to outbox[0].
+	shardOf []int32
+	outbox  [][]Message
 }
 
-// drain processes one node's staged output for the round, returning the
-// node's recorded send violation, if any, before touching its messages.
-func (m *merger) drain(round int, env *Env) error {
+// compute is the frontier walk: it runs the span's active nodes for one
+// round in ascending id order, compacting halters and sleepers out of the
+// active list in place and recording the round's senders. It returns how
+// many nodes halted.
+func (x *span) compute(round int) int {
+	fr := x.fr
+	fr.admitWoken(round)
+	fr.senders = fr.senders[:0]
+	keep := fr.active[:0]
+	halts := 0
+	for _, id := range fr.active {
+		if x.halted[id] {
+			continue
+		}
+		env := x.env(id)
+		env.beginRound()
+		h := x.nodes[id].Round(round, x.inboxes[id])
+		if len(env.out) > 0 || env.sendErr != nil || env.rejected != 0 {
+			fr.senders = append(fr.senders, id)
+		}
+		if h {
+			x.halted[id] = true
+			halts++
+			continue
+		}
+		if env.sleepUntil > round+1 {
+			fr.park(id, env.sleepUntil)
+			continue
+		}
+		keep = append(keep, id)
+	}
+	fr.active = keep
+	return halts
+}
+
+// computeDense is the reference scheduler of Config.Dense: every node that
+// has not halted runs, SleepUntil declarations are ignored, and no list is
+// kept, so a frontier run pinned against it checks the frontier's active,
+// sender and recipient lists.
+func (x *span) computeDense(round int) int {
+	halts := 0
+	for id, nd := range x.nodes {
+		if x.halted[id] {
+			continue
+		}
+		x.envs[id].beginRound()
+		if nd.Round(round, x.inboxes[id]) {
+			x.halted[id] = true
+			halts++
+		}
+	}
+	return halts
+}
+
+// merge is the deterministic merge of one round on a single goroutine: it
+// clears the inboxes read this round, drains the senders in ascending id
+// order (every node on the dense reference), and ends the fault pipeline's
+// round. Because each sender stages at most one message per recipient per
+// round (enforced by Env.Send) and senders are walked in id order, every
+// inbox comes out sorted by sender id with no per-inbox sort. The buffers
+// are reused, so steady-state rounds allocate nothing here.
+func (x *span) merge(round int, senders []int32) error {
+	if x.del != nil {
+		x.del.beginRound(round)
+	}
+	if x.fr != nil {
+		x.fr.clearInboxes(x.inboxes)
+		for _, id := range senders {
+			if err := x.drain(round, x.env(id)); err != nil {
+				return err
+			}
+		}
+	} else {
+		for id := range x.inboxes {
+			x.inboxes[id] = x.inboxes[id][:0]
+		}
+		for id := range x.envs {
+			env := &x.envs[id]
+			if err := x.drain(round, env); err != nil {
+				return err
+			}
+			// A node that halted this round may have sent final messages;
+			// clear them so later full walks do not count them again.
+			env.out = env.out[:0]
+			env.rejected = 0
+		}
+	}
+	if x.del != nil {
+		x.del.injectForged(round)
+		x.del.finishRound(round)
+	}
+	return nil
+}
+
+// drain processes one node's staged output for the round: it returns the
+// node's recorded send violation, if any, before touching its messages;
+// otherwise it accounts every message and the node's fail-closed rejects,
+// and routes every message (fault pipeline, in-place delivery, or outbox).
+// The env is left as it is — beginRound resets it when the node next runs
+// — so a parallel round whose staging meets a send violation can be merged
+// again from the same state on the caller goroutine.
+func (x *span) drain(round int, env *Env) error {
 	if env.sendErr != nil {
 		return env.sendErr
 	}
+	st := x.stats
 	if len(env.out) > 0 {
-		m.stats.Senders++
+		st.Senders++
 	}
 	for _, msg := range env.out {
-		m.stats.Messages++
-		m.stats.Bits += int64(msg.Bits())
-		if msg.Bits() > m.stats.MaxMessageBits {
-			m.stats.MaxMessageBits = msg.Bits()
+		bits := msg.Bits()
+		st.Messages++
+		st.Bits += int64(bits)
+		if bits > st.MaxMessageBits {
+			st.MaxMessageBits = bits
 		}
-		if m.del != nil {
-			m.del.transmit(round, msg)
-			continue
-		}
-		if m.observe {
-			m.delivered = append(m.delivered, msg)
-		}
-		// Messages to halted nodes are delivered to nobody but still
-		// counted (and still observed).
-		if !m.halted[msg.To] {
-			if m.mf != nil {
-				m.mf.noteRecipient(int32(msg.To), len(m.inboxes[msg.To]) == 0)
-			}
-			m.inboxes[msg.To] = append(m.inboxes[msg.To], msg)
-			if m.mf != nil {
-				m.mf.wake(int32(msg.To))
-			}
+		switch {
+		case x.del != nil:
+			x.del.transmit(round, msg)
+		case x.shardOf != nil:
+			d := x.shardOf[msg.To]
+			x.outbox[d] = append(x.outbox[d], msg)
+		case x.owns(msg.To):
+			x.deliver(msg)
+		default:
+			x.outbox[0] = append(x.outbox[0], msg)
 		}
 	}
-	// A node that halts this round may have sent final messages; drain them
-	// so they are not re-counted on later rounds.
-	env.out = env.out[:0]
-	// Drain the node's fail-closed reject counter into Stats on the caller
-	// goroutine (the Round call that incremented it finished at the round
-	// barrier, so this is race-free in both runners).
-	if env.rejected != 0 {
-		m.stats.Rejected += env.rejected
-		env.rejected = 0
-	}
+	st.Rejected += env.rejected
 	return nil
+}
+
+// deliver appends msg to its recipient's next-round inbox and records the
+// recipient's first message of the round for the frontier, which clears
+// that inbox in the next merge and wakes the recipient if it sleeps
+// (admitWoken). Messages to halted nodes are delivered to nobody (the drain
+// has already counted them).
+func (x *span) deliver(msg Message) {
+	to := msg.To
+	if x.halted[to] {
+		return
+	}
+	box := x.inboxes[to]
+	if len(box) == 0 && x.fr != nil {
+		x.fr.recips = append(x.fr.recips, int32(to))
+	}
+	x.inboxes[to] = append(box, msg)
+}
+
+// idRange returns the ids lo..hi-1 in ascending order.
+func idRange(lo, hi int) []int32 {
+	ids := make([]int32, 0, hi-lo)
+	for id := lo; id < hi; id++ {
+		ids = append(ids, int32(id))
+	}
+	return ids
 }
 
 // fireEvent is one precompiled fault-schedule entry: the crash or recovery

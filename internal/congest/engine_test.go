@@ -254,7 +254,7 @@ func runRec(t *testing.T, parallel bool, workers int) ([]Stats, [][]string) {
 		recs[i] = &recNode{stopAt: 5}
 		nodes[i] = recs[i]
 	}
-	stats, err := Run(g, nodes, Config{Seed: 42, Parallel: parallel, Workers: workers})
+	stats, err := Run(g, nodes, Config{Seed: 42, Parallel: parallel, Shards: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestParallelEquivalenceProperty(t *testing.T) {
 			recs[i] = &recNode{stopAt: 4}
 			nodes[i] = recs[i]
 		}
-		st, err := Run(g, nodes, Config{Seed: seed, Parallel: parallel, Workers: 4})
+		st, err := Run(g, nodes, Config{Seed: seed, Parallel: parallel, Shards: 4})
 		logs := make([][]string, 5)
 		for i, r := range recs {
 			logs[i] = r.log

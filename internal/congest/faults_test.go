@@ -100,6 +100,9 @@ func TestFaultsValidation(t *testing.T) {
 	if _, err := Run(g, plain(), Config{Reliable: Reliable{RetryBudget: -1}}); err == nil || !strings.Contains(err.Error(), "RetryBudget") {
 		t.Fatalf("negative retry budget accepted: %v", err)
 	}
+	if _, err := Run(g, plain(), Config{Dense: true, Parallel: true}); err == nil || !strings.Contains(err.Error(), "Dense") {
+		t.Fatalf("Dense with Parallel accepted: %v", err)
+	}
 }
 
 // faultRun executes the stress graph under a heavy fault schedule — drops,
@@ -120,7 +123,7 @@ func faultRun(t *testing.T, seed int64, parallel bool, workers int) (Stats, stri
 	stats, err := Run(g, nodes, Config{
 		Seed:     seed,
 		Parallel: parallel,
-		Workers:  workers,
+		Shards:   workers,
 		Faults: Faults{
 			DropProb:       0.3,
 			DropUntilRound: 6,

@@ -5,11 +5,11 @@ import "slices"
 // frontier is the active-set bookkeeping of the sparse round scheduler: it
 // tracks which nodes must actually run, send, or be cleared each round, so
 // steady-state per-round cost is O(active + delivered) instead of O(n).
-// The sequential runner owns one frontier over all node ids; the sharded
-// runner gives each shard a frontier over its members (sharing one asleep
-// array, whose entries are only ever touched by the owning shard's worker
-// or by the caller between rounds) plus a caller-side frontier that owns
-// the recipient list when the merge runs on the caller goroutine.
+// Every span of an execution owns one frontier over its nodes. The spans of
+// a parallel run share one asleep array, whose entries are only ever
+// touched by the owning shard's worker or by the caller between rounds,
+// plus a caller-side frontier that owns the recipient list when the merge
+// runs on the caller goroutine.
 //
 // A node is in exactly one place at a time: the sorted active list (it
 // runs every round), or parked with asleep[id] set (a SleepUntil
@@ -55,20 +55,6 @@ type frontier struct {
 	// but must stage the id in the owning shard's woken list. nil when the
 	// frontier owns its own active/woken lists.
 	onWake func(id int32)
-}
-
-// newFrontier returns a frontier whose active list is ids 0..n-1 and whose
-// asleep array it owns.
-func newFrontier(n int) *frontier {
-	f := &frontier{
-		asleep:  make([]bool, n),
-		timerAt: make([]int, n),
-		active:  make([]int32, n),
-	}
-	for i := range f.active {
-		f.active[i] = int32(i)
-	}
-	return f
 }
 
 // wake re-admits a sleeping node (message delivery or timer expiry). A
@@ -121,8 +107,9 @@ func (f *frontier) dropCrashed(id int32) {
 	}
 }
 
-// admitWoken fires the timers due at round and merges the woken batch back
-// into the sorted active list. Called at the start of each compute walk.
+// admitWoken fires the timers due at round, wakes the sleepers the last
+// merge delivered to, and merges the woken batch back into the sorted
+// active list. Called at the start of each compute walk.
 func (f *frontier) admitWoken(round int) {
 	for len(f.timers) > 0 && f.timers[0].at <= round {
 		e := f.timers[0]
@@ -131,6 +118,9 @@ func (f *frontier) admitWoken(round int) {
 			f.timerAt[e.id] = 0
 		}
 		f.wake(e.id)
+	}
+	for _, id := range f.recips {
+		f.wake(id)
 	}
 	if len(f.woken) == 0 {
 		return
@@ -149,14 +139,6 @@ func (f *frontier) clearInboxes(inboxes [][]Message) {
 		inboxes[id] = inboxes[id][:0]
 	}
 	f.recips = f.recips[:0]
-}
-
-// noteRecipient records an inbox append for the clear list; first marks
-// the recipient's first message of the round.
-func (f *frontier) noteRecipient(id int32, first bool) {
-	if first {
-		f.recips = append(f.recips, id)
-	}
 }
 
 // mergeSortedIDs merges the sorted, disjoint batch into the sorted list in

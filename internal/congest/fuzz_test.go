@@ -19,7 +19,7 @@ func FuzzValidatePayload(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{kindAck})
 	f.Add([]byte{floodValue, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{lubyDraw, 0x01, 0x02})
+	f.Add([]byte{stLeader, 0x01, 0x02})
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		spec, err := ValidatePayload(p)

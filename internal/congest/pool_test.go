@@ -44,7 +44,7 @@ func runStress(t *testing.T, parallel bool, workers int) (Stats, [][]string) {
 	stats, err := Run(g, nodes, Config{
 		Seed:     99,
 		Parallel: parallel,
-		Workers:  workers,
+		Shards:   workers,
 		Faults: Faults{
 			DropProb:       0.25,
 			DropUntilRound: 8,
@@ -125,7 +125,7 @@ func TestInboxesArriveSortedWithoutSort(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = &sortedInboxNode{t: t, stopAt: 6}
 		}
-		if _, err := Run(g, nodes, Config{Seed: 5, Parallel: parallel, Workers: 4}); err != nil {
+		if _, err := Run(g, nodes, Config{Seed: 5, Parallel: parallel, Shards: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func TestStatsRoundsOnSendError(t *testing.T) {
 func TestPoolWorkerCapExceedsNodes(t *testing.T) {
 	g := mustGraph(t, 2, [][2]int{{0, 1}})
 	nodes := []Node{&recNode{stopAt: 3}, &recNode{stopAt: 3}}
-	stats, err := Run(g, nodes, Config{Seed: 1, Parallel: true, Workers: 32})
+	stats, err := Run(g, nodes, Config{Seed: 1, Parallel: true, Shards: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,7 +247,7 @@ func TestReliableShimDeterministicAcrossWorkers(t *testing.T) {
 		stats, err := Run(g, nodes, Config{
 			Seed:     7,
 			Parallel: parallel,
-			Workers:  workers,
+			Shards:   workers,
 			Faults: Faults{
 				DropProb:     0.4,
 				DelayProb:    0.2,

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -20,7 +21,7 @@ func circulant(t *testing.T, n, d int) *Graph {
 }
 
 // edgeCut counts undirected edges crossing shard boundaries.
-func edgeCut(g *Graph, parts [][]int) int {
+func edgeCut(g *Graph, parts [][]int32) int {
 	shardOf := make([]int, g.N())
 	for s, members := range parts {
 		for _, id := range members {
@@ -226,23 +227,24 @@ func TestShardedSendViolationMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardsAliasOfWorkers: Config.Shards wins over Config.Workers when
-// both are set, and either alone selects the shard count — verified
-// through identical executions (I5 makes them indistinguishable, so this
-// only checks both spellings are accepted end to end).
-func TestShardsAliasOfWorkers(t *testing.T) {
-	for _, cfg := range []Config{
-		{Seed: 9, Parallel: true, Workers: 3},
-		{Seed: 9, Parallel: true, Shards: 3},
-		{Seed: 9, Parallel: true, Workers: 64, Shards: 3},
-	} {
-		g := stressGraph(t)
-		nodes := make([]Node, g.N())
-		for i := range nodes {
-			nodes[i] = &recNode{stopAt: 5}
+// TestGainHeapPopsInOrder: the partition frontier must hand out entries
+// highest gain first, lowest id on ties, or partitionShards does not claim
+// the node with the most neighbours already inside the growing shard.
+func TestGainHeapPopsInOrder(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var h gainHeap
+		for i := 0; i < 20; i++ {
+			h.push(gainEntry{gain: rng.Intn(6), id: rng.Intn(100)})
 		}
-		if _, err := Run(g, nodes, cfg); err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
+		prev := h[0]
+		for len(h) > 0 {
+			top := h[0]
+			h.pop()
+			if h.less(top, prev) {
+				t.Fatalf("seed %d: popped %+v after %+v", seed, top, prev)
+			}
+			prev = top
 		}
 	}
 }

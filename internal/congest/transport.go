@@ -2,21 +2,22 @@ package congest
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
 // This file is the engine's transport seam: the distributed counterpart of
-// the fused in-process runners in engine.go/shard.go. A Transport moves one
+// the in-process runners in engine.go/shard.go. A Transport moves one
 // round's framed per-edge payloads between shards that live in different
-// goroutines or different processes; RunShard is the round loop one shard
-// executes against it. Two implementations exist: ChanNetwork (below) wires
-// shards of a single process together with channels-free sync primitives
-// and is the reference for the barrier semantics, and
-// internal/transport/udp speaks real datagrams between processes with
-// retry/timeout/backoff and graceful degradation. The fused runners remain
-// the fast path — Run with Config.Parallel never touches this seam — and
-// stay byte-identical to the sequential engine (invariant I5).
+// goroutines or different processes; RunShard drives one span of the
+// engine's round executor against it. Two implementations exist:
+// ChanNetwork (below) wires shards of a single process together with
+// channels-free sync primitives and is the reference for the barrier
+// semantics, and internal/transport/udp speaks real datagrams between
+// processes with retry/timeout/backoff and graceful degradation. The
+// in-process runners remain the fast path — Run with Config.Parallel never
+// touches this seam — and stay byte-identical to the sequential engine
+// (invariant I5).
 
 // Span is a contiguous range of node ids [Lo, Hi) owned by one shard of a
 // distributed run.
@@ -130,9 +131,9 @@ type Transport interface {
 	Gather(round int, allHalted bool) ([]Message, error)
 }
 
-// RunShard executes the nodes of span on g against a Transport: the
+// RunShard executes the nodes of span sp on g against a Transport: the
 // distributed analogue of Run. nodes must have length g.N(); only entries
-// inside span are initialized and driven (remote entries may be nil), and
+// inside sp are initialized and driven (remote entries may be nil), and
 // results are read out of them by the caller exactly as with Run. Stats
 // cover the local shard only; the coordinator aggregates across shards.
 //
@@ -141,15 +142,19 @@ type Transport interface {
 // seeds derive from (cfg.Seed, id) exactly as in Run, and every inbox is
 // delivered sorted by ascending sender id. Lost remote messages degrade the
 // run exactly like injected drop faults.
-func RunShard(g *Graph, nodes []Node, span Span, cfg Config, tr Transport) (Stats, error) {
-	if len(nodes) != g.N() {
-		return Stats{}, fmt.Errorf("congest: %d nodes for graph of %d vertices", len(nodes), g.N())
+func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats, error) {
+	n := g.N()
+	if len(nodes) != n {
+		return Stats{}, fmt.Errorf("congest: %d nodes for graph of %d vertices", len(nodes), n)
 	}
-	if span.Lo < 0 || span.Hi > g.N() || span.Lo > span.Hi {
-		return Stats{}, fmt.Errorf("congest: shard span [%d,%d) out of range [0,%d)", span.Lo, span.Hi, g.N())
+	if sp.Lo < 0 || sp.Hi > n || sp.Lo > sp.Hi {
+		return Stats{}, fmt.Errorf("congest: shard span [%d,%d) out of range [0,%d)", sp.Lo, sp.Hi, n)
 	}
 	if cfg.Faults.active() || cfg.Reliable.enabled() {
 		return Stats{}, fmt.Errorf("congest: RunShard does not simulate faults; chaos on a transport run is injected at the packet layer")
+	}
+	if cfg.Dense {
+		return Stats{}, fmt.Errorf("congest: RunShard has no dense scheduler; Dense is the sequential Run's reference")
 	}
 	// Shards of an in-process deployment share the Graph, so the lazy
 	// freeze inside Finalize would race; the caller finalizes once before
@@ -162,228 +167,61 @@ func RunShard(g *Graph, nodes []Node, span Span, cfg Config, tr Transport) (Stat
 		maxRounds = DefaultMaxRounds
 	}
 
-	envs := make([]*Env, g.N())
-	halted := make([]bool, g.N())
-	inboxes := make([][]Message, g.N())
-	for id := span.Lo; id < span.Hi; id++ {
-		envs[id] = &Env{
-			id:       id,
-			graph:    g,
-			seed:     nodeSeed(cfg.Seed, id),
-			bitLimit: cfg.BitLimit,
-			sentGen:  make([]uint64, g.Degree(id)),
-			gen:      1,
-		}
-		nodes[id].Init(envs[id])
-	}
-
-	// Frontier scheduler state over the span (nil in dense mode), the
-	// transport-runner analogue of Run's: a sleeping node stays live — the
-	// shard keeps reporting allHalted=false for it — but costs nothing
-	// until a timer or an arrival (local or remote) wakes it. asleep is
-	// indexed by global node id; only span entries are ever touched.
-	var fr *frontier
-	spanLive := span.Len()
-	if !cfg.Dense {
-		fr = &frontier{asleep: make([]bool, g.N()), timerAt: make([]int, g.N()), active: make([]int32, 0, span.Len())}
-		for id := span.Lo; id < span.Hi; id++ {
-			fr.active = append(fr.active, int32(id))
-		}
-	}
-	// remoteMark/remoteIDs track which inboxes took remote arrivals this
-	// round, so the frontier path re-sorts only those instead of the span.
-	var remoteMark []bool
-	var remoteIDs []int32
-	if fr != nil {
-		remoteMark = make([]bool, g.N())
-	}
-
+	// One span over the local ids: a sleeping node stays live — the shard
+	// keeps reporting allHalted=false for it — but costs nothing until a
+	// timer or an arrival (local or remote) wakes it. Messages to remote
+	// nodes collect in the one outbox the transport ships.
 	var stats Stats
-	var out []Message
-	drain := func(env *Env) error {
-		if env.sendErr != nil {
-			return env.sendErr
-		}
-		if len(env.out) > 0 {
-			stats.Senders++
-		}
-		for _, msg := range env.out {
-			stats.Messages++
-			stats.Bits += int64(msg.Bits())
-			if msg.Bits() > stats.MaxMessageBits {
-				stats.MaxMessageBits = msg.Bits()
-			}
-			if span.Contains(msg.To) {
-				// Messages to halted nodes are delivered to nobody but
-				// still counted, as in Run.
-				if !halted[msg.To] {
-					if fr != nil {
-						fr.noteRecipient(int32(msg.To), len(inboxes[msg.To]) == 0)
-					}
-					inboxes[msg.To] = append(inboxes[msg.To], msg)
-					if fr != nil {
-						fr.wake(int32(msg.To))
-					}
-				}
-			} else {
-				out = append(out, msg)
-			}
-		}
-		env.out = env.out[:0]
-		if env.rejected != 0 {
-			stats.Rejected += env.rejected
-			env.rejected = 0
-		}
-		return nil
+	x := &span{
+		nodeSet: newNodeSet(g, nodes, sp.Lo, sp.Hi, n, cfg),
+		fr:      &frontier{asleep: make([]bool, n), timerAt: make([]int, n), active: idRange(sp.Lo, sp.Hi)},
+		stats:   &stats,
+		outbox:  make([][]Message, 1),
+	}
+	live := sp.Len()
+	end := func(rounds int, err error) (Stats, error) {
+		stats.Rounds = rounds
+		stats.FinalLive = live
+		return stats, err
 	}
 	for round := 0; ; round++ {
 		start, err := tr.Begin(round)
 		if err != nil {
-			stats.Rounds = round
-			stats.FinalLive = spanLive
-			return stats, fmt.Errorf("congest: begin round %d: %w", round, err)
+			return end(round, fmt.Errorf("congest: begin round %d: %w", round, err))
 		}
 		if start.Done {
-			stats.Rounds = round
-			stats.FinalLive = spanLive
-			return stats, nil
+			return end(round, nil)
 		}
 		if round >= maxRounds {
-			stats.Rounds = round
-			stats.FinalLive = spanLive
-			return stats, fmt.Errorf("%w (budget %d)", ErrRoundLimit, maxRounds)
+			return end(round, fmt.Errorf("%w (budget %d)", ErrRoundLimit, maxRounds))
 		}
-		stats.LiveNodeRounds += int64(spanLive)
-
-		var allHalted bool
-		if fr != nil {
-			fr.admitWoken(round)
-			fr.senders = fr.senders[:0]
-			keep := fr.active[:0]
-			for _, id := range fr.active {
-				if halted[id] {
-					continue
-				}
-				env := envs[id]
-				env.beginRound()
-				h := nodes[id].Round(round, inboxes[id])
-				if len(env.out) > 0 || env.sendErr != nil || env.rejected != 0 {
-					fr.senders = append(fr.senders, id)
-				}
-				if h {
-					halted[id] = true
-					spanLive--
-					continue
-				}
-				if env.sleepUntil > round+1 {
-					fr.park(id, env.sleepUntil)
-					continue
-				}
-				keep = append(keep, id)
-			}
-			fr.active = keep
-			allHalted = spanLive == 0
-		} else {
-			allHalted = true
-			for id := span.Lo; id < span.Hi; id++ {
-				if halted[id] {
-					continue
-				}
-				envs[id].beginRound()
-				if nodes[id].Round(round, inboxes[id]) {
-					halted[id] = true
-					spanLive--
-				} else {
-					allHalted = false
-				}
-			}
+		stats.LiveNodeRounds += int64(live)
+		live -= x.compute(round)
+		x.outbox[0] = x.outbox[0][:0]
+		if err := x.merge(round, x.fr.senders); err != nil {
+			return end(round+1, err)
 		}
-
-		// Merge phase: walk local senders in ascending id order (so local
-		// deliveries land born-sorted, as in Run), account every staged
-		// message, and split deliveries into local inbox appends and the
-		// remote batch the transport ships. The frontier walk covers only
-		// the round's sender list and clears only last round's recipients.
-		if fr != nil {
-			fr.clearInboxes(inboxes)
-		} else {
-			for id := span.Lo; id < span.Hi; id++ {
-				inboxes[id] = inboxes[id][:0]
-			}
+		if err := tr.Send(round, x.outbox[0]); err != nil {
+			return end(round+1, fmt.Errorf("congest: send round %d: %w", round, err))
 		}
-		out = out[:0]
-		if fr != nil {
-			for _, id := range fr.senders {
-				if err := drain(envs[id]); err != nil {
-					stats.Rounds = round + 1
-					stats.FinalLive = spanLive
-					return stats, err
-				}
-			}
-		} else {
-			for id := span.Lo; id < span.Hi; id++ {
-				if err := drain(envs[id]); err != nil {
-					stats.Rounds = round + 1
-					stats.FinalLive = spanLive
-					return stats, err
-				}
-			}
-		}
-		if err := tr.Send(round, out); err != nil {
-			stats.Rounds = round + 1
-			stats.FinalLive = spanLive
-			return stats, fmt.Errorf("congest: send round %d: %w", round, err)
-		}
-		in, err := tr.Gather(round, allHalted)
+		in, err := tr.Gather(round, live == 0)
 		if err != nil {
-			stats.Rounds = round + 1
-			stats.FinalLive = spanLive
-			return stats, fmt.Errorf("congest: gather round %d: %w", round, err)
+			return end(round+1, fmt.Errorf("congest: gather round %d: %w", round, err))
 		}
-		remote := false
 		for _, msg := range in {
-			if !span.Contains(msg.To) {
-				stats.Rounds = round + 1
-				stats.FinalLive = spanLive
-				return stats, fmt.Errorf("congest: transport delivered message for remote node %d to shard [%d,%d)", msg.To, span.Lo, span.Hi)
+			if !x.owns(msg.To) {
+				return end(round+1, fmt.Errorf("congest: transport delivered message for remote node %d to shard [%d,%d)", msg.To, sp.Lo, sp.Hi))
 			}
-			if !halted[msg.To] {
-				if fr != nil {
-					fr.noteRecipient(int32(msg.To), len(inboxes[msg.To]) == 0)
-					if !remoteMark[msg.To] {
-						remoteMark[msg.To] = true
-						remoteIDs = append(remoteIDs, int32(msg.To))
-					}
-				}
-				inboxes[msg.To] = append(inboxes[msg.To], msg)
-				if fr != nil {
-					fr.wake(int32(msg.To))
-				}
-				remote = true
-			}
+			x.deliver(msg)
 		}
-		if remote {
-			// Local appends are already sorted by sender id; remote arrivals
-			// land behind them in transport order. Re-establish the engine's
-			// born-sorted inbox invariant per receiving node. The sort is
-			// deterministic: a sender stages at most one message per
-			// recipient per round, so sender ids within an inbox are unique.
-			if fr != nil {
-				for _, id := range remoteIDs {
-					box := inboxes[id]
-					if len(box) > 1 {
-						sort.Slice(box, func(a, b int) bool { return box[a].From < box[b].From })
-					}
-					remoteMark[id] = false
-				}
-				remoteIDs = remoteIDs[:0]
-			} else {
-				for id := span.Lo; id < span.Hi; id++ {
-					box := inboxes[id]
-					if len(box) > 1 {
-						sort.Slice(box, func(a, b int) bool { return box[a].From < box[b].From })
-					}
-				}
+		if len(in) > 0 {
+			// Local deliveries are already sorted by sender id; remote
+			// arrivals land behind them in transport order. Re-establish
+			// the born-sorted inbox invariant per recipient. The order is
+			// total: a sender stages at most one message per recipient per
+			// round, so sender ids within an inbox are unique.
+			for _, id := range x.fr.recips {
+				slices.SortFunc(x.inboxes[id], func(a, b Message) int { return a.From - b.From })
 			}
 		}
 	}

@@ -136,6 +136,9 @@ func TestRunShardRejectsFaultConfigs(t *testing.T) {
 	if _, err := RunShard(g, nodes, Span{0, 2}, Config{Reliable: Reliable{RetryBudget: 2}}, net.Shard(0)); err == nil {
 		t.Fatal("RunShard accepted the simulated reliable shim")
 	}
+	if _, err := RunShard(g, nodes, Span{0, 2}, Config{Dense: true}, net.Shard(0)); err == nil {
+		t.Fatal("RunShard accepted the dense reference scheduler")
+	}
 }
 
 func TestChanNetworkRejectsBadSpans(t *testing.T) {

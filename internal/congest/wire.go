@@ -138,7 +138,7 @@ const kindAck = '!'
 
 func init() {
 	// The engine's own protocol kinds. Value payloads are one kind byte
-	// plus one varint; a 32-bit Luby draw needs at most 5 varint bytes.
+	// plus one varint.
 	RegisterPayload(kindAck, "LINK-ACK", MaxKindVarintBits)
 	RegisterPayload(floodValue, "FLOOD-MIN", MaxKindVarintBits)
 	RegisterPayload(stLeader, "ST-LEADER", MaxKindVarintBits)
@@ -146,7 +146,4 @@ func init() {
 	RegisterPayload(stAdopt, "ST-ADOPT", MaxKindVarintBits)
 	RegisterPayload(stSum, "ST-SUM", MaxKindVarintBits)
 	RegisterPayload(stTotal, "ST-TOTAL", MaxKindVarintBits)
-	RegisterPayload(lubyDraw, "LUBY-DRAW", 48)
-	RegisterPayload(lubyWinner, "LUBY-WINNER", 8)
-	RegisterPayload(lubyRetire, "LUBY-RETIRE", 8)
 }

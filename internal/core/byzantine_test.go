@@ -204,7 +204,7 @@ func TestByzantineSoftCapCertified(t *testing.T) {
 		sol, rep, err := SolveSoftCap(inst, cfg, WithSeed(17),
 			WithFaults(congest.Faults{CrashAtRound: map[int]int{5: 9}}),
 			WithCorruption(0.2), WithByzantine(0, 2, 7),
-			WithParallel(parallel), WithWorkers(workers))
+			WithParallel(parallel), WithShards(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

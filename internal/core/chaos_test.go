@@ -82,7 +82,7 @@ func TestChaosMatrix(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			run := func(parallel bool, workers int) (*fl.Solution, *Report) {
 				opts := []Option{WithSeed(31), WithFaults(sc.f),
-					WithParallel(parallel), WithWorkers(workers)}
+					WithParallel(parallel), WithShards(workers)}
 				if sc.rel > 0 {
 					opts = append(opts, WithReliableDelivery(sc.rel))
 				}
@@ -197,7 +197,7 @@ func TestChaosSoftCapCertified(t *testing.T) {
 	}
 	run := func(parallel bool, workers int) (*fl.CapSolution, *Report) {
 		sol, rep, err := SolveSoftCap(inst, cfg, WithSeed(17), WithFaults(faults),
-			WithParallel(parallel), WithWorkers(workers), WithReliableDelivery(2))
+			WithParallel(parallel), WithShards(workers), WithReliableDelivery(2))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -110,7 +110,7 @@ func TestSolveParallelLossyEquivalence(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 7, 0} { // 0 = GOMAXPROCS
 			sp, rp, err := Solve(inst, Config{K: 16}, WithSeed(8), WithLossyNetwork(p),
-				WithParallel(true), WithWorkers(workers))
+				WithParallel(true), WithShards(workers))
 			if err != nil {
 				t.Fatalf("p=%.1f workers=%d: %v", p, workers, err)
 			}

@@ -76,7 +76,6 @@ type Report struct {
 type options struct {
 	seed        int64
 	parallel    bool
-	workers     int
 	shards      int
 	bitLimit    int // <0: engine default from network size; 0: unlimited
 	observer    func(round int, delivered []congest.Message)
@@ -100,13 +99,10 @@ func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 // executor. The execution is identical to the sequential one.
 func WithParallel(parallel bool) Option { return func(o *options) { o.parallel = parallel } }
 
-// WithWorkers bounds the worker/shard count used by WithParallel; 0 means
-// GOMAXPROCS. It has no effect on a sequential run.
-func WithWorkers(workers int) Option { return func(o *options) { o.workers = workers } }
-
 // WithShards sets the number of topology shards the parallel runner
 // partitions the communication graph into (each shard is owned by one
-// persistent worker); it overrides WithWorkers when both are given.
+// persistent worker); 0 means GOMAXPROCS. It has no effect on a
+// sequential run.
 // Executions are byte-identical across shard counts — the solver's
 // delivery-order assumptions (inboxes sorted by sender id, fault draws in
 // global sender order) are preserved by the per-destination-shard merge —
@@ -192,6 +188,8 @@ func WithByzantine(fromRound int, nodeIDs ...int) Option {
 // byte-identical to the default frontier scheduler — that equality is
 // exactly what pins the protocol's dormancy declarations as sound — so this
 // is a verification and baseline-measurement knob, not a behavioral one.
+// The dense scheduler is sequential only: Solve rejects it together with
+// WithParallel.
 func WithDenseEngine(dense bool) Option {
 	return func(o *options) { o.dense = dense }
 }
@@ -432,7 +430,6 @@ func runProtocol(inst *fl.Instance, cfg Config, opts []Option) ([]*facilityNode,
 		Seed:      o.seed,
 		MaxRounds: maxRounds,
 		Parallel:  o.parallel,
-		Workers:   o.workers,
 		Shards:    o.shards,
 		Observer:  o.observer,
 		Faults:    faults,
