@@ -113,6 +113,7 @@ var (
 	// WithDenseEngine selects the reference O(n)-per-round scheduler
 	// instead of the default active-frontier scheduler. Byte-identical
 	// output either way; a verification and baseline knob, not a feature.
+	// Sequential runs only: it cannot be combined with WithParallel.
 	WithDenseEngine = core.WithDenseEngine
 	// WithBitLimit overrides the CONGEST message-size budget.
 	WithBitLimit = core.WithBitLimit
