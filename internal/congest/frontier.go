@@ -47,8 +47,8 @@ type frontier struct {
 	// reject counter to drain. The compute walk appends; the merge resets.
 	senders []int32
 	// recips lists the nodes whose inboxes were filled this round; the
-	// next round's merge clears exactly those instead of ranging over all
-	// n inboxes.
+	// next round's admitWoken wakes those that sleep, and its merge clears
+	// exactly those inboxes instead of ranging over all n.
 	recips []int32
 	// onWake, when set, reroutes the re-admission half of a message wake:
 	// the serial-merge pool's caller-side frontier clears asleep itself
