@@ -23,9 +23,16 @@ import (
 //     with a provably local index.
 //
 // A write whose target is rooted at a pool field then needs a provably
-// local index; writes through handles derived from a non-local index, and
-// writes that replace a whole pool field, are flagged, as are method calls
-// on another shard's state. Writes through a function's own locals,
+// local index; writes through handles derived from a non-local index
+// (including a field of a struct element), and writes that replace a whole
+// pool field, are flagged, as are method calls on another shard's state.
+//
+// State a shard handle shares with every other shard is declared with
+// `//flvet:shared <why>` on its struct type: every field of that type
+// counts as a pool field wherever it is reached, so the engine's node-
+// indexed arrays — which each shard's span holds a copy of the slice
+// headers of — need a provably local index even through the shard's own
+// handle. Writes through a function's own locals,
 // parameters, and non-pool receivers are allowed — locality of what the
 // caller passed in is the caller's obligation (checked one call level up
 // via argument facts).
@@ -73,6 +80,8 @@ type shardlocalCtx struct {
 	pass     *Pass
 	cg       *callGraph
 	poolType *types.Named
+	// shared holds the fields of the //flvet:shared struct types.
+	shared   map[*types.Var]bool
 	mergeFns map[*types.Func]bool
 	entry    *types.Func
 	entryIdx *types.Var // the entry's own-shard-index parameter
@@ -103,10 +112,12 @@ func runShardlocal(pass *Pass) {
 		}
 		return
 	}
+	shared := sharedFields(pass)
 	for _, entry := range entries {
 		cx := &shardlocalCtx{
 			pass:     pass,
 			cg:       cg,
+			shared:   shared,
 			mergeFns: mergeFns,
 			entry:    entry,
 			fnFacts:  map[*types.Func]varFacts[locKind]{},
@@ -125,6 +136,39 @@ func runShardlocal(pass *Pass) {
 		cx.solve()
 		cx.report()
 	}
+}
+
+// sharedFields collects the fields of the struct types whose declaration
+// doc carries //flvet:shared.
+func sharedFields(pass *Pass) map[*types.Var]bool {
+	shared := map[*types.Var]bool{}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				doc := ts.Doc
+				if doc == nil && len(gd.Specs) == 1 {
+					doc = gd.Doc
+				}
+				st, isStruct := ts.Type.(*ast.StructType)
+				if _, ok := docDirective(doc, "shared"); !ok || !isStruct {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						if v, ok := pass.Info.Defs[name].(*types.Var); ok {
+							shared[v] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return shared
 }
 
 func firstIntParam(info *types.Info, fd *ast.FuncDecl) *types.Var {
@@ -336,6 +380,11 @@ func (cx *shardlocalCtx) exprLoc(e ast.Expr, env varFacts[locKind]) locKind {
 		case locPool, locPoolField:
 			return locPoolField
 		case locLocalHandle:
+			if sel := cx.pass.Info.Selections[e]; sel != nil {
+				if v, ok := sel.Obj().(*types.Var); ok && cx.shared[v] {
+					return locPoolField
+				}
+			}
 			return locLocalHandle
 		case locForeignHandle:
 			return locForeignHandle
@@ -348,7 +397,9 @@ func (cx *shardlocalCtx) exprLoc(e ast.Expr, env varFacts[locKind]) locKind {
 			if isLocalIdx(cx.exprLoc(e.Index, env)) {
 				return locLocalHandle
 			}
-			if refLike(cx.typeOf(e)) {
+			// A struct element is another shard's storage too: writing
+			// one of its fields is a cross-shard write.
+			if t := cx.typeOf(e); refLike(t) || isComposite(t) {
 				return locForeignHandle
 			}
 			return locNone
@@ -495,6 +546,19 @@ func refLike(t types.Type) bool {
 	}
 	switch t.Underlying().(type) {
 	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Interface:
+		return true
+	}
+	return false
+}
+
+// isComposite reports whether t is a struct or array value, whose fields or
+// elements a write can target in place.
+func isComposite(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch t.Underlying().(type) {
+	case *types.Struct, *types.Array:
 		return true
 	}
 	return false

@@ -15,7 +15,27 @@ type pool struct {
 	halted  []bool
 	inboxes [][]message
 	shards  []*state
+	spans   []*span
 	round   int
+}
+
+// nodes mirrors the engine's nodeSet: every span holds a copy of these
+// slice headers, so the shard's own handle reaches shared arrays.
+//
+//flvet:shared every span indexes the same backing arrays by node id
+type nodes struct {
+	done []bool
+	envs []env
+}
+
+type env struct{ gen int }
+
+// span mirrors the engine's span: shared node arrays plus the shard's own
+// active list and outbox.
+type span struct {
+	nodes
+	active []int
+	outbox []message
 }
 
 // worker is the compute-phase entry: everything reachable from here may
@@ -47,6 +67,7 @@ func (p *pool) worker(w int) {
 	q.reset() // foreign handle crosses the call boundary
 
 	p.merge(w)
+	p.spans[w].compute(other)
 
 	//flvet:shardlocal scheduling beacon, torn reads tolerated by design
 	p.round = 2 // escaped by the directive above
@@ -67,6 +88,19 @@ func (p *pool) sneaky(i int) {
 // site passes another shard's state.
 func (s *state) reset() {
 	s.count = 0 // want `write through s, which may reference another shard's state`
+}
+
+// compute is the span walk: shared arrays reached through the shard's own
+// handle still need a node id of the shard.
+func (x *span) compute(other int) {
+	for _, id := range x.active {
+		x.done[id] = true   // ranged from the shard's own list: allowed
+		x.envs[id].gen++    // allowed
+		x.done[other] = true // want `write to x\.done indexed by other, which is not provably in this worker's shard`
+		x.envs[id+1].gen = 0 // want `write through x\.envs\[id \+ 1\], which may reference another shard's state`
+	}
+	x.outbox = x.outbox[:0] // the span's own fields: allowed
+	x.active[0] = other     // allowed
 }
 
 // merge is the blessed cross-shard phase.

@@ -163,7 +163,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 		defer pool.stop()
 		x.fr = pool.callerFrontier()
 	case !cfg.Dense:
-		x.fr = &frontier{asleep: make([]bool, n), timerAt: make([]int, n), active: idRange(0, n)}
+		x.fr = newFrontier(idRange(0, n))
 	}
 	// frontierOf names the frontier that schedules node id: nil on the
 	// dense reference, which keeps no lists.
@@ -281,7 +281,10 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 // nodeSet is the node-indexed state of one execution, shared by all of its
 // spans — each holds a copy of these slice headers over the same backing
 // arrays: the caller's nodes, the Envs of the ids the execution runs, and
-// the halted flags and next-round inboxes, indexed by global node id.
+// the halted flags and next-round inboxes, indexed by global node id. A
+// shard worker may write an entry only at a node id of its own shard.
+//
+//flvet:shared every span of an execution indexes the same backing arrays by node id
 type nodeSet struct {
 	nodes   []Node
 	envs    []Env // the Env of node id is envs[id-lo]
@@ -333,11 +336,12 @@ func (ns *nodeSet) env(id int32) *Env { return &ns.envs[int(id)-ns.lo] }
 func (ns *nodeSet) owns(id int) bool { return uint(id-ns.lo) < uint(len(ns.envs)) }
 
 // span is the round executor: one compute walk over a set of nodes, one
-// drain that accounts each sender's output and routes every message, and
-// one delivery into the next round's inboxes. The runners differ only in
-// how they wire spans together — Run is one span over every node, a
-// parallel run is one span per shard joined by the k-way merge in shard.go,
-// and RunShard is one span whose remote traffic goes through a Transport.
+// accounting of each sender's output (Stats.account), and one delivery
+// into the next round's inboxes. The runners differ only in how they wire
+// spans together — Run is one span over every node, a parallel run is one
+// span per shard whose worker stages messages by destination shard for the
+// k-way merge in shard.go, and RunShard is one span whose drain hands
+// remote traffic to a Transport.
 type span struct {
 	nodeSet
 	// fr schedules the span's nodes; nil only on the dense reference.
@@ -345,11 +349,10 @@ type span struct {
 	stats *Stats
 	// del, when set, is the fault pipeline every drained message takes.
 	del *delivery
-	// shardOf, when set, routes every drained message to
-	// outbox[shardOf[to]] for the parallel merge. Otherwise messages to
-	// owned nodes are delivered in place and the rest go to outbox[0].
-	shardOf []int32
-	outbox  [][]Message
+	// outbox holds the drained messages to nodes the span does not run:
+	// outbox[0] for RunShard's transport, one stream per destination shard
+	// for the parallel merge (see shardPool.stage).
+	outbox [][]Message
 }
 
 // compute is the frontier walk: it runs the span's active nodes for one
@@ -446,18 +449,36 @@ func (x *span) merge(round int, senders []int32) error {
 	return nil
 }
 
-// drain processes one node's staged output for the round: it returns the
-// node's recorded send violation, if any, before touching its messages;
-// otherwise it accounts every message and the node's fail-closed rejects,
-// and routes every message (fault pipeline, in-place delivery, or outbox).
-// The env is left as it is — beginRound resets it when the node next runs
-// — so a parallel round whose staging meets a send violation can be merged
-// again from the same state on the caller goroutine.
+// drain processes one node's staged output for the round: it accounts the
+// output and routes every message to the fault pipeline, in place to an
+// owned recipient, or to outbox[0]. The env is left as it is — beginRound
+// resets it when the node next runs — so a parallel round whose staging
+// meets a send violation can be merged again from the same state on the
+// caller goroutine.
 func (x *span) drain(round int, env *Env) error {
+	if err := x.stats.account(env); err != nil {
+		return err
+	}
+	for _, msg := range env.out {
+		switch {
+		case x.del != nil:
+			x.del.transmit(round, msg)
+		case x.owns(msg.To):
+			x.deliver(msg)
+		default:
+			x.outbox[0] = append(x.outbox[0], msg)
+		}
+	}
+	return nil
+}
+
+// account counts one node's staged output for the round: it returns the
+// node's recorded send violation, if any, before touching its messages;
+// otherwise it counts every message and the node's fail-closed rejects.
+func (st *Stats) account(env *Env) error {
 	if env.sendErr != nil {
 		return env.sendErr
 	}
-	st := x.stats
 	if len(env.out) > 0 {
 		st.Senders++
 	}
@@ -467,17 +488,6 @@ func (x *span) drain(round int, env *Env) error {
 		st.Bits += int64(bits)
 		if bits > st.MaxMessageBits {
 			st.MaxMessageBits = bits
-		}
-		switch {
-		case x.del != nil:
-			x.del.transmit(round, msg)
-		case x.shardOf != nil:
-			d := x.shardOf[msg.To]
-			x.outbox[d] = append(x.outbox[d], msg)
-		case x.owns(msg.To):
-			x.deliver(msg)
-		default:
-			x.outbox[0] = append(x.outbox[0], msg)
 		}
 	}
 	st.Rejected += env.rejected

@@ -5,42 +5,44 @@ import "slices"
 // frontier is the active-set bookkeeping of the sparse round scheduler: it
 // tracks which nodes must actually run, send, or be cleared each round, so
 // steady-state per-round cost is O(active + delivered) instead of O(n).
-// Every span of an execution owns one frontier over its nodes. The spans of
-// a parallel run share one asleep array, whose entries are only ever
-// touched by the owning shard's worker or by the caller between rounds,
-// plus a caller-side frontier that owns the recipient list when the merge
-// runs on the caller goroutine.
+// Every span of an execution owns one frontier over its nodes, including
+// the sleep state of those nodes, so a shard worker's frontier writes touch
+// nothing another worker reads. A parallel run whose merge stays on the
+// caller goroutine adds a caller-side frontier that owns only the recipient
+// list and hands each wake to the frontier of the node's shard.
 //
 // A node is in exactly one place at a time: the sorted active list (it
-// runs every round), or parked with asleep[id] set (a SleepUntil
+// runs every round), or parked with its asleep flag set (a SleepUntil
 // declaration is in force), or out entirely (halted or crashed). Wakes —
 // timer expiry, message delivery, crash recovery — stage the id in woken;
 // admitWoken merges the batch back into the active list before the next
 // compute walk, preserving ascending-id execution order (invariant I5).
 type frontier struct {
-	// asleep marks nodes parked by Env.SleepUntil. Shared across the
-	// per-shard frontiers of one run, indexed by global node id.
+	// lo is the smallest id the frontier schedules. asleep and timerAt are
+	// indexed by id-lo and cover the ids from lo to the largest scheduled
+	// id, which is the whole span for a contiguous shard.
+	lo int
+	// asleep marks nodes parked by Env.SleepUntil.
 	asleep []bool
 	// active holds the runnable node ids in ascending order; the compute
 	// walk compacts halting, crashing, and sleeping nodes out in place.
 	active []int32
 	// woken stages ids to re-admit before the next compute walk. Entries
 	// are unique by construction: a message or timer wake fires only while
-	// asleep[id] is set (and clears it), and a recovery revive fires only
-	// for a node that left the active list when it crashed.
+	// the node's asleep flag is set (and clears it), and a recovery revive
+	// fires only for a node that left the active list when it crashed.
 	woken []int32
 	// timers is a min-heap of (round, id) wake calls with lazy
 	// invalidation: an entry whose node was woken early (or crashed) pops
-	// as a no-op because asleep[id] is already clear.
+	// as a no-op because the node's asleep flag is already clear.
 	timers wakeHeap
-	// timerAt[id], when non-zero, is the round of a live heap entry for id
-	// (the minimum one this frontier knows of). park skips the push when an
-	// existing entry already fires no later than the new declaration — the
-	// node wakes early, which the SleepUntil contract makes a no-op — so a
-	// node that is delivery-woken and re-parks every round contributes one
-	// heap entry, not one per round. Shared across the per-shard frontiers
-	// of one run like asleep, and indexed by global node id; 0 is "unset"
-	// (park is only ever called with until >= 2).
+	// timerAt[id-lo], when non-zero, is the round of a live heap entry for
+	// id (the minimum one this frontier knows of). park skips the push when
+	// an existing entry already fires no later than the new declaration —
+	// the node wakes early, which the SleepUntil contract makes a no-op — so
+	// a node that is delivery-woken and re-parks every round contributes one
+	// heap entry, not one per round. 0 is "unset" (park is only ever called
+	// with until >= 2).
 	timerAt []int
 	// senders lists, in ascending id order, this round's merge-relevant
 	// nodes: staged output, a recorded send violation, or a fail-closed
@@ -50,11 +52,22 @@ type frontier struct {
 	// next round's admitWoken wakes those that sleep, and its merge clears
 	// exactly those inboxes instead of ranging over all n.
 	recips []int32
-	// onWake, when set, reroutes the re-admission half of a message wake:
-	// the serial-merge pool's caller-side frontier clears asleep itself
-	// but must stage the id in the owning shard's woken list. nil when the
-	// frontier owns its own active/woken lists.
+	// onWake, when set, takes every wake of the caller-side frontier of a
+	// serial-merge pool, which schedules no node itself, to the frontier of
+	// the node's shard. nil on every frontier that schedules nodes.
 	onWake func(id int32)
+}
+
+// newFrontier returns a frontier scheduling the ascending ids active, with
+// sleep state covering them.
+func newFrontier(active []int32) *frontier {
+	f := &frontier{active: active}
+	if len(active) > 0 {
+		f.lo = int(active[0])
+		size := int(active[len(active)-1]) - f.lo + 1
+		f.asleep, f.timerAt = make([]bool, size), make([]int, size)
+	}
+	return f
 }
 
 // wake re-admits a sleeping node (message delivery or timer expiry). A
@@ -62,15 +75,14 @@ type frontier struct {
 // round — is left untouched, which is what makes stale timer entries and
 // repeated deliveries harmless.
 func (f *frontier) wake(id int32) {
-	if !f.asleep[id] {
-		return
-	}
-	f.asleep[id] = false
 	if f.onWake != nil {
 		f.onWake(id)
 		return
 	}
-	f.woken = append(f.woken, id)
+	if i := int(id) - f.lo; f.asleep[i] {
+		f.asleep[i] = false
+		f.woken = append(f.woken, id)
+	}
 }
 
 // revive stages a recovered node for re-admission. The caller guarantees
@@ -85,11 +97,12 @@ func (f *frontier) revive(id int32) {
 // later than the declared round even if no message arrives first (possibly
 // earlier, via a pre-existing entry — a contractual no-op round).
 func (f *frontier) park(id int32, until int) {
-	f.asleep[id] = true
-	if t := f.timerAt[id]; t != 0 && t <= until {
+	i := int(id) - f.lo
+	f.asleep[i] = true
+	if t := f.timerAt[i]; t != 0 && t <= until {
 		return
 	}
-	f.timerAt[id] = until
+	f.timerAt[i] = until
 	f.timers.push(wakeEntry{at: until, id: id})
 }
 
@@ -98,8 +111,8 @@ func (f *frontier) park(id int32, until int) {
 // lazily no-op), an active node is deleted from the sorted list so a
 // same-round recovery cannot re-admit it twice.
 func (f *frontier) dropCrashed(id int32) {
-	if f.asleep[id] {
-		f.asleep[id] = false
+	if i := int(id) - f.lo; f.asleep[i] {
+		f.asleep[i] = false
 		return
 	}
 	if i, ok := slices.BinarySearch(f.active, id); ok {
@@ -114,8 +127,8 @@ func (f *frontier) admitWoken(round int) {
 	for len(f.timers) > 0 && f.timers[0].at <= round {
 		e := f.timers[0]
 		f.timers.pop()
-		if f.timerAt[e.id] == e.at {
-			f.timerAt[e.id] = 0
+		if i := int(e.id) - f.lo; f.timerAt[i] == e.at {
+			f.timerAt[i] = 0
 		}
 		f.wake(e.id)
 	}

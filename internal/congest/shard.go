@@ -8,15 +8,15 @@ import (
 // shardPool runs a parallel execution's spans on a fixed set of long-lived
 // worker goroutines, one per topology shard. Nodes are statically
 // partitioned into topology-aware shards (see partitionShards) and each
-// worker owns everything its span touches — the member nodes it runs, the
-// per-destination-shard outboxes its drain stages into, the inboxes it
-// ingests, and its own Stats counters. Delivery is therefore
+// worker owns everything its span touches — the member nodes it runs and
+// their sleep state, the per-destination-shard outboxes it stages into, the
+// inboxes it ingests, and its own Stats counters. Delivery is therefore
 // contention-free: no two workers ever write the same inbox, counter, or
 // env, and the only synchronization in a round is one internal barrier
 // between the staging and ingest phases (plus the start/join handshake
 // with the caller).
 //
-// Determinism (invariant I5): a worker drains its senders in ascending node
+// Determinism (invariant I5): a worker stages its senders in ascending node
 // id, so each outbox stream is sorted by sender id; sender sets are
 // disjoint across shards, so the ingest phase's streams-by-ascending-
 // sender merge reproduces exactly the delivery order of the sequential
@@ -54,23 +54,6 @@ type shardPool struct {
 	wg     sync.WaitGroup // joins the workers of one round
 }
 
-// shardMem holds what one worker writes for every message — its frontier
-// and its counters — padded so that two workers never write the same cache
-// line: the runtime packs same-sized allocations side by side. The
-// per-shard slices workers write into (outbox headers, ingest cursors) get
-// the same spare room as extra capacity. Without the padding, 2-shard
-// all-broadcast rounds on a 4096-node circulant took about 13% longer on a
-// 2-vCPU machine.
-type shardMem struct {
-	fr    frontier
-	stats Stats
-	_     [cacheLine]byte
-}
-
-// cacheLine is the padding unit: two 64-byte lines, which the adjacent-line
-// prefetcher of common x86 cores moves together.
-const cacheLine = 128
-
 // newShardPool partitions the graph and starts one worker per shard over
 // the execution's shared node state.
 func newShardPool(g *Graph, ns nodeSet, shards int, serialMerge bool) *shardPool {
@@ -85,17 +68,9 @@ func newShardPool(g *Graph, ns nodeSet, shards int, serialMerge bool) *shardPool
 		heads:       make([][]int, k),
 		start:       make([]chan struct{}, k),
 	}
-	asleep, timerAt := make([]bool, n), make([]int, n)
 	for s, members := range parts {
-		mem := &shardMem{fr: frontier{asleep: asleep, timerAt: timerAt, active: members}}
-		p.spans[s] = &span{
-			nodeSet: ns,
-			fr:      &mem.fr,
-			stats:   &mem.stats,
-			shardOf: p.shardOf,
-			outbox:  make([][]Message, k, k+cacheLine/24),
-		}
-		p.heads[s] = make([]int, k, k+cacheLine/8)
+		p.spans[s] = &span{nodeSet: ns, fr: newFrontier(members), stats: &Stats{}, outbox: make([][]Message, k)}
+		p.heads[s] = make([]int, k)
 		p.start[s] = make(chan struct{})
 		for _, id := range members {
 			p.shardOf[id] = int32(s)
@@ -109,17 +84,10 @@ func newShardPool(g *Graph, ns nodeSet, shards int, serialMerge bool) *shardPool
 
 // callerFrontier returns the merge-side frontier for runs whose delivery
 // happens on the caller goroutine: it owns the recipient list driving the
-// next round's inbox clears, shares the pool-wide asleep array, and routes
-// message wakes into the owning shard's woken list.
+// next round's inbox clears and hands each wake to the frontier of the
+// node's shard.
 func (p *shardPool) callerFrontier() *frontier {
-	return &frontier{asleep: p.spans[0].fr.asleep, onWake: p.wakeMember}
-}
-
-// wakeMember stages a caller-side wake in the owning shard's frontier; the
-// caller frontier's wake already cleared the asleep flag.
-func (p *shardPool) wakeMember(id int32) {
-	fr := p.spans[p.shardOf[id]].fr
-	fr.woken = append(fr.woken, id)
+	return &frontier{onWake: func(id int32) { p.spans[p.shardOf[id]].fr.wake(id) }}
 }
 
 // mergedSenders collects the round's sender lists of every shard into one
@@ -190,16 +158,7 @@ func (p *shardPool) worker(w int) {
 	for range p.start[w] { // one token per round; exits when stop closes the channel
 		p.halts[w] = s.compute(p.round)
 		if !p.serialMerge {
-			for d := range s.outbox {
-				s.outbox[d] = s.outbox[d][:0]
-			}
-			p.failed[w] = false
-			for _, id := range s.fr.senders {
-				if s.drain(p.round, s.env(id)) != nil {
-					p.failed[w] = true
-					break
-				}
-			}
+			p.failed[w] = !p.stage(s)
 			// The round's one barrier: publishes every shard's outbox
 			// streams (and failed flag) before any shard starts ingesting.
 			p.staged.Done()
@@ -210,6 +169,27 @@ func (p *shardPool) worker(w int) {
 		}
 		p.wg.Done()
 	}
+}
+
+// stage is the worker side of the drain: it accounts each of the shard's
+// senders, in ascending id order, and appends its messages to the outbox of
+// the recipient's shard. It reports false when a sender recorded a send
+// violation, which leaves the round to the caller's merge.
+func (p *shardPool) stage(s *span) bool {
+	for d := range s.outbox {
+		s.outbox[d] = s.outbox[d][:0]
+	}
+	for _, id := range s.fr.senders {
+		env := s.env(id)
+		if s.stats.account(env) != nil {
+			return false
+		}
+		for _, msg := range env.out {
+			d := p.shardOf[msg.To]
+			s.outbox[d] = append(s.outbox[d], msg)
+		}
+	}
+	return true
 }
 
 // ingest is the per-destination-shard half of the deterministic merge:

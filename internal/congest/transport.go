@@ -174,7 +174,7 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 	var stats Stats
 	x := &span{
 		nodeSet: newNodeSet(g, nodes, sp.Lo, sp.Hi, n, cfg),
-		fr:      &frontier{asleep: make([]bool, n), timerAt: make([]int, n), active: idRange(sp.Lo, sp.Hi)},
+		fr:      newFrontier(idRange(sp.Lo, sp.Hi)),
 		stats:   &stats,
 		outbox:  make([][]Message, 1),
 	}
