@@ -29,7 +29,8 @@ import (
 // contiguous scan. Per-row neighbour order is insertion order — exactly the
 // order the old slice-of-slices builder produced — so freezing changes no
 // observable iteration order. A second flat array keeps each row sorted by
-// neighbour id for O(log degree) adjacency queries.
+// neighbour id for O(log degree) adjacency queries; freeze builds it by
+// transposing the deduplicated rows in O(edges), without a sort.
 //
 // The zero value is an empty graph; use NewGraph.
 type Graph struct {
@@ -95,7 +96,8 @@ func (g *Graph) FinalizeChecked() error {
 
 // freeze packs the pending edge list into the CSR arrays. Counting sort by
 // endpoint keeps per-row order identical to the append order the old
-// slice-of-slices builder used; a stamp array dedups each row in one pass.
+// slice-of-slices builder used; a stamp array dedups each row in one pass;
+// a transpose of the deduplicated rows fills the sorted index.
 func (g *Graph) freeze(dupErr *error) {
 	n := g.n
 	rowStart := make([]int, n+1)
@@ -140,13 +142,16 @@ func (g *Graph) freeze(dupErr *error) {
 	g.rowStart = newStart
 	g.nbrs = nbrs[:write:write]
 	g.edgeCount = write / 2
+	// Transpose: walking u ascending and appending u to the sorted row of
+	// each of its neighbours leaves every sorted row ascending, because the
+	// deduplicated adjacency is symmetric (v is in u's row iff u is in v's).
 	g.sorted = make([]int32, write)
+	copy(cur, newStart[:n])
 	for u := 0; u < n; u++ {
-		row := g.sorted[newStart[u]:newStart[u+1]]
-		for k := range row {
-			row[k] = int32(g.nbrs[newStart[u]+k])
+		for _, v := range g.nbrs[newStart[u]:newStart[u+1]] {
+			g.sorted[cur[v]] = int32(u)
+			cur[v]++
 		}
-		slices.Sort(row)
 	}
 	g.pendU, g.pendV = nil, nil
 	g.frozen = true
@@ -241,7 +246,8 @@ func (m Message) Bits() int { return len(m.Payload) * 8 }
 // node receives no further Round calls; messages addressed to it are
 // delivered to nobody but still counted. Inbox messages (including their
 // payload bytes, which live in per-sender round arenas) are valid only for
-// the duration of the Round call — a node must copy anything it keeps.
+// the duration of the Round call — a node must copy anything it keeps — and
+// read-only: the recipients of one Broadcast share a single payload copy.
 type Node interface {
 	Init(env *Env)
 	Round(round int, inbox []Message) (halt bool)
@@ -280,8 +286,10 @@ type Env struct {
 	sendErr  error
 	// sentGen records, per neighbour position (NeighborIndex order), the
 	// round generation in which that neighbour was last sent to; comparing
-	// against gen makes the once-per-neighbour check O(log degree) per send
-	// with no per-round clearing. A view into the engine's flat array.
+	// against gen makes the once-per-neighbour check one load per send with
+	// no per-round clearing (Send still pays NeighborIndex's O(log degree)
+	// search to find the slot; Broadcast's fast path stamps every slot
+	// without searching). A view into the engine's flat array.
 	sentGen []uint64
 	gen     uint64
 	// arena holds the payload bytes staged this round; prevArena holds the
@@ -382,10 +390,31 @@ func (e *Env) Send(to int, payload []byte) {
 	e.out = append(e.out, Message{From: e.id, To: to, Payload: e.arena[n:len(e.arena):len(e.arena)]})
 }
 
-// Broadcast stages the same payload to every neighbour.
+// Broadcast stages the same payload to every neighbour, in Neighbors order.
+// When nothing is staged yet this round and the payload is within the bit
+// limit, no check can fail, so it stamps every neighbour as sent, copies
+// the payload into the round arena once and shares that copy across the
+// messages. Otherwise it is one Send per neighbour, which records
+// violations and stages a partial broadcast exactly as those Sends would.
 func (e *Env) Broadcast(payload []byte) {
-	for _, v := range e.Neighbors() {
-		e.Send(v, payload)
+	nbrs := e.Neighbors()
+	if len(e.out) > 0 || e.sendErr != nil || len(nbrs) == 0 || (e.bitLimit > 0 && len(payload)*8 > e.bitLimit) {
+		for _, v := range nbrs {
+			e.Send(v, payload)
+		}
+		return
+	}
+	for k := range e.sentGen {
+		e.sentGen[k] = e.gen
+	}
+	n := len(e.arena)
+	e.arena = append(e.arena, payload...)
+	shared := e.arena[n:len(e.arena):len(e.arena)]
+	if cap(e.out) < len(nbrs) {
+		e.out = make([]Message, 0, len(nbrs))
+	}
+	for _, v := range nbrs {
+		e.out = append(e.out, Message{From: e.id, To: v, Payload: shared})
 	}
 }
 

@@ -65,6 +65,17 @@ func TestCSRMatchesNaiveBuilder(t *testing.T) {
 					t.Fatalf("trial %d: NeighborIndex(%d,%d) = (%d,%v), want a fresh index in [0,%d)", trial, u, v, pos, ok, len(row))
 				}
 				seenPos[pos] = true
+				// The documented index is the sorted-row position: the
+				// rank of v among u's neighbours.
+				rank := 0
+				for _, w := range naive[u] {
+					if w < v {
+						rank++
+					}
+				}
+				if pos != rank {
+					t.Fatalf("trial %d: NeighborIndex(%d,%d) = %d, want sorted-row position %d", trial, u, v, pos, rank)
+				}
 				if !g.HasEdge(u, v) {
 					t.Fatalf("trial %d: HasEdge(%d,%d) = false for present edge", trial, u, v)
 				}

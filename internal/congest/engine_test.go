@@ -2,6 +2,8 @@ package congest
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -172,6 +174,14 @@ func (e *errNode) Round(r int, inbox []Message) bool {
 	case "double":
 		e.env.Send(1, []byte{1})
 		e.env.Send(1, []byte{2})
+	case "sendThenBroadcast":
+		e.env.Send(1, []byte{1})
+		e.env.Broadcast([]byte{2})
+	case "broadcastTwice":
+		e.env.Broadcast([]byte{1})
+		e.env.Broadcast([]byte{2})
+	case "broadcastTooBig":
+		e.env.Broadcast(make([]byte, 64))
 	}
 	return true
 }
@@ -184,6 +194,9 @@ func TestRunPolicesSends(t *testing.T) {
 		{"nonNeighbor", "non-neighbour"},
 		{"tooBig", "exceeds limit"},
 		{"double", "sent twice"},
+		{"sendThenBroadcast", "sent twice"},
+		{"broadcastTwice", "sent twice"},
+		{"broadcastTooBig", "exceeds limit"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.mode, func(t *testing.T) {
@@ -194,6 +207,104 @@ func TestRunPolicesSends(t *testing.T) {
 				t.Fatalf("Run = %v, want %q", err, tt.wantErr)
 			}
 		})
+	}
+}
+
+// bcastNode sends one payload to all its neighbours each round, either
+// with Broadcast or with the equivalent Send loop. The payload's length
+// and bytes depend on the node's inbox and private stream, so any
+// difference between the two paths spreads through the execution; the
+// node overwrites its buffer after staging, so a path that kept the
+// caller's bytes instead of copying them would show too.
+type bcastNode struct {
+	env      *Env
+	sendLoop bool
+	buf      []byte
+}
+
+func (b *bcastNode) Init(env *Env) { b.env = env }
+
+func (b *bcastNode) Round(r int, inbox []Message) bool {
+	if r >= 8 {
+		return true
+	}
+	acc := byte(r)
+	for _, m := range inbox {
+		acc = acc*31 + byte(m.From)
+		for _, c := range m.Payload {
+			acc ^= c
+		}
+	}
+	rng := b.env.Rand()
+	if rng.Intn(4) == 0 {
+		return false // a silent round
+	}
+	b.buf = b.buf[:0]
+	for k := rng.Intn(4); k > 0; k-- {
+		b.buf = append(b.buf, acc+byte(rng.Intn(256)))
+	}
+	if b.sendLoop {
+		for _, v := range b.env.Neighbors() {
+			b.env.Send(v, b.buf)
+		}
+	} else {
+		b.env.Broadcast(b.buf)
+	}
+	for k := range b.buf {
+		b.buf[k] = 0xff
+	}
+	return false
+}
+
+// TestBroadcastMatchesSendLoop pins Broadcast's one-copy fast path to the
+// per-neighbour Send loop it replaces: the same Observer stream — round,
+// sender, recipient and payload bytes, in delivery order — on every
+// runner, with every delivered payload capacity-clamped so a receiver's
+// append cannot write into a shared copy. It also checks that a broadcast
+// really stages one copy: the messages of one sender in one round share
+// their payload bytes.
+func TestBroadcastMatchesSendLoop(t *testing.T) {
+	// Node 9 is isolated, so a zero-degree Broadcast is covered too.
+	edges := [][2]int{{0, 1}, {0, 2}, {0, 5}, {1, 3}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 0}, {8, 2}, {8, 6}}
+	run := func(sendLoop bool, cfg Config) []string {
+		g := mustGraph(t, 10, edges)
+		nodes := make([]Node, g.N())
+		for i := range nodes {
+			nodes[i] = &bcastNode{sendLoop: sendLoop}
+		}
+		var stream []string
+		cfg.Seed, cfg.BitLimit = 11, 32
+		cfg.Observer = func(round int, delivered []Message) {
+			first := map[int]*byte{}
+			for _, msg := range delivered {
+				if cap(msg.Payload) != len(msg.Payload) {
+					t.Fatalf("round %d %d->%d: payload cap %d != len %d", round, msg.From, msg.To, cap(msg.Payload), len(msg.Payload))
+				}
+				stream = append(stream, fmt.Sprintf("%d %d->%d %x", round, msg.From, msg.To, msg.Payload))
+				if sendLoop || len(msg.Payload) == 0 {
+					continue
+				}
+				if p, ok := first[msg.From]; !ok {
+					first[msg.From] = &msg.Payload[0]
+				} else if p != &msg.Payload[0] {
+					t.Fatalf("round %d: node %d's broadcast staged more than one payload copy", round, msg.From)
+				}
+			}
+		}
+		if _, err := Run(g, nodes, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return stream
+	}
+	for _, cfg := range []Config{{}, {Dense: true}, {Parallel: true, Shards: 2}} {
+		want := run(true, cfg)
+		got := run(false, cfg)
+		if len(want) == 0 {
+			t.Fatal("the Send loop delivered nothing")
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%+v: Broadcast stream differs from the Send loop's:\n got %v\nwant %v", cfg, got, want)
+		}
 	}
 }
 

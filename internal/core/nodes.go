@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"slices"
-	"sort"
 
 	"dfl/internal/congest"
 	"dfl/internal/fl"
@@ -44,6 +43,9 @@ import (
 // own region. The old per-node map (posOf: client node id -> edge
 // position) is a sorted-id array plus binary search (edgePos), so message
 // decode stays O(log degree) without any hashing or per-node allocation.
+// newFacilityNodes fills the sorted-id arrays of all facilities at once by
+// transposing the facility rows through a client-major bucket, in time
+// linear in the edge count and without a comparison sort.
 type facilityNode struct {
 	inst *fl.Instance
 	idx  int // facility index == node id
@@ -156,34 +158,59 @@ func newFacilityNodes(inst *fl.Instance, cfg Config, d Derived) []*facilityNode 
 			buf:        bufAll[i*facBufCap : i*facBufCap : (i+1)*facBufCap],
 		}
 		for p, ed := range fes { // already sorted by ascending cost
-			node := int32(m + ed.To)
-			f.edgeNode[p] = node
+			f.edgeNode[p] = int32(m + ed.To)
 			f.edgeCost[p] = ed.Cost
-			f.nodeSorted[p] = node
-			f.posAt[p] = int32(p)
 			f.active[p] = true
 		}
-		sort.Sort(nodePosSort{f.nodeSorted, f.posAt})
 		out[i] = f
 		off = e
 	}
+	fillNodeSorted(out, m, inst.NC())
 	return out
+}
+
+// fillNodeSorted builds every facility's (nodeSorted, posAt) index by
+// transposition: one counting pass buckets each (facility, edge position)
+// pair by client, and a walk over the clients in ascending order appends
+// each pair to its facility's row, so every row comes out in ascending
+// client order in time linear in the edge count.
+func fillNodeSorted(fs []*facilityNode, m, nc int) {
+	bucketStart := make([]int, nc+1)
+	for _, f := range fs {
+		for _, node := range f.edgeNode {
+			bucketStart[int(node)-m+1]++
+		}
+	}
+	for j := 0; j < nc; j++ {
+		bucketStart[j+1] += bucketStart[j]
+	}
+	type facPos struct{ fac, pos int32 }
+	byClient := make([]facPos, bucketStart[nc])
+	cur := make([]int, nc)
+	copy(cur, bucketStart[:nc])
+	for i, f := range fs {
+		for p, node := range f.edgeNode {
+			j := int(node) - m
+			byClient[cur[j]] = facPos{int32(i), int32(p)}
+			cur[j]++
+		}
+	}
+	fill := make([]int, m) // entries written so far in each facility's row
+	for j := 0; j < nc; j++ {
+		for _, fp := range byClient[bucketStart[j]:bucketStart[j+1]] {
+			f := fs[fp.fac]
+			k := fill[fp.fac]
+			f.nodeSorted[k] = int32(m + j)
+			f.posAt[k] = fp.pos
+			fill[fp.fac]++
+		}
+	}
 }
 
 // newFacilityNode builds the single facility i (test helper; production
 // runs use the batch struct-of-arrays constructor directly).
 func newFacilityNode(inst *fl.Instance, i int, cfg Config, d Derived) *facilityNode {
 	return newFacilityNodes(inst, cfg, d)[i]
-}
-
-// nodePosSort co-sorts a facility's (nodeSorted, posAt) pair by node id.
-type nodePosSort struct{ nodes, pos []int32 }
-
-func (s nodePosSort) Len() int           { return len(s.nodes) }
-func (s nodePosSort) Less(i, j int) bool { return s.nodes[i] < s.nodes[j] }
-func (s nodePosSort) Swap(i, j int) {
-	s.nodes[i], s.nodes[j] = s.nodes[j], s.nodes[i]
-	s.pos[i], s.pos[j] = s.pos[j], s.pos[i]
 }
 
 // edgePos returns the edge position of the given client node id, the
