@@ -208,9 +208,18 @@ func (g *Graph) rowOffsets(u int) (int, int) {
 // Bipartite builds the communication graph of a facility-location instance:
 // facilities occupy node ids 0..m-1 and clients m..m+nc-1; each (facility i,
 // client j) pair in edges becomes a communication edge. The returned graph
-// is already frozen; duplicate pairs are an error.
+// is already frozen; duplicate pairs are an error. edges is walked twice,
+// once to count the pairs so the pending edge list is allocated once at
+// its final size, and once to add them; both walks must yield the same
+// pairs.
 func Bipartite(m, nc int, edges func(yield func(facility, client int) bool)) (*Graph, error) {
 	g := NewGraph(m + nc)
+	count := 0
+	edges(func(int, int) bool {
+		count++
+		return true
+	})
+	g.pendU, g.pendV = make([]int, 0, count), make([]int, 0, count)
 	var err error
 	edges(func(i, j int) bool {
 		if e := g.AddEdge(i, m+j); e != nil {
@@ -273,7 +282,6 @@ type Recoverable interface {
 // so nodes owned by one shard occupy contiguous memory (ids within a shard
 // are near-contiguous) and steady-state rounds allocate nothing.
 type Env struct {
-	id    int
 	graph *Graph
 	// seed derives the node's private RNG stream; rng itself is built
 	// lazily on first Rand() call. A math/rand source alone is ~5 KiB, so
@@ -281,17 +289,31 @@ type Env struct {
 	// regime — and most nodes (clients, benchmark chatter) never draw.
 	seed     int64
 	rng      *rand.Rand
-	out      []Message
 	bitLimit int
-	sendErr  error
 	// sentGen records, per neighbour position (NeighborIndex order), the
 	// round generation in which that neighbour was last sent to; comparing
 	// against gen makes the once-per-neighbour check one load per send with
-	// no per-round clearing (Send still pays NeighborIndex's O(log degree)
-	// search to find the slot; Broadcast's fast path stamps every slot
-	// without searching). A view into the engine's flat array.
+	// no per-round clearing. A view into the engine's flat array.
 	sentGen []uint64
-	gen     uint64
+	// id is the node's id, an int32 like the ids of the graph's sorted
+	// rows, so that next shares its word.
+	id int32
+	// The fields from next on are the ones every node that runs touches in
+	// a round (beginRound, the compute walk's check for output), kept
+	// together so that a round over many nodes touches few cache lines of
+	// each Env.
+	//
+	// next is the slot after the previous Send's (0 at the start of each
+	// round). Send tries it before NeighborIndex's O(log degree) search,
+	// so sends in ascending neighbour order find their slot in O(1);
+	// Broadcast's fast path stamps every slot without searching.
+	next    int32
+	sendErr error
+	// out holds the messages staged this round. The first staged Send of
+	// the run sizes it to the degree, which bounds it (one message per
+	// neighbour per round), so it never grows after that.
+	out []Message
+	gen uint64
 	// arena holds the payload bytes staged this round; prevArena holds the
 	// previous round's payloads, which recipients are reading this round.
 	// beginRound swaps them, so steady-state sends allocate nothing. A
@@ -314,14 +336,14 @@ type Env struct {
 }
 
 // ID returns the node's id.
-func (e *Env) ID() int { return e.id }
+func (e *Env) ID() int { return int(e.id) }
 
 // Neighbors returns the node's neighbour list (shared storage, do not
 // modify).
-func (e *Env) Neighbors() []int { return e.graph.Neighbors(e.id) }
+func (e *Env) Neighbors() []int { return e.graph.Neighbors(int(e.id)) }
 
 // Degree returns the node's degree.
-func (e *Env) Degree() int { return e.graph.Degree(e.id) }
+func (e *Env) Degree() int { return e.graph.Degree(int(e.id)) }
 
 // Rand returns the node's private deterministic random source,
 // constructing it on first use. Laziness is unobservable to the
@@ -363,14 +385,21 @@ func (e *Env) Reject() { e.rejected++ }
 // most one message per neighbour per round, and the payload must respect
 // the engine's bit limit. The first violation is recorded and aborts the
 // run; subsequent sends become no-ops.
+//
+// Finding the neighbour's slot costs O(1) when 'to' is the next neighbour
+// in ascending id order after the previous send of the round, and a binary
+// search over the node's sorted row otherwise.
 func (e *Env) Send(to int, payload []byte) {
 	if e.sendErr != nil {
 		return
 	}
-	pos, ok := e.graph.NeighborIndex(e.id, to)
-	if !ok {
-		e.sendErr = fmt.Errorf("congest: node %d sent to non-neighbour %d", e.id, to)
-		return
+	pos := int(e.next)
+	if pos >= len(e.sentGen) || int(e.graph.sorted[e.graph.rowStart[e.id]+pos]) != to {
+		var ok bool
+		if pos, ok = e.graph.NeighborIndex(int(e.id), to); !ok {
+			e.sendErr = fmt.Errorf("congest: node %d sent to non-neighbour %d", e.id, to)
+			return
+		}
 	}
 	if e.bitLimit > 0 && len(payload)*8 > e.bitLimit {
 		e.sendErr = fmt.Errorf("congest: node %d message of %d bits exceeds limit %d", e.id, len(payload)*8, e.bitLimit)
@@ -381,13 +410,17 @@ func (e *Env) Send(to int, payload []byte) {
 		return
 	}
 	e.sentGen[pos] = e.gen
+	e.next = int32(pos + 1)
+	if cap(e.out) == 0 {
+		e.out = make([]Message, 0, len(e.sentGen))
+	}
 	// Copy the payload into the round arena so node-local buffers can be
 	// reused by the caller without a per-message allocation. If the append
 	// grows the arena, slices handed out earlier keep pointing into the old
 	// backing array, which stays valid (and immutable) until collected.
 	n := len(e.arena)
 	e.arena = append(e.arena, payload...)
-	e.out = append(e.out, Message{From: e.id, To: to, Payload: e.arena[n:len(e.arena):len(e.arena)]})
+	e.out = append(e.out, Message{From: int(e.id), To: to, Payload: e.arena[n:len(e.arena):len(e.arena)]})
 }
 
 // Broadcast stages the same payload to every neighbour, in Neighbors order.
@@ -414,7 +447,7 @@ func (e *Env) Broadcast(payload []byte) {
 		e.out = make([]Message, 0, len(nbrs))
 	}
 	for _, v := range nbrs {
-		e.out = append(e.out, Message{From: e.id, To: v, Payload: shared})
+		e.out = append(e.out, Message{From: int(e.id), To: v, Payload: shared})
 	}
 }
 
@@ -422,6 +455,7 @@ func (e *Env) beginRound() {
 	e.out = e.out[:0]
 	e.rejected = 0
 	e.gen++
+	e.next = 0
 	e.sleepUntil = 0
 	// Double-buffer swap: the payloads staged last round (e.arena) are
 	// being read by their recipients during this round, so they move to

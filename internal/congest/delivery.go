@@ -262,6 +262,7 @@ func (d *delivery) commit(msg Message, injected bool) {
 	if d.observe {
 		d.delivered = append(d.delivered, msg)
 	}
+	d.x.reserve(msg.To)
 	d.x.deliver(msg)
 	if injected {
 		settleLast(d.x.inboxes[msg.To])

@@ -286,10 +286,13 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 //
 //flvet:shared every span of an execution indexes the same backing arrays by node id
 type nodeSet struct {
-	nodes   []Node
-	envs    []Env // the Env of node id is envs[id-lo]
-	lo      int
-	halted  []bool
+	graph  *Graph
+	nodes  []Node
+	envs   []Env // the Env of node id is envs[id-lo]
+	lo     int
+	halted []bool
+	// inboxes[id] is nil until node id's first delivery of the run, which
+	// gives it a region of the delivering span's slab (see span.reserve).
 	inboxes [][]Message
 }
 
@@ -305,13 +308,13 @@ func newNodeSet(g *Graph, nodes []Node, lo, hi, n int, cfg Config) nodeSet {
 	genAll := make([]uint64, top-base)
 	arenaAll := make([]byte, (top-base)*hint)
 	prevAll := make([]byte, (top-base)*hint)
-	ns := nodeSet{nodes: nodes, envs: make([]Env, hi-lo), lo: lo, halted: make([]bool, n), inboxes: make([][]Message, n)}
+	ns := nodeSet{graph: g, nodes: nodes, envs: make([]Env, hi-lo), lo: lo, halted: make([]bool, n), inboxes: make([][]Message, n)}
 	for id := lo; id < hi; id++ {
 		s, e := g.rowOffsets(id)
 		s, e = s-base, e-base
 		env := &ns.envs[id-lo]
 		*env = Env{
-			id:       id,
+			id:       int32(id),
 			graph:    g,
 			seed:     nodeSeed(cfg.Seed, id),
 			bitLimit: cfg.BitLimit,
@@ -353,6 +356,9 @@ type span struct {
 	// outbox[0] for RunShard's transport, one stream per destination shard
 	// for the parallel merge (see shardPool.stage).
 	outbox [][]Message
+	// slab is the current chunk the span carves inboxes from; its length
+	// counts the messages already handed out.
+	slab []Message
 }
 
 // compute is the frontier walk: it runs the span's active nodes for one
@@ -464,6 +470,7 @@ func (x *span) drain(round int, env *Env) error {
 		case x.del != nil:
 			x.del.transmit(round, msg)
 		case x.owns(msg.To):
+			x.reserve(msg.To)
 			x.deliver(msg)
 		default:
 			x.outbox[0] = append(x.outbox[0], msg)
@@ -492,6 +499,35 @@ func (st *Stats) account(env *Env) error {
 	}
 	st.Rejected += env.rejected
 	return nil
+}
+
+// reserve gives node to's inbox its capacity on the node's first delivery
+// of the run: a region of exactly Degree(to) messages, which bounds a
+// fault-free inbox, carved from the span's slab with its capacity clamped
+// to the region. Only duplicated or delayed fault traffic can overflow it,
+// and then append moves that one inbox to a private allocation, never into
+// a neighbour's region. Every delivery path calls it just before deliver;
+// folding it into deliver would push deliver past the inlining budget.
+func (x *span) reserve(to int) {
+	if cap(x.inboxes[to]) == 0 {
+		x.carveInbox(to)
+	}
+}
+
+// inboxChunk is the largest slab chunk, in messages; a chunk never exceeds
+// the graph's directed edge count, so small runs allocate one small chunk.
+const inboxChunk = 1 << 14
+
+// carveInbox hands node to a Degree(to)-message region of the slab,
+// starting a new chunk when the current one has too little room left.
+func (x *span) carveInbox(to int) {
+	d := x.graph.Degree(to)
+	if cap(x.slab)-len(x.slab) < d {
+		x.slab = make([]Message, 0, max(d, min(inboxChunk, len(x.graph.nbrs))))
+	}
+	n := len(x.slab)
+	x.slab = x.slab[:n+d]
+	x.inboxes[to] = x.slab[n : n : n+d]
 }
 
 // deliver appends msg to its recipient's next-round inbox and records the

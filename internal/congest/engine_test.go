@@ -182,6 +182,19 @@ func (e *errNode) Round(r int, inbox []Message) bool {
 		e.env.Broadcast([]byte{2})
 	case "broadcastTooBig":
 		e.env.Broadcast(make([]byte, 64))
+	case "ascendingRepeat":
+		// Slots 0, 1, 2 in order, then the last one again.
+		e.env.Send(1, []byte{1})
+		e.env.Send(3, []byte{2})
+		e.env.Send(4, []byte{3})
+		e.env.Send(4, []byte{4})
+	case "nonNeighborAfterSlot":
+		e.env.Send(1, []byte{1})
+		e.env.Send(2, []byte{2})
+	case "descending":
+		e.env.Send(4, []byte{1})
+		e.env.Send(3, []byte{2})
+		e.env.Send(1, []byte{3})
 	}
 	return true
 }
@@ -197,12 +210,24 @@ func TestRunPolicesSends(t *testing.T) {
 		{"sendThenBroadcast", "sent twice"},
 		{"broadcastTwice", "sent twice"},
 		{"broadcastTooBig", "exceeds limit"},
+		// Send tries the slot after its previous send before searching;
+		// the shortcut must police exactly like the search.
+		{"ascendingRepeat", "sent twice"},
+		{"nonNeighborAfterSlot", "non-neighbour"},
+		{"descending", ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.mode, func(t *testing.T) {
-			g := mustGraph(t, 3, [][2]int{{0, 1}, {1, 2}})
-			nodes := []Node{&errNode{mode: tt.mode}, &errNode{}, &errNode{}}
-			_, err := Run(g, nodes, Config{BitLimit: 16})
+			// Node 0's neighbours are 1, 3 and 4; node 2 is not one.
+			g := mustGraph(t, 5, [][2]int{{0, 1}, {1, 2}, {0, 3}, {0, 4}})
+			nodes := []Node{&errNode{mode: tt.mode}, &errNode{}, &errNode{}, &errNode{}, &errNode{}}
+			st, err := Run(g, nodes, Config{BitLimit: 16})
+			if tt.wantErr == "" {
+				if err != nil || st.Messages != 3 {
+					t.Fatalf("Run = %+v, %v; want 3 messages and no error", st, err)
+				}
+				return
+			}
 			if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
 				t.Fatalf("Run = %v, want %q", err, tt.wantErr)
 			}

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"math"
 	"slices"
 	"sync"
 )
@@ -198,28 +199,43 @@ func (p *shardPool) stage(s *span) bool {
 // shard-owned state is written, so ingest runs with no locks and no
 // false sharing with other workers.
 //
-//flvet:merge reads every shard's outbox stream after the staged barrier published it; writes only shard-w-owned inboxes, frontier and cursors
+//flvet:merge reads every shard's outbox stream after the staged barrier published it; writes only shard-w-owned inboxes, inbox slab, frontier and cursors
 func (p *shardPool) ingest(w int) {
 	s, heads := p.spans[w], p.heads[w]
 	s.fr.clearInboxes(s.inboxes)
 	clear(heads)
 	// Streams are sender-sorted and sender sets are disjoint across
-	// shards, so picking the smallest head sender each step reproduces the
-	// sequential runner's ascending-sender delivery order exactly; every
-	// inbox comes out born-sorted with no per-inbox sort.
+	// shards, so taking messages from the stream with the smallest head
+	// sender reproduces the sequential runner's ascending-sender delivery
+	// order exactly; every inbox comes out born-sorted with no per-inbox
+	// sort. No sender appears in two streams, so that stream keeps the
+	// lead for every message whose sender is below the other streams'
+	// smallest head sender, and the whole run is delivered at once.
 	for {
-		best, bestFrom := -1, 0
+		best, bestFrom, limit := -1, 0, math.MaxInt
 		for src, sp := range p.spans {
-			q := sp.outbox[w]
-			if h := heads[src]; h < len(q) && (best < 0 || q[h].From < bestFrom) {
-				best, bestFrom = src, q[h].From
+			q, h := sp.outbox[w], heads[src]
+			if h == len(q) {
+				continue
+			}
+			if from := q[h].From; best < 0 || from < bestFrom {
+				if best >= 0 {
+					limit = bestFrom
+				}
+				best, bestFrom = src, from
+			} else {
+				limit = min(limit, from)
 			}
 		}
 		if best < 0 {
 			return
 		}
-		s.deliver(p.spans[best].outbox[w][heads[best]])
-		heads[best]++
+		q, h := p.spans[best].outbox[w], heads[best]
+		for ; h < len(q) && q[h].From < limit; h++ {
+			s.reserve(q[h].To)
+			s.deliver(q[h])
+		}
+		heads[best] = h
 	}
 }
 

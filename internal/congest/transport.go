@@ -212,6 +212,7 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 			if !x.owns(msg.To) {
 				return end(round+1, fmt.Errorf("congest: transport delivered message for remote node %d to shard [%d,%d)", msg.To, sp.Lo, sp.Hi))
 			}
+			x.reserve(msg.To)
 			x.deliver(msg)
 		}
 		if len(in) > 0 {

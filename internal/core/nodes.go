@@ -41,11 +41,14 @@ import (
 // array per field for the whole run, partitioned by the instance's
 // facility-edge CSR offsets, and each node holds subslice views into its
 // own region. The old per-node map (posOf: client node id -> edge
-// position) is a sorted-id array plus binary search (edgePos), so message
-// decode stays O(log degree) without any hashing or per-node allocation.
-// newFacilityNodes fills the sorted-id arrays of all facilities at once by
-// transposing the facility rows through a client-major bucket, in time
-// linear in the edge count and without a comparison sort.
+// position) is a sorted-id array searched by a forward galloping cursor
+// (seek): the ids a facility looks up arrive in ascending order, because
+// inboxes are sorted by sender, so decoding a round's messages costs
+// O(log gap) per id, and O(1) when the ids are dense, without any hashing
+// or per-node allocation. newFacilityNodes fills the sorted-id arrays of
+// all facilities at once by transposing the facility rows through a
+// client-major bucket, in time linear in the edge count and without a
+// comparison sort.
 type facilityNode struct {
 	inst *fl.Instance
 	idx  int // facility index == node id
@@ -59,8 +62,8 @@ type facilityNode struct {
 	edgeNode []int32
 	edgeCost []int64
 	// posOf replacement: nodeSorted lists the incident client node ids in
-	// ascending order and posAt the edge position of each; edgePos binary
-	// searches them.
+	// ascending order and posAt the edge position of each; seek searches
+	// them.
 	nodeSorted []int32
 	posAt      []int32
 	active     []bool // by edge position: client still unconnected, as far as i knows
@@ -213,21 +216,43 @@ func newFacilityNode(inst *fl.Instance, i int, cfg Config, d Derived) *facilityN
 	return newFacilityNodes(inst, cfg, d)[i]
 }
 
-// edgePos returns the edge position of the given client node id, the
-// struct-of-arrays replacement for the old posOf map.
-func (f *facilityNode) edgePos(node int) (int, bool) {
-	k, ok := slices.BinarySearch(f.nodeSorted, int32(node))
+// seek returns the edge position of the given client node id, the
+// struct-of-arrays replacement for the old posOf map. *at is a cursor that
+// one pass over a list of ids carries from lookup to lookup, starting at
+// 0; each lookup leaves it at the first nodeSorted entry not below the id.
+// An id at or above the previous one is found by galloping forward from
+// the cursor, in O(log distance); an id below it (forged or screened
+// traffic out of order) restarts the search at the front, so no order of
+// the ids makes a lookup miss.
+func (f *facilityNode) seek(at *int, node int) (int, bool) {
+	ids := f.nodeSorted
+	k := *at
+	if k > 0 && int(ids[k-1]) >= node {
+		k = 0
+	}
+	// Gallop: probe k, k+1, k+3, k+7, ... while the probed id is below
+	// node; every id before the new k is then below node too, and node's
+	// place is at most the last probe.
+	hi, step := k, 1
+	for hi < len(ids) && int(ids[hi]) < node {
+		k = hi + 1
+		hi += step
+		step <<= 1
+	}
+	j, ok := slices.BinarySearch(ids[k:min(hi+1, len(ids))], int32(node))
+	k += j
+	*at = k
 	if !ok {
 		return 0, false
 	}
 	return int(f.posAt[k]), true
 }
 
-// deactivate removes one client from the active set and invalidates the
-// cached best star. It is the only way the active set shrinks.
-func (f *facilityNode) deactivate(node int) {
-	pos, ok := f.edgePos(node)
-	if !ok || !f.active[pos] {
+// deactivate removes the client at edge position pos from the active set
+// and invalidates the cached best star. It is the only way the active set
+// shrinks.
+func (f *facilityNode) deactivate(pos int) {
+	if !f.active[pos] {
 		return
 	}
 	f.active[pos] = false
@@ -311,9 +336,12 @@ func (f *facilityNode) declareOfferSleep(r int) {
 }
 
 func (f *facilityNode) processDone(inbox []congest.Message) {
+	at := 0
 	for _, msg := range inbox {
 		if len(msg.Payload) == 1 && msg.Payload[0] == kindDone {
-			f.deactivate(msg.From)
+			if pos, ok := f.seek(&at, msg.From); ok {
+				f.deactivate(pos)
+			}
 		}
 	}
 }
@@ -428,6 +456,7 @@ func (f *facilityNode) processGrants(r int, inbox []congest.Message) {
 	granted := f.granted[:0]
 	var sum int64
 	lastGrant := -1
+	at := 0
 	for _, msg := range inbox {
 		if len(msg.Payload) != 1 || msg.Payload[0] != kindGrant {
 			continue
@@ -436,7 +465,7 @@ func (f *facilityNode) processGrants(r int, inbox []congest.Message) {
 		// a repeated sender marks a duplication artifact, not new evidence.
 		dup := msg.From == lastGrant
 		lastGrant = msg.From
-		pos, ok := f.edgePos(msg.From)
+		pos, ok := f.seek(&at, msg.From)
 		if !ok || !f.offeredAt[pos] {
 			// Stale, duplicated, or forged grant. A grant that answers no
 			// live offer is soft evidence against the sender: honest clients
@@ -466,8 +495,8 @@ func (f *facilityNode) processGrants(r int, inbox []congest.Message) {
 	f.connect(granted)
 }
 
-// connect commits a set of clients: accounts copies/load, marks the
-// facility open, and sends CONNECT.
+// connect commits a set of clients, in ascending id order: accounts
+// copies/load, marks the facility open, and sends CONNECT.
 func (f *facilityNode) connect(nodes []int32) {
 	f.load += len(nodes)
 	if f.cfg.SoftCapacity > 0 {
@@ -478,8 +507,11 @@ func (f *facilityNode) connect(nodes []int32) {
 		f.copies = 1
 	}
 	f.open = true
+	at := 0
 	for _, node := range nodes {
-		f.deactivate(int(node))
+		if pos, ok := f.seek(&at, int(node)); ok {
+			f.deactivate(pos)
+		}
 		f.env.Send(int(node), payloadConnect)
 	}
 }

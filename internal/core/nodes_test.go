@@ -2,10 +2,48 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dfl/internal/fl"
 )
+
+// edgePos is the reference lookup seek must agree with: a plain binary
+// search of nodeSorted.
+func (f *facilityNode) edgePos(node int) (int, bool) {
+	k, ok := slices.BinarySearch(f.nodeSorted, int32(node))
+	if !ok {
+		return 0, false
+	}
+	return int(f.posAt[k]), true
+}
+
+// randomIndexInstance draws a small instance with one facility that has
+// no edge (the returned index) and few distinct costs, so cost order and
+// client order disagree and ties occur.
+func randomIndexInstance(t *testing.T, rng *rand.Rand) (*fl.Instance, int) {
+	t.Helper()
+	m, nc := 2+rng.Intn(8), 1+rng.Intn(40)
+	isolated := rng.Intn(m)
+	costs := make([]int64, m)
+	var edges []fl.RawEdge
+	for i := range costs {
+		costs[i] = int64(1 + rng.Intn(100))
+		if i == isolated {
+			continue
+		}
+		for j := 0; j < nc; j++ {
+			if rng.Intn(3) == 0 {
+				edges = append(edges, fl.RawEdge{Facility: i, Client: j, Cost: int64(rng.Intn(5))})
+			}
+		}
+	}
+	inst, err := fl.New("index", costs, nc, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst, isolated
+}
 
 // TestFacilityNodeSortedIndex checks the transposed client index of
 // newFacilityNodes on random instances, each with one facility that has
@@ -15,27 +53,8 @@ import (
 func TestFacilityNodeSortedIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
-		m, nc := 2+rng.Intn(8), 1+rng.Intn(40)
-		isolated := rng.Intn(m)
-		costs := make([]int64, m)
-		var edges []fl.RawEdge
-		for i := range costs {
-			costs[i] = int64(1 + rng.Intn(100))
-			if i == isolated {
-				continue
-			}
-			for j := 0; j < nc; j++ {
-				if rng.Intn(3) == 0 {
-					// Few distinct costs, so cost order and client order
-					// disagree and ties occur.
-					edges = append(edges, fl.RawEdge{Facility: i, Client: j, Cost: int64(rng.Intn(5))})
-				}
-			}
-		}
-		inst, err := fl.New("index", costs, nc, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst, isolated := randomIndexInstance(t, rng)
+		m, nc := inst.M(), inst.NC()
 		for i, f := range newFacilityNodes(inst, Config{K: 1}, Derived{}) {
 			if len(f.nodeSorted) != len(f.edgeNode) || len(f.posAt) != len(f.edgeNode) {
 				t.Fatalf("trial %d facility %d: index lengths %d/%d, want %d", trial, i, len(f.nodeSorted), len(f.posAt), len(f.edgeNode))
@@ -61,6 +80,53 @@ func TestFacilityNodeSortedIndex(t *testing.T) {
 			for node := m; node < m+nc; node++ {
 				if _, ok := f.edgePos(node); ok != incident[node] {
 					t.Fatalf("trial %d facility %d: edgePos(%d) found = %v, want %v", trial, i, node, ok, incident[node])
+				}
+			}
+		}
+	}
+}
+
+// TestFacilitySeekMatchesEdgePos drives the galloping cursor through id
+// sequences in every order a facility can meet — ascending as inboxes
+// deliver them, with adjacent duplicates as duplication faults leave
+// them, descending and shuffled as forged or screened traffic might — and
+// over ids the facility has no edge to (other clients, facility ids, ids
+// past the last node, -1). Every lookup must agree with edgePos.
+func TestFacilitySeekMatchesEdgePos(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 40; trial++ {
+		inst, _ := randomIndexInstance(t, rng)
+		n := inst.M() + inst.NC()
+		for i, f := range newFacilityNodes(inst, Config{K: 1}, Derived{}) {
+			for rep := 0; rep < 8; rep++ {
+				var asc []int
+				for id := -1; id < n+3; id++ {
+					if rng.Intn(2) == 0 {
+						asc = append(asc, id)
+					}
+				}
+				var dups []int
+				for _, id := range asc {
+					for k := rng.Intn(3); k >= 0; k-- {
+						dups = append(dups, id)
+					}
+				}
+				desc := slices.Clone(dups)
+				slices.Reverse(desc)
+				shuffled := slices.Clone(dups)
+				rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+				for _, seq := range [][]int{asc, dups, desc, shuffled} {
+					at := 0
+					for _, id := range seq {
+						wantPos, wantOK := f.edgePos(id)
+						pos, ok := f.seek(&at, id)
+						if ok != wantOK || (ok && pos != wantPos) {
+							t.Fatalf("trial %d facility %d: seek(%d) in %v = (%d,%v), edgePos = (%d,%v)", trial, i, id, seq, pos, ok, wantPos, wantOK)
+						}
+						if at < 0 || at > len(f.nodeSorted) {
+							t.Fatalf("trial %d facility %d: cursor %d outside [0,%d]", trial, i, at, len(f.nodeSorted))
+						}
+					}
 				}
 			}
 		}
