@@ -141,7 +141,8 @@ type Transport interface {
 // in-process runners whenever the transport delivers every message: node
 // seeds derive from (cfg.Seed, id) exactly as in Run, and every inbox is
 // delivered sorted by ascending sender id. Lost remote messages degrade the
-// run exactly like injected drop faults.
+// run exactly like injected drop faults. The in-process options Faults,
+// Reliable, Dense, Observer and Parallel are rejected rather than ignored.
 func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats, error) {
 	n := g.N()
 	if len(nodes) != n {
@@ -155,6 +156,9 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 	}
 	if cfg.Dense {
 		return Stats{}, fmt.Errorf("congest: RunShard has no dense scheduler; Dense is the sequential Run's reference")
+	}
+	if cfg.Observer != nil || cfg.Parallel {
+		return Stats{}, fmt.Errorf("congest: RunShard runs its span on one goroutine and observes nothing; Observer and Parallel are in-process Run options")
 	}
 	// Shards of an in-process deployment share the Graph, so the lazy
 	// freeze inside Finalize would race; the caller finalizes once before

@@ -139,6 +139,13 @@ func TestRunShardRejectsFaultConfigs(t *testing.T) {
 	if _, err := RunShard(g, nodes, Span{0, 2}, Config{Dense: true}, net.Shard(0)); err == nil {
 		t.Fatal("RunShard accepted the dense reference scheduler")
 	}
+	observer := func(int, []Message) {}
+	if _, err := RunShard(g, nodes, Span{0, 2}, Config{Observer: observer}, net.Shard(0)); err == nil {
+		t.Fatal("RunShard accepted an observer it never calls")
+	}
+	if _, err := RunShard(g, nodes, Span{0, 2}, Config{Parallel: true}, net.Shard(0)); err == nil {
+		t.Fatal("RunShard accepted the parallel runner")
+	}
 }
 
 func TestChanNetworkRejectsBadSpans(t *testing.T) {

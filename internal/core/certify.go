@@ -145,9 +145,13 @@ func CertifyCap(inst *fl.Instance, cap int, sol *fl.CapSolution, rep *Report) er
 	return nil
 }
 
-// exemptions expands rep's dead/unservable lists into dense lookup slices,
+// exemptions expands rep's exemption lists into dense lookup slices,
 // rejecting out-of-range or duplicate entries (a corrupted report must not
-// silently widen the exemption set). A nil rep yields no exemptions.
+// silently widen the exemption set). A client id may appear once across
+// the five client classes and a facility id once across the two facility
+// classes; each Quarantined* list is checked on its own, since quarantine
+// grants no exemption and may overlap the others. A nil rep yields no
+// exemptions.
 func exemptions(inst *fl.Instance, rep *Report) (exemptClient, deadFacility []bool, err error) {
 	if rep == nil {
 		return nil, nil, nil
@@ -156,6 +160,9 @@ func exemptions(inst *fl.Instance, rep *Report) (exemptClient, deadFacility []bo
 		for _, id := range ids {
 			if id < 0 || id >= len(dst) {
 				return nil, fmt.Errorf("core: certify: report names %s %d outside [0,%d)", what, id, len(dst))
+			}
+			if dst[id] {
+				return nil, fmt.Errorf("core: certify: report names %s %d twice", what, id)
 			}
 			dst[id] = true
 		}

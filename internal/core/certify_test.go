@@ -78,6 +78,32 @@ func TestCertifyRejectsCorruption(t *testing.T) {
 		{"report_names_bogus_node", func(s *fl.Solution, r *Report) {
 			r.DeadClients = append(r.DeadClients, inst.NC()+7)
 		}, "outside"},
+		// The duplicate cases would otherwise certify: the victim is
+		// unassigned and exempt, the cost matches.
+		{"client_in_two_exemption_lists", func(s *fl.Solution, r *Report) {
+			s.Assign[victim] = fl.Unassigned
+			r.DeadClients = append(r.DeadClients, victim)
+			r.OrphanedClients = append(r.OrphanedClients, victim)
+			r.Cost = s.Cost(inst)
+		}, "client 0 twice"},
+		{"client_twice_in_one_list", func(s *fl.Solution, r *Report) {
+			s.Assign[victim] = fl.Unassigned
+			r.DeceivedClients = append(r.DeceivedClients, victim, victim)
+			r.Cost = s.Cost(inst)
+		}, "client 0 twice"},
+		{"facility_in_two_exemption_lists", func(s *fl.Solution, r *Report) {
+			// Close target and exempt every client it served.
+			s.Open[target] = false
+			for j, i := range s.Assign {
+				if i == target {
+					s.Assign[j] = fl.Unassigned
+					r.DeadClients = append(r.DeadClients, j)
+				}
+			}
+			r.Cost, r.OpenFacilities = s.Cost(inst), s.OpenCount()
+			r.DeadFacilities = append(r.DeadFacilities, target)
+			r.ByzantineFacilities = append(r.ByzantineFacilities, target)
+		}, "twice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,6 +120,18 @@ func TestCertifyRejectsCorruption(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+
+	// The Quarantined* lists grant no exemption, so they may overlap the
+	// exemption lists without tripping the duplicate check.
+	s := sol.Clone()
+	s.Assign[victim] = fl.Unassigned
+	r := *rep
+	r.DeadClients = append(append([]int(nil), rep.DeadClients...), victim)
+	r.QuarantinedClients = append(append([]int(nil), rep.QuarantinedClients...), victim)
+	r.Cost = s.Cost(inst)
+	if err := Certify(inst, s, &r); err != nil {
+		t.Fatalf("quarantine overlapping an exemption rejected: %v", err)
 	}
 }
 

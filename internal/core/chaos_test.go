@@ -1,6 +1,9 @@
 package core
 
 import (
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"dfl/internal/congest"
@@ -246,5 +249,92 @@ func TestChaosReliableShimImprovesHeavyLoss(t *testing.T) {
 	shimFallback := shimmed.CleanupClients + shimmed.RepairedClients
 	if shimFallback >= plainFallback {
 		t.Fatalf("shim did not reduce fallback connections: %d vs %d", shimFallback, plainFallback)
+	}
+}
+
+// TestChaosLateCrashOrphanPolicy pins the one rule that differs between
+// the callers of the shared result pass. In process, a facility crashed
+// after the repair beacons leaves its clients committed to it: the
+// solution keeps the assignment and the certifier rejects the run (a crash
+// after the beacons can break feasibility, DESIGN §10). Assemble instead
+// masks the clients of a facility lost with its shard as OrphanedClients
+// and certifies. A crash at the beacon round itself is still repaired.
+func TestChaosLateCrashOrphanPolicy(t *testing.T) {
+	inst, err := gen.Uniform{M: 8, NC: 40, Density: 0.5, MinDegree: 2}.Generate(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{K: 8}
+	const seed = 1
+	ref, refRep, err := Solve(inst, cfg, WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	P := refRep.Derived.ProtoRounds
+	var served []int // clients of facility 0 in the fault-free run
+	for j, i := range ref.Assign {
+		if i == 0 {
+			served = append(served, j)
+		}
+	}
+	if P != 36 || len(served) == 0 || served[0] != 0 {
+		t.Fatalf("P=%d, facility 0 serves %v: want P=36 and client 0 among them", P, served)
+	}
+	crash := func(at int) Option {
+		return WithFaults(congest.Faults{CrashAtRound: map[int]int{0: at}})
+	}
+
+	sol, rep, err := Solve(inst, cfg, WithSeed(seed), crash(P+3))
+	if err != nil {
+		t.Fatalf("crash at the beacon round P+3: %v", err)
+	}
+	if sol.Open[0] || !reflect.DeepEqual(rep.DeadFacilities, []int{0}) || len(rep.OrphanedClients) != 0 {
+		t.Fatalf("crash at P+3: open[0]=%v dead=%v orphaned=%v", sol.Open[0], rep.DeadFacilities, rep.OrphanedClients)
+	}
+	for _, at := range []int{P + 4, P + 5} {
+		_, _, err := Solve(inst, cfg, WithSeed(seed), crash(at))
+		if err == nil || !strings.Contains(err.Error(), "client 0 assigned to closed facility 0") {
+			t.Errorf("Solve, crash at %d: err = %v, want client 0 left on closed facility 0", at, err)
+		}
+		_, _, err = SolveSoftCap(inst, Config{K: 8, SoftCapacity: 5}, WithSeed(seed), crash(at))
+		if err == nil || !strings.Contains(err.Error(), "dead facility 0 has 1 open copies") {
+			t.Errorf("SolveSoftCap, crash at %d: err = %v, want dead facility 0 with an open copy", at, err)
+		}
+	}
+
+	// The same facility lost with its shard, after a fault-free sharded
+	// run: its clients are orphaned, not left assigned.
+	n := inst.M() + inst.NC()
+	spans := []congest.Span{{Lo: 0, Hi: 1}, {Lo: 1, Hi: n}}
+	net, err := congest.NewChanNetwork(n, spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags := make([]*Fragment, len(spans))
+	errs := make([]error, len(spans))
+	var wg sync.WaitGroup
+	for si, span := range spans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			frags[si], errs[si] = SolveShard(inst, cfg, span, seed, net.Shard(si))
+		}()
+	}
+	wg.Wait()
+	for si, err := range errs {
+		if err != nil {
+			t.Fatalf("shard %d: %v", si, err)
+		}
+	}
+	frags[0] = nil
+	asol, arep, err := Assemble(inst, cfg, frags)
+	if err != nil {
+		t.Fatalf("Assemble without facility 0's shard: %v", err)
+	}
+	if !reflect.DeepEqual(arep.DeadFacilities, []int{0}) || !reflect.DeepEqual(arep.OrphanedClients, served) {
+		t.Fatalf("Assemble: dead=%v orphaned=%v, want [0] and %v", arep.DeadFacilities, arep.OrphanedClients, served)
+	}
+	if err := Certify(inst, asol, arep); err != nil {
+		t.Fatal(err)
 	}
 }

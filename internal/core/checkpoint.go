@@ -325,7 +325,7 @@ func SolveShardCheckpointed(inst *fl.Instance, cfg Config, span congest.Span, se
 	if ck.enabled() {
 		tr = newCkptRecorder(tr, ck, span, inst.M(), inst.NC(), cfg.K, seed)
 	}
-	return solveShardOn(inst, cfg, span, seed, tr)
+	return SolveShard(inst, cfg, span, seed, tr)
 }
 
 // ResumeShard restores a shard from a checkpoint image and continues it on
@@ -353,5 +353,5 @@ func ResumeShard(inst *fl.Instance, cfg Config, span congest.Span, seed int64, i
 		rec.from = ckpt.Rounds() // replayed rounds are already durable; don't re-sink them
 		rt = rec
 	}
-	return solveShardOn(inst, cfg, span, seed, rt)
+	return SolveShard(inst, cfg, span, seed, rt)
 }

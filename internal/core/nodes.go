@@ -210,12 +210,6 @@ func fillNodeSorted(fs []*facilityNode, m, nc int) {
 	}
 }
 
-// newFacilityNode builds the single facility i (test helper; production
-// runs use the batch struct-of-arrays constructor directly).
-func newFacilityNode(inst *fl.Instance, i int, cfg Config, d Derived) *facilityNode {
-	return newFacilityNodes(inst, cfg, d)[i]
-}
-
 // seek returns the edge position of the given client node id, the
 // struct-of-arrays replacement for the old posOf map. *at is a cursor that
 // one pass over a list of ids carries from lookup to lookup, starting at

@@ -25,6 +25,12 @@ func benchFacility(tb testing.TB, nClients int) *facilityNode {
 	return newFacilityNode(inst, 0, Config{K: 1, Slack: 1}, d)
 }
 
+// newFacilityNode builds the single facility i; production runs use the
+// batch struct-of-arrays constructor directly.
+func newFacilityNode(inst *fl.Instance, i int, cfg Config, d Derived) *facilityNode {
+	return newFacilityNodes(inst, cfg, d)[i]
+}
+
 // BenchmarkMakeOffer measures the dirty path: the cache is invalidated
 // before every call, so each iteration pays the full best-star scan over
 // the 512-client edge list. This is the cost a DONE or CONNECT inflicts.

@@ -53,70 +53,32 @@ type Fragment struct {
 // plus Assemble's masking absorb dead peers. For a shard that should
 // survive being killed, use SolveShardCheckpointed and ResumeShard.
 func SolveShard(inst *fl.Instance, cfg Config, span congest.Span, seed int64, tr congest.Transport) (*Fragment, error) {
-	return solveShardOn(inst, cfg, span, seed, tr)
-}
-
-func solveShardOn(inst *fl.Instance, cfg Config, span congest.Span, seed int64, tr congest.Transport) (*Fragment, error) {
 	if cfg.SoftCapacity > 0 {
 		return nil, errors.New("core: SolveShard is uncapacitated")
 	}
-	if !inst.Connectable() {
-		return nil, ErrInfeasible
-	}
-	d, err := Derive(inst, cfg)
+	r, err := newRun(inst, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	m, nc := inst.M(), inst.NC()
 	if span.Lo < 0 || span.Hi > m+nc || span.Lo >= span.Hi {
 		return nil, fmt.Errorf("core: shard span [%d,%d) out of range [0,%d)", span.Lo, span.Hi, m+nc)
 	}
-	graph, err := buildGraph(inst)
-	if err != nil {
-		return nil, fmt.Errorf("core: build communication graph: %w", err)
-	}
-	graph.Finalize()
-
-	// Node construction mirrors runProtocol exactly: every shard builds the
-	// full (deterministic) population so local edge tables and derived
-	// parameters agree, but only span-local nodes are initialized and run.
-	facilities := newFacilityNodes(inst, cfg, d)
-	clients := newClientNodes(inst, cfg, d)
-	nodes := make([]congest.Node, 0, m+nc)
-	for i := 0; i < m; i++ {
-		nodes = append(nodes, facilities[i])
-	}
-	for j := 0; j < nc; j++ {
-		nodes = append(nodes, clients[j])
-	}
-
-	stats, err := congest.RunShard(graph, nodes, span, congest.Config{
-		BitLimit:  congest.SuggestedBitLimit(graph.N()),
+	r.graph.Finalize()
+	stats, err := congest.RunShard(r.graph, r.nodes, span, congest.Config{
+		BitLimit:  congest.SuggestedBitLimit(r.graph.N()),
 		Seed:      seed,
-		MaxRounds: d.TotalRounds + 4,
+		MaxRounds: r.d.TotalRounds + 4,
 	}, tr)
 	if err != nil {
 		return nil, fmt.Errorf("core: shard [%d,%d): %w", span.Lo, span.Hi, err)
 	}
-
 	frag := &Fragment{Span: span, Stats: stats}
-	for id := span.Lo; id < span.Hi && id < m; id++ {
-		f := facilities[id]
-		frag.Facilities = append(frag.Facilities, FacilityState{
-			Done:            f.done,
-			Open:            f.open,
-			OpenedInCleanup: f.openedInCleanup,
-		})
+	for id := span.Lo; id < min(span.Hi, m); id++ {
+		frag.Facilities = append(frag.Facilities, r.facility(id))
 	}
 	for id := max(span.Lo, m); id < span.Hi; id++ {
-		c := clients[id-m]
-		frag.Clients = append(frag.Clients, ClientState{
-			Done:             c.done,
-			CleanupConnected: c.cleanupConnected,
-			RepairConnected:  c.repairConnected,
-			Assigned:         c.assigned,
-		})
+		frag.Clients = append(frag.Clients, r.client(id-m))
 	}
 	return frag, nil
 }
@@ -273,10 +235,11 @@ func DecodeFragment(p []byte, m, nc int) (*Fragment, error) {
 // surviving client whose committed assignment points at a masked-dead
 // facility (the facility's shard died after the CONNECT, too late for the
 // repair tail to renegotiate) is masked unassigned and listed in
-// OrphanedClients; the certifier exempts it. The assembled solution is
-// certified before it is returned, so a successful Assemble carries the
-// same guarantee as Solve: every honest servable client on a surviving
-// shard is served or exempt.
+// OrphanedClients; the certifier exempts it. That orphan rule is the one
+// way Assemble's result pass (settle, shared with Solve) differs from
+// Solve's. The assembled solution is certified before it is returned, so a
+// successful Assemble carries the same guarantee as Solve: every honest
+// servable client on a surviving shard is served or exempt.
 func Assemble(inst *fl.Instance, cfg Config, frags []*Fragment) (*fl.Solution, *Report, error) {
 	d, err := Derive(inst, cfg)
 	if err != nil {
@@ -324,57 +287,22 @@ func Assemble(inst *fl.Instance, cfg Config, frags []*Fragment) (*fl.Solution, *
 		}
 	}
 
-	sol := fl.NewSolution(inst)
-	deadF := make([]bool, m)
-	for i := 0; i < m; i++ {
-		frag := owner[i]
-		if frag == nil {
-			// Shard down: same masking as a crashed facility.
-			rep.DeadFacilities = append(rep.DeadFacilities, i)
-			deadF[i] = true
-			continue
-		}
-		fs := frag.Facilities[i-frag.Span.Lo]
-		if !fs.Done {
-			rep.DeadFacilities = append(rep.DeadFacilities, i)
-			deadF[i] = true
-			continue
-		}
-		sol.Open[i] = fs.Open
-		if fs.OpenedInCleanup {
-			rep.CleanupFacilities++
-		}
-	}
-	for j := 0; j < nc; j++ {
-		frag := owner[m+j]
-		if frag == nil {
-			rep.DeadClients = append(rep.DeadClients, j)
-			continue
-		}
-		cs := frag.Clients[m+j-max(frag.Span.Lo, m)]
-		if !cs.Done {
-			rep.DeadClients = append(rep.DeadClients, j)
-			continue
-		}
-		if cs.Assigned != fl.Unassigned && deadF[cs.Assigned] {
-			// The facility's shard died after this client committed; the
-			// assignment cannot stand against a masked-closed facility.
-			rep.OrphanedClients = append(rep.OrphanedClients, j)
-			continue
-		}
-		sol.Assign[j] = cs.Assigned
-		if cs.Assigned == fl.Unassigned {
-			rep.UnservableClients = append(rep.UnservableClients, j)
-		}
-		if cs.CleanupConnected {
-			rep.CleanupClients++
-		}
-		if cs.RepairConnected {
-			rep.RepairedClients++
-		}
-	}
-	rep.OpenFacilities = sol.OpenCount()
-	rep.Cost = sol.Cost(inst)
+	// An uncovered id belonged to a shard declared down: its zero state
+	// masks it exactly like a crashed node.
+	sol := settle(inst, rep, true,
+		func(i int) FacilityState {
+			if frag := owner[i]; frag != nil {
+				return frag.Facilities[i-frag.Span.Lo]
+			}
+			return FacilityState{}
+		},
+		func(j int) ClientState {
+			if frag := owner[m+j]; frag != nil {
+				return frag.Clients[m+j-max(frag.Span.Lo, m)]
+			}
+			return ClientState{}
+		})
+	rep.OpenFacilities, rep.Cost = sol.OpenCount(), sol.Cost(inst)
 	if err := Certify(inst, sol, rep); err != nil {
 		return nil, nil, fmt.Errorf("core: assembled solution failed certification: %w", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -45,9 +46,10 @@ func solveSharded(t *testing.T, inst *fl.Instance, cfg Config, seed int64, k int
 
 // TestSolveShardMatchesSolve is the distributed analogue of the
 // parallel-vs-sequential parity test: a fault-free sharded run over a
-// transport must reproduce Solve's solution — same cost, same open set,
-// same assignment, same protocol-level message accounting — at every shard
-// count.
+// transport must reproduce Solve's solution and its whole Report — masking
+// lists, counters and every Net field — at every shard count. Both paths
+// share the run set-up and the result pass, so a mismatch points at the
+// set-up, the harvest, or Assemble's Net aggregation.
 func TestSolveShardMatchesSolve(t *testing.T) {
 	inst, err := gen.Uniform{M: 12, NC: 50, Density: 0.4, MinDegree: 1}.Generate(6)
 	if err != nil {
@@ -61,26 +63,11 @@ func TestSolveShardMatchesSolve(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 7} {
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
 			sp, rp := solveSharded(t, inst, cfg, 9, k)
-			if ss.Cost(inst) != sp.Cost(inst) {
-				t.Errorf("cost diverged: %d vs %d", ss.Cost(inst), sp.Cost(inst))
+			if !reflect.DeepEqual(ss, sp) {
+				t.Errorf("solution diverged:\n solve %+v\n shard %+v", ss, sp)
 			}
-			for i := range ss.Open {
-				if ss.Open[i] != sp.Open[i] {
-					t.Errorf("open set differs at facility %d", i)
-				}
-			}
-			for j := range ss.Assign {
-				if ss.Assign[j] != sp.Assign[j] {
-					t.Errorf("assignment differs at client %d", j)
-				}
-			}
-			if rs.Net.Messages != rp.Net.Messages || rs.Net.Bits != rp.Net.Bits {
-				t.Errorf("net accounting diverged: %d msgs/%d bits vs %d msgs/%d bits",
-					rs.Net.Messages, rs.Net.Bits, rp.Net.Messages, rp.Net.Bits)
-			}
-			if rs.CleanupClients != rp.CleanupClients || rs.RepairedClients != rp.RepairedClients ||
-				rs.CleanupFacilities != rp.CleanupFacilities || rs.OpenFacilities != rp.OpenFacilities {
-				t.Errorf("report accounting diverged: %+v vs %+v", rs, rp)
+			if !reflect.DeepEqual(rs, rp) {
+				t.Errorf("report diverged:\n solve %+v\n shard %+v", rs, rp)
 			}
 		})
 	}

@@ -56,10 +56,12 @@ type Report struct {
 	// outlier exemption.
 	DeceivedClients []int
 	// OrphanedClients lists clients of a distributed run whose committed
-	// assignment pointed at a facility on a shard that died too late for
-	// the repair tail to renegotiate (see Assemble). They are masked
-	// unassigned and exempted by the certifier — the transport-layer
-	// analogue of DeceivedClients. Always empty on in-process runs.
+	// assignment pointed at a dead facility — one whose shard died too late
+	// for the repair tail to renegotiate, or that never completed (see
+	// Assemble). They are masked unassigned and exempted by the certifier —
+	// the transport-layer analogue of DeceivedClients. Always empty on
+	// in-process runs: there a client left committed to a facility crashed
+	// after the repair beacons stays assigned, and certification fails.
 	OrphanedClients []int
 	// QuarantinedFacilities and QuarantinedClients list nodes condemned by
 	// at least one honest peer's sender-quarantine layer (see
@@ -212,50 +214,12 @@ func Solve(inst *fl.Instance, cfg Config, opts ...Option) (*fl.Solution, *Report
 	if cfg.SoftCapacity > 0 {
 		return nil, nil, errors.New("core: Solve is uncapacitated; use SolveSoftCap")
 	}
-	facilities, clients, rep, err := runProtocol(inst, cfg, opts)
+	r, rep, err := runProtocol(inst, cfg, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	sol := fl.NewSolution(inst)
-	byzF, byzC := byzMasks(rep, inst.M(), inst.NC())
-	for i, f := range facilities {
-		if byzF != nil && byzF[i] {
-			// Byzantine: whatever the compromised node claims is masked to
-			// closed; already listed in ByzantineFacilities. Keeps the Dead*
-			// lists disjoint from the Byzantine* lists.
-			continue
-		}
-		if !f.done {
-			// The facility was crashed by the fault schedule and never
-			// completed; whatever it believed is masked out. Clients it
-			// served were reassigned by the repair pass.
-			rep.DeadFacilities = append(rep.DeadFacilities, i)
-			continue
-		}
-		sol.Open[i] = f.open
-	}
-	for j, c := range clients {
-		if byzC != nil && byzC[j] {
-			continue // byzantine: masked unassigned, listed in ByzantineClients
-		}
-		if !c.done {
-			rep.DeadClients = append(rep.DeadClients, j)
-			continue
-		}
-		if c.assigned != fl.Unassigned && byzF != nil && byzF[c.assigned] {
-			// An honest client lured to a byzantine facility (forged CONNECT
-			// or equivocating beacon). The facility is masked closed, so the
-			// assignment cannot stand; exempted via DeceivedClients.
-			rep.DeceivedClients = append(rep.DeceivedClients, j)
-			continue
-		}
-		sol.Assign[j] = c.assigned
-		if c.assigned == fl.Unassigned {
-			rep.UnservableClients = append(rep.UnservableClients, j)
-		}
-	}
-	rep.OpenFacilities = sol.OpenCount()
-	rep.Cost = sol.Cost(inst)
+	sol := settle(inst, rep, false, r.facility, r.client)
+	rep.OpenFacilities, rep.Cost = sol.OpenCount(), sol.Cost(inst)
 	if err := Certify(inst, sol, rep); err != nil {
 		return nil, nil, fmt.Errorf("core: protocol produced invalid solution: %w", err)
 	}
@@ -270,51 +234,23 @@ func SolveSoftCap(inst *fl.Instance, cfg Config, opts ...Option) (*fl.CapSolutio
 	if cfg.SoftCapacity < 1 {
 		return nil, nil, errors.New("core: SolveSoftCap needs SoftCapacity >= 1")
 	}
-	facilities, clients, rep, err := runProtocol(inst, cfg, opts)
+	r, rep, err := runProtocol(inst, cfg, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	sol := fl.NewCapSolution(inst)
-	byzF, byzC := byzMasks(rep, inst.M(), inst.NC())
-	for i, f := range facilities {
-		if byzF != nil && byzF[i] {
-			continue // byzantine: masked to zero copies, listed in ByzantineFacilities
-		}
-		if !f.done {
-			rep.DeadFacilities = append(rep.DeadFacilities, i)
-			continue
-		}
-		sol.Copies[i] = f.copies
+	sol := &fl.CapSolution{
+		Copies: make([]int, inst.M()),
+		Assign: settle(inst, rep, false, r.facility, r.client).Assign,
 	}
-	for j, c := range clients {
-		if byzC != nil && byzC[j] {
-			continue // byzantine: masked unassigned, listed in ByzantineClients
-		}
-		if !c.done {
-			rep.DeadClients = append(rep.DeadClients, j)
-			continue
-		}
-		if c.assigned != fl.Unassigned && byzF != nil && byzF[c.assigned] {
-			rep.DeceivedClients = append(rep.DeceivedClients, j)
-			continue
-		}
-		sol.Assign[j] = c.assigned
-		if c.assigned == fl.Unassigned {
-			rep.UnservableClients = append(rep.UnservableClients, j)
-		}
-	}
-	// Faults can leave copy counts out of step with the realized load in
-	// both directions: a lost CONNECT leaves a facility over-provisioned, a
-	// lost REPAIR-JOIN under-provisioned. Raise where short (feasibility),
-	// then trim the excess (free).
-	load := sol.Load(inst)
-	for i := range sol.Copies {
-		if need := fl.CopiesNeeded(load[i], cfg.SoftCapacity); need > sol.Copies[i] {
-			sol.Copies[i] = need
-		}
-	}
-	sol = fl.TrimCopies(inst, cfg.SoftCapacity, sol)
-	for i := range sol.Copies {
+	// Faults can leave the facilities' committed copy counts out of step
+	// with the realized load in both directions: a lost CONNECT leaves a
+	// facility over-provisioned, a lost REPAIR-JOIN under-provisioned.
+	// Raising where short (feasibility) and trimming the excess (free)
+	// ends at exactly the copies the load needs, so the copies are set to
+	// that directly. A masked facility carries no load unless a late crash
+	// left a client committed to it, which CertifyCap then rejects.
+	for i, load := range sol.Load(inst) {
+		sol.Copies[i] = fl.CopiesNeeded(load, cfg.SoftCapacity)
 		if sol.Copies[i] > 0 {
 			rep.OpenFacilities++
 		}
@@ -326,42 +262,86 @@ func SolveSoftCap(inst *fl.Instance, cfg Config, opts ...Option) (*fl.CapSolutio
 	return sol, rep, nil
 }
 
-// runProtocol is the shared engine run behind Solve and SolveSoftCap.
-func runProtocol(inst *fl.Instance, cfg Config, opts []Option) ([]*facilityNode, []*clientNode, *Report, error) {
+// run is one protocol execution's set-up, shared by the in-process solvers
+// and SolveShard: the derived parameters, the communication graph and the
+// full node population (facility i is node i, client j is node m+j). Every
+// shard of a deployment builds the whole deterministic population, so edge
+// tables and derived parameters agree everywhere; RunShard initializes and
+// runs only the span-local nodes.
+type run struct {
+	d          Derived
+	graph      *congest.Graph
+	facilities []*facilityNode
+	clients    []*clientNode
+	nodes      []congest.Node
+}
+
+func newRun(inst *fl.Instance, cfg Config) (*run, error) {
 	if !inst.Connectable() {
-		return nil, nil, nil, ErrInfeasible
+		return nil, ErrInfeasible
 	}
 	d, err := Derive(inst, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	graph, err := buildGraph(inst)
+	if err != nil {
+		return nil, fmt.Errorf("core: build communication graph: %w", err)
+	}
+	// Struct-of-arrays construction: both sides come out of flat per-run
+	// allocations (see newFacilityNodes), not m+nc individual ones.
+	r := &run{
+		d:          d,
+		graph:      graph,
+		facilities: newFacilityNodes(inst, cfg, d),
+		clients:    newClientNodes(inst, cfg, d),
+	}
+	r.nodes = make([]congest.Node, 0, len(r.facilities)+len(r.clients))
+	for _, f := range r.facilities {
+		r.nodes = append(r.nodes, f)
+	}
+	for _, c := range r.clients {
+		r.nodes = append(r.nodes, c)
+	}
+	return r, nil
+}
 
+// facility and client harvest the committed state of facility i and
+// client j; every result path — Solve, SolveSoftCap and the Fragment a
+// shard ships to Assemble — reads node state through them.
+func (r *run) facility(i int) FacilityState {
+	f := r.facilities[i]
+	return FacilityState{Done: f.done, Open: f.open, OpenedInCleanup: f.openedInCleanup}
+}
+
+func (r *run) client(j int) ClientState {
+	c := r.clients[j]
+	return ClientState{
+		Done:             c.done,
+		CleanupConnected: c.cleanupConnected,
+		RepairConnected:  c.repairConnected,
+		Assigned:         c.assigned,
+	}
+}
+
+// runProtocol is the in-process engine run behind Solve and SolveSoftCap:
+// the shared set-up, the option-driven fault schedule and quarantine, and
+// the report fields only the in-process engine knows (network stats,
+// byzantine and quarantine lists).
+func runProtocol(inst *fl.Instance, cfg Config, opts []Option) (*run, *Report, error) {
+	r, err := newRun(inst, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, m, nc := r.d, inst.M(), inst.NC()
 	o := options{bitLimit: -1}
 	for _, opt := range opts {
 		opt(&o)
 	}
-
-	m, nc := inst.M(), inst.NC()
-	graph, err := buildGraph(inst)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: build communication graph: %w", err)
-	}
 	bitLimit := o.bitLimit
 	if bitLimit < 0 {
-		bitLimit = congest.SuggestedBitLimit(graph.N())
-	}
-
-	// Struct-of-arrays construction: both sides come out of flat per-run
-	// allocations (see newFacilityNodes), not m+nc individual ones.
-	facilities := newFacilityNodes(inst, cfg, d)
-	clients := newClientNodes(inst, cfg, d)
-	nodes := make([]congest.Node, 0, m+nc)
-	for i := 0; i < m; i++ {
-		nodes = append(nodes, facilities[i])
-	}
-	for j := 0; j < nc; j++ {
-		nodes = append(nodes, clients[j])
+		bitLimit = congest.SuggestedBitLimit(r.graph.N())
 	}
 
 	faults := o.faults
@@ -409,10 +389,10 @@ func runProtocol(inst *fl.Instance, cfg Config, opts []Option) ([]*facilityNode,
 		guard = *o.quarantine
 	}
 	if guard {
-		for _, f := range facilities {
+		for _, f := range r.facilities {
 			f.sentry = newSentry()
 		}
-		for _, c := range clients {
+		for _, c := range r.clients {
 			c.sentry = newSentry()
 		}
 	}
@@ -425,7 +405,7 @@ func runProtocol(inst *fl.Instance, cfg Config, opts []Option) ([]*facilityNode,
 			maxRounds = at + cleanupRounds + 4
 		}
 	}
-	stats, err := congest.Run(graph, nodes, congest.Config{
+	stats, err := congest.Run(r.graph, r.nodes, congest.Config{
 		BitLimit:  bitLimit,
 		Seed:      o.seed,
 		MaxRounds: maxRounds,
@@ -437,26 +417,13 @@ func runProtocol(inst *fl.Instance, cfg Config, opts []Option) ([]*facilityNode,
 		Dense:     o.dense,
 	})
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: protocol execution: %w", err)
+		return nil, nil, fmt.Errorf("core: protocol execution: %w", err)
 	}
 
 	rep := &Report{Derived: d, Net: stats}
-	for _, f := range facilities {
-		if f.openedInCleanup {
-			rep.CleanupFacilities++
-		}
-	}
-	for _, c := range clients {
-		if c.done && c.cleanupConnected {
-			rep.CleanupClients++
-		}
-		if c.done && c.repairConnected {
-			rep.RepairedClients++
-		}
-	}
 	// Materialize the byzantine schedule into the report (sorted by id) so
-	// Solve's masking pass and the certifier's exemption checks work from the
-	// report alone.
+	// settle's masking pass and the certifier's exemption checks work from
+	// the report alone.
 	if len(faults.ByzantineFromRound) > 0 {
 		for id := 0; id < m+nc; id++ {
 			if _, byz := faults.ByzantineFromRound[id]; !byz {
@@ -475,12 +442,12 @@ func runProtocol(inst *fl.Instance, cfg Config, opts []Option) ([]*facilityNode,
 		// bitmaps dedup; emission by index keeps the lists sorted.
 		qf := make([]bool, m)
 		qc := make([]bool, nc)
-		for _, f := range facilities {
+		for _, f := range r.facilities {
 			for _, id := range f.sentry.ids() {
 				qc[id-m] = true
 			}
 		}
-		for _, c := range clients {
+		for _, c := range r.clients {
 			for _, id := range c.sentry.ids() {
 				qf[id] = true
 			}
@@ -496,25 +463,72 @@ func runProtocol(inst *fl.Instance, cfg Config, opts []Option) ([]*facilityNode,
 			}
 		}
 	}
-	return facilities, clients, rep, nil
+	return r, rep, nil
 }
 
-// byzMasks expands the report's byzantine id lists into role-indexed bitmaps
-// for the masking passes in Solve and SolveSoftCap; both are nil when the
-// run had no byzantine schedule.
-func byzMasks(rep *Report, m, nc int) (byzF, byzC []bool) {
-	if len(rep.ByzantineFacilities) == 0 && len(rep.ByzantineClients) == 0 {
-		return nil, nil
-	}
-	byzF = make([]bool, m)
+// settle is the one result pass of every runner: it turns the committed
+// node states, read through facility and client, into a solution, and
+// fills rep's masking lists and counters; the caller prices the solution
+// it returns. A node that never completed the protocol (the zero state
+// included, which is how Assemble presents the nodes of a lost shard) is
+// masked and listed in DeadFacilities/DeadClients. Byzantine nodes come from rep's Byzantine*
+// lists (ByzantineClients sorted by id, as runProtocol emits it): their
+// state is masked whatever it claims, and an honest client committed to a
+// byzantine facility is masked and listed in DeceivedClients. orphan is
+// the one rule that differs between callers: a client committed to a dead
+// facility is masked and listed in OrphanedClients when set (Assemble: the
+// facility's shard died too late for the repair tail), and left assigned
+// otherwise (in-process: a crash after the beacons breaks feasibility, and
+// the certifier says so). The counters read every facility's cleanup flag
+// and every completed client's flags, masked or not.
+func settle(inst *fl.Instance, rep *Report, orphan bool, facility func(i int) FacilityState, client func(j int) ClientState) *fl.Solution {
+	m, nc := inst.M(), inst.NC()
+	sol := fl.NewSolution(inst)
+	deadF, byzF := make([]bool, m), make([]bool, m)
 	for _, i := range rep.ByzantineFacilities {
 		byzF[i] = true
 	}
-	byzC = make([]bool, nc)
-	for _, j := range rep.ByzantineClients {
-		byzC[j] = true
+	for i := 0; i < m; i++ {
+		fs := facility(i)
+		if fs.OpenedInCleanup {
+			rep.CleanupFacilities++
+		}
+		switch {
+		case byzF[i]:
+			// Already listed in ByzantineFacilities; keeps the Dead* lists
+			// disjoint from the Byzantine* lists.
+		case !fs.Done:
+			rep.DeadFacilities = append(rep.DeadFacilities, i)
+			deadF[i] = true
+		default:
+			sol.Open[i] = fs.Open
+		}
 	}
-	return byzF, byzC
+	byzC := rep.ByzantineClients
+	for j := 0; j < nc; j++ {
+		cs := client(j)
+		if cs.Done && cs.CleanupConnected {
+			rep.CleanupClients++
+		}
+		if cs.Done && cs.RepairConnected {
+			rep.RepairedClients++
+		}
+		switch {
+		case len(byzC) > 0 && byzC[0] == j:
+			byzC = byzC[1:]
+		case !cs.Done:
+			rep.DeadClients = append(rep.DeadClients, j)
+		case cs.Assigned == fl.Unassigned:
+			rep.UnservableClients = append(rep.UnservableClients, j)
+		case byzF[cs.Assigned]:
+			rep.DeceivedClients = append(rep.DeceivedClients, j)
+		case deadF[cs.Assigned] && orphan:
+			rep.OrphanedClients = append(rep.OrphanedClients, j)
+		default:
+			sol.Assign[j] = cs.Assigned
+		}
+	}
+	return sol
 }
 
 // SolveBest runs the protocol `runs` times with consecutive seeds starting
