@@ -87,7 +87,7 @@ func Experiments() []Experiment {
 		{ID: "E15", Kind: "table", Name: "Byzantine resilience under corruption and forgery",
 			Claim: "honest servable clients stay certified-served; quarantine buys back clients the lure attack strands", Run: ByzantineResilience},
 		{ID: "E16", Kind: "table", Name: "Million-node engine scaling",
-			Claim: "CSR adjacency and arena payloads keep steady-state allocs/round flat from 10^5 to 5*10^6 nodes", Run: MillionNodeScaling},
+			Claim: "CSR adjacency and round-scoped message buffers keep steady-state allocs/round flat from 10^5 to 5*10^6 nodes", Run: MillionNodeScaling},
 		{ID: "E18", Kind: "table", Name: "Sparse round execution (frontier vs dense)",
 			Claim: "per-round cost scales with the active frontier, not n: sparse rounds run multiples faster than the dense O(n) reference at identical output", Run: SparseRounds},
 	}

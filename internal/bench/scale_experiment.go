@@ -32,9 +32,9 @@ func scaleSizes(p Params) []scaleSize {
 // slice are built once per size outside the measured window, and
 // allocs/round is the differential (mallocs(2R) - mallocs(R)) / R between
 // two runs on the same frozen graph, which cancels the per-run env
-// construction exactly. On the CSR + arena layout that differential is the
-// true per-round allocation rate, and the acceptance bar is that it stays
-// flat as n grows 50x.
+// construction exactly. With CSR adjacency and round buffers reused every
+// round that differential is the true per-round allocation rate, and the
+// acceptance bar is that it stays flat as n grows 50x.
 func MillionNodeScaling(p Params) ([]Table, error) {
 	procs := engineProcs(p)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -47,7 +47,7 @@ func MillionNodeScaling(p Params) ([]Table, error) {
 	}
 	t := Table{
 		ID:    "T15",
-		Title: "Million-node engine scaling (CSR adjacency, arena payloads)",
+		Title: "Million-node engine scaling (CSR adjacency, round buffers)",
 		Note: fmt.Sprintf("degree-8 circulant, GOMAXPROCS=%d; graph+nodes built once per size outside the measured window; allocs/round = (mallocs(2R)-mallocs(R))/R on the same frozen graph, cancelling per-run env setup",
 			procs),
 		Columns: []string{"nodes", "edges", "workers", "setup ms", "rounds/sec", "msgs/sec", "allocs/round", "messages"},

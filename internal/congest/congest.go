@@ -254,9 +254,10 @@ func (m Message) Bits() int { return len(m.Payload) * 8 }
 // by ascending sender id; it returns true when the node halts. A halted
 // node receives no further Round calls; messages addressed to it are
 // delivered to nobody but still counted. Inbox messages (including their
-// payload bytes, which live in per-sender round arenas) are valid only for
-// the duration of the Round call — a node must copy anything it keeps — and
-// read-only: the recipients of one Broadcast share a single payload copy.
+// payload bytes, which live in the sending span's round buffers) are valid
+// only for the duration of the Round call — a node must copy anything it
+// keeps — and read-only: the recipients of one Broadcast share a single
+// payload copy.
 type Node interface {
 	Init(env *Env)
 	Round(round int, inbox []Message) (halt bool)
@@ -276,11 +277,13 @@ type Recoverable interface {
 // Env is a node's private handle to the network: its identity, neighbour
 // list, deterministic private randomness, and staged outgoing messages.
 //
-// The engine allocates all Env state up front in flat per-run arrays —
-// the Env structs themselves, the once-per-neighbour generation stamps,
-// and the payload arenas — partitioned by the frozen graph's CSR offsets,
-// so nodes owned by one shard occupy contiguous memory (ids within a shard
-// are near-contiguous) and steady-state rounds allocate nothing.
+// The engine allocates the Env structs and the once-per-neighbour
+// generation stamps up front in flat per-run arrays, partitioned by the
+// frozen graph's CSR offsets, so nodes owned by one shard occupy
+// contiguous memory (ids within a shard are near-contiguous). Staged
+// messages and their payload bytes live in the round buffers of the span
+// that runs the node (sendBuf), which hold one round's traffic and are
+// reused every round, so steady-state rounds allocate nothing.
 type Env struct {
 	graph *Graph
 	// seed derives the node's private RNG stream; rng itself is built
@@ -293,8 +296,12 @@ type Env struct {
 	// sentGen records, per neighbour position (NeighborIndex order), the
 	// round generation in which that neighbour was last sent to; comparing
 	// against gen makes the once-per-neighbour check one load per send with
-	// no per-round clearing. A view into the engine's flat array.
+	// no per-round clearing. A view into the engine's flat array, one slot
+	// per neighbour, so its length is the degree.
 	sentGen []uint64
+	// buf is the round buffer of the span that runs the node, shared with
+	// every other node of that span.
+	buf *sendBuf
 	// id is the node's id, an int32 like the ids of the graph's sorted
 	// rows, so that next shares its word.
 	id int32
@@ -309,20 +316,12 @@ type Env struct {
 	// Broadcast's fast path stamps every slot without searching.
 	next    int32
 	sendErr error
-	// out holds the messages staged this round. The first staged Send of
-	// the run sizes it to the degree, which bounds it (one message per
-	// neighbour per round), so it never grows after that.
+	// out holds the records staged this round: a window of the span's
+	// record chunks with room for Degree records, which bounds them (one
+	// message per neighbour per round), taken by the first record of the
+	// round (see sendBuf).
 	out []Message
 	gen uint64
-	// arena holds the payload bytes staged this round; prevArena holds the
-	// previous round's payloads, which recipients are reading this round.
-	// beginRound swaps them, so steady-state sends allocate nothing. A
-	// payload is therefore valid only until the end of the round it is
-	// delivered in — receivers must copy bytes they want to keep. Both are
-	// capacity-sized views into flat per-run blocks; a node that outgrows
-	// its slot falls back to a private allocation transparently.
-	arena     []byte
-	prevArena []byte
 	// rejected counts inbox frames this node's protocol logic refused as
 	// malformed (fail-closed decode paths) in its current round. The drain
 	// of the deterministic merge adds it to Stats.Rejected — on the caller
@@ -384,7 +383,9 @@ func (e *Env) Reject() { e.rejected++ }
 // enforces the CONGEST constraints: the recipient must be a neighbour, at
 // most one message per neighbour per round, and the payload must respect
 // the engine's bit limit. The first violation is recorded and aborts the
-// run; subsequent sends become no-ops.
+// run; subsequent sends become no-ops. The payload is copied into the
+// round buffer of the node's span, so the caller may reuse its slice at
+// once.
 //
 // Finding the neighbour's slot costs O(1) when 'to' is the next neighbour
 // in ascending id order after the previous send of the round, and a binary
@@ -411,28 +412,19 @@ func (e *Env) Send(to int, payload []byte) {
 	}
 	e.sentGen[pos] = e.gen
 	e.next = int32(pos + 1)
-	if cap(e.out) == 0 {
-		e.out = make([]Message, 0, len(e.sentGen))
-	}
-	// Copy the payload into the round arena so node-local buffers can be
-	// reused by the caller without a per-message allocation. If the append
-	// grows the arena, slices handed out earlier keep pointing into the old
-	// backing array, which stays valid (and immutable) until collected.
-	n := len(e.arena)
-	e.arena = append(e.arena, payload...)
-	e.out = append(e.out, Message{From: int(e.id), To: to, Payload: e.arena[n:len(e.arena):len(e.arena)]})
+	e.stage(to, payload)
 }
 
 // Broadcast stages the same payload to every neighbour, in Neighbors order.
 // When nothing is staged yet this round and the payload is within the bit
-// limit, no check can fail, so it stamps every neighbour as sent, copies
-// the payload into the round arena once and shares that copy across the
-// messages. Otherwise it is one Send per neighbour, which records
-// violations and stages a partial broadcast exactly as those Sends would.
+// limit, no check can fail, so it stamps every neighbour as sent and
+// stages one broadcast record, which the merge expands into one message
+// per neighbour in Neighbors order, all sharing one payload copy.
+// Otherwise it is one Send per neighbour, which records violations and
+// stages a partial broadcast exactly as those Sends would.
 func (e *Env) Broadcast(payload []byte) {
-	nbrs := e.Neighbors()
-	if len(e.out) > 0 || e.sendErr != nil || len(nbrs) == 0 || (e.bitLimit > 0 && len(payload)*8 > e.bitLimit) {
-		for _, v := range nbrs {
+	if len(e.out) > 0 || e.sendErr != nil || len(e.sentGen) == 0 || (e.bitLimit > 0 && len(payload)*8 > e.bitLimit) {
+		for _, v := range e.Neighbors() {
 			e.Send(v, payload)
 		}
 		return
@@ -440,26 +432,116 @@ func (e *Env) Broadcast(payload []byte) {
 	for k := range e.sentGen {
 		e.sentGen[k] = e.gen
 	}
-	n := len(e.arena)
-	e.arena = append(e.arena, payload...)
-	shared := e.arena[n:len(e.arena):len(e.arena)]
-	if cap(e.out) < len(nbrs) {
-		e.out = make([]Message, 0, len(nbrs))
+	e.stage(broadcastTo, payload)
+}
+
+// broadcastTo is the recipient of a broadcast record: it stands for one
+// message to every neighbour of its sender, in Neighbors order. It never
+// leaves the engine; every drain expands it (see span.expand).
+const broadcastTo = -1
+
+// stage appends one record and its payload copy to the node's window of
+// the span's round buffer.
+func (e *Env) stage(to int, payload []byte) {
+	b := e.buf
+	if len(e.out) == 0 {
+		e.out = b.recs.room(len(e.sentGen), chunkSize(e.graph))
 	}
-	for _, v := range nbrs {
-		e.out = append(e.out, Message{From: int(e.id), To: v, Payload: shared})
-	}
+	e.out = append(e.out, Message{From: int(e.id), To: to, Payload: b.copyPayload(payload)})
+	b.recs.used++
 }
 
 func (e *Env) beginRound() {
-	e.out = e.out[:0]
+	e.out = nil
 	e.rejected = 0
 	e.gen++
 	e.next = 0
 	e.sleepUntil = 0
-	// Double-buffer swap: the payloads staged last round (e.arena) are
-	// being read by their recipients during this round, so they move to
-	// prevArena; the round before last's payloads are dead and their
-	// storage becomes this round's staging arena.
-	e.arena, e.prevArena = e.prevArena[:0], e.arena
 }
+
+// sendBuf is the send side of one span's round: the records its nodes
+// stage, and their payload bytes. A CONGEST node sends at most one message
+// per edge per round and a payload is read only in the round after it was
+// staged, so one round's traffic is all that has to be live. The records
+// are drained by the merge of the round they were staged in, so their
+// chunks are rewound at the next compute walk; a span runs one node at a
+// time, so each node's records are one contiguous window of them. The
+// payload bytes are double-buffered, so that this round's can be staged
+// while the recipients read last round's.
+type sendBuf struct {
+	recs msgChunks
+	// payload holds this round's payload bytes; prevPayload last round's,
+	// which the recipients are reading this round.
+	payload, prevPayload []byte
+}
+
+// begin readies the buffer for a compute walk: last round's records are
+// drained, and the payloads staged two rounds ago are dead, so their
+// storage takes this round's. It is given the capacity of the other
+// array, so that the two reach their steady state together instead of
+// growing in alternate rounds.
+func (b *sendBuf) begin() {
+	b.recs.rewind()
+	b.payload, b.prevPayload = b.prevPayload[:0], b.payload
+	if cap(b.payload) < cap(b.prevPayload) {
+		b.payload = make([]byte, 0, cap(b.prevPayload))
+	}
+}
+
+// minPayloadBuf is the smallest payload array, in bytes.
+const minPayloadBuf = 1 << 10
+
+// copyPayload copies p into this round's payload bytes and returns the
+// copy, capacity-clamped so that an append by a receiver cannot write into
+// the next payload. A full array is replaced by one of double the size
+// holding everything staged this round — append's growth for large slices
+// is 1.25x, which would reallocate many times before a large span settles
+// — so that the array a round ends with can hold that round's payloads and
+// the next round of the same size allocates nothing. The payloads staged
+// before keep the old array alive until their readers are done. The copy
+// is never nil, even when p is empty, because a nil payload means an
+// injection to the fault layer's forger.
+func (b *sendBuf) copyPayload(p []byte) []byte {
+	if cap(b.payload)-len(b.payload) < len(p) || cap(b.payload) == 0 {
+		b.payload = slices.Grow(b.payload, max(len(b.payload), len(p), minPayloadBuf))
+	}
+	n := len(b.payload)
+	b.payload = append(b.payload, p...)
+	return b.payload[n:len(b.payload):len(b.payload)]
+}
+
+// msgChunks is a reusable store of Message blocks that a span carves into
+// regions living for one round: the windows its nodes stage records into,
+// and the inboxes it delivers to. The blocks are kept across rounds and
+// rewound, so a span allocates only while its busiest round so far grows,
+// and never copies: a new block is added next to the full ones.
+type msgChunks struct {
+	blocks [][]Message
+	// blocks[cur][:used] is taken this round.
+	cur, used int
+}
+
+// chunkSize is the size of a new block, in messages: at most 2^14, and
+// never more than the graph's directed edge count, so small runs allocate
+// one small block.
+func chunkSize(g *Graph) int { return min(1<<14, len(g.nbrs)) }
+
+// room returns an empty region with capacity d at the first free slot,
+// moving to the next block, or adding one of max(d, size) messages, when
+// the current one has less room. The caller advances used by the slots it
+// takes, so regions carved one after the other never overlap.
+func (c *msgChunks) room(d, size int) []Message {
+	for {
+		if c.cur == len(c.blocks) {
+			c.blocks = append(c.blocks, make([]Message, max(d, size)))
+		}
+		if b := c.blocks[c.cur]; len(b)-c.used >= d {
+			return b[c.used : c.used : c.used+d]
+		}
+		c.cur++
+		c.used = 0
+	}
+}
+
+// rewind frees every block for the next round.
+func (c *msgChunks) rewind() { c.cur, c.used = 0, 0 }

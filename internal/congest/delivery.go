@@ -76,7 +76,7 @@ type delivery struct {
 }
 
 // delayedMsg is one in-flight unit: either a plain message (payload owned
-// by the delivery layer — round arenas do not survive the extra rounds) or
+// by the delivery layer — round buffers do not survive the extra rounds) or
 // a shim frame awaiting its deferred wire arrival.
 type delayedMsg struct {
 	at  int // merge round at which the unit reaches the receiver
@@ -134,8 +134,8 @@ func (d *delivery) beginRound(round int) {
 
 // transmit runs one staged protocol message through the fault pipeline (or
 // hands it to the shim). Called in ascending sender-id order; the payload
-// still lives in the sender's round arena, so anything that outlives this
-// round is copied. A byzantine sender's payload is adversarially rewritten
+// still lives in the sending span's round buffer, so anything that outlives
+// this round is copied. A byzantine sender's payload is adversarially rewritten
 // first — independently per recipient, so a broadcast equivocates by
 // construction — and the rewrite is what the shim sequences and retransmits.
 func (d *delivery) transmit(round int, msg Message) {

@@ -129,7 +129,8 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	// x is the caller-side span over every node: it runs the whole round in
 	// a sequential run and the merge of a parallel run whose delivery must
 	// stay on this goroutine.
-	x := &span{nodeSet: newNodeSet(g, nodes, 0, n, n, cfg), stats: &stats}
+	x := &span{stats: &stats}
+	x.nodeSet = newNodeSet(g, nodes, 0, n, n, cfg, &x.buf)
 
 	// Fault randomness lives on its own stream so that a Faults{} run is
 	// byte-identical to a fault-free run with the same seed. The stream is
@@ -291,23 +292,21 @@ type nodeSet struct {
 	envs   []Env // the Env of node id is envs[id-lo]
 	lo     int
 	halted []bool
-	// inboxes[id] is nil until node id's first delivery of the run, which
-	// gives it a region of the delivering span's slab (see span.reserve).
+	// inboxes[id] is node id's inbox for the next round: nil until its
+	// first delivery of the round gives it a region of the delivering
+	// span's inbox chunks (see span.reserve), and nil again once the next
+	// merge clears it, because the chunks are reused every round.
 	inboxes [][]Message
 }
 
-// newNodeSet lays out the Envs of ids lo..hi-1 of an n-node graph and
-// initializes their nodes. The Env structs, the once-per-neighbour
-// generation stamps (one slot per directed edge) and the two payload arenas
-// each live in one flat block partitioned by the CSR row offsets and sized
-// to those ids' rows, so a shard's rounds walk a contiguous region of every
-// array and steady-state rounds allocate nothing.
-func newNodeSet(g *Graph, nodes []Node, lo, hi, n int, cfg Config) nodeSet {
+// newNodeSet lays out the Envs of ids lo..hi-1 of an n-node graph, with
+// buf as their round buffer, and initializes their nodes. The Env structs
+// and the once-per-neighbour generation stamps (one slot per directed
+// edge) each live in one flat block, the stamps partitioned by the CSR row
+// offsets, so a shard's rounds walk a contiguous region of both.
+func newNodeSet(g *Graph, nodes []Node, lo, hi, n int, cfg Config, buf *sendBuf) nodeSet {
 	base, top := g.rowStart[lo], g.rowStart[hi]
-	hint := payloadHint(cfg.BitLimit)
 	genAll := make([]uint64, top-base)
-	arenaAll := make([]byte, (top-base)*hint)
-	prevAll := make([]byte, (top-base)*hint)
 	ns := nodeSet{graph: g, nodes: nodes, envs: make([]Env, hi-lo), lo: lo, halted: make([]bool, n), inboxes: make([][]Message, n)}
 	for id := lo; id < hi; id++ {
 		s, e := g.rowOffsets(id)
@@ -319,14 +318,10 @@ func newNodeSet(g *Graph, nodes []Node, lo, hi, n int, cfg Config) nodeSet {
 			seed:     nodeSeed(cfg.Seed, id),
 			bitLimit: cfg.BitLimit,
 			sentGen:  genAll[s:e:e],
+			buf:      buf,
 			// gen starts at 1 so a zero-valued sentGen slot never collides
 			// with a live generation.
 			gen: 1,
-			// Full-length capacity, zero length: append fills the node's own
-			// slot and reallocates privately only if the slot overflows,
-			// never spilling into a neighbour's region.
-			arena:     arenaAll[s*hint : s*hint : e*hint],
-			prevArena: prevAll[s*hint : s*hint : e*hint],
 		}
 		nodes[id].Init(env)
 	}
@@ -352,13 +347,19 @@ type span struct {
 	stats *Stats
 	// del, when set, is the fault pipeline every drained message takes.
 	del *delivery
+	// buf is the round buffer the span's nodes stage into.
+	buf sendBuf
+	// bcast is the reused scratch a broadcast record expands into (see
+	// expand); it grows to the largest degree that broadcasts.
+	bcast []Message
 	// outbox holds the drained messages to nodes the span does not run:
 	// outbox[0] for RunShard's transport, one stream per destination shard
 	// for the parallel merge (see shardPool.stage).
 	outbox [][]Message
-	// slab is the current chunk the span carves inboxes from; its length
-	// counts the messages already handed out.
-	slab []Message
+	// inbox holds the regions of the inboxes the span delivers to. Every
+	// merge rewinds it (clearInboxes), so an inbox region lives for
+	// exactly one round.
+	inbox msgChunks
 }
 
 // compute is the frontier walk: it runs the span's active nodes for one
@@ -368,6 +369,7 @@ type span struct {
 func (x *span) compute(round int) int {
 	fr := x.fr
 	fr.admitWoken(round)
+	x.buf.begin()
 	fr.senders = fr.senders[:0]
 	keep := fr.active[:0]
 	halts := 0
@@ -401,6 +403,7 @@ func (x *span) compute(round int) int {
 // kept, so a frontier run pinned against it checks the frontier's active,
 // sender and recipient lists.
 func (x *span) computeDense(round int) int {
+	x.buf.begin()
 	halts := 0
 	for id, nd := range x.nodes {
 		if x.halted[id] {
@@ -426,17 +429,14 @@ func (x *span) merge(round int, senders []int32) error {
 	if x.del != nil {
 		x.del.beginRound(round)
 	}
+	x.clearInboxes()
 	if x.fr != nil {
-		x.fr.clearInboxes(x.inboxes)
 		for _, id := range senders {
 			if err := x.drain(round, x.env(id)); err != nil {
 				return err
 			}
 		}
 	} else {
-		for id := range x.inboxes {
-			x.inboxes[id] = x.inboxes[id][:0]
-		}
 		for id := range x.envs {
 			env := &x.envs[id]
 			if err := x.drain(round, env); err != nil {
@@ -444,7 +444,7 @@ func (x *span) merge(round int, senders []int32) error {
 			}
 			// A node that halted this round may have sent final messages;
 			// clear them so later full walks do not count them again.
-			env.out = env.out[:0]
+			env.out = nil
 			env.rejected = 0
 		}
 	}
@@ -456,32 +456,58 @@ func (x *span) merge(round int, senders []int32) error {
 }
 
 // drain processes one node's staged output for the round: it accounts the
-// output and routes every message to the fault pipeline, in place to an
-// owned recipient, or to outbox[0]. The env is left as it is — beginRound
-// resets it when the node next runs — so a parallel round whose staging
-// meets a send violation can be merged again from the same state on the
-// caller goroutine.
+// output and routes every message, broadcast records expanded, to the
+// fault pipeline, in place to an owned recipient, or to outbox[0]. The
+// env and its records are left as they are — beginRound resets them when
+// the node next runs — so a parallel round whose staging meets a send
+// violation can be merged again from the same state on the caller
+// goroutine.
 func (x *span) drain(round int, env *Env) error {
 	if err := x.stats.account(env); err != nil {
 		return err
 	}
-	for _, msg := range env.out {
-		switch {
-		case x.del != nil:
-			x.del.transmit(round, msg)
-		case x.owns(msg.To):
-			x.reserve(msg.To)
-			x.deliver(msg)
-		default:
-			x.outbox[0] = append(x.outbox[0], msg)
+	for i := range env.out {
+		msgs := env.out[i : i+1]
+		if env.out[i].To == broadcastTo {
+			msgs = x.expand(env.out[i])
+		}
+		for _, msg := range msgs {
+			switch {
+			case x.del != nil:
+				x.del.transmit(round, msg)
+			case x.owns(msg.To):
+				x.reserve(msg.To)
+				x.deliver(msg)
+			default:
+				x.outbox[0] = append(x.outbox[0], msg)
+			}
 		}
 	}
 	return nil
 }
 
+// expand writes the messages broadcast record rec stands for, one per
+// neighbour of its sender in Neighbors order and all sharing its payload,
+// into the span's reused scratch, and returns them. Delivering from the
+// scratch keeps the per-message loops of the drains as tight as for sent
+// messages.
+func (x *span) expand(rec Message) []Message {
+	lo, hi := x.graph.rowOffsets(rec.From)
+	nbrs := x.graph.nbrs[lo:hi]
+	if cap(x.bcast) < len(nbrs) {
+		x.bcast = make([]Message, len(nbrs))
+	}
+	msgs := x.bcast[:len(nbrs)]
+	for k, v := range nbrs {
+		msgs[k] = Message{From: rec.From, To: v, Payload: rec.Payload}
+	}
+	return msgs
+}
+
 // account counts one node's staged output for the round: it returns the
-// node's recorded send violation, if any, before touching its messages;
-// otherwise it counts every message and the node's fail-closed rejects.
+// node's recorded send violation, if any, before touching its records;
+// otherwise it counts every message — a broadcast record as one per
+// neighbour — and the node's fail-closed rejects.
 func (st *Stats) account(env *Env) error {
 	if env.sendErr != nil {
 		return env.sendErr
@@ -489,10 +515,14 @@ func (st *Stats) account(env *Env) error {
 	if len(env.out) > 0 {
 		st.Senders++
 	}
-	for _, msg := range env.out {
-		bits := msg.Bits()
-		st.Messages++
-		st.Bits += int64(bits)
+	for _, rec := range env.out {
+		k := int64(1)
+		if rec.To == broadcastTo {
+			k = int64(len(env.sentGen))
+		}
+		bits := rec.Bits()
+		st.Messages += k
+		st.Bits += k * int64(bits)
 		if bits > st.MaxMessageBits {
 			st.MaxMessageBits = bits
 		}
@@ -501,33 +531,42 @@ func (st *Stats) account(env *Env) error {
 	return nil
 }
 
+// clearInboxes starts a merge: the inboxes read this round are dead, so
+// they are reset to nil and the inbox chunks are rewound for the next
+// round's regions. The frontier knows which inboxes were filled; the dense
+// reference clears them all.
+func (x *span) clearInboxes() {
+	x.inbox.rewind()
+	if x.fr != nil {
+		x.fr.clearInboxes(x.inboxes)
+	} else {
+		clear(x.inboxes)
+	}
+}
+
 // reserve gives node to's inbox its capacity on the node's first delivery
-// of the run: a region of exactly Degree(to) messages, which bounds a
-// fault-free inbox, carved from the span's slab with its capacity clamped
-// to the region. Only duplicated or delayed fault traffic can overflow it,
-// and then append moves that one inbox to a private allocation, never into
-// a neighbour's region. Every delivery path calls it just before deliver;
-// folding it into deliver would push deliver past the inlining budget.
+// of the round: a region of exactly Degree(to) messages, which bounds a
+// fault-free inbox, carved from the span's inbox chunks with its capacity
+// clamped to the region. Only duplicated or delayed fault traffic can
+// overflow it, and then append moves that one inbox to a private
+// allocation, never into a neighbour's region. A halted recipient gets no
+// region: deliver drops its messages, so its inbox would not be listed
+// for the next clear, and a region it kept past this round would alias
+// another node's inbox once it recovered. Every delivery path calls
+// reserve just before deliver; folding it into deliver would push
+// deliver past the inlining budget.
 func (x *span) reserve(to int) {
-	if cap(x.inboxes[to]) == 0 {
+	if cap(x.inboxes[to]) == 0 && !x.halted[to] {
 		x.carveInbox(to)
 	}
 }
 
-// inboxChunk is the largest slab chunk, in messages; a chunk never exceeds
-// the graph's directed edge count, so small runs allocate one small chunk.
-const inboxChunk = 1 << 14
-
-// carveInbox hands node to a Degree(to)-message region of the slab,
-// starting a new chunk when the current one has too little room left.
+// carveInbox hands node to a Degree(to)-message region of the inbox
+// chunks.
 func (x *span) carveInbox(to int) {
 	d := x.graph.Degree(to)
-	if cap(x.slab)-len(x.slab) < d {
-		x.slab = make([]Message, 0, max(d, min(inboxChunk, len(x.graph.nbrs))))
-	}
-	n := len(x.slab)
-	x.slab = x.slab[:n+d]
-	x.inboxes[to] = x.slab[n : n : n+d]
+	x.inboxes[to] = x.inbox.room(d, chunkSize(x.graph))
+	x.inbox.used += d
 }
 
 // deliver appends msg to its recipient's next-round inbox and records the
@@ -593,21 +632,6 @@ func pendingFires(remaining []fireEvent, crashed []bool) bool {
 		}
 	}
 	return false
-}
-
-// payloadHint sizes the per-directed-edge arena slot from the configured
-// bit limit: enough for a full-size payload per neighbour per round, capped
-// so unlimited (LOCAL-model) runs don't over-reserve. Overflow just means a
-// private reallocation for that one node, not an error.
-func payloadHint(bitLimit int) int {
-	h := bitLimit / 8
-	if h < 4 {
-		h = 4
-	}
-	if h > 16 {
-		h = 16
-	}
-	return h
 }
 
 // nodeSeed mixes the run seed with the node id (splitmix64 finalizer) so

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -236,20 +237,25 @@ func TestRunPolicesSends(t *testing.T) {
 }
 
 // bcastNode sends one payload to all its neighbours each round, either
-// with Broadcast or with the equivalent Send loop. The payload's length
-// and bytes depend on the node's inbox and private stream, so any
-// difference between the two paths spreads through the execution; the
-// node overwrites its buffer after staging, so a path that kept the
-// caller's bytes instead of copying them would show too.
+// with Broadcast or with the equivalent Send loop, and logs every inbox it
+// sees. The payload's length and bytes depend on the node's inbox and
+// private stream, so any difference between the two paths spreads through
+// the execution; the node overwrites its buffer after staging, so a path
+// that kept the caller's bytes instead of copying them would show too.
 type bcastNode struct {
 	env      *Env
 	sendLoop bool
-	buf      []byte
+	// violate, when set, names the CONGEST violation the node commits in
+	// round 3 around its broadcast (see TestBroadcastMatchesSendLoop).
+	violate string
+	buf     []byte
+	log     []string
 }
 
 func (b *bcastNode) Init(env *Env) { b.env = env }
 
 func (b *bcastNode) Round(r int, inbox []Message) bool {
+	b.log = append(b.log, fmt.Sprintf("%d:%v", r, inbox))
 	if r >= 8 {
 		return true
 	}
@@ -260,20 +266,33 @@ func (b *bcastNode) Round(r int, inbox []Message) bool {
 			acc ^= c
 		}
 	}
+	violate := r == 3 && b.violate != ""
 	rng := b.env.Rand()
-	if rng.Intn(4) == 0 {
+	if rng.Intn(4) == 0 && !violate {
 		return false // a silent round
 	}
 	b.buf = b.buf[:0]
 	for k := rng.Intn(4); k > 0; k-- {
 		b.buf = append(b.buf, acc+byte(rng.Intn(256)))
 	}
+	nbrs := b.env.Neighbors()
+	if violate {
+		switch b.violate {
+		case "broadcastAfterSend":
+			b.env.Send(nbrs[len(nbrs)-1], b.buf)
+		case "oversized":
+			b.buf = append(b.buf, make([]byte, 8)...)
+		}
+	}
 	if b.sendLoop {
-		for _, v := range b.env.Neighbors() {
+		for _, v := range nbrs {
 			b.env.Send(v, b.buf)
 		}
 	} else {
 		b.env.Broadcast(b.buf)
+	}
+	if violate && b.violate == "sendAfterBroadcast" {
+		b.env.Send(nbrs[0], b.buf)
 	}
 	for k := range b.buf {
 		b.buf[k] = 0xff
@@ -281,32 +300,61 @@ func (b *bcastNode) Round(r int, inbox []Message) bool {
 	return false
 }
 
-// TestBroadcastMatchesSendLoop pins Broadcast's one-copy fast path to the
-// per-neighbour Send loop it replaces: the same Observer stream — round,
-// sender, recipient and payload bytes, in delivery order — on every
-// runner, with every delivered payload capacity-clamped so a receiver's
-// append cannot write into a shared copy. It also checks that a broadcast
-// really stages one copy: the messages of one sender in one round share
-// their payload bytes.
+// TestBroadcastMatchesSendLoop pins Broadcast, which stages one record
+// that the merge expands, to the per-neighbour Send loop it stands for:
+// the same Stats, the same inbox at every node in every round, and the
+// same Observer stream — round, sender, recipient and payload bytes, in
+// delivery order — on every runner, under drops, duplicates and delays,
+// under the reliable shim, and with byzantine senders, whose rewrites are
+// drawn per recipient. Where no fault copies payloads, it also checks that
+// a broadcast really stages one copy: the messages of one sender in one
+// round share their payload bytes, each capacity-clamped so a receiver's
+// append cannot write into it. The violations — a Send after a Broadcast,
+// a Broadcast after a Send, an oversized Broadcast — must abort with the
+// same error and the same partial Stats. RunShard over a ChanNetwork runs
+// the fault-free case only: it observes nothing, and a shard that aborts
+// leaves its peers waiting at the barrier.
 func TestBroadcastMatchesSendLoop(t *testing.T) {
 	// Node 9 is isolated, so a zero-degree Broadcast is covered too.
 	edges := [][2]int{{0, 1}, {0, 2}, {0, 5}, {1, 3}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 0}, {8, 2}, {8, 6}}
-	run := func(sendLoop bool, cfg Config) []string {
-		g := mustGraph(t, 10, edges)
-		nodes := make([]Node, g.N())
+	type result struct {
+		stats  Stats
+		err    string
+		stream []string
+		logs   [][]string
+	}
+	newNodes := func(n int, sendLoop bool, violate string) ([]Node, []*bcastNode) {
+		nodes, bn := make([]Node, n), make([]*bcastNode, n)
 		for i := range nodes {
-			nodes[i] = &bcastNode{sendLoop: sendLoop}
+			bn[i] = &bcastNode{sendLoop: sendLoop}
+			nodes[i] = bn[i]
 		}
-		var stream []string
+		bn[0].violate = violate
+		return nodes, bn
+	}
+	logsOf := func(bn []*bcastNode) [][]string {
+		logs := make([][]string, len(bn))
+		for i, b := range bn {
+			logs[i] = b.log
+		}
+		return logs
+	}
+	run := func(sendLoop bool, violate string, cfg Config, shared bool) result {
+		g := mustGraph(t, 10, edges)
+		nodes, bn := newNodes(g.N(), sendLoop, violate)
+		var res result
 		cfg.Seed, cfg.BitLimit = 11, 32
 		cfg.Observer = func(round int, delivered []Message) {
 			first := map[int]*byte{}
 			for _, msg := range delivered {
+				res.stream = append(res.stream, fmt.Sprintf("%d %d->%d %x", round, msg.From, msg.To, msg.Payload))
+				if !shared || len(msg.Payload) == 0 {
+					continue
+				}
 				if cap(msg.Payload) != len(msg.Payload) {
 					t.Fatalf("round %d %d->%d: payload cap %d != len %d", round, msg.From, msg.To, cap(msg.Payload), len(msg.Payload))
 				}
-				stream = append(stream, fmt.Sprintf("%d %d->%d %x", round, msg.From, msg.To, msg.Payload))
-				if sendLoop || len(msg.Payload) == 0 {
+				if sendLoop {
 					continue
 				}
 				if p, ok := first[msg.From]; !ok {
@@ -316,22 +364,103 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 				}
 			}
 		}
-		if _, err := Run(g, nodes, cfg); err != nil {
+		st, err := Run(g, nodes, cfg)
+		res.stats, res.logs = st, logsOf(bn)
+		if err != nil {
+			res.err = err.Error()
+		}
+		return res
+	}
+	runShard := func(t *testing.T, sendLoop bool) result {
+		g := mustGraph(t, 10, edges)
+		g.Finalize()
+		nodes, bn := newNodes(g.N(), sendLoop, "")
+		spans := SplitSpans(g.N(), 3)
+		net, err := NewChanNetwork(g.N(), spans)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return stream
-	}
-	for _, cfg := range []Config{{}, {Dense: true}, {Parallel: true, Shards: 2}} {
-		want := run(true, cfg)
-		got := run(false, cfg)
-		if len(want) == 0 {
-			t.Fatal("the Send loop delivered nothing")
+		stats := make([]Stats, len(spans))
+		errs := make([]error, len(spans))
+		var wg sync.WaitGroup
+		for si, sp := range spans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stats[si], errs[si] = RunShard(g, nodes, sp, Config{Seed: 11, BitLimit: 32}, net.Shard(si))
+			}()
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%+v: Broadcast stream differs from the Send loop's:\n got %v\nwant %v", cfg, got, want)
+		wg.Wait()
+		var res result
+		for si := range spans {
+			if errs[si] != nil {
+				t.Fatal(errs[si])
+			}
+			res.stream = append(res.stream, fmt.Sprintf("shard %d: %+v", si, stats[si]))
+		}
+		res.logs = logsOf(bn)
+		return res
+	}
+	compare := func(t *testing.T, got, want result) {
+		t.Helper()
+		if got.err != want.err {
+			t.Fatalf("Broadcast run error %q, Send loop's %q", got.err, want.err)
+		}
+		if got.stats != want.stats {
+			t.Fatalf("Broadcast run Stats %+v, Send loop's %+v", got.stats, want.stats)
+		}
+		if !slices.Equal(got.stream, want.stream) {
+			t.Fatalf("Broadcast stream differs from the Send loop's:\n got %v\nwant %v", got.stream, want.stream)
+		}
+		for v := range want.logs {
+			if !slices.Equal(got.logs[v], want.logs[v]) {
+				t.Fatalf("node %d: Broadcast run inboxes %v, Send loop's %v", v, got.logs[v], want.logs[v])
+			}
 		}
 	}
+	lossy := Faults{DropProb: 0.2, DupProb: 0.3, DelayProb: 0.2, MaxDelay: 2}
+	byz := Faults{ByzantineFromRound: map[int]int{0: 2, 3: 0, 8: 1}}
+	runners := []struct {
+		name string
+		cfg  Config
+		// faulted reports that a fault-free run's Stats show the faults at
+		// work; nil for the runners without faults, where no fault copies a
+		// payload and the shared-copy checks apply.
+		faulted func(Stats) bool
+	}{
+		{"sequential", Config{}, nil},
+		{"dense", Config{Dense: true}, nil},
+		{"parallel", Config{Parallel: true, Shards: 2}, nil},
+		{"faults", Config{Faults: lossy}, lossyStats},
+		{"faults/dense", Config{Dense: true, Faults: lossy}, lossyStats},
+		{"faults/parallel", Config{Parallel: true, Shards: 2, Faults: lossy}, lossyStats},
+		{"reliable", Config{Faults: Faults{DropProb: 0.3}, Reliable: Reliable{RetryBudget: 2}}, func(s Stats) bool { return s.Retransmits > 0 && s.Acks > 0 }},
+		{"byzantine", Config{Faults: byz}, func(s Stats) bool { return s.Forged > 0 }},
+		{"byzantine/parallel", Config{Parallel: true, Shards: 2, Faults: byz}, func(s Stats) bool { return s.Forged > 0 }},
+	}
+	violations := map[string]string{"": "", "sendAfterBroadcast": "sent twice", "broadcastAfterSend": "sent twice", "oversized": "exceeds limit"}
+	for _, violate := range []string{"", "sendAfterBroadcast", "broadcastAfterSend", "oversized"} {
+		for _, r := range runners {
+			t.Run(fmt.Sprintf("%s/violation=%s", r.name, violate), func(t *testing.T) {
+				want := run(true, violate, r.cfg, r.faulted == nil)
+				got := run(false, violate, r.cfg, r.faulted == nil)
+				switch {
+				case violate == "" && (want.err != "" || want.stats.Messages == 0 || r.faulted != nil && !r.faulted(want.stats)):
+					t.Fatalf("the Send loop run: %+v, %q; want messages, the faults at work and no error", want.stats, want.err)
+				case !strings.Contains(want.err, violations[violate]):
+					t.Fatalf("the Send loop run ended with %q, want %q", want.err, violations[violate])
+				}
+				compare(t, got, want)
+			})
+		}
+	}
+	t.Run("RunShard", func(t *testing.T) {
+		compare(t, runShard(t, false), runShard(t, true))
+	})
 }
+
+// lossyStats reports that drops, duplicates and delays all happened.
+func lossyStats(s Stats) bool { return s.Dropped > 0 && s.Duplicated > 0 && s.Delayed > 0 }
 
 // spinNode never halts.
 type spinNode struct{}

@@ -298,7 +298,7 @@ func (f *Faults) shouldCorrupt(rng *rand.Rand, round int) bool {
 // corruptPayload returns a freshly owned mutation of p: a single flipped
 // bit, a truncation to a strict prefix, or a forged kind byte, chosen
 // uniformly from the fault stream. The input is never modified — staged
-// payloads live in sender round arenas shared by every recipient (and, under
+// payloads live in round buffers shared by every recipient (and, under
 // the shim, in frames that may be retransmitted intact), so mutating in
 // place would corrupt more transmissions than the draw decided. An empty
 // payload gains one junk byte so the corruption is observable at all.

@@ -143,13 +143,14 @@ func (f *frontier) admitWoken(round int) {
 	f.woken = f.woken[:0]
 }
 
-// clearInboxes resets exactly the inboxes filled last round. The recips
-// list is complete by construction — every delivery path records a
-// recipient's first message of the round — so any inbox not listed is
-// already empty, and the per-round clearing cost is O(delivered), not O(n).
+// clearInboxes resets exactly the inboxes filled last round to nil. The
+// recips list is complete by construction — every delivery path records a
+// recipient's first message of the round, and only a recipient with a
+// message is given a region — so any inbox not listed is already nil, and
+// the per-round clearing cost is O(delivered), not O(n).
 func (f *frontier) clearInboxes(inboxes [][]Message) {
 	for _, id := range f.recips {
-		inboxes[id] = inboxes[id][:0]
+		inboxes[id] = nil
 	}
 	f.recips = f.recips[:0]
 }

@@ -213,3 +213,81 @@ func TestFaultFreeInboxesHaveDegreeCapacity(t *testing.T) {
 		check(t, g, probes)
 	})
 }
+
+// inboxLogger logs every inbox it sees and, unless it is a listener,
+// sends each neighbour a payload naming sender, round and recipient every
+// round until stopAt. Nothing it sends depends on what it received, so a
+// listener's crash changes no other node's inboxes.
+type inboxLogger struct {
+	env      *Env
+	listener bool
+	stopAt   int
+	log      []string
+}
+
+func (l *inboxLogger) Init(env *Env) { l.env = env }
+func (l *inboxLogger) Recover()      { l.log = append(l.log, "recover") }
+
+func (l *inboxLogger) Round(r int, inbox []Message) bool {
+	l.log = append(l.log, fmt.Sprintf("%d:%v", r, inbox))
+	if r >= l.stopAt {
+		return true
+	}
+	if !l.listener {
+		for _, v := range l.env.Neighbors() {
+			l.env.Send(v, []byte{byte(l.env.ID()), byte(r), byte(v)})
+		}
+	}
+	return false
+}
+
+// TestHaltedRecipientGetsNoInbox crashes two listeners while their
+// neighbours keep sending to them and brings them back with
+// RecoverAtRound. Inbox regions are reused every round, so a region
+// carved for a halted recipient — whose messages are dropped, so the next
+// merge does not clear its inbox — would still be its inbox when it
+// recovers, and would alias whichever inbox is carved there that round.
+// Each listener's inbox in its recovery round must be empty (everything
+// sent while it was down is lost), its later ones must hold exactly the
+// previous round's messages, and no other node's inbox may differ from a
+// run without the crash, on every runner.
+func TestHaltedRecipientGetsNoInbox(t *testing.T) {
+	const stopAt, crashAt, recoverAt = 12, 3, 7
+	listeners := []int{0, 13}
+	run := func(t *testing.T, cfg Config) [][]string {
+		g := stressGraph(t)
+		loggers := make([]*inboxLogger, g.N())
+		nodes := make([]Node, g.N())
+		for i := range nodes {
+			loggers[i] = &inboxLogger{listener: slices.Contains(listeners, i), stopAt: stopAt}
+			nodes[i] = loggers[i]
+		}
+		if _, err := Run(g, nodes, cfg); err != nil {
+			t.Fatal(err)
+		}
+		logs := make([][]string, len(loggers))
+		for i, l := range loggers {
+			logs[i] = l.log
+		}
+		return logs
+	}
+	for _, cfg := range []Config{{Seed: 5}, {Seed: 5, Dense: true}, {Seed: 5, Parallel: true, Shards: 2}} {
+		t.Run(fmt.Sprintf("dense=%v/parallel=%v", cfg.Dense, cfg.Parallel), func(t *testing.T) {
+			ref := run(t, cfg)
+			cfg.Faults = Faults{CrashAtRound: map[int]int{}, RecoverAtRound: map[int]int{}}
+			for _, v := range listeners {
+				cfg.Faults.CrashAtRound[v], cfg.Faults.RecoverAtRound[v] = crashAt, recoverAt
+			}
+			got := run(t, cfg)
+			for v := range ref {
+				want := ref[v]
+				if slices.Contains(listeners, v) {
+					want = slices.Concat(ref[v][:crashAt], []string{"recover", fmt.Sprintf("%d:[]", recoverAt)}, ref[v][recoverAt+1:])
+				}
+				if !slices.Equal(got[v], want) {
+					t.Fatalf("node %d inboxes\n got %q\nwant %q", v, got[v], want)
+				}
+			}
+		})
+	}
+}

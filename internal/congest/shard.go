@@ -70,11 +70,13 @@ func newShardPool(g *Graph, ns nodeSet, shards int, serialMerge bool) *shardPool
 		start:       make([]chan struct{}, k),
 	}
 	for s, members := range parts {
-		p.spans[s] = &span{nodeSet: ns, fr: newFrontier(members), stats: &Stats{}, outbox: make([][]Message, k)}
+		x := &span{nodeSet: ns, fr: newFrontier(members), stats: &Stats{}, outbox: make([][]Message, k)}
+		p.spans[s] = x
 		p.heads[s] = make([]int, k)
 		p.start[s] = make(chan struct{})
 		for _, id := range members {
 			p.shardOf[id] = int32(s)
+			x.env(id).buf = &x.buf
 		}
 	}
 	for w := 0; w < k; w++ {
@@ -173,9 +175,10 @@ func (p *shardPool) worker(w int) {
 }
 
 // stage is the worker side of the drain: it accounts each of the shard's
-// senders, in ascending id order, and appends its messages to the outbox of
-// the recipient's shard. It reports false when a sender recorded a send
-// violation, which leaves the round to the caller's merge.
+// senders, in ascending id order, and appends its messages, broadcast
+// records expanded, to the outbox of the recipient's shard. It reports
+// false when a sender recorded a send violation, which leaves the round to
+// the caller's merge.
 func (p *shardPool) stage(s *span) bool {
 	for d := range s.outbox {
 		s.outbox[d] = s.outbox[d][:0]
@@ -185,9 +188,15 @@ func (p *shardPool) stage(s *span) bool {
 		if s.stats.account(env) != nil {
 			return false
 		}
-		for _, msg := range env.out {
-			d := p.shardOf[msg.To]
-			s.outbox[d] = append(s.outbox[d], msg)
+		for i := range env.out {
+			msgs := env.out[i : i+1]
+			if env.out[i].To == broadcastTo {
+				msgs = s.expand(env.out[i])
+			}
+			for _, msg := range msgs {
+				d := p.shardOf[msg.To]
+				s.outbox[d] = append(s.outbox[d], msg)
+			}
 		}
 	}
 	return true
@@ -199,10 +208,10 @@ func (p *shardPool) stage(s *span) bool {
 // shard-owned state is written, so ingest runs with no locks and no
 // false sharing with other workers.
 //
-//flvet:merge reads every shard's outbox stream after the staged barrier published it; writes only shard-w-owned inboxes, inbox slab, frontier and cursors
+//flvet:merge reads every shard's outbox stream after the staged barrier published it; writes only shard-w-owned inboxes, inbox chunks, frontier and cursors
 func (p *shardPool) ingest(w int) {
 	s, heads := p.spans[w], p.heads[w]
-	s.fr.clearInboxes(s.inboxes)
+	s.clearInboxes()
 	clear(heads)
 	// Streams are sender-sorted and sender sets are disjoint across
 	// shards, so taking messages from the stream with the smallest head

@@ -177,11 +177,11 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 	// nodes collect in the one outbox the transport ships.
 	var stats Stats
 	x := &span{
-		nodeSet: newNodeSet(g, nodes, sp.Lo, sp.Hi, n, cfg),
-		fr:      newFrontier(idRange(sp.Lo, sp.Hi)),
-		stats:   &stats,
-		outbox:  make([][]Message, 1),
+		fr:     newFrontier(idRange(sp.Lo, sp.Hi)),
+		stats:  &stats,
+		outbox: make([][]Message, 1),
 	}
+	x.nodeSet = newNodeSet(g, nodes, sp.Lo, sp.Hi, n, cfg, &x.buf)
 	live := sp.Len()
 	end := func(rounds int, err error) (Stats, error) {
 		stats.Rounds = rounds
@@ -326,8 +326,8 @@ func (e *chanEndpoint) Send(round int, msgs []Message) error {
 		if dst < 0 {
 			return fmt.Errorf("congest: message to unowned node %d", m.To)
 		}
-		// Payloads live in the sender's round arena, which the sender
-		// recycles after the barrier; the network owns its copies.
+		// Payloads live in the sending span's round buffer, which is
+		// recycled after the barrier; the network owns its copies.
 		c.buf[dst] = append(c.buf[dst], Message{From: m.From, To: m.To, Payload: append([]byte(nil), m.Payload...)})
 	}
 	return nil

@@ -23,7 +23,7 @@ import (
 // delivered born-sorted; RNG streams are pure functions of the draw
 // sequence), so the log *is* the state: ResumeShard re-executes rounds
 // [0, r) with the logged inputs and lands on exactly the state the
-// uninterrupted run had after round r — including RNG positions, arena
+// uninterrupted run had after round r — including RNG positions, send-stamp
 // generations and every staged announcement. Replay also regenerates every
 // message the pre-crash incarnation ever sent, byte for byte, which is what
 // makes readmission sound: as long as the log covers every round the dead

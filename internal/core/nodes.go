@@ -847,35 +847,14 @@ func (c *clientNode) pickOffer(inbox []congest.Message) {
 // A client whose every facility is dead is unservable under this fault
 // schedule: it halts unassigned and the certifier exempts it.
 func (c *clientNode) repairRound(inbox []congest.Message) {
-	// Inboxes arrive sorted by sender id, so one pass over the beacons
-	// yields the alive and open id lists already ascending; membership
-	// below is a binary search. This replaces the two per-call maps the
-	// old layout allocated here. Repeated beacons from one sender (wire
-	// duplication) fold by comparing against the list tail, preserving the
-	// map version's OR semantics for the open bit.
-	alive := make([]int32, 0, len(inbox))
-	openF := make([]int32, 0, len(inbox))
-	for _, msg := range inbox {
-		open, ok := decodeBeacon(msg.Payload)
-		if !ok {
-			continue
+	if c.assigned != fl.Unassigned {
+		if _, open := beaconFrom(inbox, c.assigned); open {
+			return // served: the assignment survived the faults
 		}
-		from := int32(msg.From)
-		if n := len(alive); n == 0 || alive[n-1] != from {
-			alive = append(alive, from)
-		}
-		if open {
-			if n := len(openF); n == 0 || openF[n-1] != from {
-				openF = append(openF, from)
-			}
-		}
-	}
-	if c.assigned != fl.Unassigned && sortedHas(openF, c.assigned) {
-		return // served: the assignment survived the faults
 	}
 	c.assigned = fl.Unassigned
 	for _, e := range c.inst.ClientEdges(c.idx) {
-		if sortedHas(openF, e.To) { // facility index == facility node id
+		if _, open := beaconFrom(inbox, e.To); open { // facility index == facility node id
 			c.assigned = e.To
 			c.repairConnected = true
 			c.env.Send(e.To, payloadRepairJoin)
@@ -883,7 +862,7 @@ func (c *clientNode) repairRound(inbox []congest.Message) {
 		}
 	}
 	for _, e := range c.inst.ClientEdges(c.idx) {
-		if sortedHas(alive, e.To) {
+		if alive, _ := beaconFrom(inbox, e.To); alive {
 			c.repairForced = true
 			c.env.Send(e.To, payloadRepairForce)
 			return
@@ -894,8 +873,18 @@ func (c *clientNode) repairRound(inbox []congest.Message) {
 	// exempts it.
 }
 
-// sortedHas reports membership of id in an ascending id list.
-func sortedHas(ids []int32, id int) bool {
-	_, ok := slices.BinarySearch(ids, int32(id))
-	return ok
+// beaconFrom reads facility f's repair beacons out of a beacon-round inbox,
+// which arrives sorted by sender id: a binary search finds f's first frame,
+// and its adjacent duplicates (wire duplication) are OR-ed together. alive
+// reports that one of them decodes, open that one decodes as open; a frame
+// that does not decode counts for nothing (fail closed).
+func beaconFrom(inbox []congest.Message, f int) (alive, open bool) {
+	i, _ := slices.BinarySearchFunc(inbox, f, func(m congest.Message, f int) int { return m.From - f })
+	for ; i < len(inbox) && inbox[i].From == f; i++ {
+		if o, ok := decodeBeacon(inbox[i].Payload); ok {
+			alive = true
+			open = open || o
+		}
+	}
+	return alive, open
 }
