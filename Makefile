@@ -58,16 +58,17 @@ bench-engine:
 # exceeds the bound. E13's T10 rows time whole runs, so their figure is
 # per-run setup amortized over 12 rounds, and it grows with the shard
 # count; -procs 4 fixes the rows to seq, 1, 2 and 4 shards on every
-# machine. With round-scoped message buffers the highest row is the
-# 4-shard one at n=256, ~18.9 allocs/round (seq 3.3, 2 shards 11.1; they
-# were 22.7, 30.1 and 36.5 with per-edge message storage), and the 22
-# bound is that plus ~17% headroom. E16's T15 rows measure the steady
+# machine. Since the parallel runner ingests staged records in place over
+# contiguous shards, the highest row is the 4-shard one at n=256, ~9.9
+# allocs/round (seq 3.1, 2 shards 6.2; they were 18.6, 3.4 and 11.1 with
+# the greedy partition and per-destination outboxes), and the 12 bound is
+# that plus ~17% headroom, rounded up. E16's T15 rows measure the steady
 # state at n=10^5 by differencing two runs on the same frozen graph; that
 # differential is 0 (a run-to-run jitter of a few allocations shows on
 # the sharded rows), so any reintroduced per-round allocation at scale
 # trips the bound immediately.
 perf-smoke:
-	go run ./cmd/flbench -quick -exp E13,E16,E18 -procs 4 -maxallocs 22
+	go run ./cmd/flbench -quick -exp E13,E16,E18 -procs 4 -maxallocs 12
 
 # Churn soak over the real UDP transport: build the fleet binaries, then
 # run flnode fleets on loopback for 15s with 10% packet loss and one

@@ -96,8 +96,8 @@ func BenchmarkDistributedSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedSolveParallel measures the goroutine-per-worker
-// engine on the same workload.
+// BenchmarkDistributedSolveParallel measures the sharded parallel runner
+// on the same workload.
 func BenchmarkDistributedSolveParallel(b *testing.B) {
 	inst := benchInstance(b, 30, 150)
 	b.ReportAllocs()

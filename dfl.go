@@ -106,7 +106,7 @@ var (
 	WithSeed = core.WithSeed
 	// WithParallel runs the simulator with parallel round execution.
 	WithParallel = core.WithParallel
-	// WithShards sets the topology shard count of the parallel runner, 0
+	// WithShards sets the shard count of the parallel runner, 0
 	// meaning GOMAXPROCS (byte-identical executions at every shard count; a
 	// pure perf knob).
 	WithShards = core.WithShards

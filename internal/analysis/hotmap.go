@@ -15,7 +15,7 @@ import (
 var hotmapFiles = map[string]bool{
 	"congest.go":   true, // Graph + Env (Send once-per-neighbour check)
 	"engine.go":    true, // env layout and the span executor's round path
-	"shard.go":     true, // shard workers and the per-destination merge
+	"shard.go":     true, // shard workers and their in-place ingest
 	"transport.go": true, // RunShard's round loop over the span executor
 	"nodes.go":     true, // facility/client state machines
 	"frontier.go":  true, // active-set bookkeeping on the per-round path

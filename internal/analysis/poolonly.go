@@ -11,8 +11,8 @@ import (
 // statement anywhere else reintroduces exactly the per-round spawning (and
 // the attendant scheduling nondeterminism hazards) the pool was built to
 // eliminate; new concurrency must be routed through shardPool so the
-// round barrier and the deterministic per-destination-shard merge stay the
-// only synchronization points. There is deliberately no exemption
+// round barrier and the deterministic shard-local ingest stay the only
+// synchronization points. There is deliberately no exemption
 // directive.
 var Poolonly = &Analyzer{
 	Name:     "poolonly",

@@ -4,9 +4,9 @@
 //
 // The engine runs an arbitrary set of Node state machines on an undirected
 // communication graph. Two runners are provided — a deterministic
-// sequential one and a topology-sharded parallel one (nodes statically
-// partitioned into edge-cut-minimizing shards, one persistent worker per
-// shard, delivery merged per destination shard) — and both produce
+// sequential one and a sharded parallel one (node ids split into
+// contiguous ranges, one persistent worker per shard, each shard ingesting
+// the round's staged records addressed to it) — and both produce
 // byte-identical executions for the same configuration and any shard
 // count, which the test suite verifies. Message and bit counts,
 // per-message size limits, and halt detection are built in.

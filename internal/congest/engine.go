@@ -19,9 +19,9 @@ type Config struct {
 	Seed int64
 	// MaxRounds aborts runaway protocols. 0 means DefaultMaxRounds.
 	MaxRounds int
-	// Parallel selects the sharded runner: nodes are statically
-	// partitioned into topology-aware shards, each owned by one persistent
-	// worker goroutine started once per Run and reused every round.
+	// Parallel selects the sharded runner: node ids are split into the
+	// contiguous ranges of SplitSpans, each owned by one persistent worker
+	// goroutine started once per Run and reused every round.
 	// Execution is byte-identical to the sequential runner for every shard
 	// count (invariant I5).
 	Parallel bool
@@ -152,7 +152,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	// Fault delivery and observers need the merge on the caller goroutine
 	// (fault-stream draws and the observed order are defined in global
 	// sender order); honest unobserved parallel runs take the
-	// contention-free per-destination-shard merge.
+	// contention-free shard-local ingest.
 	var pool *shardPool
 	switch {
 	case cfg.Parallel && n > 0:
@@ -160,7 +160,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 		if shards <= 0 {
 			shards = runtime.GOMAXPROCS(0)
 		}
-		pool = newShardPool(g, x.nodeSet, shards, x.del != nil)
+		pool = newShardPool(x.nodeSet, shards, x.del != nil)
 		defer pool.stop()
 		x.fr = pool.callerFrontier()
 	case !cfg.Dense:
@@ -170,7 +170,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	// dense reference, which keeps no lists.
 	frontierOf := func(id int) *frontier {
 		if pool != nil {
-			return pool.spans[pool.shardOf[id]].fr
+			return pool.frontierOf(id)
 		}
 		return x.fr
 	}
@@ -193,7 +193,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 		stats.FinalLive = live
 		return stats, err
 	}
-	// senders is the reused k-way merge buffer of a parallel run's
+	// senders is the reused sender-list buffer of a parallel run's
 	// caller-side merges.
 	var senders []int32
 
@@ -337,9 +337,9 @@ func (ns *nodeSet) owns(id int) bool { return uint(id-ns.lo) < uint(len(ns.envs)
 // accounting of each sender's output (Stats.account), and one delivery
 // into the next round's inboxes. The runners differ only in how they wire
 // spans together — Run is one span over every node, a parallel run is one
-// span per shard whose worker stages messages by destination shard for the
-// k-way merge in shard.go, and RunShard is one span whose drain hands
-// remote traffic to a Transport.
+// span per contiguous shard whose worker accounts its own senders and
+// ingests every shard's staged records addressed to it (shard.go), and
+// RunShard is one span whose drain hands remote traffic to a Transport.
 type span struct {
 	nodeSet
 	// fr schedules the span's nodes; nil only on the dense reference.
@@ -352,10 +352,9 @@ type span struct {
 	// bcast is the reused scratch a broadcast record expands into (see
 	// expand); it grows to the largest degree that broadcasts.
 	bcast []Message
-	// outbox holds the drained messages to nodes the span does not run:
-	// outbox[0] for RunShard's transport, one stream per destination shard
-	// for the parallel merge (see shardPool.stage).
-	outbox [][]Message
+	// remote holds the drained messages to nodes the span does not run,
+	// which RunShard hands to its transport.
+	remote []Message
 	// inbox holds the regions of the inboxes the span delivers to. Every
 	// merge rewinds it (clearInboxes), so an inbox region lives for
 	// exactly one round.
@@ -457,9 +456,9 @@ func (x *span) merge(round int, senders []int32) error {
 
 // drain processes one node's staged output for the round: it accounts the
 // output and routes every message, broadcast records expanded, to the
-// fault pipeline, in place to an owned recipient, or to outbox[0]. The
+// fault pipeline, in place to an owned recipient, or to remote. The
 // env and its records are left as they are — beginRound resets them when
-// the node next runs — so a parallel round whose staging meets a send
+// the node next runs — so a parallel round whose accounting meets a send
 // violation can be merged again from the same state on the caller
 // goroutine.
 func (x *span) drain(round int, env *Env) error {
@@ -479,7 +478,7 @@ func (x *span) drain(round int, env *Env) error {
 				x.reserve(msg.To)
 				x.deliver(msg)
 			default:
-				x.outbox[0] = append(x.outbox[0], msg)
+				x.remote = append(x.remote, msg)
 			}
 		}
 	}

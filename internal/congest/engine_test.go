@@ -484,11 +484,14 @@ func TestRunNodeCountMismatch(t *testing.T) {
 }
 
 // recNode records everything it receives and halts at a fixed round,
-// optionally sending a random byte to each neighbour first. It drives the
-// parallel-vs-sequential equivalence test.
+// sending a random byte to each neighbour in every round before that. With
+// bcast it stages the byte as one Broadcast record in the rounds where its
+// id plus the round is even, so sends and broadcasts interleave. It drives
+// the parallel-vs-sequential equivalence tests.
 type recNode struct {
 	env     *Env
 	stopAt  int
+	bcast   bool
 	log     []string
 	rndByte byte
 }
@@ -504,6 +507,10 @@ func (rn *recNode) Round(r int, inbox []Message) bool {
 	}
 	b := byte(rn.env.Rand().Intn(256))
 	rn.rndByte = b
+	if rn.bcast && (rn.env.ID()+r)%2 == 0 {
+		rn.env.Broadcast([]byte{b, byte(r)})
+		return false
+	}
 	for _, v := range rn.env.Neighbors() {
 		rn.env.Send(v, []byte{b, byte(r)})
 	}

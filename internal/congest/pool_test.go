@@ -7,7 +7,8 @@ import (
 )
 
 // stressGraph is a 24-node graph with an irregular degree distribution so
-// that work per shard is uneven and the partitioner has real cut choices.
+// that work per shard is uneven and, through the hub at node 0 and the
+// chords, traffic crosses every shard boundary.
 func stressGraph(t *testing.T) *Graph {
 	t.Helper()
 	g := NewGraph(24)

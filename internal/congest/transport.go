@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 )
 
@@ -32,8 +33,9 @@ func (s Span) Contains(id int) bool { return id >= s.Lo && id < s.Hi }
 func (s Span) Len() int { return s.Hi - s.Lo }
 
 // SplitSpans partitions node ids 0..n-1 into k contiguous spans of size
-// n/k±1 (earlier spans take the remainder), the static id-range analogue of
-// the in-proc runner's topology shards. k is clamped to [1, n] for n > 0.
+// n/k±1 (earlier spans take the remainder): the shard layout of both a
+// RunShard fleet and the in-process parallel runner. k is clamped to
+// [1, n] for n > 0.
 func SplitSpans(n, k int) []Span {
 	if n <= 0 {
 		return []Span{{0, 0}}
@@ -55,6 +57,17 @@ func SplitSpans(n, k int) []Span {
 		lo += size
 	}
 	return spans
+}
+
+// spanOf returns the index of the span containing node id in spans, a
+// contiguous ascending tiling of the ids (possibly with empty spans), or -1
+// when no span contains it.
+func spanOf(spans []Span, id int) int {
+	i := sort.Search(len(spans), func(i int) bool { return spans[i].Hi > id })
+	if i < len(spans) && spans[i].Contains(id) {
+		return i
+	}
+	return -1
 }
 
 // LinkDownError reports one link whose reliable-delivery retry budget was
@@ -174,13 +187,9 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 	// One span over the local ids: a sleeping node stays live — the shard
 	// keeps reporting allHalted=false for it — but costs nothing until a
 	// timer or an arrival (local or remote) wakes it. Messages to remote
-	// nodes collect in the one outbox the transport ships.
+	// nodes collect in the remote slice the transport ships.
 	var stats Stats
-	x := &span{
-		fr:     newFrontier(idRange(sp.Lo, sp.Hi)),
-		stats:  &stats,
-		outbox: make([][]Message, 1),
-	}
+	x := &span{fr: newFrontier(idRange(sp.Lo, sp.Hi)), stats: &stats}
 	x.nodeSet = newNodeSet(g, nodes, sp.Lo, sp.Hi, n, cfg, &x.buf)
 	live := sp.Len()
 	end := func(rounds int, err error) (Stats, error) {
@@ -201,11 +210,11 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 		}
 		stats.LiveNodeRounds += int64(live)
 		live -= x.compute(round)
-		x.outbox[0] = x.outbox[0][:0]
+		x.remote = x.remote[:0]
 		if err := x.merge(round, x.fr.senders); err != nil {
 			return end(round+1, err)
 		}
-		if err := tr.Send(round, x.outbox[0]); err != nil {
+		if err := tr.Send(round, x.remote); err != nil {
 			return end(round+1, fmt.Errorf("congest: send round %d: %w", round, err))
 		}
 		in, err := tr.Gather(round, live == 0)
@@ -282,23 +291,6 @@ func NewChanNetwork(n int, spans []Span) (*ChanNetwork, error) {
 // Shard returns shard i's Transport endpoint.
 func (c *ChanNetwork) Shard(i int) Transport { return &chanEndpoint{net: c, shard: i} }
 
-// owner returns the shard owning node id.
-func (c *ChanNetwork) owner(id int) int {
-	lo, hi := 0, len(c.spans)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case id < c.spans[mid].Lo:
-			hi = mid
-		case id >= c.spans[mid].Hi:
-			lo = mid + 1
-		default:
-			return mid
-		}
-	}
-	return -1
-}
-
 type chanEndpoint struct {
 	net   *ChanNetwork
 	shard int
@@ -322,7 +314,7 @@ func (e *chanEndpoint) Send(round int, msgs []Message) error {
 		return fmt.Errorf("congest: shard %d sent for round %d, open round is %d", e.shard, round, c.open)
 	}
 	for _, m := range msgs {
-		dst := c.owner(m.To)
+		dst := spanOf(c.spans, m.To)
 		if dst < 0 {
 			return fmt.Errorf("congest: message to unowned node %d", m.To)
 		}

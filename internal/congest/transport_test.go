@@ -22,6 +22,26 @@ func TestSplitSpans(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Errorf("SplitSpans(%d,%d) = %v, want %v", c.n, c.k, got, c.want)
 		}
+		checkSpanOf(t, got, c.n)
+	}
+	// ChanNetwork accepts any contiguous tiling, empty spans included.
+	checkSpanOf(t, []Span{{0, 0}, {0, 3}, {3, 3}, {3, 5}, {5, 5}}, 5)
+}
+
+// checkSpanOf pins spanOf against a linear scan of the tiling of 0..n-1,
+// ids outside it included.
+func checkSpanOf(t *testing.T, spans []Span, n int) {
+	t.Helper()
+	for id := -1; id <= n; id++ {
+		want := -1
+		for i, s := range spans {
+			if s.Contains(id) {
+				want = i
+			}
+		}
+		if got := spanOf(spans, id); got != want {
+			t.Errorf("spanOf(%v, %d) = %d, want %d", spans, id, got, want)
+		}
 	}
 }
 

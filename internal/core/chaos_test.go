@@ -44,9 +44,9 @@ func TestChaosMatrix(t *testing.T) {
 		rel  int // reliable-delivery retry budget; 0 = shim off
 	}{
 		// Fault-free first: Faults{} skips the fault delivery layer, so
-		// this row is the one that drives the sharded per-destination
-		// merge end to end through the solver (the faulty rows merge on
-		// the caller goroutine, workers computing only).
+		// this row is the one that drives the sharded shard-local ingest
+		// end to end through the solver (the faulty rows merge on the
+		// caller goroutine, workers computing only).
 		{name: "fault_free", f: congest.Faults{}},
 		{name: "drop_light", f: congest.Faults{DropProb: 0.2}},
 		{name: "drop_heavy", f: congest.Faults{DropProb: 0.5}},

@@ -101,14 +101,14 @@ func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 // executor. The execution is identical to the sequential one.
 func WithParallel(parallel bool) Option { return func(o *options) { o.parallel = parallel } }
 
-// WithShards sets the number of topology shards the parallel runner
-// partitions the communication graph into (each shard is owned by one
-// persistent worker); 0 means GOMAXPROCS. It has no effect on a
+// WithShards sets the number of shards — contiguous node-id ranges — the
+// parallel runner splits the communication graph into (each shard is owned
+// by one persistent worker); 0 means GOMAXPROCS. It has no effect on a
 // sequential run.
 // Executions are byte-identical across shard counts — the solver's
 // delivery-order assumptions (inboxes sorted by sender id, fault draws in
-// global sender order) are preserved by the per-destination-shard merge —
-// so this is purely a performance knob.
+// global sender order) are preserved by the shard-local ingest — so this
+// is purely a performance knob.
 func WithShards(shards int) Option { return func(o *options) { o.shards = shards } }
 
 // WithBitLimit overrides the CONGEST message-size budget in bits
