@@ -104,11 +104,14 @@ func DeriveDistParams(inst *Instance, cfg DistConfig) (DistDerived, error) {
 var (
 	// WithSeed fixes all protocol randomness.
 	WithSeed = core.WithSeed
-	// WithParallel runs the simulator with parallel round execution.
+	// WithParallel runs the simulator with parallel round execution. A
+	// run with faults, reliable delivery or an observer takes the
+	// sequential runner instead, with an identical result.
 	WithParallel = core.WithParallel
 	// WithShards sets the shard count of the parallel runner, 0
 	// meaning GOMAXPROCS (byte-identical executions at every shard count; a
-	// pure perf knob).
+	// pure perf knob). It has no effect on a run with faults, reliable
+	// delivery or an observer, which takes the sequential runner.
 	WithShards = core.WithShards
 	// WithDenseEngine selects the reference O(n)-per-round scheduler
 	// instead of the default active-frontier scheduler. Byte-identical
@@ -171,8 +174,8 @@ type (
 	Fragment = core.Fragment
 	// LinkDownError reports a link whose delivery retry budget was
 	// exhausted: which peer, which round, how many attempts were made. The
-	// reliable-delivery shim and the UDP backend both surface it (see the
-	// congest package's Config.OnLinkDown).
+	// UDP backend returns it; the in-process reliable-delivery shim counts
+	// the same event in the report's Net.LinkDowns.
 	LinkDownError = congest.LinkDownError
 )
 

@@ -8,7 +8,8 @@
 // contiguous ranges, one persistent worker per shard, each shard ingesting
 // the round's staged records addressed to it) — and both produce
 // byte-identical executions for the same configuration and any shard
-// count, which the test suite verifies. Message and bit counts,
+// count, which the test suite verifies; a run with faults or an observer
+// takes the sequential runner. Message and bit counts,
 // per-message size limits, and halt detection are built in.
 package congest
 

@@ -26,10 +26,10 @@ func (r Reliable) enabled() bool { return r.RetryBudget > 0 }
 // delivery is the fault-aware message path. The plain engine merge hands
 // each message straight to span.deliver (sharded across workers in the
 // parallel runner); this layer replaces it whenever faults, the reliable
-// shim, or an observer are configured, running entirely on the caller
-// goroutine during the deterministic merge — the sharded runner's workers
-// then run only the compute walk — so the parallel runner stays
-// byte-identical to the sequential one (invariant I5). Every
+// shim, or an observer are configured, running in the sequential
+// runner's deterministic merge — Run never starts the shard pool for such
+// a run — so a parallel request stays byte-identical to the sequential
+// run (invariant I5). Every
 // protocol-visible delivery — staged, delayed, retransmitted, forged —
 // funnels through commit into the merging span's deliver, which keeps the
 // frontier's recipient list complete.
@@ -70,9 +70,6 @@ type delivery struct {
 	// delayed holds messages and frames in flight past their send round.
 	delayed []delayedMsg
 	shim    *reliShim
-	// onLinkDown receives the typed per-link report when the shim abandons
-	// a frame with its retry budget exhausted (Config.OnLinkDown).
-	onLinkDown func(LinkDownError)
 }
 
 // delayedMsg is one in-flight unit: either a plain message (payload owned
@@ -98,7 +95,6 @@ func newDelivery(cfg *Config, g *Graph, rng *rand.Rand, x *span, crashed []bool)
 		stats:       x.stats,
 		observe:     cfg.Observer != nil,
 		checkFrames: faults.CorruptProb > 0 || len(faults.ByzantineFromRound) > 0,
-		onLinkDown:  cfg.OnLinkDown,
 	}
 	if len(faults.ByzantineFromRound) > 0 {
 		d.byzFrom = make([]int, n)
@@ -449,11 +445,8 @@ func (s *reliShim) processAcks(d *delivery, round int) {
 // retransmitDue retries the unacknowledged frames whose backoff expires
 // this round and compacts settled frames out of the pending queue. A
 // crashed sender's queue is wiped — its un-acked frames die with it — and
-// a frame whose budget is spent is abandoned with a typed per-link report:
-// Stats.LinkDowns counts the event and Config.OnLinkDown (when installed)
-// receives the LinkDownError naming the peer, the round of the
-// declaration, and the wire attempts spent. Reports fire in pending-queue
-// order (frame creation order), which is deterministic under every runner.
+// a frame whose budget is spent is abandoned and counted in
+// Stats.LinkDowns.
 func (s *reliShim) retransmitDue(d *delivery, round int) {
 	if len(s.pending) == 0 {
 		return
@@ -469,9 +462,6 @@ func (s *reliShim) retransmitDue(d *delivery, round int) {
 		}
 		if f.attempts >= 1+s.budget {
 			d.stats.LinkDowns++
-			if d.onLinkDown != nil {
-				d.onLinkDown(LinkDownError{From: f.from, To: f.to, Round: round, Attempts: f.attempts})
-			}
 			continue
 		}
 		f.attempts++

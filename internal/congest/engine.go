@@ -23,7 +23,8 @@ type Config struct {
 	// contiguous ranges of SplitSpans, each owned by one persistent worker
 	// goroutine started once per Run and reused every round.
 	// Execution is byte-identical to the sequential runner for every shard
-	// count (invariant I5).
+	// count (invariant I5), so a run that needs the fault pipeline — Faults,
+	// Reliable or an Observer — takes the sequential runner instead.
 	Parallel bool
 	// Shards is the parallel runner's shard count, one worker goroutine per
 	// shard; 0 means GOMAXPROCS.
@@ -54,12 +55,6 @@ type Config struct {
 	// Reliable layers the per-link ack/retransmit shim under every
 	// Send/Broadcast; the zero value sends unprotected.
 	Reliable Reliable
-	// OnLinkDown, when non-nil, receives a typed report every time the
-	// reliable shim abandons a frame because its retry budget is exhausted:
-	// which peer, at which round, after how many attempts. The calls happen
-	// on the caller goroutine during the deterministic merge, in a
-	// deterministic order. Stats.LinkDowns counts the same events.
-	OnLinkDown func(LinkDownError)
 }
 
 // DefaultMaxRounds is the round budget when Config.MaxRounds is zero.
@@ -94,7 +89,7 @@ type Stats struct {
 	Corrupted int64 // wire transmissions mutated by corruption faults
 	Forged    int64 // byzantine rewrites and injections put on the wire
 	Rejected  int64 // frames discarded as malformed, by the shim's link-layer framing check or by fail-closed protocol decoders (Env.Reject)
-	LinkDowns int64 // reliable-shim frames abandoned with the retry budget exhausted (see Config.OnLinkDown for the typed per-link reports)
+	LinkDowns int64 // reliable-shim frames abandoned with the retry budget exhausted
 	// Activity accounting of the frontier scheduler; the dense reference
 	// mode tracks the same quantities, so I5 comparisons cover them.
 	LiveNodeRounds int64 // sum over executed rounds of the not-yet-halted node count
@@ -126,9 +121,8 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	g.Finalize()
 	n := len(nodes)
 	var stats Stats
-	// x is the caller-side span over every node: it runs the whole round in
-	// a sequential run and the merge of a parallel run whose delivery must
-	// stay on this goroutine.
+	// x is the span over every node: it runs every round of a sequential
+	// run; a parallel run's shard spans share its node state.
 	x := &span{stats: &stats}
 	x.nodeSet = newNodeSet(g, nodes, 0, n, n, cfg, &x.buf)
 
@@ -149,30 +143,20 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 		x.del = newDelivery(&cfg, g, faultRng, x, crashed)
 	}
 
-	// Fault delivery and observers need the merge on the caller goroutine
-	// (fault-stream draws and the observed order are defined in global
-	// sender order); honest unobserved parallel runs take the
-	// contention-free shard-local ingest.
+	// The fault pipeline's draws and the observed order are defined in
+	// global sender order, so a run that takes it stays sequential, which
+	// I5 makes byte-identical; the pool serves the rest.
 	var pool *shardPool
 	switch {
-	case cfg.Parallel && n > 0:
+	case cfg.Parallel && x.del == nil && n > 0:
 		shards := cfg.Shards
 		if shards <= 0 {
 			shards = runtime.GOMAXPROCS(0)
 		}
-		pool = newShardPool(x.nodeSet, shards, x.del != nil)
+		pool = newShardPool(x.nodeSet, shards)
 		defer pool.stop()
-		x.fr = pool.callerFrontier()
 	case !cfg.Dense:
 		x.fr = newFrontier(idRange(0, n))
-	}
-	// frontierOf names the frontier that schedules node id: nil on the
-	// dense reference, which keeps no lists.
-	frontierOf := func(id int) *frontier {
-		if pool != nil {
-			return pool.frontierOf(id)
-		}
-		return x.fr
 	}
 
 	// The crash/recovery schedules are maps; compile them once into fire
@@ -193,9 +177,6 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 		stats.FinalLive = live
 		return stats, err
 	}
-	// senders is the reused sender-list buffer of a parallel run's
-	// caller-side merges.
-	var senders []int32
 
 	for round := 0; ; round++ {
 		if round >= maxRounds {
@@ -213,8 +194,8 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 			crashed[id] = true
 			stats.Crashed++
 			live--
-			if fr := frontierOf(id); fr != nil {
-				fr.dropCrashed(int32(id))
+			if x.fr != nil {
+				x.fr.dropCrashed(int32(id))
 			}
 			if x.del.shim != nil {
 				x.del.shim.onCrash(id)
@@ -233,8 +214,8 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 			x.halted[id] = false
 			stats.Recovered++
 			live++
-			if fr := frontierOf(id); fr != nil {
-				fr.revive(int32(id))
+			if x.fr != nil {
+				x.fr.revive(int32(id))
 			}
 			nodes[id].(Recoverable).Recover()
 		}
@@ -250,20 +231,12 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 		var ids []int32
 		switch {
 		case pool != nil:
-			// Sleepers the caller-side merge delivered to wake in the
-			// frontiers of their shards.
-			x.fr.admitWoken(round)
-			halts, merged := pool.runRound(round)
+			halts, err := pool.runRound(round, &stats)
 			live -= halts
-			if merged {
-				pool.collect(&stats)
-				continue
+			if err != nil {
+				return end(round+1, err)
 			}
-			// A serial-merge run, or a round with a send violation: merge
-			// on this goroutine, which reproduces the sequential runner
-			// byte for byte (including the abort's partial accounting).
-			senders = pool.mergedSenders(senders[:0])
-			ids = senders
+			continue
 		case cfg.Dense:
 			live -= x.computeDense(round)
 		default:
@@ -342,7 +315,8 @@ func (ns *nodeSet) owns(id int) bool { return uint(id-ns.lo) < uint(len(ns.envs)
 // RunShard is one span whose drain hands remote traffic to a Transport.
 type span struct {
 	nodeSet
-	// fr schedules the span's nodes; nil only on the dense reference.
+	// fr schedules the span's nodes; nil on the dense reference and on
+	// Run's span of a parallel run, whose shard spans schedule them.
 	fr    *frontier
 	stats *Stats
 	// del, when set, is the fault pipeline every drained message takes.
@@ -457,10 +431,8 @@ func (x *span) merge(round int, senders []int32) error {
 // drain processes one node's staged output for the round: it accounts the
 // output and routes every message, broadcast records expanded, to the
 // fault pipeline, in place to an owned recipient, or to remote. The
-// env and its records are left as they are — beginRound resets them when
-// the node next runs — so a parallel round whose accounting meets a send
-// violation can be merged again from the same state on the caller
-// goroutine.
+// env and its records are left as they are; beginRound resets them when
+// the node next runs.
 func (x *span) drain(round int, env *Env) error {
 	if err := x.stats.account(env); err != nil {
 		return err

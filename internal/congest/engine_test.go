@@ -168,6 +168,8 @@ func (e *errNode) Init(env *Env) { e.env = env }
 
 func (e *errNode) Round(r int, inbox []Message) bool {
 	switch e.mode {
+	case "broadcast":
+		e.env.Broadcast([]byte{1})
 	case "nonNeighbor":
 		e.env.Send(2, []byte{1}) // node 0 is not adjacent to 2
 	case "tooBig":

@@ -9,9 +9,9 @@ import (
 // Fault randomness is drawn from its own stream (derived from Config.Seed),
 // so a faulty run with all probabilities zero is byte-identical to a
 // fault-free run, and the same configuration always yields the same fault
-// schedule in the sequential runner and the sharded parallel runner at
-// every shard count (invariant I5: fault draws happen on the caller
-// goroutine in global sender order, never inside shard workers).
+// schedule whether or not Parallel is set, at every shard count
+// (invariant I5: fault draws happen in the sequential runner's merge in
+// global sender order, and Run never shards a run with faults).
 //
 // Two families of faults are supported. Probabilistic faults (DropProb,
 // DupProb, DelayProb) hit each transmitted message independently.

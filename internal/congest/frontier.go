@@ -7,9 +7,7 @@ import "slices"
 // steady-state per-round cost is O(active + delivered) instead of O(n).
 // Every span of an execution owns one frontier over its nodes, including
 // the sleep state of those nodes, so a shard worker's frontier writes touch
-// nothing another worker reads. A parallel run whose merge stays on the
-// caller goroutine adds a caller-side frontier that owns only the recipient
-// list and hands each wake to the frontier of the node's shard.
+// nothing another worker reads.
 //
 // A node is in exactly one place at a time: the sorted active list (it
 // runs every round), or parked with its asleep flag set (a SleepUntil
@@ -52,10 +50,6 @@ type frontier struct {
 	// next round's admitWoken wakes those that sleep, and its merge clears
 	// exactly those inboxes instead of ranging over all n.
 	recips []int32
-	// onWake, when set, takes every wake of the caller-side frontier of a
-	// serial-merge pool, which schedules no node itself, to the frontier of
-	// the node's shard. nil on every frontier that schedules nodes.
-	onWake func(id int32)
 }
 
 // newFrontier returns a frontier scheduling the ascending ids active, with
@@ -75,10 +69,6 @@ func newFrontier(active []int32) *frontier {
 // round — is left untouched, which is what makes stale timer entries and
 // repeated deliveries harmless.
 func (f *frontier) wake(id int32) {
-	if f.onWake != nil {
-		f.onWake(id)
-		return
-	}
 	if i := int(id) - f.lo; f.asleep[i] {
 		f.asleep[i] = false
 		f.woken = append(f.woken, id)

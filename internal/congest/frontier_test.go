@@ -59,9 +59,9 @@ func (d *drowsyNode) Round(r int, inbox []Message) bool {
 }
 
 // drowsySchedules is the dormancy acceptance grid: fault-free (pure
-// timer/delivery wakes), crash plus recovery (frontier eviction and
-// revival), and corrupt+byzantine (serial-merge delivery with adversarial
-// wakes at arbitrary rounds).
+// timer/delivery wakes, the only schedule a parallel run shards), crash
+// plus recovery (frontier eviction and revival), and corrupt+byzantine
+// (fault-pipeline delivery with adversarial wakes at arbitrary rounds).
 func drowsySchedules() []struct {
 	name string
 	f    Faults

@@ -38,7 +38,7 @@ func runStress(t *testing.T, parallel bool, workers int) (Stats, [][]string) {
 	recs := make([]*recNode, n)
 	for i := range nodes {
 		// Staggered halts cluster the live nodes at the high ids late in
-		// the run — an imbalance the static shards must stay correct under.
+		// the run.
 		recs[i] = &recNode{stopAt: 3 + i/2}
 		nodes[i] = recs[i]
 	}
@@ -62,10 +62,12 @@ func runStress(t *testing.T, parallel bool, workers int) (Stats, [][]string) {
 	return stats, logs
 }
 
-// TestPoolStressEquivalence is the I5 invariant under stress: the pooled
-// parallel runner must be byte-identical to the sequential runner for every
-// worker count, with drops and crashes injected and halted nodes clustering
-// over time.
+// TestPoolStressEquivalence is the I5 invariant under stress: a Parallel
+// run must be byte-identical to the sequential runner for every worker
+// count, with drops and crashes injected and halted nodes clustering over
+// time. Faults take the sequential runner, so this pins that fallback's
+// contract; TestShardedDeterminismMatrix's fault-free row stresses the
+// pool itself.
 func TestPoolStressEquivalence(t *testing.T) {
 	seqStats, seqLogs := runStress(t, false, 0)
 	if seqStats.Dropped == 0 || seqStats.Crashed != 3 {

@@ -25,24 +25,22 @@ import (
 // and maxes of per-message quantities, so folding shard-local counters at
 // round end is order-independent.
 //
-// Fault schedules, the reliable shim, and observers need the fault-stream
-// draws (and the observer's view) to happen in global sender order, so
-// those runs keep the caller-side merge: workers run only the compute walk
-// and the engine drains the merged sender list, exactly as the sequential
-// runner would. So does a round in which a node committed a send
-// violation: ingest leaves every env intact, so the caller's merge
-// reproduces the sequential runner's abort and its partial accounting.
+// Only runs without the fault pipeline get a pool: Run hands a run with
+// faults, the reliable shim, or an observer to the sequential runner,
+// whose output is the same by I5. A round in which a node committed a
+// send violation is still delivered, but the run ends with it, so the
+// deliveries are never read: runRound folds the shard counters in shard
+// order up to the first shard that failed, whose worker stopped
+// accounting at the offender, which is the sequential drain's partial
+// accounting exactly.
 type shardPool struct {
 	spans  []*span // one per shard, spans[s] running the ids of ranges[s]
 	ranges []Span  // SplitSpans' contiguous id ranges, ascending
-	// serialMerge marks runs whose merge must stay on the caller goroutine
-	// (fault delivery or an observer is installed).
-	serialMerge bool
-	// Per-shard results of the compute phase, each written only by its
-	// shard's worker: how many members halted, and whether a member
-	// recorded a send violation.
-	halts  []int
-	failed []bool
+	// Per-shard results of a round, each written only by its shard's
+	// worker: how many members halted, and the first send violation its
+	// accounting met.
+	halts []int
+	errs  []error
 
 	round int
 	// start carries each worker its round tokens: one channel per worker,
@@ -54,16 +52,15 @@ type shardPool struct {
 
 // newShardPool splits the ids into contiguous shards and starts one worker
 // per shard over the execution's shared node state.
-func newShardPool(ns nodeSet, shards int, serialMerge bool) *shardPool {
+func newShardPool(ns nodeSet, shards int) *shardPool {
 	ranges := SplitSpans(len(ns.nodes), shards)
 	k := len(ranges)
 	p := &shardPool{
-		spans:       make([]*span, k),
-		ranges:      ranges,
-		serialMerge: serialMerge,
-		halts:       make([]int, k),
-		failed:      make([]bool, k),
-		start:       make([]chan struct{}, k),
+		spans:  make([]*span, k),
+		ranges: ranges,
+		halts:  make([]int, k),
+		errs:   make([]error, k),
+		start:  make([]chan struct{}, k),
 	}
 	for s, r := range ranges {
 		x := &span{nodeSet: ns, fr: newFrontier(idRange(r.Lo, r.Hi)), stats: &Stats{}}
@@ -79,41 +76,15 @@ func newShardPool(ns nodeSet, shards int, serialMerge bool) *shardPool {
 	return p
 }
 
-// frontierOf returns the frontier of the shard that runs node id.
-func (p *shardPool) frontierOf(id int) *frontier {
-	return p.spans[spanOf(p.ranges, id)].fr
-}
-
-// callerFrontier returns the merge-side frontier for runs whose delivery
-// happens on the caller goroutine: it owns the recipient list driving the
-// next round's inbox clears and hands each wake to the frontier of the
-// node's shard.
-func (p *shardPool) callerFrontier() *frontier {
-	return &frontier{onWake: func(id int32) { p.frontierOf(int(id)).wake(id) }}
-}
-
-// mergedSenders collects the round's sender lists of every shard into one
-// ascending id list for the caller-side merge: the shards are ascending
-// disjoint id ranges, so concatenating them in shard order is enough.
-func (p *shardPool) mergedSenders(buf []int32) []int32 {
-	for _, s := range p.spans {
-		buf = append(buf, s.fr.senders...)
-	}
-	return buf
-}
-
 // runRound executes one round across the shards, blocks until it is
-// complete, and returns how many nodes halted. merged reports that the
-// round was fully merged shard-locally (the caller only folds counters via
-// collect); it is false when the caller must run the merge itself — every
-// round of a serialMerge pool, or a round in which some node committed a
-// send violation (ingest left every env intact, so the caller's merge
-// reproduces the sequential abort exactly).
-func (p *shardPool) runRound(round int) (halts int, merged bool) {
+// complete, and folds the shard-local counters into st in shard order.
+// It returns how many nodes halted and the round's first send violation,
+// if any, after which the fold stops: shards are ascending id ranges, so
+// that is exactly the sequential drain's partial accounting. Sums and
+// maxes commute, so the fold order cannot otherwise leak into st.
+func (p *shardPool) runRound(round int, st *Stats) (halts int, err error) {
 	p.round = round
-	if !p.serialMerge {
-		p.staged.Add(len(p.spans))
-	}
+	p.staged.Add(len(p.spans))
 	p.wg.Add(len(p.spans))
 	for _, c := range p.start {
 		c <- struct{}{}
@@ -122,23 +93,20 @@ func (p *shardPool) runRound(round int) (halts int, merged bool) {
 	for _, h := range p.halts {
 		halts += h
 	}
-	return halts, !p.serialMerge && !slices.Contains(p.failed, true)
-}
-
-// collect folds the shard-local counters of one shard-merged round into
-// the run's Stats. Sums and maxes commute, so the fold order cannot leak
-// into the result.
-func (p *shardPool) collect(st *Stats) {
-	for _, s := range p.spans {
-		st.Messages += s.stats.Messages
-		st.Bits += s.stats.Bits
-		if s.stats.MaxMessageBits > st.MaxMessageBits {
-			st.MaxMessageBits = s.stats.MaxMessageBits
+	for s, x := range p.spans {
+		st.Messages += x.stats.Messages
+		st.Bits += x.stats.Bits
+		if x.stats.MaxMessageBits > st.MaxMessageBits {
+			st.MaxMessageBits = x.stats.MaxMessageBits
 		}
-		st.Rejected += s.stats.Rejected
-		st.Senders += s.stats.Senders
-		*s.stats = Stats{}
+		st.Rejected += x.stats.Rejected
+		st.Senders += x.stats.Senders
+		*x.stats = Stats{}
+		if p.errs[s] != nil {
+			return halts, p.errs[s]
+		}
 	}
+	return halts, nil
 }
 
 // stop terminates the worker goroutines. The pool must be idle (no round
@@ -158,30 +126,26 @@ func (p *shardPool) worker(w int) {
 	s := p.spans[w]
 	for range p.start[w] { // one token per round; exits when stop closes the channel
 		p.halts[w] = s.compute(p.round)
-		if !p.serialMerge {
-			p.failed[w] = !p.account(s)
-			// The round's one barrier: publishes every shard's staged
-			// records (and failed flag) before any shard starts ingesting.
-			p.staged.Done()
-			p.staged.Wait()
-			if !slices.Contains(p.failed, true) {
-				p.ingest(w)
-			}
-		}
+		p.errs[w] = p.account(s)
+		// The round's one barrier: publishes every shard's staged records
+		// before any shard starts ingesting.
+		p.staged.Done()
+		p.staged.Wait()
+		p.ingest(w)
 		p.wg.Done()
 	}
 }
 
 // account is the worker side of the drain: it accounts each of the
-// shard's senders, in ascending id order. It reports false when a sender
-// recorded a send violation, which leaves the round to the caller's merge.
-func (p *shardPool) account(s *span) bool {
+// shard's senders, in ascending id order, and stops at the first that
+// recorded a send violation, returning it.
+func (p *shardPool) account(s *span) error {
 	for _, id := range s.fr.senders {
-		if s.stats.account(s.env(id)) != nil {
-			return false
+		if err := s.stats.account(s.env(id)); err != nil {
+			return err
 		}
 	}
-	return true
+	return nil
 }
 
 // ingest is shard w's half of the deterministic merge: it reads the staged

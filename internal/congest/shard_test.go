@@ -3,10 +3,10 @@ package congest
 import "testing"
 
 // shardMatrixSchedules is the I5 acceptance grid: fault-free (the
-// shard-local ingest), drop+crash (fault delivery on the caller
-// goroutine), and corrupt+byzantine (adversarial draws on the fault
-// stream). Each must be byte-identical across the shard counts of
-// shardMatrixCounts and against the sequential runner.
+// shard-local ingest), drop+crash (fault delivery, which a parallel run
+// hands to the sequential runner), and corrupt+byzantine (adversarial
+// draws on the fault stream). Each must be byte-identical across the shard
+// counts of shardMatrixCounts and against the sequential runner.
 func shardMatrixSchedules() []struct {
 	name string
 	f    Faults
@@ -102,12 +102,18 @@ func TestShardedDeterminismMatrix(t *testing.T) {
 // TestShardedSendViolationMatchesSequential pins the abort path: when a
 // node breaks the CONGEST send contract mid-run, the sharded runner must
 // report the same error and the same partially-accounted Stats as the
-// sequential runner (the workers leave env.out intact and the engine
-// falls back to the sequential merge walk).
+// sequential runner, whose drain counts exactly the senders below the
+// offender. The offender sits in a middle shard with broadcasting senders
+// on both sides, so a fold that stopped early or ran past the offender's
+// shard would show in the partial counters.
 func TestShardedSendViolationMatchesSequential(t *testing.T) {
 	run := func(parallel bool, shards int) (Stats, string) {
-		g := mustGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-		nodes := []Node{&errNode{}, &errNode{}, &errNode{}, &errNode{mode: "double"}}
+		g := mustGraph(t, 6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
+		nodes := make([]Node, g.N())
+		for i := range nodes {
+			nodes[i] = &errNode{mode: "broadcast"}
+		}
+		nodes[2] = &errNode{mode: "double"}
 		stats, err := Run(g, nodes, Config{BitLimit: 16, Parallel: parallel, Shards: shards})
 		if err == nil {
 			t.Fatal("want send violation")
@@ -115,7 +121,10 @@ func TestShardedSendViolationMatchesSequential(t *testing.T) {
 		return stats, err.Error()
 	}
 	seqStats, seqErr := run(false, 0)
-	for _, shards := range []int{1, 2, 4} {
+	if seqStats.Messages == 0 {
+		t.Fatalf("no partial accounting before the offender: %+v", seqStats)
+	}
+	for _, shards := range []int{1, 2, 3, 6} {
 		parStats, parErr := run(true, shards)
 		if parErr != seqErr {
 			t.Fatalf("shards=%d error %q, want %q", shards, parErr, seqErr)

@@ -72,13 +72,11 @@ func spanOf(spans []Span, id int) int {
 
 // LinkDownError reports one link whose reliable-delivery retry budget was
 // exhausted: the frame's sender gave up on the peer after the recorded
-// number of wire attempts. The simulator's shim surfaces it through
-// Config.OnLinkDown when a frame is abandoned; the UDP backend returns the
-// same type when a datagram link is declared down, so callers handle both
-// worlds with one errors.As target.
+// number of wire attempts. The UDP backend returns it when a datagram link
+// is declared down; the simulator's reliable shim counts the same event in
+// Stats.LinkDowns.
 type LinkDownError struct {
-	// From and To identify the directed link. Under the in-proc shim they
-	// are node ids; under a process transport they are shard ids.
+	// From and To identify the directed link by shard id.
 	From, To int
 	// Round is the protocol round at which the link was declared down.
 	Round int

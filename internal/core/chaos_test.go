@@ -45,8 +45,8 @@ func TestChaosMatrix(t *testing.T) {
 	}{
 		// Fault-free first: Faults{} skips the fault delivery layer, so
 		// this row is the one that drives the sharded shard-local ingest
-		// end to end through the solver (the faulty rows merge on the
-		// caller goroutine, workers computing only).
+		// end to end through the solver (a faulty row with WithParallel
+		// takes the sequential runner, which must match it exactly).
 		{name: "fault_free", f: congest.Faults{}},
 		{name: "drop_light", f: congest.Faults{DropProb: 0.2}},
 		{name: "drop_heavy", f: congest.Faults{DropProb: 0.5}},

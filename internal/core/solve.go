@@ -98,17 +98,20 @@ type Option func(*options)
 func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 
 // WithParallel runs the simulator with its persistent worker-pool round
-// executor. The execution is identical to the sequential one.
+// executor. The execution is identical to the sequential one, so a run
+// with faults, the reliable-delivery shim or an observer, which needs the
+// simulator's sequential fault pipeline, takes the sequential runner.
 func WithParallel(parallel bool) Option { return func(o *options) { o.parallel = parallel } }
 
 // WithShards sets the number of shards — contiguous node-id ranges — the
 // parallel runner splits the communication graph into (each shard is owned
 // by one persistent worker); 0 means GOMAXPROCS. It has no effect on a
 // sequential run.
-// Executions are byte-identical across shard counts — the solver's
-// delivery-order assumptions (inboxes sorted by sender id, fault draws in
-// global sender order) are preserved by the shard-local ingest — so this
-// is purely a performance knob.
+// Executions are byte-identical across shard counts — the shard-local
+// ingest preserves the solver's delivery-order assumption (inboxes sorted
+// by sender id) — so this is purely a performance knob. A run with faults,
+// the reliable-delivery shim or an observer takes the sequential runner,
+// where it has no effect either.
 func WithShards(shards int) Option { return func(o *options) { o.shards = shards } }
 
 // WithBitLimit overrides the CONGEST message-size budget in bits

@@ -7,8 +7,9 @@ import "time"
 // retransmitted when its deadline lapses unacknowledged; attempt a (0-based
 // over transmissions already made) waits Base<<a, capped at Cap. After
 // Budget retransmissions — Budget+1 transmissions total — the link is
-// declared down and the frame abandoned, surfacing the same typed
-// congest.LinkDownError as the simulator's shim.
+// declared down and the frame abandoned, surfacing a typed
+// congest.LinkDownError (the simulator's shim counts the same event in
+// congest.Stats.LinkDowns).
 type Policy struct {
 	Base   time.Duration // first retransmit deadline; doubles per attempt
 	Cap    time.Duration // upper bound on any single wait
