@@ -60,9 +60,8 @@ bench-engine:
 # count; -procs 4 fixes the rows to seq, 1, 2 and 4 shards on every
 # machine. Since the parallel runner ingests staged records in place over
 # contiguous shards, the highest row is the 4-shard one at n=256, ~9.9
-# allocs/round (seq 3.1, 2 shards 6.2; they were 18.6, 3.4 and 11.1 with
-# the greedy partition and per-destination outboxes), and the 12 bound is
-# that plus ~17% headroom, rounded up. E16's T15 rows measure the steady
+# allocs/round (seq 3.1, 2 shards 6.2), and the 12 bound is that plus
+# ~17% headroom, rounded up. E16's T15 rows measure the steady
 # state at n=10^5 by differencing two runs on the same frozen graph; that
 # differential is 0 (a run-to-run jitter of a few allocations shows on
 # the sharded rows), so any reintroduced per-round allocation at scale

@@ -9,7 +9,9 @@ import (
 // fixed number of rounds, ignoring whatever arrives. Its traffic is a pure
 // function of the round number, which makes it the measuring stick for the
 // accounting contract: adversarial interference (corruption, forgery,
-// rejection) must never leak into the protocol's own Messages/Bits.
+// rejection) must never leak into the protocol's own Messages/Bits. The
+// payload borrows the engine's one registered kind, LINK-ACK, so an intact
+// frame passes the link-layer framing check like any protocol's.
 type chatterNode struct {
 	env    *Env
 	rounds int
@@ -21,7 +23,7 @@ func (c *chatterNode) Round(r int, inbox []Message) bool {
 	if r >= c.rounds {
 		return true
 	}
-	c.env.Broadcast([]byte{'T', byte(r)})
+	c.env.Broadcast([]byte{kindAck, byte(r)})
 	return false
 }
 
@@ -119,7 +121,7 @@ func TestReliableShimRejectsCorruptFrames(t *testing.T) {
 	run := func(f Faults) Stats {
 		nodes := make([]Node, 4)
 		for i := range nodes {
-			nodes[i] = &floodNode{value: int64(10 - i), rounds: 8}
+			nodes[i] = &chatterNode{rounds: 8}
 		}
 		stats, err := Run(g, nodes, Config{
 			Seed: 11, MaxRounds: 60, Faults: f, Reliable: Reliable{RetryBudget: 4},
@@ -137,7 +139,10 @@ func TestReliableShimRejectsCorruptFrames(t *testing.T) {
 	if corrupt.Retransmits == 0 {
 		t.Fatal("rejected frames were never retransmitted")
 	}
-	_ = honest
+	if corrupt.Messages != honest.Messages || corrupt.Bits != honest.Bits || corrupt.Acks != honest.Acks {
+		t.Fatalf("corruption leaked into protocol accounting: %d/%d msgs, %d/%d bits, %d/%d acks",
+			corrupt.Messages, honest.Messages, corrupt.Bits, honest.Bits, corrupt.Acks, honest.Acks)
+	}
 }
 
 // TestForgerHookAndClipping pins the Forger contract: the hook sees the

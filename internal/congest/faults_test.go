@@ -221,3 +221,117 @@ func TestCrashScheduleEdgeCases(t *testing.T) {
 		t.Fatalf("Crashed = %d, want 0 (node 1 halted on its own before its crash round)", stats.Crashed)
 	}
 }
+
+func TestFaultsDropMessages(t *testing.T) {
+	g := mustGraph(t, 2, [][2]int{{0, 1}})
+	run := func(drop float64) (Stats, error) {
+		nodes := []Node{&recNode{stopAt: 10}, &recNode{stopAt: 10}}
+		return Run(g, nodes, Config{Seed: 3, Faults: Faults{DropProb: drop}})
+	}
+	clean, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.Dropped != 0 {
+		t.Fatalf("clean run dropped %d", clean.Dropped)
+	}
+	faulty, err := run(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if faulty.Dropped == 0 {
+		t.Fatal("no drops at p=0.5")
+	}
+	if faulty.Messages != clean.Messages {
+		t.Fatalf("sends should be unaffected by drops: %d vs %d", faulty.Messages, clean.Messages)
+	}
+	all, err := run(1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.Dropped != all.Messages {
+		t.Fatalf("p=1 should drop everything: %d of %d", all.Dropped, all.Messages)
+	}
+}
+
+func TestFaultsDropUntilRound(t *testing.T) {
+	g := mustGraph(t, 2, [][2]int{{0, 1}})
+	recv := &sinkNode{stopAt: 10}
+	// Sender emits one message per round for 6 rounds; drops apply only to
+	// rounds < 3 at p=1, so exactly the later messages arrive.
+	sender := &everyRoundSender{rounds: 6}
+	_, err := Run(g, []Node{sender, recv}, Config{
+		Seed:   1,
+		Faults: Faults{DropProb: 1.0, DropUntilRound: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recv.got != 3 {
+		t.Fatalf("receiver got %d messages, want 3 (rounds 3,4,5)", recv.got)
+	}
+}
+
+type everyRoundSender struct {
+	env    *Env
+	rounds int
+}
+
+func (s *everyRoundSender) Init(env *Env) { s.env = env }
+func (s *everyRoundSender) Round(r int, inbox []Message) bool {
+	if r >= s.rounds {
+		return true
+	}
+	s.env.Send(1, []byte{byte(r)})
+	return false
+}
+
+// sinkNode counts received messages until stopAt.
+type sinkNode struct {
+	stopAt int
+	got    int
+}
+
+func (s *sinkNode) Init(*Env) {}
+func (s *sinkNode) Round(r int, inbox []Message) bool {
+	s.got += len(inbox)
+	return r >= s.stopAt
+}
+
+func TestFaultsCrash(t *testing.T) {
+	g := mustGraph(t, 3, [][2]int{{0, 1}, {1, 2}})
+	nodes := []Node{&everyRoundSender{rounds: 6}, &sinkNode{stopAt: 10}, &everyRoundSender{rounds: 6}}
+	// Node 2 would send to... its only neighbour is 1; it crashes at round 2.
+	stats, err := Run(g, nodes, Config{
+		Seed:   1,
+		Faults: Faults{CrashAtRound: map[int]int{2: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Crashed != 1 {
+		t.Fatalf("Crashed = %d", stats.Crashed)
+	}
+	// Crashed node sent only in rounds 0 and 1; node 0 sent 6 times.
+	if stats.Messages != 6+2 {
+		t.Fatalf("Messages = %d, want 8", stats.Messages)
+	}
+}
+
+func TestFaultsZeroValueIsIdentical(t *testing.T) {
+	g := mustGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
+	run := func(f Faults) Stats {
+		nodes := make([]Node, 4)
+		for i := range nodes {
+			nodes[i] = &recNode{stopAt: 6}
+		}
+		st, err := Run(g, nodes, Config{Seed: 9, Faults: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if a, b := run(Faults{}), run(Faults{DropProb: 0}); a != b {
+		t.Fatalf("zero faults changed the run: %+v vs %+v", a, b)
+	}
+}

@@ -18,8 +18,8 @@ func FuzzValidatePayload(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{kindAck})
-	f.Add([]byte{floodValue, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{stLeader, 0x01, 0x02})
+	f.Add([]byte{kindAck, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{kindAck, 0x01, 0x02})
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		spec, err := ValidatePayload(p)
@@ -41,11 +41,11 @@ func FuzzValidatePayload(f *testing.F) {
 // frame that decodes to the same value.
 func FuzzDecodeKindVarint(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{floodValue})
-	f.Add(EncodeKindVarint(nil, floodValue, 0))
-	f.Add(EncodeKindVarint(nil, floodValue, -1))
-	f.Add(EncodeKindVarint(nil, stSum, 1<<40))
-	f.Add([]byte{floodValue, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	f.Add([]byte{kindAck})
+	f.Add(EncodeKindVarint(nil, kindAck, 0))
+	f.Add(EncodeKindVarint(nil, kindAck, -1))
+	f.Add(EncodeKindVarint(nil, kindAck, 1<<40))
+	f.Add([]byte{kindAck, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 	f.Fuzz(func(t *testing.T, p []byte) {
 		kind, v, ok := DecodeKindVarint(p)
 		if !ok {
@@ -63,9 +63,9 @@ func FuzzDecodeKindVarint(f *testing.F) {
 // framing.
 func FuzzDecodeKindUvarint(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{stTotal})
-	f.Add(EncodeKindUvarint(nil, stTotal, 0))
-	f.Add(EncodeKindUvarint(nil, stTotal, 1<<60))
+	f.Add([]byte{kindAck})
+	f.Add(EncodeKindUvarint(nil, kindAck, 0))
+	f.Add(EncodeKindUvarint(nil, kindAck, 1<<60))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		kind, v, ok := DecodeKindUvarint(p)
 		if !ok {

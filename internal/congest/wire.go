@@ -137,13 +137,6 @@ func DecodeKindUvarint(p []byte) (kind byte, v uint64, ok bool) {
 const kindAck = '!'
 
 func init() {
-	// The engine's own protocol kinds. Value payloads are one kind byte
-	// plus one varint.
+	// The engine's own link-layer kind: one kind byte plus one uvarint.
 	RegisterPayload(kindAck, "LINK-ACK", MaxKindVarintBits)
-	RegisterPayload(floodValue, "FLOOD-MIN", MaxKindVarintBits)
-	RegisterPayload(stLeader, "ST-LEADER", MaxKindVarintBits)
-	RegisterPayload(stLevel, "ST-LEVEL", MaxKindVarintBits)
-	RegisterPayload(stAdopt, "ST-ADOPT", MaxKindVarintBits)
-	RegisterPayload(stSum, "ST-SUM", MaxKindVarintBits)
-	RegisterPayload(stTotal, "ST-TOTAL", MaxKindVarintBits)
 }

@@ -68,10 +68,9 @@ func (c Config) validate() error {
 
 // Derived holds the parameters the protocol computes from (instance,
 // config) before the first round. In a fully decentralized deployment these
-// would be obtained from m, rho and k — quantities the paper assumes known
-// (or aggregated in O(diameter) preliminary rounds); the simulator computes
-// them centrally and hands them to every node, which does not affect round
-// or message accounting of the protocol proper.
+// would be obtained from m, rho and k — quantities the paper assumes known;
+// the simulator computes them centrally and hands them to every node, which
+// does not affect round or message accounting of the protocol proper.
 type Derived struct {
 	Chi           int64 // geometric class base, ceil((m*rho)^(1/sqrt(K)))
 	Phases        int   // number of threshold phases, ceil(sqrt(K))

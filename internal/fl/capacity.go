@@ -110,21 +110,6 @@ func ValidateCap(inst *Instance, cap int, s *CapSolution) error {
 	return nil
 }
 
-// TrimCopies reduces every facility's copy count to the minimum that still
-// covers its load (never below zero) and returns the trimmed solution;
-// s itself is not modified. Cost never increases.
-func TrimCopies(inst *Instance, cap int, s *CapSolution) *CapSolution {
-	out := s.Clone()
-	load := out.Load(inst)
-	for i := range out.Copies {
-		need := (load[i] + cap - 1) / cap
-		if out.Copies[i] > need {
-			out.Copies[i] = need
-		}
-	}
-	return out
-}
-
 // CopiesNeeded returns ceil(load/cap) for load >= 0, cap >= 1.
 func CopiesNeeded(load, cap int) int {
 	if load <= 0 {

@@ -3,7 +3,6 @@ package fl
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func capTiny(t *testing.T) *Instance {
@@ -72,26 +71,6 @@ func TestValidateCap(t *testing.T) {
 	}
 }
 
-func TestTrimCopies(t *testing.T) {
-	inst := capTiny(t)
-	s := NewCapSolution(inst)
-	s.Copies[0], s.Copies[1] = 5, 3
-	s.Assign[0], s.Assign[1], s.Assign[2] = 0, 1, 1
-	trimmed := TrimCopies(inst, 2, s)
-	if trimmed.Copies[0] != 1 || trimmed.Copies[1] != 1 {
-		t.Fatalf("Copies after trim = %v, want [1 1]", trimmed.Copies)
-	}
-	if s.Copies[0] != 5 {
-		t.Fatal("TrimCopies mutated its input")
-	}
-	if trimmed.Cost(inst) > s.Cost(inst) {
-		t.Fatal("trim increased cost")
-	}
-	if err := ValidateCap(inst, 2, trimmed); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCopiesNeeded(t *testing.T) {
 	tests := []struct{ load, cap, want int }{
 		{0, 3, 0}, {-1, 3, 0}, {1, 3, 1}, {3, 3, 1}, {4, 3, 2}, {9, 3, 3}, {10, 3, 4}, {1, 1, 1}, {7, 1, 7},
@@ -100,38 +79,5 @@ func TestCopiesNeeded(t *testing.T) {
 		if got := CopiesNeeded(tt.load, tt.cap); got != tt.want {
 			t.Errorf("CopiesNeeded(%d,%d) = %d, want %d", tt.load, tt.cap, got, tt.want)
 		}
-	}
-}
-
-// TestTrimCopiesIsMinimalFeasible property-tests that trimming yields the
-// least feasible copy counts.
-func TestTrimCopiesIsMinimalFeasible(t *testing.T) {
-	inst := capTiny(t)
-	f := func(c0, c1 uint8, capRaw uint8) bool {
-		cap := int(capRaw%4) + 1
-		s := NewCapSolution(inst)
-		// Start from a feasible copy count (trim only reduces).
-		s.Assign[0], s.Assign[1], s.Assign[2] = 0, 1, 1
-		s.Copies[0] = CopiesNeeded(1, cap) + int(c0%5)
-		s.Copies[1] = CopiesNeeded(2, cap) + int(c1%5)
-		trimmed := TrimCopies(inst, cap, s)
-		if ValidateCap(inst, cap, trimmed) != nil {
-			return false
-		}
-		// Reducing any positive copy count by one must break feasibility.
-		for i := range trimmed.Copies {
-			if trimmed.Copies[i] == 0 {
-				continue
-			}
-			worse := trimmed.Clone()
-			worse.Copies[i]--
-			if ValidateCap(inst, cap, worse) == nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

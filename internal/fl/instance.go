@@ -221,11 +221,6 @@ func (in *Instance) EdgeCount() int { return len(in.cEdges) }
 // FacilityCost returns the opening cost of facility i.
 func (in *Instance) FacilityCost(i int) int64 { return in.facilityCost[i] }
 
-// FacilityCosts returns a copy of all opening costs.
-func (in *Instance) FacilityCosts() []int64 {
-	return append([]int64(nil), in.facilityCost...)
-}
-
 // ClientEdges returns facility options of client j sorted by ascending cost.
 // The returned slice is shared storage: callers must not modify it.
 func (in *Instance) ClientEdges(j int) []Edge { return in.cEdges[in.cStart[j]:in.cStart[j+1]] }
@@ -303,22 +298,6 @@ func (in *Instance) MinPositiveCost() int64 {
 		return 1
 	}
 	return minC
-}
-
-// MaxCoefficient returns the largest coefficient of the instance.
-func (in *Instance) MaxCoefficient() int64 {
-	var maxC int64
-	for _, f := range in.facilityCost {
-		if f > maxC {
-			maxC = f
-		}
-	}
-	for _, e := range in.cEdges {
-		if e.Cost > maxC {
-			maxC = e.Cost
-		}
-	}
-	return maxC
 }
 
 // Connectable reports whether every client has at least one incident edge,

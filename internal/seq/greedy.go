@@ -115,39 +115,6 @@ func OpenAll(inst *fl.Instance) (*fl.Solution, error) {
 	return fl.Reassign(inst, sol), nil
 }
 
-// BestSingle opens the single facility minimizing opening plus total
-// connection cost, provided one facility covers every client; otherwise it
-// falls back to CheapestPerClient.
-func BestSingle(inst *fl.Instance) (*fl.Solution, error) {
-	if !inst.Connectable() {
-		return nil, ErrInfeasible
-	}
-	m, nc := inst.M(), inst.NC()
-	best := -1
-	var bestCost int64
-	for i := 0; i < m; i++ {
-		if len(inst.FacilityEdges(i)) != nc {
-			continue
-		}
-		total := inst.FacilityCost(i)
-		for _, e := range inst.FacilityEdges(i) {
-			total = fl.AddSat(total, e.Cost)
-		}
-		if best == -1 || total < bestCost {
-			best, bestCost = i, total
-		}
-	}
-	if best == -1 {
-		return CheapestPerClient(inst)
-	}
-	sol := fl.NewSolution(inst)
-	sol.Open[best] = true
-	for j := 0; j < nc; j++ {
-		sol.Assign[j] = best
-	}
-	return sol, nil
-}
-
 // CheapestPerClient opens, for every client, that client's cheapest
 // facility. It models the "no coordination" strawman.
 func CheapestPerClient(inst *fl.Instance) (*fl.Solution, error) {

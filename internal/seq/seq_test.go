@@ -39,13 +39,12 @@ type solver func(*fl.Instance) (*fl.Solution, error)
 
 func solvers() map[string]solver {
 	return map[string]solver{
-		"greedy":     Greedy,
-		"jv":         JainVazirani,
-		"jms":        JMS,
-		"exact":      Exact,
-		"openall":    OpenAll,
-		"bestsingle": BestSingle,
-		"cheapest":   CheapestPerClient,
+		"greedy":   Greedy,
+		"jv":       JainVazirani,
+		"jms":      JMS,
+		"exact":    Exact,
+		"openall":  OpenAll,
+		"cheapest": CheapestPerClient,
 		"localsearch": func(inst *fl.Instance) (*fl.Solution, error) {
 			return LocalSearch(inst, nil, LocalSearchConfig{})
 		},
@@ -143,23 +142,6 @@ func TestGreedyReusesOpenFacility(t *testing.T) {
 	}
 	if got := sol.Cost(inst); got != 100+1+1+150 {
 		t.Fatalf("cost = %d, want 252", got)
-	}
-}
-
-func TestBestSingleFallsBackWhenNoFullCoverage(t *testing.T) {
-	inst := mustInstance(t, []int64{5, 5}, 2, []fl.RawEdge{
-		{Facility: 0, Client: 0, Cost: 1},
-		{Facility: 1, Client: 1, Cost: 1},
-	})
-	sol, err := BestSingle(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.Validate(inst, sol); err != nil {
-		t.Fatal(err)
-	}
-	if sol.OpenCount() != 2 {
-		t.Fatalf("open count = %d, want 2", sol.OpenCount())
 	}
 }
 
