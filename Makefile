@@ -13,8 +13,10 @@ build:
 # harness's own tests.
 check: vet lint sarif test-race test-flperf
 
+# cmd/flperf is its own module, so ./... does not reach it.
 vet:
 	go vet ./...
+	go -C cmd/flperf vet .
 
 # flvet enforces the determinism, CONGEST, shard-locality, and
 # memory-layout contracts statically: six syntactic analyzers plus the

@@ -105,48 +105,17 @@ var (
 	// WithSeed fixes all protocol randomness.
 	WithSeed = core.WithSeed
 	// WithParallel runs the simulator with parallel round execution. A
-	// run with faults, reliable delivery or an observer takes the
-	// sequential runner instead, with an identical result.
+	// run with faults takes the sequential runner instead, with an
+	// identical result.
 	WithParallel = core.WithParallel
-	// WithShards sets the shard count of the parallel runner, 0
-	// meaning GOMAXPROCS (byte-identical executions at every shard count; a
-	// pure perf knob). It has no effect on a run with faults, reliable
-	// delivery or an observer, which takes the sequential runner.
-	WithShards = core.WithShards
-	// WithDenseEngine selects the reference O(n)-per-round scheduler
-	// instead of the default active-frontier scheduler. Byte-identical
-	// output either way; a verification and baseline knob, not a feature.
-	// Sequential runs only: it cannot be combined with WithParallel.
-	WithDenseEngine = core.WithDenseEngine
-	// WithBitLimit overrides the CONGEST message-size budget.
-	WithBitLimit = core.WithBitLimit
-	// WithLossyNetwork drops protocol messages with the given probability
-	// during the phase sweep; feasibility is preserved by the reliable
-	// cleanup barrier.
-	WithLossyNetwork = core.WithLossyNetwork
-	// WithFaults injects a full adversarial fault schedule (drops,
-	// duplication, bounded reordering, bursts, link downs, partitions,
-	// crash-with-recovery); the repair pass re-serves stranded clients and
-	// Certify vouches for the result.
+	// WithFaults injects a fault schedule: drops, duplication, bounded
+	// reordering, bursts, link downs, partitions, crash-with-recovery,
+	// per-message corruption and byzantine nodes. The repair pass
+	// re-serves stranded clients, fail-closed decoding and the
+	// sender-quarantine layer defend honest nodes, and Certify vouches for
+	// the result; byzantine nodes and the clients they deceived are
+	// reported exemptions.
 	WithFaults = core.WithFaults
-	// WithReliableDelivery layers a per-link ack/retransmit shim under
-	// every protocol message with the given retry budget.
-	WithReliableDelivery = core.WithReliableDelivery
-	// WithCorruption mutates each delivered message with the given
-	// probability (bit flips, truncations, forged kind bytes); fail-closed
-	// decoding and the sender-quarantine layer keep the certified result
-	// feasible for honest clients.
-	WithCorruption = core.WithCorruption
-	// WithByzantine marks nodes byzantine from a given round: everything
-	// they put on the wire is adversarially forged (equivocating offers and
-	// beacons, bogus grants and connects). Facility i is node i, client j
-	// is node m+j; the report lists the byzantine ids and every client they
-	// deceived, all masked out of the certified solution.
-	WithByzantine = core.WithByzantine
-	// WithQuarantine forces the sender-quarantine layer on or off,
-	// overriding the default (armed exactly when the schedule includes
-	// corruption or byzantine nodes).
-	WithQuarantine = core.WithQuarantine
 )
 
 // FaultSchedule configures injected failures for WithFaults; the zero
@@ -163,7 +132,7 @@ type (
 	// Span is one shard's contiguous range of node ids.
 	Span = congest.Span
 	// Message is one protocol message in flight between two nodes; custom
-	// Transports carry these, and Checkpoint.Log records the remote ones.
+	// Transports carry these.
 	Message = congest.Message
 	// RoundStart is what Transport.Begin reports: whether the fleet
 	// halted, which nodes went down, and which were readmitted.
@@ -203,47 +172,6 @@ func DecodeShardFragment(p []byte, m, nc int) (*Fragment, error) {
 	return core.DecodeFragment(p, m, nc)
 }
 
-// Shard checkpoint and restart (see DESIGN.md §15): a checkpointed shard
-// can be killed and resumed bit-identically from its last image, and the
-// UDP gateway readmits the successor under a fresh incarnation.
-type (
-	// Checkpoint is a decoded resumable image: the shard's identity plus
-	// the replay log of remote inbound messages per completed round.
-	Checkpoint = core.Checkpoint
-	// CheckpointSink receives encoded checkpoint images as a shard runs;
-	// NewFileSink writes them atomically to a file.
-	CheckpointSink = core.CheckpointSink
-	// CheckpointConfig sets the cadence (Every, in rounds) and destination
-	// of a shard's checkpoints. Every=1 keeps a crash loss-equivalent to a
-	// transient network outage.
-	CheckpointConfig = core.CheckpointConfig
-)
-
-// NewFileSink returns a CheckpointSink that writes each image to path via
-// an atomic tmp-file rename, so a crash mid-write never corrupts the
-// previous image.
-func NewFileSink(path string) CheckpointSink { return core.NewFileSink(path) }
-
-// SolveShardCheckpointed is SolveShard plus checkpointing: every cfg.Every
-// rounds the shard's resumable image is handed to the sink. A sink error
-// fails the run (fail-closed: no silent gaps in the recovery chain).
-func SolveShardCheckpointed(inst *Instance, cfg DistConfig, span Span, seed int64, tr Transport, ck CheckpointConfig) (*Fragment, error) {
-	return core.SolveShardCheckpointed(inst, cfg, span, seed, tr, ck)
-}
-
-// DecodeShardCheckpoint parses a checkpoint image (fail-closed).
-func DecodeShardCheckpoint(p []byte) (*Checkpoint, error) {
-	return core.DecodeCheckpoint(p)
-}
-
-// ResumeShard restarts a shard from a checkpoint image: recorded rounds
-// replay locally (bit-identically — same RNG draws, same decisions), then
-// the shard continues live on tr. The image's identity header must match
-// the deployment exactly; any mismatch is rejected before replay.
-func ResumeShard(inst *Instance, cfg DistConfig, span Span, seed int64, image []byte, tr Transport, ck CheckpointConfig) (*Fragment, error) {
-	return core.ResumeShard(inst, cfg, span, seed, image, tr, ck)
-}
-
 // AssembleShards combines per-shard fragments into a certified solution.
 // A nil fragment marks a shard that died: its nodes are masked like
 // crashed nodes and surviving clients assigned into the lost span are
@@ -259,11 +187,6 @@ func AssembleShards(inst *Instance, cfg DistConfig, frags []*Fragment) (*Solutio
 // stored, transformed, or received from elsewhere.
 func Certify(inst *Instance, sol *Solution, rep *DistReport) error {
 	return core.Certify(inst, sol, rep)
-}
-
-// CertifyCap is Certify for soft-capacitated solutions.
-func CertifyCap(inst *Instance, capacity int, sol *CapSolution, rep *DistReport) error {
-	return core.CertifyCap(inst, capacity, sol, rep)
 }
 
 // SolveDistributedBest runs the protocol `runs` times with consecutive

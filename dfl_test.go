@@ -129,7 +129,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Lossy mode + best-of through the façade.
 	lossy, _, err := dfl.SolveDistributedBest(inst, dfl.DistConfig{K: 9}, 1, 3,
-		dfl.WithLossyNetwork(0.3))
+		dfl.WithFaults(dfl.FaultSchedule{DropProb: 0.3}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,11 @@ func run() error {
 
 	fmt.Println("\nloss rate   single run        best of 5")
 	for _, loss := range []float64{0, 0.1, 0.25, 0.5} {
+		// A drop rate with no DropUntilRound window applies to the phase
+		// sweep only.
+		lossy := dfl.FaultSchedule{DropProb: loss}
 		single, _, err := dfl.SolveDistributed(inst, dfl.DistConfig{K: 16},
-			dfl.WithSeed(1), dfl.WithLossyNetwork(loss))
+			dfl.WithSeed(1), dfl.WithFaults(lossy))
 		if err != nil {
 			return err
 		}
@@ -41,7 +44,7 @@ func run() error {
 			return fmt.Errorf("loss %.0f%%: %w", loss*100, err)
 		}
 		best, _, err := dfl.SolveDistributedBest(inst, dfl.DistConfig{K: 16}, 1, 5,
-			dfl.WithLossyNetwork(loss))
+			dfl.WithFaults(lossy))
 		if err != nil {
 			return err
 		}

@@ -105,14 +105,6 @@ func knownAppendDelta(fn *types.Func) (int, bool) {
 	return 0, false
 }
 
-// knownBoundedCalls are cross-package encoder entry points with known
-// absolute output bounds (they reset their buffer argument): the congest
-// kind+varint encoders, callable from core.
-var knownBoundedCalls = map[string]int{
-	"dfl/internal/congest.EncodeKindVarint":  11,
-	"dfl/internal/congest.EncodeKindUvarint": 11,
-}
-
 type bitbudgetCtx struct {
 	pass      *Pass
 	cg        *callGraph
@@ -478,9 +470,6 @@ func (cx *bitbudgetCtx) callBound(call *ast.CallExpr, env varFacts[byteBound]) b
 	}
 	if d, ok := knownAppendDelta(fn); ok && len(call.Args) >= 1 {
 		return cx.exprBound(call.Args[0], env).add(d)
-	}
-	if n, ok := knownBoundedCalls[fn.FullName()]; ok {
-		return byteBound{-1, n}
 	}
 	if cx.summarizable[fn] {
 		s, ok := cx.summaries[fn]

@@ -34,7 +34,6 @@ func ByzantineResilience(p Params) ([]Table, error) {
 	type schedule struct {
 		name string
 		f    congest.Faults
-		opts []core.Option
 	}
 	schedules := []schedule{{name: "none"}}
 	if p.FaultSpec != "" {
@@ -45,17 +44,19 @@ func ByzantineResilience(p Params) ([]Table, error) {
 		schedules = append(schedules, schedule{name: p.FaultSpec, f: f})
 	} else {
 		schedules = append(schedules,
-			schedule{name: "corrupt=0.2", opts: []core.Option{core.WithCorruption(0.2)}},
-			schedule{name: "corrupt=0.5", opts: []core.Option{core.WithCorruption(0.5)}},
+			schedule{name: "corrupt=0.2", f: congest.Faults{CorruptProb: 0.2}},
+			schedule{name: "corrupt=0.5", f: congest.Faults{CorruptProb: 0.5}},
 			// Facility 0 runs the pure lure attack, facility 3 the deceiver
 			// (the protocol-aware forger splits styles by node parity).
-			schedule{name: "2 byz facilities", opts: []core.Option{core.WithByzantine(0, 0, 3)}},
-			schedule{name: "2 byz clients", opts: []core.Option{core.WithByzantine(0, m+1, m+2)}},
+			schedule{name: "2 byz facilities", f: congest.Faults{ByzantineFromRound: map[int]int{0: 0, 3: 0}}},
+			schedule{name: "2 byz clients", f: congest.Faults{ByzantineFromRound: map[int]int{m + 1: 0, m + 2: 0}}},
 			// The headline composite: corruption, two byzantine facilities
 			// and a mid-sweep crash at once.
 			schedule{name: "byz+corrupt+crash", f: congest.Faults{
-				CrashAtRound: map[int]int{5: 25},
-			}, opts: []core.Option{core.WithCorruption(0.2), core.WithByzantine(0, 0, 3)}},
+				CorruptProb:        0.2,
+				ByzantineFromRound: map[int]int{0: 0, 3: 0},
+				CrashAtRound:       map[int]int{5: 25},
+			}},
 		)
 	}
 
@@ -67,7 +68,7 @@ func ByzantineResilience(p Params) ([]Table, error) {
 		Columns: []string{"schedule", "quarantine", "ratio", "served", "exempt", "deceived", "quarantined", "corrupted", "forged", "rejected", "certified"},
 	}
 	for _, sc := range schedules {
-		adversarial := len(sc.opts) > 0 || sc.f.CorruptProb > 0 || len(sc.f.ByzantineFromRound) > 0
+		adversarial := sc.f.CorruptProb > 0 || len(sc.f.ByzantineFromRound) > 0
 		for _, guard := range []bool{true, false} {
 			if !guard && !adversarial {
 				continue // quarantine is dormant without an adversary; skip the duplicate row
@@ -84,7 +85,6 @@ func ByzantineResilience(p Params) ([]Table, error) {
 			)
 			for s := 0; s < p.runs(); s++ {
 				opts := []core.Option{core.WithSeed(p.Seed + int64(s)), core.WithFaults(sc.f)}
-				opts = append(opts, sc.opts...)
 				if !guard {
 					opts = append(opts, core.WithQuarantine(false))
 				}

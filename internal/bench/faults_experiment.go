@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"dfl/internal/congest"
 	"dfl/internal/core"
 	"dfl/internal/gen"
 )
@@ -49,7 +50,7 @@ func FaultSensitivity(p Params) ([]Table, error) {
 		)
 		for s := 0; s < p.runs(); s++ {
 			sol, rep, err := core.Solve(inst, core.Config{K: 16},
-				core.WithSeed(p.Seed+int64(s)), core.WithLossyNetwork(rate))
+				core.WithSeed(p.Seed+int64(s)), core.WithFaults(congest.Faults{DropProb: rate}))
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package congest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -645,6 +646,22 @@ func TestMessageBits(t *testing.T) {
 	m := Message{Payload: []byte{1, 2, 3}}
 	if m.Bits() != 24 {
 		t.Fatalf("Bits = %d", m.Bits())
+	}
+	// The ack encoder's output fits its declared ceiling at both ends of
+	// the value range; the second call is handed the first's buffer, which
+	// it must reset rather than append to.
+	var buf []byte
+	for _, v := range []uint64{0, math.MaxUint64} {
+		buf = EncodeKindUvarint(buf, kindAck, v)
+		if got := (Message{Payload: buf}).Bits(); got > MaxKindVarintBits {
+			t.Fatalf("EncodeKindUvarint(%d) = %d bits, bound %d", v, got, MaxKindVarintBits)
+		}
+	}
+	// Every registered kind fits the same ceiling.
+	for _, spec := range PayloadSpecs() {
+		if spec.MaxBits > MaxKindVarintBits {
+			t.Fatalf("registered kind %s declares %d bits, above MaxKindVarintBits %d", spec.Name, spec.MaxBits, MaxKindVarintBits)
+		}
 	}
 }
 

@@ -101,7 +101,8 @@ type Faults struct {
 	// draws it takes from rng, and must respect the engine's bit limit
 	// (oversized forgeries are truncated). core installs a facility-
 	// location-aware forger here (equivocating offers, bogus grants and
-	// beacons) when a byzantine schedule reaches it through WithByzantine.
+	// beacons) when a schedule passed through core.WithFaults names
+	// byzantine nodes and leaves Forger nil.
 	Forger func(rng *rand.Rand, round, from, to int, orig []byte) []byte
 }
 

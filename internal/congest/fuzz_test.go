@@ -36,49 +36,6 @@ func FuzzValidatePayload(f *testing.F) {
 	})
 }
 
-// FuzzDecodeKindVarint round-trips the varint framing under mutation: raw
-// bytes never panic, and any accepted decode re-encodes to an equivalent
-// frame that decodes to the same value.
-func FuzzDecodeKindVarint(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{kindAck})
-	f.Add(EncodeKindVarint(nil, kindAck, 0))
-	f.Add(EncodeKindVarint(nil, kindAck, -1))
-	f.Add(EncodeKindVarint(nil, kindAck, 1<<40))
-	f.Add([]byte{kindAck, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
-	f.Fuzz(func(t *testing.T, p []byte) {
-		kind, v, ok := DecodeKindVarint(p)
-		if !ok {
-			return
-		}
-		kind2, v2, ok2 := DecodeKindVarint(EncodeKindVarint(nil, kind, v))
-		if !ok2 || kind2 != kind || v2 != v {
-			t.Fatalf("round-trip of accepted frame diverged: kind %q v %d -> kind %q v %d ok %v",
-				kind, v, kind2, v2, ok2)
-		}
-	})
-}
-
-// FuzzDecodeKindUvarint mirrors FuzzDecodeKindVarint for the unsigned
-// framing.
-func FuzzDecodeKindUvarint(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{kindAck})
-	f.Add(EncodeKindUvarint(nil, kindAck, 0))
-	f.Add(EncodeKindUvarint(nil, kindAck, 1<<60))
-	f.Fuzz(func(t *testing.T, p []byte) {
-		kind, v, ok := DecodeKindUvarint(p)
-		if !ok {
-			return
-		}
-		kind2, v2, ok2 := DecodeKindUvarint(EncodeKindUvarint(nil, kind, v))
-		if !ok2 || kind2 != kind || v2 != v {
-			t.Fatalf("round-trip of accepted frame diverged: kind %q v %d -> kind %q v %d ok %v",
-				kind, v, kind2, v2, ok2)
-		}
-	})
-}
-
 // FuzzCorruptPayload pins the corruption fault itself: whatever bytes the
 // schedule mutates, the mutation must stay in bounds (no panic), must never
 // touch the input slice, and must never return nil (a corrupted frame is

@@ -82,51 +82,17 @@ func ValidatePayload(p []byte) (PayloadSpec, error) {
 	return spec, nil
 }
 
-// MaxKindVarintBits bounds the generic kind+varint encoders below: one
-// kind byte plus one 64-bit (u)varint of at most 10 bytes.
+// MaxKindVarintBits bounds EncodeKindUvarint's output: one kind byte plus
+// one 64-bit uvarint of at most 10 bytes.
 const MaxKindVarintBits = 88
 
-// EncodeKindVarint renders the engine's standard small payload — a kind
-// byte followed by one signed varint — into buf's storage.
-//
-//flvet:encoder maxbits=88
-func EncodeKindVarint(buf []byte, kind byte, v int64) []byte {
-	buf = append(buf[:0], kind)
-	return binary.AppendVarint(buf, v)
-}
-
-// DecodeKindVarint parses an EncodeKindVarint payload. On short or
-// malformed input it still returns the kind byte (if present) so callers
-// can dispatch value-free kinds.
-func DecodeKindVarint(p []byte) (kind byte, v int64, ok bool) {
-	if len(p) == 0 {
-		return 0, 0, false
-	}
-	v, n := binary.Varint(p[1:])
-	if n <= 0 {
-		return p[0], 0, false
-	}
-	return p[0], v, true
-}
-
-// EncodeKindUvarint is EncodeKindVarint for unsigned values.
+// EncodeKindUvarint renders a kind byte followed by one unsigned varint
+// into buf's storage; the reliable-delivery shim frames its acks with it.
 //
 //flvet:encoder maxbits=88
 func EncodeKindUvarint(buf []byte, kind byte, v uint64) []byte {
 	buf = append(buf[:0], kind)
 	return binary.AppendUvarint(buf, v)
-}
-
-// DecodeKindUvarint parses an EncodeKindUvarint payload.
-func DecodeKindUvarint(p []byte) (kind byte, v uint64, ok bool) {
-	if len(p) == 0 {
-		return 0, 0, false
-	}
-	v, n := binary.Uvarint(p[1:])
-	if n <= 0 {
-		return p[0], 0, false
-	}
-	return p[0], v, true
 }
 
 // kindAck is the reliable-delivery shim's link-layer acknowledgement: one

@@ -3,13 +3,14 @@ package core
 import "math/rand"
 
 // This file is the attack half of the byzantine model: the protocol-aware
-// forger that WithByzantine installs into congest.Faults.Forger. The engine
-// calls it for every wire transmission of a byzantine node — rewrites of
-// what the node's (still honest) state machine staged, and injections on
-// links it left silent — independently per recipient, which is what makes
-// equivocation possible. The forger is a pure function of its arguments and
-// the fault-stream draws it takes, so runs stay byte-identical across the
-// sequential and worker-pool runners (invariant I5).
+// forger Solve installs into congest.Faults.Forger for a byzantine schedule
+// that does not bring its own. The engine calls it for every wire
+// transmission of a byzantine node — rewrites of what the node's (still
+// honest) state machine staged, and injections on links it left silent —
+// independently per recipient, which is what makes equivocation possible.
+// The forger is a pure function of its arguments and the fault-stream draws
+// it takes, so runs stay byte-identical across the sequential and
+// worker-pool runners (invariant I5).
 //
 // The attack is chosen to be the strongest one the quarantine layer and the
 // byzantine masking in Solve are claimed to survive, not a strawman:

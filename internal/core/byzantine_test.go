@@ -25,28 +25,33 @@ func TestByzantineChaosMatrix(t *testing.T) {
 		opts []Option
 		rel  int
 	}{
-		{name: "corrupt_light", opts: []Option{WithCorruption(0.2)}},
-		{name: "corrupt_heavy", opts: []Option{WithCorruption(0.5)}},
-		{name: "corrupt_reliable", opts: []Option{WithCorruption(0.3)}, rel: 3},
+		{name: "corrupt_light", f: congest.Faults{CorruptProb: 0.2}},
+		{name: "corrupt_heavy", f: congest.Faults{CorruptProb: 0.5}},
+		{name: "corrupt_reliable", f: congest.Faults{CorruptProb: 0.3}, rel: 3},
 		{name: "corrupt_tail", f: congest.Faults{
 			// An explicit window pushes corruption into the cleanup tail.
 			CorruptProb:       0.2,
 			CorruptUntilRound: 1 << 20,
 		}},
-		{name: "byz_facilities", opts: []Option{WithByzantine(0, 2, 7)}},
-		{name: "byz_facility_late", opts: []Option{WithByzantine(40, 4)}},
-		{name: "byz_clients", opts: []Option{WithByzantine(0, 12+5, 12+20)}},
-		{name: "byz_mixed_roles", opts: []Option{WithByzantine(8, 1, 12+3)}},
-		{name: "byz_undefended", opts: []Option{WithByzantine(0, 2, 7), WithQuarantine(false)}},
+		{name: "byz_facilities", f: congest.Faults{ByzantineFromRound: map[int]int{2: 0, 7: 0}}},
+		{name: "byz_facility_late", f: congest.Faults{ByzantineFromRound: map[int]int{4: 40}}},
+		{name: "byz_clients", f: congest.Faults{ByzantineFromRound: map[int]int{12 + 5: 0, 12 + 20: 0}}},
+		{name: "byz_mixed_roles", f: congest.Faults{ByzantineFromRound: map[int]int{1: 8, 12 + 3: 8}}},
+		{name: "byz_undefended", f: congest.Faults{ByzantineFromRound: map[int]int{2: 0, 7: 0}},
+			opts: []Option{WithQuarantine(false)}},
 		// The headline acceptance scenario: corruption >= 0.2, two byzantine
 		// facilities, a crash, and duplication, all at once.
 		{name: "byz_corrupt_crash", f: congest.Faults{
-			DupProb:      0.2,
-			CrashAtRound: map[int]int{5: 9},
-		}, opts: []Option{WithCorruption(0.2), WithByzantine(0, 2, 7)}},
+			CorruptProb:        0.2,
+			ByzantineFromRound: map[int]int{2: 0, 7: 0},
+			DupProb:            0.2,
+			CrashAtRound:       map[int]int{5: 9},
+		}},
 		{name: "byz_corrupt_crash_reliable", f: congest.Faults{
-			CrashAtRound: map[int]int{5: 9, 12 + 8: 13},
-		}, opts: []Option{WithCorruption(0.25), WithByzantine(0, 2, 7)}, rel: 2},
+			CorruptProb:        0.25,
+			ByzantineFromRound: map[int]int{2: 0, 7: 0},
+			CrashAtRound:       map[int]int{5: 9, 12 + 8: 13},
+		}, rel: 2},
 	}
 
 	for _, sc := range schedules {
@@ -138,7 +143,9 @@ func assertHonestServed(t *testing.T, inst *fl.Instance, sol *fl.Solution, rep *
 // and exempted.
 func TestByzantineMasking(t *testing.T) {
 	inst := chaosInstance(t)
-	sol, rep, err := Solve(inst, Config{K: 16}, WithSeed(7), WithByzantine(0, 2, 7, 12+4))
+	sol, rep, err := Solve(inst, Config{K: 16}, WithSeed(7), WithFaults(congest.Faults{
+		ByzantineFromRound: map[int]int{2: 0, 7: 0, 12 + 4: 0},
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +188,9 @@ func TestByzantineMasking(t *testing.T) {
 // condemned by at least one honest client, surfacing in the report.
 func TestQuarantineCondemnsLureAttack(t *testing.T) {
 	inst := chaosInstance(t)
-	_, rep, err := Solve(inst, Config{K: 16}, WithSeed(7), WithByzantine(0, 2, 7))
+	_, rep, err := Solve(inst, Config{K: 16}, WithSeed(7), WithFaults(congest.Faults{
+		ByzantineFromRound: map[int]int{2: 0, 7: 0},
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +211,11 @@ func TestByzantineSoftCapCertified(t *testing.T) {
 	cfg := Config{K: 16, SoftCapacity: 4}
 	run := func(parallel bool, workers int) (*fl.CapSolution, *Report) {
 		sol, rep, err := SolveSoftCap(inst, cfg, WithSeed(17),
-			WithFaults(congest.Faults{CrashAtRound: map[int]int{5: 9}}),
-			WithCorruption(0.2), WithByzantine(0, 2, 7),
+			WithFaults(congest.Faults{
+				CorruptProb:        0.2,
+				ByzantineFromRound: map[int]int{2: 0, 7: 0},
+				CrashAtRound:       map[int]int{5: 9},
+			}),
 			WithParallel(parallel), WithShards(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -238,7 +250,7 @@ func TestHonestRunAdversaryCountersZero(t *testing.T) {
 	inst := chaosInstance(t)
 	for _, opts := range [][]Option{
 		{WithSeed(3)},
-		{WithSeed(3), WithLossyNetwork(0.3)},
+		{WithSeed(3), WithFaults(congest.Faults{DropProb: 0.3})},
 		{WithSeed(3), WithReliableDelivery(2), WithFaults(congest.Faults{DropProb: 0.2})},
 	} {
 		_, rep, err := Solve(inst, Config{K: 16}, opts...)
@@ -261,7 +273,7 @@ func TestHonestRunAdversaryCountersZero(t *testing.T) {
 // corrupted frames and see the protocol reject some of them.
 func TestCorruptionCountsRejections(t *testing.T) {
 	inst := chaosInstance(t)
-	_, rep, err := Solve(inst, Config{K: 16}, WithSeed(3), WithCorruption(0.5))
+	_, rep, err := Solve(inst, Config{K: 16}, WithSeed(3), WithFaults(congest.Faults{CorruptProb: 0.5}))
 	if err != nil {
 		t.Fatal(err)
 	}

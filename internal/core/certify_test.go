@@ -232,7 +232,7 @@ func TestSolveBestUnderLossyNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, rep, err := SolveBest(inst, Config{K: 16}, 500, 4, WithLossyNetwork(0.3))
+	sol, rep, err := SolveBest(inst, Config{K: 16}, 500, 4, WithFaults(congest.Faults{DropProb: 0.3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSolveBestUnderLossyNetwork(t *testing.T) {
 	}
 	// The report belongs to the winning seed: re-running it alone must
 	// reproduce the same certified cost.
-	again, rep2, err := Solve(inst, Config{K: 16}, WithLossyNetwork(0.3), WithSeed(findWinningSeed(t, inst, 500, 4)))
+	again, rep2, err := Solve(inst, Config{K: 16}, WithFaults(congest.Faults{DropProb: 0.3}), WithSeed(findWinningSeed(t, inst, 500, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func findWinningSeed(t *testing.T, inst *fl.Instance, base int64, runs int) int6
 	t.Helper()
 	bestSeed, bestCost := base, int64(-1)
 	for s := 0; s < runs; s++ {
-		sol, _, err := Solve(inst, Config{K: 16}, WithLossyNetwork(0.3), WithSeed(base+int64(s)))
+		sol, _, err := Solve(inst, Config{K: 16}, WithFaults(congest.Faults{DropProb: 0.3}), WithSeed(base+int64(s)))
 		if err != nil {
 			t.Fatal(err)
 		}

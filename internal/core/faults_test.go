@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dfl/internal/congest"
 	"dfl/internal/fl"
 	"dfl/internal/gen"
 )
@@ -18,7 +19,7 @@ func TestSolveFeasibleUnderMessageLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []float64{0.05, 0.25, 0.5, 0.9, 1.0} {
-		sol, rep, err := Solve(inst, Config{K: 16}, WithSeed(1), WithLossyNetwork(p))
+		sol, rep, err := Solve(inst, Config{K: 16}, WithSeed(1), WithFaults(congest.Faults{DropProb: p}))
 		if err != nil {
 			t.Fatalf("p=%.2f: %v", p, err)
 		}
@@ -39,7 +40,7 @@ func TestSolveTotalLossDegradesToCheapest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, rep, err := Solve(inst, Config{K: 9}, WithSeed(2), WithLossyNetwork(1.0))
+	sol, rep, err := Solve(inst, Config{K: 9}, WithSeed(2), WithFaults(congest.Faults{DropProb: 1.0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestSolveLossZeroIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, rb, err := Solve(inst, Config{K: 16}, WithSeed(4), WithLossyNetwork(0))
+	b, rb, err := Solve(inst, Config{K: 16}, WithSeed(4), WithFaults(congest.Faults{DropProb: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestSolveFeasibleUnderLossProperty(t *testing.T) {
 	}
 	f := func(seed int64, pRaw uint8) bool {
 		p := float64(pRaw) / 255
-		sol, _, err := Solve(inst, Config{K: 4}, WithSeed(seed), WithLossyNetwork(p))
+		sol, _, err := Solve(inst, Config{K: 4}, WithSeed(seed), WithFaults(congest.Faults{DropProb: p}))
 		if err != nil {
 			return false
 		}
@@ -104,12 +105,12 @@ func TestSolveParallelLossyEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []float64{0, 0.3} {
-		ss, rs, err := Solve(inst, Config{K: 16}, WithSeed(8), WithLossyNetwork(p))
+		ss, rs, err := Solve(inst, Config{K: 16}, WithSeed(8), WithFaults(congest.Faults{DropProb: p}))
 		if err != nil {
 			t.Fatalf("p=%.1f sequential: %v", p, err)
 		}
 		for _, workers := range []int{1, 2, 7, 0} { // 0 = GOMAXPROCS
-			sp, rp, err := Solve(inst, Config{K: 16}, WithSeed(8), WithLossyNetwork(p),
+			sp, rp, err := Solve(inst, Config{K: 16}, WithSeed(8), WithFaults(congest.Faults{DropProb: p}),
 				WithParallel(true), WithShards(workers))
 			if err != nil {
 				t.Fatalf("p=%.1f workers=%d: %v", p, workers, err)
@@ -157,5 +158,53 @@ func TestSolveBestPicksMinimum(t *testing.T) {
 	}
 	if _, _, err := SolveBest(inst, Config{K: 9}, 1, 0); err == nil {
 		t.Fatal("runs=0 should fail")
+	}
+}
+
+// TestFaultWindowReachesTail pins the window rule WithFaults documents: a
+// DropProb or CorruptProb with no ...UntilRound window is clamped to the
+// phase sweep, so it equals an explicit ProtoRounds window, while an
+// explicit window past the sweep carries the fault into the
+// cleanup-and-repair tail and strictly adds faulted frames on the same
+// seed.
+func TestFaultWindowReachesTail(t *testing.T) {
+	inst, err := gen.Uniform{M: 12, NC: 60}.Generate(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{K: 16}
+	d, err := Derive(inst, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		faults func(until int) congest.Faults
+		count  func(congest.Stats) int64
+	}{
+		{"drop",
+			func(until int) congest.Faults { return congest.Faults{DropProb: 0.1, DropUntilRound: until} },
+			func(s congest.Stats) int64 { return s.Dropped }},
+		{"corrupt",
+			func(until int) congest.Faults { return congest.Faults{CorruptProb: 0.3, CorruptUntilRound: until} },
+			func(s congest.Stats) int64 { return s.Corrupted }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(until int) *Report {
+				_, rep, err := Solve(inst, cfg, WithSeed(5), WithFaults(tc.faults(until)))
+				if err != nil {
+					t.Fatalf("until=%d: %v", until, err)
+				}
+				return rep
+			}
+			zero, sweep, tail := run(0), run(d.ProtoRounds), run(1<<20)
+			if zero.Net != sweep.Net || zero.Cost != sweep.Cost {
+				t.Fatalf("zero window differs from an explicit ProtoRounds=%d window:\n%+v\n%+v",
+					d.ProtoRounds, zero.Net, sweep.Net)
+			}
+			if got, base := tc.count(tail.Net), tc.count(zero.Net); got <= base {
+				t.Fatalf("explicit tail window faulted %d frames, sweep-only run %d: the window never reached the tail", got, base)
+			}
+		})
 	}
 }

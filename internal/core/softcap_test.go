@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dfl/internal/congest"
 	"dfl/internal/fl"
 	"dfl/internal/gen"
 	"dfl/internal/seq"
@@ -151,7 +152,7 @@ func TestSolveSoftCapLossyStillFeasible(t *testing.T) {
 	}
 	for _, p := range []float64{0.3, 1.0} {
 		sol, _, err := SolveSoftCap(inst, Config{K: 9, SoftCapacity: 3},
-			WithSeed(5), WithLossyNetwork(p))
+			WithSeed(5), WithFaults(congest.Faults{DropProb: p}))
 		if err != nil {
 			t.Fatalf("p=%.1f: %v", p, err)
 		}

@@ -81,10 +81,7 @@ type options struct {
 	shards      int
 	bitLimit    int // <0: engine default from network size; 0: unlimited
 	observer    func(round int, delivered []congest.Message)
-	dropProb    float64
-	corruptProb float64
-	byzantine   map[int]int // node id -> byzantine-from round
-	quarantine  *bool       // nil: auto (armed when corruption/byzantine present)
+	quarantine  *bool // nil: auto (armed when corruption/byzantine present)
 	faults      congest.Faults
 	retryBudget int  // reliable-delivery shim budget; 0 = shim off
 	dense       bool // reference O(n)-per-round scheduler (congest.Config.Dense)
@@ -125,24 +122,21 @@ func WithObserver(f func(round int, delivered []congest.Message)) Option {
 	return func(o *options) { o.observer = f }
 }
 
-// WithLossyNetwork drops each protocol message independently with
-// probability p during the phase sweep. The cleanup rounds stay reliable
-// (they are the protocol's commitment barrier), so the returned solution
-// remains feasible at any loss rate — only its quality degrades. Used by
-// the fault-sensitivity experiment (E9) and the failure-injection tests.
-func WithLossyNetwork(p float64) Option {
-	return func(o *options) { o.dropProb = p }
-}
-
-// WithFaults injects a full adversarial fault schedule — probabilistic
-// drops, duplication and bounded reordering, burst/link/partition windows,
-// and crash-with-recovery — into the run (see congest.Faults). As with
-// WithLossyNetwork, a DropProb or DelayProb given without an explicit
+// WithFaults injects a fault schedule into the run (see congest.Faults):
+// probabilistic drops, duplication, bounded reordering and corruption,
+// burst/link/partition windows, crash-with-recovery, and byzantine nodes.
+// A DropProb, DelayProb or CorruptProb given without an explicit
 // ...UntilRound window is clamped to the phase sweep, keeping the
 // cleanup-and-repair tail a reliable commitment barrier; set the window
-// explicitly to push faults into the tail (the certifier will tell you
-// whether the solution survived). Crash/recovery schedules and the other
-// deterministic windows are passed through verbatim.
+// explicitly to push those faults into the tail (the certifier will tell
+// you whether the solution survived). Crash/recovery schedules and the
+// other deterministic windows are passed through verbatim. Byzantine nodes (ByzantineFromRound; facility i is node i,
+// client j is node m+j) stay adversarial through the tail and get the
+// protocol-aware forger unless Forger is set; their own results are masked
+// out of the solution and reported in Byzantine*, the honest clients they
+// deceived in DeceivedClients. Corruption or byzantine nodes arm the
+// sender-quarantine layer (see WithQuarantine) and fail-closed decoding;
+// rejected frames are counted in the report's Net.Rejected.
 func WithFaults(f congest.Faults) Option {
 	return func(o *options) { o.faults = f }
 }
@@ -153,38 +147,6 @@ func WithFaults(f congest.Faults) Option {
 // separately in the report's Net stats, never in Messages/Bits.
 func WithReliableDelivery(retryBudget int) Option {
 	return func(o *options) { o.retryBudget = retryBudget }
-}
-
-// WithCorruption mutates each delivered protocol message independently with
-// probability p — a bit flip, a truncation, or a forged kind byte (see
-// congest.Faults.CorruptProb). Like WithLossyNetwork, the corruption window
-// is clamped to the phase sweep unless the schedule sets
-// CorruptUntilRound explicitly, so the cleanup-and-repair tail stays a
-// reliable commitment barrier. Corruption arms the sender-quarantine layer
-// and fail-closed decoding; rejected frames are counted in the report's
-// Net.Rejected.
-func WithCorruption(p float64) Option {
-	return func(o *options) { o.corruptProb = p }
-}
-
-// WithByzantine marks the given node ids byzantine from the start of the
-// given round: every message they put on the wire is adversarially forged —
-// equivocating offers and beacons, bogus grants and connects — per the
-// facility-location-aware forger this option installs (an explicit
-// congest.Faults.Forger passed via WithFaults wins). Node ids follow the
-// communication graph: facility i is node i, client j is node m+j. The
-// byzantine nodes' own results are masked out of the solution and reported
-// in Byzantine*; honest clients they deceived are masked and reported in
-// DeceivedClients; Certify validates both as exemptions.
-func WithByzantine(fromRound int, nodeIDs ...int) Option {
-	return func(o *options) {
-		if o.byzantine == nil {
-			o.byzantine = make(map[int]int, len(nodeIDs))
-		}
-		for _, id := range nodeIDs {
-			o.byzantine[id] = fromRound
-		}
-	}
 }
 
 // WithDenseEngine runs the simulator's dense reference scheduler, which
@@ -348,24 +310,6 @@ func runProtocol(inst *fl.Instance, cfg Config, opts []Option) (*run, *Report, e
 	}
 
 	faults := o.faults
-	if o.dropProb > 0 {
-		faults.DropProb = o.dropProb
-		faults.DropUntilRound = 0
-	}
-	if o.corruptProb > 0 {
-		faults.CorruptProb = o.corruptProb
-		faults.CorruptUntilRound = 0
-	}
-	if len(o.byzantine) > 0 {
-		merged := make(map[int]int, len(faults.ByzantineFromRound)+len(o.byzantine))
-		for id, at := range faults.ByzantineFromRound {
-			merged[id] = at
-		}
-		for id, at := range o.byzantine {
-			merged[id] = at
-		}
-		faults.ByzantineFromRound = merged
-	}
 	// Probabilistic faults with no explicit window stay out of the
 	// cleanup-and-repair tail: those rounds are the protocol's reliable
 	// commitment barrier.

@@ -29,9 +29,10 @@ func TestDenseEngineMatchesFrontier(t *testing.T) {
 			CrashAtRound:   map[int]int{5: 11, 14: 13},
 			RecoverAtRound: map[int]int{5: 23},
 		})}},
-		{name: "corrupt_byzantine", opts: []Option{
-			WithCorruption(0.2), WithByzantine(0, 2, 7),
-		}},
+		{name: "corrupt_byzantine", opts: []Option{WithFaults(congest.Faults{
+			CorruptProb:        0.2,
+			ByzantineFromRound: map[int]int{2: 0, 7: 0},
+		})}},
 	}
 
 	type trace struct {

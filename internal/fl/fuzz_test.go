@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"dfl/internal/congest"
 )
 
 // FuzzRead checks that the instance parser never panics and that anything
@@ -66,41 +64,6 @@ func FuzzRatioCmp(f *testing.F) {
 		}
 		if RatioLess(a, b, c, d) != (got < 0) || RatioLessEq(a, b, c, d) != (got <= 0) {
 			t.Fatalf("Less/LessEq disagree with Cmp for %d/%d vs %d/%d", a, b, c, d)
-		}
-	})
-}
-
-// FuzzCongestWireRoundTrip backs the congestmsg analyzer's size registry
-// with runtime evidence: the engine's generic kind+varint wire encoders
-// must round-trip any value exactly and never exceed their declared
-// MaxKindVarintBits bound, which every registered kind must fit. (congest
-// does not import fl, so the problem-domain package can host this
-// cross-check.)
-func FuzzCongestWireRoundTrip(f *testing.F) {
-	f.Add(byte('v'), int64(0), uint64(0))
-	f.Add(byte('v'), int64(-1), uint64(1))
-	f.Add(byte('S'), int64(1)<<62, uint64(1)<<63)
-	f.Add(byte(0), int64(-1)<<62, ^uint64(0))
-	f.Fuzz(func(t *testing.T, kind byte, v int64, u uint64) {
-		p := congest.EncodeKindVarint(nil, kind, v)
-		if k2, v2, ok := congest.DecodeKindVarint(p); !ok || k2 != kind || v2 != v {
-			t.Fatalf("varint round trip (%#x, %d) -> (%#x, %d, %v)", kind, v, k2, v2, ok)
-		}
-		if len(p)*8 > congest.MaxKindVarintBits {
-			t.Fatalf("EncodeKindVarint(%#x, %d) = %d bits, bound %d", kind, v, len(p)*8, congest.MaxKindVarintBits)
-		}
-		q := congest.EncodeKindUvarint(p, kind, u) // reuse p's storage: encoders must reset it
-		if k2, u2, ok := congest.DecodeKindUvarint(q); !ok || k2 != kind || u2 != u {
-			t.Fatalf("uvarint round trip (%#x, %d) -> (%#x, %d, %v)", kind, u, k2, u2, ok)
-		}
-		if len(q)*8 > congest.MaxKindVarintBits {
-			t.Fatalf("EncodeKindUvarint(%#x, %d) = %d bits, bound %d", kind, u, len(q)*8, congest.MaxKindVarintBits)
-		}
-		// Every registered kind must fit the generic encoders' ceiling.
-		for _, spec := range congest.PayloadSpecs() {
-			if spec.MaxBits > congest.MaxKindVarintBits {
-				t.Fatalf("registered kind %s declares %d bits, above the engine-wide varint ceiling %d", spec.Name, spec.MaxBits, congest.MaxKindVarintBits)
-			}
 		}
 	})
 }
