@@ -64,7 +64,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	truncated := false
 	describe := func(msg congest.Message) string {
 		return fmt.Sprintf("  %s -> %s  %s",
-			nodeName(m, msg.From), nodeName(m, msg.To), core.DescribePayload(msg.Payload))
+			nodeName(m, int(msg.From)), nodeName(m, int(msg.To)), core.DescribePayload(msg.Payload))
 	}
 	sol, rep, err := core.Solve(inst, core.Config{K: *k},
 		core.WithSeed(*seed),

@@ -40,13 +40,13 @@ func sorted(m map[int]int) []int {
 	return keys
 }
 
-func sends(env *congest.Env, live map[int]bool, payload []byte) {
+func sends(env *congest.Env, live map[int32]bool, payload []byte) {
 	for v := range live { // want `stages a message via Env\.Send`
-		env.Send(v, payload)
+		env.Send(int(v), payload)
 	}
 	for _, v := range env.Neighbors() { // slice iteration: allowed
 		if live[v] {
-			env.Send(v, payload)
+			env.Send(int(v), payload)
 		}
 	}
 }

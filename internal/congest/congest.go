@@ -14,7 +14,9 @@
 package congest
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 )
@@ -30,8 +32,13 @@ import (
 // contiguous scan. Per-row neighbour order is insertion order — exactly the
 // order the old slice-of-slices builder produced — so freezing changes no
 // observable iteration order. A second flat array keeps each row sorted by
-// neighbour id for O(log degree) adjacency queries; freeze builds it by
-// transposing the deduplicated rows in O(edges), without a sort.
+// neighbour id for O(log degree) adjacency queries; it is built by
+// transposing the deduplicated rows in O(edges), without a sort. Bipartite
+// skips the builder phase and fills both arrays straight from its walks.
+//
+// Neighbour ids are stored as int32, the O(log n)-bit id of the model, so
+// each directed edge costs 8 bytes across the two arrays; a graph holds at
+// most math.MaxInt32 nodes.
 //
 // The zero value is an empty graph; use NewGraph.
 type Graph struct {
@@ -43,7 +50,7 @@ type Graph struct {
 	// the same rows in ascending neighbour-id order for binary search.
 	frozen    bool
 	rowStart  []int
-	nbrs      []int
+	nbrs      []int32
 	sorted    []int32
 	edgeCount int
 }
@@ -58,10 +65,14 @@ func (g *Graph) N() int { return g.n }
 
 // AddEdge connects u and v. Self-loops are rejected immediately; duplicate
 // edges are detected at Finalize time (silently dropped by Finalize, an
-// error from FinalizeChecked). Adding an edge to a frozen graph is an error.
+// error from FinalizeChecked). Adding an edge to a frozen graph, or to a
+// graph of more than math.MaxInt32 nodes, is an error.
 func (g *Graph) AddEdge(u, v int) error {
 	if g.frozen {
 		return fmt.Errorf("congest: AddEdge(%d,%d) on frozen graph", u, v)
+	}
+	if g.n > math.MaxInt32 {
+		return fmt.Errorf("congest: %d nodes exceed the int32 id space", g.n)
 	}
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("congest: edge (%d,%d) out of range [0,%d)", u, v, g.n)
@@ -109,14 +120,14 @@ func (g *Graph) freeze(dupErr *error) {
 	for u := 0; u < n; u++ {
 		rowStart[u+1] += rowStart[u]
 	}
-	nbrs := make([]int, rowStart[n])
+	nbrs := make([]int32, rowStart[n])
 	cur := make([]int, n)
 	copy(cur, rowStart[:n])
 	for k := range g.pendU {
 		u, v := g.pendU[k], g.pendV[k]
-		nbrs[cur[u]] = v
+		nbrs[cur[u]] = int32(v)
 		cur[u]++
-		nbrs[cur[v]] = u
+		nbrs[cur[v]] = int32(u)
 		cur[v]++
 	}
 	// Stable in-place dedup: stamp[v] == u+1 iff v was already seen in row
@@ -142,27 +153,54 @@ func (g *Graph) freeze(dupErr *error) {
 	newStart[n] = write
 	g.rowStart = newStart
 	g.nbrs = nbrs[:write:write]
-	g.edgeCount = write / 2
-	// Transpose: walking u ascending and appending u to the sorted row of
-	// each of its neighbours leaves every sorted row ascending, because the
-	// deduplicated adjacency is symmetric (v is in u's row iff u is in v's).
-	g.sorted = make([]int32, write)
-	copy(cur, newStart[:n])
+	g.pendU, g.pendV = nil, nil
+	g.transpose(cur, false)
+}
+
+// transpose fills the sorted rows from the frozen insertion-order rows and
+// freezes the graph; cur is scratch of n entries. Walking u ascending and
+// appending u to the sorted row of each of its neighbours leaves every
+// sorted row ascending, because the adjacency is symmetric (v is in u's
+// row iff u is in v's). A duplicate edge (u, v) therefore shows up as u
+// written twice in a row into v's sorted row; with checkDup set, transpose
+// reports the first one it meets, in walk order.
+func (g *Graph) transpose(cur []int, checkDup bool) (dupU, dupV int, dup bool) {
+	n, rowStart, nbrs := g.n, g.rowStart, g.nbrs
+	sorted := make([]int32, len(nbrs))
+	copy(cur, rowStart[:n])
 	for u := 0; u < n; u++ {
-		for _, v := range g.nbrs[newStart[u]:newStart[u+1]] {
-			g.sorted[cur[v]] = int32(u)
+		for _, v := range nbrs[rowStart[u]:rowStart[u+1]] {
+			k := cur[v]
+			if checkDup && !dup && k > rowStart[v] && sorted[k-1] == int32(u) {
+				dupU, dupV, dup = u, int(v), true
+			}
+			sorted[k] = int32(u)
 			cur[v]++
 		}
 	}
-	g.pendU, g.pendV = nil, nil
+	g.sorted = sorted
+	g.edgeCount = len(nbrs) / 2
 	g.frozen = true
+	return dupU, dupV, dup
 }
 
 // Neighbors returns the neighbour list of u in insertion order. Shared
-// storage: callers must not modify the returned slice.
-func (g *Graph) Neighbors(u int) []int {
+// storage: callers must not modify the returned slice, whose capacity ends
+// with the row.
+func (g *Graph) Neighbors(u int) []int32 {
 	g.Finalize()
-	return g.nbrs[g.rowStart[u]:g.rowStart[u+1]]
+	lo, hi := g.rowStart[u], g.rowStart[u+1]
+	return g.nbrs[lo:hi:hi]
+}
+
+// SortedNeighbors returns the neighbour list of u in ascending id order:
+// the same ids as Neighbors, and the row NeighborIndex positions refer to.
+// Shared storage: callers must not modify the returned slice, whose
+// capacity ends with the row.
+func (g *Graph) SortedNeighbors(u int) []int32 {
+	g.Finalize()
+	lo, hi := g.rowStart[u], g.rowStart[u+1]
+	return g.sorted[lo:hi:hi]
 }
 
 // Degree returns the number of neighbours of u.
@@ -206,44 +244,87 @@ func (g *Graph) rowOffsets(u int) (int, int) {
 	return g.rowStart[u], g.rowStart[u+1]
 }
 
+// errBipartiteReplay reports a second walk of Bipartite's edges that
+// yields other per-row degrees than the first.
+var errBipartiteReplay = errors.New("congest: the second walk of the bipartite edges does not replay the first")
+
 // Bipartite builds the communication graph of a facility-location instance:
 // facilities occupy node ids 0..m-1 and clients m..m+nc-1; each (facility i,
 // client j) pair in edges becomes a communication edge. The returned graph
-// is already frozen; duplicate pairs are an error. edges is walked twice,
-// once to count the pairs so the pending edge list is allocated once at
-// its final size, and once to add them; both walks must yield the same
-// pairs.
+// is already frozen, with each row in the order edges yields its pairs.
+//
+// edges is walked twice and writes straight into the CSR arrays: the first
+// walk counts every row's degree, the second fills the rows, and the
+// transpose into sorted rows follows. No pair list is staged. A pair out of
+// range, a duplicate pair, and a second walk that does not yield the same
+// per-row degrees as the first are errors, as is a node count beyond the
+// int32 id space, which is rejected before anything is allocated.
 func Bipartite(m, nc int, edges func(yield func(facility, client int) bool)) (*Graph, error) {
-	g := NewGraph(m + nc)
-	count := 0
-	edges(func(int, int) bool {
-		count++
-		return true
-	})
-	g.pendU, g.pendV = make([]int, 0, count), make([]int, 0, count)
+	if m < 0 || nc < 0 || m > math.MaxInt32-nc {
+		return nil, fmt.Errorf("congest: bipartite graph of %d+%d nodes exceeds the int32 id space", m, nc)
+	}
+	n := m + nc
 	var err error
-	edges(func(i, j int) bool {
-		if e := g.AddEdge(i, m+j); e != nil {
-			err = e
+	inRange := func(i, j int) bool {
+		if i < 0 || i >= m || j < 0 || j >= nc {
+			err = fmt.Errorf("congest: edge (%d,%d) out of range [0,%d)", i, m+j, n)
 			return false
 		}
+		return true
+	}
+	rowStart := make([]int, n+1)
+	edges(func(i, j int) bool {
+		if !inRange(i, j) {
+			return false
+		}
+		rowStart[i+1]++
+		rowStart[m+j+1]++
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := g.FinalizeChecked(); err != nil {
+	for u := 0; u < n; u++ {
+		rowStart[u+1] += rowStart[u]
+	}
+	g := &Graph{n: n, rowStart: rowStart, nbrs: make([]int32, rowStart[n])}
+	cur := make([]int, n)
+	copy(cur, rowStart[:n])
+	edges(func(i, j int) bool {
+		if !inRange(i, j) {
+			return false
+		}
+		u, v := i, m+j
+		if cur[u] == rowStart[u+1] || cur[v] == rowStart[v+1] {
+			err = errBipartiteReplay
+			return false
+		}
+		g.nbrs[cur[u]] = int32(v)
+		cur[u]++
+		g.nbrs[cur[v]] = int32(u)
+		cur[v]++
+		return true
+	})
+	if err != nil {
 		return nil, err
+	}
+	for u := 0; u < n; u++ {
+		if cur[u] != rowStart[u+1] {
+			return nil, errBipartiteReplay
+		}
+	}
+	if u, v, dup := g.transpose(cur, true); dup {
+		return nil, fmt.Errorf("congest: duplicate edge (%d,%d)", u, v)
 	}
 	return g, nil
 }
 
-// Message is one payload in flight. From and To are node ids; the payload
+// Message is one payload in flight. From and To are node ids, int32 like
+// the graph's neighbour ids, so that a record is 32 bytes; the payload
 // size (in bits) is charged against the model's message-size budget.
 type Message struct {
-	From    int
-	To      int
-	Payload []byte
+	From, To int32
+	Payload  []byte
 }
 
 // Bits returns the payload size in bits.
@@ -279,8 +360,9 @@ type Recoverable interface {
 // list, deterministic private randomness, and staged outgoing messages.
 //
 // The engine allocates the Env structs and the once-per-neighbour
-// generation stamps up front in flat per-run arrays, partitioned by the
-// frozen graph's CSR offsets, so nodes owned by one shard occupy
+// generation stamps (4 bytes per directed edge) up front in flat per-run
+// arrays, partitioned by the frozen graph's CSR offsets, so nodes owned by
+// one shard occupy
 // contiguous memory (ids within a shard are near-contiguous). Staged
 // messages and their payload bytes live in the round buffers of the span
 // that runs the node (sendBuf), which hold one round's traffic and are
@@ -298,8 +380,10 @@ type Env struct {
 	// round generation in which that neighbour was last sent to; comparing
 	// against gen makes the once-per-neighbour check one load per send with
 	// no per-round clearing. A view into the engine's flat array, one slot
-	// per neighbour, so its length is the degree.
-	sentGen []uint64
+	// per neighbour, so its length is the degree. A generation grows by one
+	// per round the node runs, so Run's round budget keeps it below 2^32
+	// (see maxRoundBudget).
+	sentGen []uint32
 	// buf is the round buffer of the span that runs the node, shared with
 	// every other node of that span.
 	buf *sendBuf
@@ -322,7 +406,7 @@ type Env struct {
 	// message per neighbour per round), taken by the first record of the
 	// round (see sendBuf).
 	out []Message
-	gen uint64
+	gen uint32
 	// rejected counts inbox frames this node's protocol logic refused as
 	// malformed (fail-closed decode paths) in its current round. The drain
 	// of the deterministic merge adds it to Stats.Rejected — on the caller
@@ -338,9 +422,9 @@ type Env struct {
 // ID returns the node's id.
 func (e *Env) ID() int { return int(e.id) }
 
-// Neighbors returns the node's neighbour list (shared storage, do not
-// modify).
-func (e *Env) Neighbors() []int { return e.graph.Neighbors(int(e.id)) }
+// Neighbors returns the node's neighbour list in the graph's insertion
+// order (shared storage, do not modify).
+func (e *Env) Neighbors() []int32 { return e.graph.Neighbors(int(e.id)) }
 
 // Degree returns the node's degree.
 func (e *Env) Degree() int { return e.graph.Degree(int(e.id)) }
@@ -426,7 +510,7 @@ func (e *Env) Send(to int, payload []byte) {
 func (e *Env) Broadcast(payload []byte) {
 	if len(e.out) > 0 || e.sendErr != nil || len(e.sentGen) == 0 || (e.bitLimit > 0 && len(payload)*8 > e.bitLimit) {
 		for _, v := range e.Neighbors() {
-			e.Send(v, payload)
+			e.Send(int(v), payload)
 		}
 		return
 	}
@@ -448,7 +532,7 @@ func (e *Env) stage(to int, payload []byte) {
 	if len(e.out) == 0 {
 		e.out = b.recs.room(len(e.sentGen), chunkSize(e.graph))
 	}
-	e.out = append(e.out, Message{From: int(e.id), To: to, Payload: b.copyPayload(payload)})
+	e.out = append(e.out, Message{From: e.id, To: int32(to), Payload: b.copyPayload(payload)})
 	b.recs.used++
 }
 

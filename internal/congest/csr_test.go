@@ -2,6 +2,7 @@ package congest
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -56,7 +57,8 @@ func TestCSRMatchesNaiveBuilder(t *testing.T) {
 				t.Fatalf("trial %d: Neighbors(%d) has %d entries, want %d", trial, u, len(row), len(naive[u]))
 			}
 			seenPos := make(map[int]bool, len(row))
-			for k, v := range row {
+			for k, v32 := range row {
+				v := int(v32)
 				if v != naive[u][k] {
 					t.Fatalf("trial %d: Neighbors(%d)[%d] = %d, want %d (insertion order must survive the freeze)", trial, u, k, v, naive[u][k])
 				}
@@ -189,6 +191,58 @@ func TestCSRLargeDeterminism(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("shards=%d: node %d digest %x != sequential %x", shards, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestBipartiteMatchesBuilder checks Bipartite's direct CSR fill against
+// the builder path: on random bipartite pair lists, with facilities and
+// clients of degree zero among them, Bipartite and NewGraph + AddEdge +
+// FinalizeChecked give the same rows, in insertion order and sorted.
+func TestBipartiteMatchesBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		m, nc := 1+rng.Intn(12), 1+rng.Intn(30)
+		var pairs [][2]int
+		for i := 0; i < m; i++ {
+			if rng.Intn(4) == 0 {
+				continue // a facility of degree zero
+			}
+			for _, j := range rng.Perm(nc) {
+				if rng.Intn(3) == 0 {
+					pairs = append(pairs, [2]int{i, j})
+				}
+			}
+		}
+		g, err := Bipartite(m, nc, func(yield func(int, int) bool) {
+			for _, p := range pairs {
+				if !yield(p[0], p[1]) {
+					return
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		ref := NewGraph(m + nc)
+		for _, p := range pairs {
+			if err := ref.AddEdge(p[0], m+p[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ref.FinalizeChecked(); err != nil {
+			t.Fatal(err)
+		}
+		if g.N() != ref.N() || g.EdgeCount() != ref.EdgeCount() {
+			t.Fatalf("trial %d: N=%d E=%d, builder N=%d E=%d", trial, g.N(), g.EdgeCount(), ref.N(), ref.EdgeCount())
+		}
+		for u := 0; u < g.N(); u++ {
+			if !slices.Equal(g.Neighbors(u), ref.Neighbors(u)) {
+				t.Fatalf("trial %d: Neighbors(%d) = %v, builder %v", trial, u, g.Neighbors(u), ref.Neighbors(u))
+			}
+			if !slices.Equal(g.SortedNeighbors(u), ref.SortedNeighbors(u)) {
+				t.Fatalf("trial %d: SortedNeighbors(%d) = %v, builder %v", trial, u, g.SortedNeighbors(u), ref.SortedNeighbors(u))
 			}
 		}
 	}

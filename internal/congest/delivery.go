@@ -153,7 +153,7 @@ func (d *delivery) transmit(round int, msg Message) {
 
 // byzantineAt reports whether node id's network interface is compromised at
 // the given round.
-func (d *delivery) byzantineAt(id, round int) bool {
+func (d *delivery) byzantineAt(id int32, round int) bool {
 	return d.byzFrom != nil && d.byzFrom[id] >= 0 && round >= d.byzFrom[id]
 }
 
@@ -162,10 +162,10 @@ func (d *delivery) byzantineAt(id, round int) bool {
 // is installed, generic mangling otherwise. Oversized forgeries are clipped
 // to the engine's bit limit so an adversary cannot exceed the CONGEST
 // message budget.
-func (d *delivery) forge(round, from, to int, orig []byte) []byte {
+func (d *delivery) forge(round int, from, to int32, orig []byte) []byte {
 	var p []byte
 	if d.faults.Forger != nil {
-		p = d.faults.Forger(d.rng, round, from, to, orig)
+		p = d.faults.Forger(d.rng, round, int(from), int(to), orig)
 	} else {
 		p = forgePayload(d.rng, orig)
 	}
@@ -186,11 +186,11 @@ func (d *delivery) injectForged(round int) {
 		return
 	}
 	n := d.graph.N()
-	for id := 0; id < n; id++ {
+	for id := int32(0); int(id) < n; id++ {
 		if !d.byzantineAt(id, round) || d.x.halted[id] {
 			continue
 		}
-		for _, to := range d.graph.Neighbors(id) {
+		for _, to := range d.graph.Neighbors(int(id)) {
 			if d.byzSent[linkKey(id, to, n)] == round+1 {
 				continue
 			}
@@ -242,8 +242,8 @@ func (d *delivery) plainTransmit(round int, msg Message) {
 // dropOnWire decides whether one wire transmission from -> to is lost:
 // deterministic schedules (bursts, link downs, partitions) first — they
 // consume no randomness — then the probabilistic drop.
-func (d *delivery) dropOnWire(from, to, round int) bool {
-	if d.sched != nil && d.sched.blocked(from, to, round) {
+func (d *delivery) dropOnWire(from, to int32, round int) bool {
+	if d.sched != nil && d.sched.blocked(int(from), int(to), round) {
 		return true
 	}
 	return d.faults.shouldDrop(d.rng, round)
@@ -318,7 +318,7 @@ type reliShim struct {
 
 // frame is one sequenced protocol message owned by the shim.
 type frame struct {
-	from, to int
+	from, to int32
 	seq      uint64
 	payload  []byte
 	attempts int // wire transmissions so far (1 = the initial send)
@@ -333,7 +333,7 @@ type ackEvent struct {
 	tx int
 }
 
-func linkKey(from, to, n int) uint64 {
+func linkKey(from, to int32, n int) uint64 {
 	return uint64(from)*uint64(n) + uint64(to)
 }
 
@@ -478,8 +478,8 @@ func (s *reliShim) retransmitDue(d *delivery, round int) {
 // (its own nextSeq entries and its peers' windows for frames it sent) are
 // deliberately left intact — resetting them would make post-recovery
 // frames collide with pre-crash history at the receivers.
-func (s *reliShim) onCrash(id int) {
-	for from := 0; from < s.n; from++ {
+func (s *reliShim) onCrash(id int32) {
+	for from := int32(0); int(from) < s.n; from++ {
 		delete(s.recvWin, linkKey(from, id, s.n))
 	}
 }

@@ -3,6 +3,7 @@ package congest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -17,7 +18,8 @@ type Config struct {
 	// Seed derives every node's private random stream; the same seed yields
 	// a byte-identical execution in both runners.
 	Seed int64
-	// MaxRounds aborts runaway protocols. 0 means DefaultMaxRounds.
+	// MaxRounds aborts runaway protocols. 0 means DefaultMaxRounds; the
+	// runners reject a budget above maxRoundBudget.
 	MaxRounds int
 	// Parallel selects the sharded runner: node ids are split into the
 	// contiguous ranges of SplitSpans, each owned by one persistent worker
@@ -59,6 +61,24 @@ type Config struct {
 
 // DefaultMaxRounds is the round budget when Config.MaxRounds is zero.
 const DefaultMaxRounds = 1 << 20
+
+// maxRoundBudget is the largest round budget a run accepts. A node's send
+// generation (Env.gen) starts at 1 and grows by one per round it runs, so
+// a budget of at most 2^32-2 rounds keeps it a nonzero uint32 that no
+// unwritten stamp can equal.
+const maxRoundBudget = math.MaxUint32 - 1
+
+// roundBudget returns the round budget of cfg, or an error when it is
+// beyond maxRoundBudget.
+func roundBudget(cfg Config) (int, error) {
+	if int64(cfg.MaxRounds) > maxRoundBudget {
+		return 0, fmt.Errorf("congest: MaxRounds %d exceeds the budget limit %d", cfg.MaxRounds, int64(maxRoundBudget))
+	}
+	if cfg.MaxRounds == 0 {
+		return DefaultMaxRounds, nil
+	}
+	return cfg.MaxRounds, nil
+}
 
 // ErrRoundLimit is returned when a protocol does not halt within the round
 // budget.
@@ -113,9 +133,9 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	if cfg.Dense && cfg.Parallel {
 		return Stats{}, fmt.Errorf("congest: Dense is the sequential reference scheduler and cannot be combined with Parallel")
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = DefaultMaxRounds
+	maxRounds, err := roundBudget(cfg)
+	if err != nil {
+		return Stats{}, err
 	}
 
 	g.Finalize()
@@ -198,7 +218,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 				x.fr.dropCrashed(int32(id))
 			}
 			if x.del.shim != nil {
-				x.del.shim.onCrash(id)
+				x.del.shim.onCrash(int32(id))
 			}
 		}
 		// Recovery rejoins a crashed node with empty protocol state: the
@@ -279,7 +299,7 @@ type nodeSet struct {
 // offsets, so a shard's rounds walk a contiguous region of both.
 func newNodeSet(g *Graph, nodes []Node, lo, hi, n int, cfg Config, buf *sendBuf) nodeSet {
 	base, top := g.rowStart[lo], g.rowStart[hi]
-	genAll := make([]uint64, top-base)
+	genAll := make([]uint32, top-base)
 	ns := nodeSet{graph: g, nodes: nodes, envs: make([]Env, hi-lo), lo: lo, halted: make([]bool, n), inboxes: make([][]Message, n)}
 	for id := lo; id < hi; id++ {
 		s, e := g.rowOffsets(id)
@@ -446,7 +466,7 @@ func (x *span) drain(round int, env *Env) error {
 			switch {
 			case x.del != nil:
 				x.del.transmit(round, msg)
-			case x.owns(msg.To):
+			case x.owns(int(msg.To)):
 				x.reserve(msg.To)
 				x.deliver(msg)
 			default:
@@ -463,7 +483,7 @@ func (x *span) drain(round int, env *Env) error {
 // scratch keeps the per-message loops of the drains as tight as for sent
 // messages.
 func (x *span) expand(rec Message) []Message {
-	lo, hi := x.graph.rowOffsets(rec.From)
+	lo, hi := x.graph.rowOffsets(int(rec.From))
 	nbrs := x.graph.nbrs[lo:hi]
 	if cap(x.bcast) < len(nbrs) {
 		x.bcast = make([]Message, len(nbrs))
@@ -526,7 +546,7 @@ func (x *span) clearInboxes() {
 // another node's inbox once it recovered. Every delivery path calls
 // reserve just before deliver; folding it into deliver would push
 // deliver past the inlining budget.
-func (x *span) reserve(to int) {
+func (x *span) reserve(to int32) {
 	if cap(x.inboxes[to]) == 0 && !x.halted[to] {
 		x.carveInbox(to)
 	}
@@ -534,8 +554,8 @@ func (x *span) reserve(to int) {
 
 // carveInbox hands node to a Degree(to)-message region of the inbox
 // chunks.
-func (x *span) carveInbox(to int) {
-	d := x.graph.Degree(to)
+func (x *span) carveInbox(to int32) {
+	d := x.graph.Degree(int(to))
 	x.inboxes[to] = x.inbox.room(d, chunkSize(x.graph))
 	x.inbox.used += d
 }

@@ -74,6 +74,10 @@ func TestGraphAddEdgeErrors(t *testing.T) {
 	}
 }
 
+// TestBipartite checks a small graph, and that Bipartite rejects a
+// duplicate pair, a pair out of range, a second walk that does not replay
+// the first, and a node count beyond the int32 id space; the last before
+// it walks the edges or allocates the rows.
 func TestBipartite(t *testing.T) {
 	g, err := Bipartite(2, 3, func(yield func(i, j int) bool) {
 		yield(0, 0)
@@ -89,11 +93,47 @@ func TestBipartite(t *testing.T) {
 	if !g.HasEdge(0, 2) || !g.HasEdge(1, 4) {
 		t.Error("expected facility-client edges missing")
 	}
-	if _, err := Bipartite(1, 1, func(yield func(i, j int) bool) {
-		yield(0, 0)
-		yield(0, 0)
-	}); err == nil {
-		t.Fatal("duplicate bipartite edge should fail")
+	walks := 0
+	cases := []struct {
+		name  string
+		m, nc int
+		edges func(yield func(int, int) bool)
+		want  string
+	}{
+		{"duplicate", 2, 3, func(yield func(int, int) bool) {
+			_ = yield(0, 1) && yield(1, 2) && yield(0, 1)
+		}, "duplicate edge (0,3)"},
+		{"facility out of range", 2, 3, func(yield func(int, int) bool) {
+			_ = yield(0, 1) && yield(2, 0)
+		}, "out of range"},
+		{"client out of range", 2, 3, func(yield func(int, int) bool) {
+			_ = yield(0, -1)
+		}, "out of range"},
+		{"second walk yields more", 2, 3, func(yield func(int, int) bool) {
+			walks++
+			_ = yield(0, 1) && (walks%2 == 1 || yield(1, 1))
+		}, "does not replay"},
+		{"second walk yields fewer", 2, 3, func(yield func(int, int) bool) {
+			walks++
+			_ = yield(0, 1) && (walks%2 == 0 || yield(1, 1))
+		}, "does not replay"},
+		{"second walk moves a pair", 2, 3, func(yield func(int, int) bool) {
+			walks++
+			_ = yield(0, 1) && yield(1, walks%2)
+		}, "does not replay"},
+		{"beyond int32 ids", math.MaxInt32, 1, func(func(int, int) bool) {
+			t.Fatal("edges walked for a graph beyond the int32 id space")
+		}, "int32 id space"},
+		{"int overflow", math.MaxInt, 1, func(func(int, int) bool) {
+			t.Fatal("edges walked for a graph beyond the int32 id space")
+		}, "int32 id space"},
+	}
+	for _, c := range cases {
+		walks = 0
+		g, err := Bipartite(c.m, c.nc, c.edges)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Bipartite = (%v, %v), want an error containing %q", c.name, g, err, c.want)
+		}
 	}
 }
 
@@ -282,20 +322,20 @@ func (b *bcastNode) Round(r int, inbox []Message) bool {
 	if violate {
 		switch b.violate {
 		case "broadcastAfterSend":
-			b.env.Send(nbrs[len(nbrs)-1], b.buf)
+			b.env.Send(int(nbrs[len(nbrs)-1]), b.buf)
 		case "oversized":
 			b.buf = append(b.buf, make([]byte, 8)...)
 		}
 	}
 	if b.sendLoop {
 		for _, v := range nbrs {
-			b.env.Send(v, b.buf)
+			b.env.Send(int(v), b.buf)
 		}
 	} else {
 		b.env.Broadcast(b.buf)
 	}
 	if violate && b.violate == "sendAfterBroadcast" {
-		b.env.Send(nbrs[0], b.buf)
+		b.env.Send(int(nbrs[0]), b.buf)
 	}
 	for k := range b.buf {
 		b.buf[k] = 0xff
@@ -360,8 +400,8 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 				if sendLoop {
 					continue
 				}
-				if p, ok := first[msg.From]; !ok {
-					first[msg.From] = &msg.Payload[0]
+				if p, ok := first[int(msg.From)]; !ok {
+					first[int(msg.From)] = &msg.Payload[0]
 				} else if p != &msg.Payload[0] {
 					t.Fatalf("round %d: node %d's broadcast staged more than one payload copy", round, msg.From)
 				}
@@ -479,6 +519,32 @@ func TestRunRoundLimit(t *testing.T) {
 	}
 }
 
+// haltNode halts in its first round.
+type haltNode struct{}
+
+func (haltNode) Init(*Env)                 {}
+func (haltNode) Round(int, []Message) bool { return true }
+
+// TestRoundBudgetLimit checks that the runners reject a MaxRounds the
+// uint32 send generations could not count, and accept the largest one
+// they can.
+func TestRoundBudgetLimit(t *testing.T) {
+	g := NewGraph(1)
+	g.Finalize()
+	for _, rounds := range []int{maxRoundBudget + 1, math.MaxUint32, 1 << 40} {
+		if _, err := Run(g, []Node{haltNode{}}, Config{MaxRounds: rounds}); err == nil || !strings.Contains(err.Error(), "exceeds the budget limit") {
+			t.Errorf("Run with MaxRounds %d: err = %v, want the budget limit error", rounds, err)
+		}
+		if _, err := RunShard(g, []Node{haltNode{}}, Span{0, 1}, Config{MaxRounds: rounds}, nil); err == nil || !strings.Contains(err.Error(), "exceeds the budget limit") {
+			t.Errorf("RunShard with MaxRounds %d: err = %v, want the budget limit error", rounds, err)
+		}
+	}
+	st, err := Run(g, []Node{haltNode{}}, Config{MaxRounds: maxRoundBudget})
+	if err != nil || st.Rounds != 1 {
+		t.Fatalf("Run with MaxRounds %d = (%+v, %v), want one round", maxRoundBudget, st, err)
+	}
+}
+
 func TestRunNodeCountMismatch(t *testing.T) {
 	g := NewGraph(2)
 	if _, err := Run(g, []Node{spinNode{}}, Config{}); err == nil {
@@ -515,7 +581,7 @@ func (rn *recNode) Round(r int, inbox []Message) bool {
 		return false
 	}
 	for _, v := range rn.env.Neighbors() {
-		rn.env.Send(v, []byte{b, byte(r)})
+		rn.env.Send(int(v), []byte{b, byte(r)})
 	}
 	return false
 }
@@ -658,7 +724,7 @@ func TestMessageBits(t *testing.T) {
 		}
 	}
 	// Every registered kind fits the same ceiling.
-	for _, spec := range PayloadSpecs() {
+	for _, spec := range payloadRegistry {
 		if spec.MaxBits > MaxKindVarintBits {
 			t.Fatalf("registered kind %s declares %d bits, above MaxKindVarintBits %d", spec.Name, spec.MaxBits, MaxKindVarintBits)
 		}

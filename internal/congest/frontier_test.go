@@ -40,11 +40,11 @@ func (d *drowsyNode) Round(r int, inbox []Message) bool {
 	case r%5 == 0:
 		b := byte(d.env.Rand().Intn(256))
 		for _, v := range d.env.Neighbors() {
-			d.env.Send(v, []byte{b, byte(r)})
+			d.env.Send(int(v), []byte{b, byte(r)})
 		}
 	case reply:
 		for _, v := range d.env.Neighbors() {
-			d.env.Send(v, []byte{0xEE, byte(r)})
+			d.env.Send(int(v), []byte{0xEE, byte(r)})
 		}
 	}
 	// Sleep to the next action round, clamped to the halt round: halting
@@ -164,7 +164,7 @@ func (n *tickNode) Round(r int, inbox []Message) bool {
 	if n.beacon {
 		if r%6 == 0 {
 			for _, v := range n.env.Neighbors() {
-				n.env.Send(v, []byte{1})
+				n.env.Send(int(v), []byte{1})
 			}
 		}
 		if nx := r + 6 - r%6; nx < next {
@@ -248,7 +248,7 @@ func TestFrontierObserverParity(t *testing.T) {
 			Parallel: parallel,
 			Shards:   shards,
 			Observer: func(round int, delivered []Message) {
-				last := -1
+				last := int32(-1)
 				for _, m := range delivered {
 					if m.From < last {
 						t.Errorf("round %d: delivery order not ascending by sender (%d after %d)", round, m.From, last)

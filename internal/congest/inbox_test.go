@@ -61,7 +61,7 @@ func (p *inboxProbe) Round(r int, inbox []Message) bool {
 	rng.Shuffle(len(nbrs), func(a, b int) { nbrs[a], nbrs[b] = nbrs[b], nbrs[a] })
 	for _, v := range nbrs {
 		if rng.Intn(4) != 0 {
-			p.env.Send(v, []byte{byte(p.env.ID()), byte(r), byte(v)})
+			p.env.Send(int(v), []byte{byte(p.env.ID()), byte(r), byte(v)})
 		}
 	}
 	return false
@@ -117,7 +117,7 @@ func TestInboxSlabIsolation(t *testing.T) {
 				for _, s := range p.seen {
 					if s.round > 0 {
 						want := slices.Clone(delivered[s.round-1][v])
-						slices.SortStableFunc(want, func(a, b Message) int { return a.From - b.From })
+						slices.SortStableFunc(want, func(a, b Message) int { return int(a.From) - int(b.From) })
 						var b bytes.Buffer
 						for _, m := range want {
 							fmt.Fprintf(&b, "%d:%x ", m.From, m.Payload)
@@ -235,7 +235,7 @@ func (l *inboxLogger) Round(r int, inbox []Message) bool {
 	}
 	if !l.listener {
 		for _, v := range l.env.Neighbors() {
-			l.env.Send(v, []byte{byte(l.env.ID()), byte(r), byte(v)})
+			l.env.Send(int(v), []byte{byte(l.env.ID()), byte(r), byte(v)})
 		}
 	}
 	return false

@@ -28,7 +28,7 @@ func (c *chaosNode) Round(r int, inbox []Message) bool {
 	}
 	b := byte(c.env.Rand().Intn(256))
 	for _, v := range c.env.Neighbors() {
-		c.env.Send(v, []byte{b, byte(r)})
+		c.env.Send(int(v), []byte{b, byte(r)})
 	}
 	return false
 }

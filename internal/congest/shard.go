@@ -163,21 +163,21 @@ func (p *shardPool) ingest(w int) {
 		for _, id := range src.fr.senders {
 			for _, rec := range s.env(id).out {
 				if rec.To != broadcastTo {
-					if r.Contains(rec.To) {
+					if r.Contains(int(rec.To)) {
 						s.reserve(rec.To)
 						s.deliver(rec)
 					}
 					continue
 				}
-				lo, hi := s.graph.rowOffsets(rec.From)
+				lo, hi := s.graph.rowOffsets(int(rec.From))
 				row := s.graph.sorted[lo:hi]
 				i, _ := slices.BinarySearch(row, int32(r.Lo))
 				for _, v := range row[i:] {
 					if int(v) >= r.Hi {
 						break
 					}
-					s.reserve(int(v))
-					s.deliver(Message{From: rec.From, To: int(v), Payload: rec.Payload})
+					s.reserve(v)
+					s.deliver(Message{From: rec.From, To: v, Payload: rec.Payload})
 				}
 			}
 		}

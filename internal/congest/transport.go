@@ -177,9 +177,9 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 	if !g.frozen {
 		return Stats{}, fmt.Errorf("congest: RunShard requires a finalized graph; call Finalize before launching shards")
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = DefaultMaxRounds
+	maxRounds, err := roundBudget(cfg)
+	if err != nil {
+		return Stats{}, err
 	}
 
 	// One span over the local ids: a sleeping node stays live — the shard
@@ -220,7 +220,7 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 			return end(round+1, fmt.Errorf("congest: gather round %d: %w", round, err))
 		}
 		for _, msg := range in {
-			if !x.owns(msg.To) {
+			if !x.owns(int(msg.To)) {
 				return end(round+1, fmt.Errorf("congest: transport delivered message for remote node %d to shard [%d,%d)", msg.To, sp.Lo, sp.Hi))
 			}
 			x.reserve(msg.To)
@@ -233,7 +233,7 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 			// total: a sender stages at most one message per recipient per
 			// round, so sender ids within an inbox are unique.
 			for _, id := range x.fr.recips {
-				slices.SortFunc(x.inboxes[id], func(a, b Message) int { return a.From - b.From })
+				slices.SortFunc(x.inboxes[id], func(a, b Message) int { return int(a.From) - int(b.From) })
 			}
 		}
 	}
@@ -312,7 +312,7 @@ func (e *chanEndpoint) Send(round int, msgs []Message) error {
 		return fmt.Errorf("congest: shard %d sent for round %d, open round is %d", e.shard, round, c.open)
 	}
 	for _, m := range msgs {
-		dst := spanOf(c.spans, m.To)
+		dst := spanOf(c.spans, int(m.To))
 		if dst < 0 {
 			return fmt.Errorf("congest: message to unowned node %d", m.To)
 		}

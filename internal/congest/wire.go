@@ -3,7 +3,6 @@ package congest
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // This file is the runtime half of the congestmsg contract (see
@@ -42,16 +41,6 @@ func RegisterPayload(kind byte, name string, maxBits int) {
 		panic(fmt.Sprintf("congest: payload kind %#x registered twice (%s and %s)", kind, prev.Name, name))
 	}
 	payloadRegistry[kind] = PayloadSpec{Kind: kind, Name: name, MaxBits: maxBits}
-}
-
-// PayloadSpecs returns every registered payload kind, sorted by kind byte.
-func PayloadSpecs() []PayloadSpec {
-	specs := make([]PayloadSpec, 0, len(payloadRegistry))
-	for _, s := range payloadRegistry { //flvet:ordered sorted immediately below
-		specs = append(specs, s)
-	}
-	sort.Slice(specs, func(i, j int) bool { return specs[i].Kind < specs[j].Kind })
-	return specs
 }
 
 // PayloadMaxBits returns the registered size bound for a wire kind.

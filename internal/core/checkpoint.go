@@ -184,7 +184,8 @@ func DecodeCheckpoint(p []byte) (*Checkpoint, error) {
 			if _, err := congest.ValidatePayload(payload); err != nil {
 				return nil, fmt.Errorf("%w: round %d message %d->%d: %v", errCheckpoint, r, from, to, err)
 			}
-			msgs = append(msgs, congest.Message{From: int(from), To: int(to), Payload: payload})
+			// from and to are range-checked above, so they fit the int32 ids.
+			msgs = append(msgs, congest.Message{From: int32(from), To: int32(to), Payload: payload})
 		}
 		ck.Log[r] = msgs
 	}

@@ -150,7 +150,7 @@ func TestCheckpointDecodeFailClosed(t *testing.T) {
 		t.Fatal("run produced no cross-shard traffic to borrow a payload from")
 	}
 	span, m, nc := ck.Span, ck.M, ck.NC
-	remote, local := span.Hi, span.Lo // sender outside the span, recipient inside
+	remote, local := int32(span.Hi), int32(span.Lo) // sender outside the span, recipient inside
 	craft := func(mut func(c *Checkpoint)) []byte {
 		c := &Checkpoint{Span: span, M: m, NC: nc, K: ck.K, Seed: ck.Seed,
 			Log: [][]congest.Message{{{From: remote, To: local, Payload: payload}}}}
@@ -172,7 +172,7 @@ func TestCheckpointDecodeFailClosed(t *testing.T) {
 			c.Log[0][0].From = local
 		}),
 		"sender out of range": craft(func(c *Checkpoint) {
-			c.Log[0][0].From = m + nc
+			c.Log[0][0].From = int32(m + nc)
 		}),
 		"recipient outside span": craft(func(c *Checkpoint) {
 			c.Log[0][0].To = remote

@@ -46,7 +46,7 @@ func TestDoneSentExactlyOncePerClient(t *testing.T) {
 		WithObserver(func(round int, delivered []congest.Message) {
 			for _, msg := range delivered {
 				if len(msg.Payload) == 1 && msg.Payload[0] == kindDone {
-					doneBySender[msg.From]++
+					doneBySender[int(msg.From)]++
 				}
 			}
 		}))
@@ -77,7 +77,7 @@ func TestGrantImpliesOffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type edge struct{ a, b int }
+	type edge struct{ a, b int32 }
 	offersAt := make(map[int]map[edge]bool) // round -> facility->client offers
 	violation := ""
 	_, _, err = Solve(inst, Config{K: 9}, WithSeed(2),

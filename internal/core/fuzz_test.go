@@ -90,7 +90,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		for r, msgs := range ck.Log {
 			for _, msg := range msgs {
-				if ck.Span.Contains(msg.From) || msg.From >= ck.M+ck.NC || !ck.Span.Contains(msg.To) {
+				if ck.Span.Contains(int(msg.From)) || int(msg.From) >= ck.M+ck.NC || !ck.Span.Contains(int(msg.To)) {
 					t.Fatalf("accepted checkpoint with out-of-contract message %d->%d in round %d", msg.From, msg.To, r)
 				}
 				if _, err := congest.ValidatePayload(msg.Payload); err != nil {

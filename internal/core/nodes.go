@@ -38,17 +38,19 @@ import (
 // steady state allocates nothing.
 //
 // Per-edge state is struct-of-arrays: newFacilityNodes lays out one flat
-// array per field for the whole run, partitioned by the instance's
-// facility-edge CSR offsets, and each node holds subslice views into its
-// own region. The old per-node map (posOf: client node id -> edge
-// position) is a sorted-id array searched by a forward galloping cursor
-// (seek): the ids a facility looks up arrive in ascending order, because
-// inboxes are sorted by sender, so decoding a round's messages costs
-// O(log gap) per id, and O(1) when the ids are dense, without any hashing
-// or per-node allocation. newFacilityNodes fills the sorted-id arrays of
-// all facilities at once by transposing the facility rows through a
-// client-major bucket, in time linear in the edge count and without a
-// comparison sort.
+// array per mutable field for the whole run, partitioned by the graph's
+// facility-row offsets, and each node holds subslice views into its own
+// region. The immutable edge lists are not copied at all: a facility reads
+// its connection costs from the instance's cost-sorted row and its client
+// ids from the communication graph's rows. The old per-node map (posOf:
+// client node id -> edge position) is the graph's id-sorted row searched
+// by a forward galloping cursor (seek): the ids a facility looks up arrive
+// in ascending order, because inboxes are sorted by sender, so decoding a
+// round's messages costs O(log gap) per id, and O(1) when the ids are
+// dense, without any hashing or per-node allocation. newFacilityNodes
+// fills the edge position of every sorted-row entry for all facilities at
+// once by transposing the facility rows through a client-major bucket, in
+// time linear in the edge count and without a comparison sort.
 type facilityNode struct {
 	inst *fl.Instance
 	idx  int // facility index == node id
@@ -56,14 +58,15 @@ type facilityNode struct {
 	d    Derived
 
 	env *congest.Env
-	// Edge list split by field, ascending cost, immutable after
-	// construction: edgeNode[p] is the client node id at position p,
-	// edgeCost[p] its connection cost.
+	// The edge list in ascending cost, as views of rows that the instance
+	// and the graph hold: edges is the instance's row, so edges[p].Cost is
+	// the connection cost at position p, and edgeNode the graph's
+	// insertion-order row, which buildGraph fills in the same order, so
+	// edgeNode[p] is the client node id at position p.
+	edges    []fl.Edge
 	edgeNode []int32
-	edgeCost []int64
-	// posOf replacement: nodeSorted lists the incident client node ids in
-	// ascending order and posAt the edge position of each; seek searches
-	// them.
+	// posOf replacement: nodeSorted is the graph's ascending-id row and
+	// posAt the edge position of each entry; seek searches them.
 	nodeSorted []int32
 	posAt      []int32
 	active     []bool // by edge position: client still unconnected, as far as i knows
@@ -110,26 +113,24 @@ var (
 // slot never reallocates.
 const facBufCap = 16
 
-// newFacilityNodes builds every facility state machine over one shared
-// struct-of-arrays allocation: a handful of flat arrays sized by the
-// instance's total facility-edge count, partitioned by the facility-edge
-// CSR offsets. Node i's views cover its own contiguous region (capacity
-// clamped by three-index slicing, so a pathological overflow reallocates
-// privately instead of corrupting a neighbour's region). This replaces
-// O(m) separate map/slice allocations with O(1) large ones and keeps each
-// facility's whole working set on adjacent cache lines.
-func newFacilityNodes(inst *fl.Instance, cfg Config, d Derived) []*facilityNode {
+// newFacilityNodes builds every facility state machine over graph, the
+// communication graph buildGraph made of inst, and one shared
+// struct-of-arrays allocation: a handful of flat arrays sized by the total
+// facility-edge count, partitioned by the facility rows' offsets. Node i's
+// views cover its own contiguous region (capacity clamped by three-index
+// slicing, so a pathological overflow reallocates privately instead of
+// corrupting a neighbour's region). This replaces O(m) separate map/slice
+// allocations with O(1) large ones and keeps each facility's whole working
+// set on adjacent cache lines.
+func newFacilityNodes(inst *fl.Instance, graph *congest.Graph, cfg Config, d Derived) []*facilityNode {
 	m := inst.M()
 	total := 0
 	for i := 0; i < m; i++ {
-		total += len(inst.FacilityEdges(i))
+		total += graph.Degree(i)
 	}
 	var (
 		store      = make([]facilityNode, m)
 		out        = make([]*facilityNode, m)
-		edgeNode   = make([]int32, total)
-		edgeCost   = make([]int64, total)
-		nodeSorted = make([]int32, total)
 		posAt      = make([]int32, total)
 		active     = make([]bool, total)
 		offeredAt  = make([]bool, total)
@@ -138,19 +139,20 @@ func newFacilityNodes(inst *fl.Instance, cfg Config, d Derived) []*facilityNode 
 		granted    = make([]int32, total)
 		bufAll     = make([]byte, m*facBufCap)
 	)
+	for k := range active {
+		active[k] = true
+	}
 	off := 0
 	for i := 0; i < m; i++ {
-		fes := inst.FacilityEdges(i)
-		s, e := off, off+len(fes)
-		f := &store[i]
-		*f = facilityNode{
+		s, e := off, off+graph.Degree(i)
+		store[i] = facilityNode{
 			inst:       inst,
 			idx:        i,
 			cfg:        cfg,
 			d:          d,
-			edgeNode:   edgeNode[s:e:e],
-			edgeCost:   edgeCost[s:e:e],
-			nodeSorted: nodeSorted[s:e:e],
+			edges:      inst.FacilityEdges(i),
+			edgeNode:   graph.Neighbors(i),
+			nodeSorted: graph.SortedNeighbors(i),
 			posAt:      posAt[s:e:e],
 			active:     active[s:e:e],
 			offeredAt:  offeredAt[s:e:e],
@@ -160,52 +162,40 @@ func newFacilityNodes(inst *fl.Instance, cfg Config, d Derived) []*facilityNode 
 			granted:    granted[s:s:e],
 			buf:        bufAll[i*facBufCap : i*facBufCap : (i+1)*facBufCap],
 		}
-		for p, ed := range fes { // already sorted by ascending cost
-			f.edgeNode[p] = int32(m + ed.To)
-			f.edgeCost[p] = ed.Cost
-			f.active[p] = true
-		}
-		out[i] = f
+		out[i] = &store[i]
 		off = e
 	}
-	fillNodeSorted(out, m, inst.NC())
+	fillPosAt(out, graph, m, inst.NC())
 	return out
 }
 
-// fillNodeSorted builds every facility's (nodeSorted, posAt) index by
-// transposition: one counting pass buckets each (facility, edge position)
-// pair by client, and a walk over the clients in ascending order appends
-// each pair to its facility's row, so every row comes out in ascending
-// client order in time linear in the edge count.
-func fillNodeSorted(fs []*facilityNode, m, nc int) {
-	bucketStart := make([]int, nc+1)
-	for _, f := range fs {
-		for _, node := range f.edgeNode {
-			bucketStart[int(node)-m+1]++
-		}
-	}
+// fillPosAt fills every facility's posAt by transposition. A walk over the
+// facilities in ascending order buckets each edge position by client, so
+// every client's bucket lists its facilities in ascending order — the
+// order of the client's sorted row. A walk over the clients in ascending
+// order then appends each position to its facility's posAt, which so
+// comes out in the order of the facility's sorted row. Both walks are
+// linear in the edge count.
+func fillPosAt(fs []*facilityNode, graph *congest.Graph, m, nc int) {
+	start := make([]int, nc+1)
 	for j := 0; j < nc; j++ {
-		bucketStart[j+1] += bucketStart[j]
+		start[j+1] = start[j] + graph.Degree(m+j)
 	}
-	type facPos struct{ fac, pos int32 }
-	byClient := make([]facPos, bucketStart[nc])
+	byClient := make([]int32, start[nc])
 	cur := make([]int, nc)
-	copy(cur, bucketStart[:nc])
-	for i, f := range fs {
+	copy(cur, start[:nc])
+	for _, f := range fs {
 		for p, node := range f.edgeNode {
 			j := int(node) - m
-			byClient[cur[j]] = facPos{int32(i), int32(p)}
+			byClient[cur[j]] = int32(p)
 			cur[j]++
 		}
 	}
-	fill := make([]int, m) // entries written so far in each facility's row
+	fill := make([]int, m) // entries written so far in each facility's posAt
 	for j := 0; j < nc; j++ {
-		for _, fp := range byClient[bucketStart[j]:bucketStart[j+1]] {
-			f := fs[fp.fac]
-			k := fill[fp.fac]
-			f.nodeSorted[k] = int32(m + j)
-			f.posAt[k] = fp.pos
-			fill[fp.fac]++
+		for q, i := range graph.SortedNeighbors(m + j) {
+			fs[i].posAt[fill[i]] = byClient[start[j]+q]
+			fill[i]++
 		}
 	}
 }
@@ -218,22 +208,22 @@ func fillNodeSorted(fs []*facilityNode, m, nc int) {
 // the cursor, in O(log distance); an id below it (forged or screened
 // traffic out of order) restarts the search at the front, so no order of
 // the ids makes a lookup miss.
-func (f *facilityNode) seek(at *int, node int) (int, bool) {
+func (f *facilityNode) seek(at *int, node int32) (int, bool) {
 	ids := f.nodeSorted
 	k := *at
-	if k > 0 && int(ids[k-1]) >= node {
+	if k > 0 && ids[k-1] >= node {
 		k = 0
 	}
 	// Gallop: probe k, k+1, k+3, k+7, ... while the probed id is below
 	// node; every id before the new k is then below node too, and node's
 	// place is at most the last probe.
 	hi, step := k, 1
-	for hi < len(ids) && int(ids[hi]) < node {
+	for hi < len(ids) && ids[hi] < node {
 		k = hi + 1
 		hi += step
 		step <<= 1
 	}
-	j, ok := slices.BinarySearch(ids[k:min(hi+1, len(ids))], int32(node))
+	j, ok := slices.BinarySearch(ids[k:min(hi+1, len(ids))], node)
 	k += j
 	*at = k
 	if !ok {
@@ -407,7 +397,7 @@ func (f *facilityNode) recomputeBestStar() {
 			continue
 		}
 		f.starPos = append(f.starPos, int32(pos))
-		sum = fl.AddSat(sum, f.edgeCost[pos])
+		sum = fl.AddSat(sum, f.edges[pos].Cost)
 		t++
 		total := fl.AddSat(sum, f.openingCharge(int(t)))
 		if f.bestLen == 0 || fl.RatioLess(total, t, f.bestNum, f.bestDen) {
@@ -449,7 +439,7 @@ func (f *facilityNode) openingCharge(extra int) int64 {
 func (f *facilityNode) processGrants(r int, inbox []congest.Message) {
 	granted := f.granted[:0]
 	var sum int64
-	lastGrant := -1
+	lastGrant := int32(-1)
 	at := 0
 	for _, msg := range inbox {
 		if len(msg.Payload) != 1 || msg.Payload[0] != kindGrant {
@@ -466,15 +456,15 @@ func (f *facilityNode) processGrants(r int, inbox []congest.Message) {
 			// only grant what was offered, but drop/delay faults can strand
 			// an honest grant too, so condemnation takes a threshold.
 			if f.sentry != nil && !dup {
-				f.sentry.suspect(msg.From, 1, staleGrantThreshold)
+				f.sentry.suspect(int(msg.From), 1, staleGrantThreshold)
 			}
 			continue
 		}
 		// Consuming the offer slot makes a duplicated GRANT (wire-level
 		// duplication fault) indistinguishable from a stale one.
 		f.offeredAt[pos] = false
-		granted = append(granted, int32(msg.From))
-		sum = fl.AddSat(sum, f.edgeCost[pos])
+		granted = append(granted, msg.From)
+		sum = fl.AddSat(sum, f.edges[pos].Cost)
 	}
 	f.granted = granted
 	if len(granted) == 0 {
@@ -503,7 +493,7 @@ func (f *facilityNode) connect(nodes []int32) {
 	f.open = true
 	at := 0
 	for _, node := range nodes {
-		if pos, ok := f.seek(&at, int(node)); ok {
+		if pos, ok := f.seek(&at, node); ok {
 			f.deactivate(pos)
 		}
 		f.env.Send(int(node), payloadConnect)
@@ -579,7 +569,7 @@ func (f *facilityNode) connectForced(inbox []congest.Message, kind byte, openedF
 // are connected the same way the cleanup fallback connects them.
 func (f *facilityNode) processRepair(inbox []congest.Message) {
 	joins := 0
-	last := -1
+	last := int32(-1)
 	for _, msg := range inbox {
 		if len(msg.Payload) != 1 || msg.Payload[0] != kindRepairJoin || msg.From == last {
 			continue
@@ -754,10 +744,10 @@ func (c *clientNode) processConnect(inbox []congest.Message, cleanup bool) {
 		if c.assigned != fl.Unassigned {
 			continue
 		}
-		if !cleanup && msg.From != c.granted {
+		if !cleanup && int(msg.From) != c.granted {
 			continue // only the facility we granted may connect us
 		}
-		c.assigned = msg.From // facility node id == facility index
+		c.assigned = int(msg.From) // facility node id == facility index
 		c.cleanupConnected = cleanup
 	}
 	if c.sentry != nil && !cleanup && c.granted != -1 && c.assigned == fl.Unassigned {
@@ -792,10 +782,10 @@ func (c *clientNode) sendForce() {
 
 func (c *clientNode) announceDone() {
 	for _, v := range c.env.Neighbors() {
-		if v == c.assigned {
+		if int(v) == c.assigned {
 			continue
 		}
-		c.env.Send(v, payloadDone)
+		c.env.Send(int(v), payloadDone)
 	}
 	c.announced = true
 }
@@ -823,9 +813,9 @@ func (c *clientNode) pickOffer(inbox []congest.Message) {
 			class < bestClass ||
 			(class == bestClass && fine < bestFine) ||
 			(class == bestClass && fine == bestFine && prio > bestPrio) ||
-			(class == bestClass && fine == bestFine && prio == bestPrio && msg.From < best)
+			(class == bestClass && fine == bestFine && prio == bestPrio && int(msg.From) < best)
 		if better {
-			best, bestClass, bestFine, bestPrio = msg.From, class, fine, prio
+			best, bestClass, bestFine, bestPrio = int(msg.From), class, fine, prio
 		}
 	}
 	if best == -1 {
@@ -879,8 +869,8 @@ func (c *clientNode) repairRound(inbox []congest.Message) {
 // reports that one of them decodes, open that one decodes as open; a frame
 // that does not decode counts for nothing (fail closed).
 func beaconFrom(inbox []congest.Message, f int) (alive, open bool) {
-	i, _ := slices.BinarySearchFunc(inbox, f, func(m congest.Message, f int) int { return m.From - f })
-	for ; i < len(inbox) && inbox[i].From == f; i++ {
+	i, _ := slices.BinarySearchFunc(inbox, f, func(m congest.Message, f int) int { return int(m.From) - f })
+	for ; i < len(inbox) && int(inbox[i].From) == f; i++ {
 		if o, ok := decodeBeacon(inbox[i].Payload); ok {
 			alive = true
 			open = open || o

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"dfl/internal/congest"
 	"dfl/internal/fl"
 )
 
@@ -22,13 +23,19 @@ func benchFacility(tb testing.TB, nClients int) *facilityNode {
 		tb.Fatal(err)
 	}
 	d := Derived{Chi: 2, Phases: 1, ItersPerPhase: 1, Base: 1, ProtoRounds: 4}
-	return newFacilityNode(inst, 0, Config{K: 1, Slack: 1}, d)
+	_, fs := facilityNodes(tb, inst, Config{K: 1, Slack: 1}, d)
+	return fs[0]
 }
 
-// newFacilityNode builds the single facility i; production runs use the
-// batch struct-of-arrays constructor directly.
-func newFacilityNode(inst *fl.Instance, i int, cfg Config, d Derived) *facilityNode {
-	return newFacilityNodes(inst, cfg, d)[i]
+// facilityNodes builds inst's communication graph and every facility over
+// it, as newRun does.
+func facilityNodes(tb testing.TB, inst *fl.Instance, cfg Config, d Derived) (*congest.Graph, []*facilityNode) {
+	tb.Helper()
+	graph, err := buildGraph(inst)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return graph, newFacilityNodes(inst, graph, cfg, d)
 }
 
 // BenchmarkMakeOffer measures the dirty path: the cache is invalidated

@@ -10,8 +10,8 @@ import (
 
 // edgePos is the reference lookup seek must agree with: a plain binary
 // search of nodeSorted.
-func (f *facilityNode) edgePos(node int) (int, bool) {
-	k, ok := slices.BinarySearch(f.nodeSorted, int32(node))
+func (f *facilityNode) edgePos(node int32) (int, bool) {
+	k, ok := slices.BinarySearch(f.nodeSorted, node)
 	if !ok {
 		return 0, false
 	}
@@ -47,16 +47,27 @@ func randomIndexInstance(t *testing.T, rng *rand.Rand) (*fl.Instance, int) {
 
 // TestFacilityNodeSortedIndex checks the transposed client index of
 // newFacilityNodes on random instances, each with one facility that has
-// no edge: every facility's nodeSorted row is strictly ascending, posAt
-// maps each entry back to the edge position of the same client, and
-// edgePos answers every incident client and rejects the others.
+// no edge: edgeNode and nodeSorted are views of the graph's rows, not
+// copies, edgeNode lists the instance's cost-sorted row, every facility's
+// nodeSorted row is strictly ascending, posAt maps each entry back to the
+// edge position of the same client, and edgePos answers every incident
+// client and rejects the others.
 func TestFacilityNodeSortedIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
 		inst, isolated := randomIndexInstance(t, rng)
 		m, nc := inst.M(), inst.NC()
-		for i, f := range newFacilityNodes(inst, Config{K: 1}, Derived{}) {
-			if len(f.nodeSorted) != len(f.edgeNode) || len(f.posAt) != len(f.edgeNode) {
+		graph, fs := facilityNodes(t, inst, Config{K: 1}, Derived{})
+		for i, f := range fs {
+			if len(f.edgeNode) > 0 && (&f.edgeNode[0] != &graph.Neighbors(i)[0] || &f.nodeSorted[0] != &graph.SortedNeighbors(i)[0]) {
+				t.Fatalf("trial %d facility %d: edgeNode or nodeSorted is not a view of the graph's row", trial, i)
+			}
+			for p, e := range inst.FacilityEdges(i) {
+				if f.edgeNode[p] != int32(m+e.To) {
+					t.Fatalf("trial %d facility %d: edgeNode[%d] = %d, want client node %d of the cost-sorted row", trial, i, p, f.edgeNode[p], m+e.To)
+				}
+			}
+			if len(f.nodeSorted) != len(f.edgeNode) || len(f.posAt) != len(f.edgeNode) || len(f.edges) != len(f.edgeNode) {
 				t.Fatalf("trial %d facility %d: index lengths %d/%d, want %d", trial, i, len(f.nodeSorted), len(f.posAt), len(f.edgeNode))
 			}
 			if i == isolated && len(f.edgeNode) != 0 {
@@ -73,12 +84,12 @@ func TestFacilityNodeSortedIndex(t *testing.T) {
 			incident := make(map[int]bool, len(f.edgeNode))
 			for p, node := range f.edgeNode {
 				incident[int(node)] = true
-				if got, ok := f.edgePos(int(node)); !ok || got != p {
+				if got, ok := f.edgePos(node); !ok || got != p {
 					t.Fatalf("trial %d facility %d: edgePos(%d) = (%d,%v), want (%d,true)", trial, i, node, got, ok, p)
 				}
 			}
 			for node := m; node < m+nc; node++ {
-				if _, ok := f.edgePos(node); ok != incident[node] {
+				if _, ok := f.edgePos(int32(node)); ok != incident[node] {
 					t.Fatalf("trial %d facility %d: edgePos(%d) found = %v, want %v", trial, i, node, ok, incident[node])
 				}
 			}
@@ -97,15 +108,16 @@ func TestFacilitySeekMatchesEdgePos(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		inst, _ := randomIndexInstance(t, rng)
 		n := inst.M() + inst.NC()
-		for i, f := range newFacilityNodes(inst, Config{K: 1}, Derived{}) {
+		_, fs := facilityNodes(t, inst, Config{K: 1}, Derived{})
+		for i, f := range fs {
 			for rep := 0; rep < 8; rep++ {
-				var asc []int
-				for id := -1; id < n+3; id++ {
+				var asc []int32
+				for id := int32(-1); int(id) < n+3; id++ {
 					if rng.Intn(2) == 0 {
 						asc = append(asc, id)
 					}
 				}
-				var dups []int
+				var dups []int32
 				for _, id := range asc {
 					for k := rng.Intn(3); k >= 0; k-- {
 						dups = append(dups, id)
@@ -115,7 +127,7 @@ func TestFacilitySeekMatchesEdgePos(t *testing.T) {
 				slices.Reverse(desc)
 				shuffled := slices.Clone(dups)
 				rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-				for _, seq := range [][]int{asc, dups, desc, shuffled} {
+				for _, seq := range [][]int32{asc, dups, desc, shuffled} {
 					at := 0
 					for _, id := range seq {
 						wantPos, wantOK := f.edgePos(id)

@@ -86,7 +86,7 @@ func (f *facilityNode) screenFacility(inbox []congest.Message) []congest.Message
 	s := f.sentry
 	kept := s.buf[:0]
 	for _, msg := range inbox {
-		if s.quarantined[msg.From] {
+		if s.quarantined[int(msg.From)] {
 			continue
 		}
 		if len(msg.Payload) == 0 {
@@ -104,7 +104,7 @@ func (f *facilityNode) screenFacility(inbox []congest.Message) []congest.Message
 			// sends these, and corruption cannot fabricate them except by
 			// forging the kind byte outright. Hard evidence.
 			f.env.Reject()
-			s.condemn(msg.From)
+			s.condemn(int(msg.From))
 			continue
 		default:
 			f.env.Reject()
@@ -127,7 +127,7 @@ func (c *clientNode) screenClient(r int, inbox []congest.Message) []congest.Mess
 	s := c.sentry
 	kept := s.buf[:0]
 	for _, msg := range inbox {
-		if s.quarantined[msg.From] {
+		if s.quarantined[int(msg.From)] {
 			continue
 		}
 		if len(msg.Payload) == 0 {
@@ -148,7 +148,7 @@ func (c *clientNode) screenClient(r int, inbox []congest.Message) []congest.Mess
 			}
 			if class > c.phaseAt(r) {
 				c.env.Reject()
-				s.condemn(msg.From)
+				s.condemn(int(msg.From))
 				continue
 			}
 		case kindRepairBeacon:
@@ -159,7 +159,7 @@ func (c *clientNode) screenClient(r int, inbox []congest.Message) []congest.Mess
 		case kindDone, kindGrant, kindForce, kindRepairJoin, kindRepairForce:
 			// Client-only kinds arriving at a client: hard evidence.
 			c.env.Reject()
-			s.condemn(msg.From)
+			s.condemn(int(msg.From))
 			continue
 		default:
 			c.env.Reject()

@@ -259,7 +259,7 @@ func newRun(inst *fl.Instance, cfg Config) (*run, error) {
 	r := &run{
 		d:          d,
 		graph:      graph,
-		facilities: newFacilityNodes(inst, cfg, d),
+		facilities: newFacilityNodes(inst, graph, cfg, d),
 		clients:    newClientNodes(inst, cfg, d),
 	}
 	r.nodes = make([]congest.Node, 0, len(r.facilities)+len(r.clients))

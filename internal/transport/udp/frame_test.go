@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"dfl/internal/congest"
 )
 
 // TestFrameGoldenWire pins the datagram ABI byte for byte: version, kind,
@@ -97,6 +99,30 @@ func TestFrameDecodeFailClosed(t *testing.T) {
 	}
 	if _, err := DecodeFrame(good); err != nil {
 		t.Fatalf("control case rejected: %v", err)
+	}
+}
+
+// TestDecodeBatchChecksIDs checks that decodeBatch rejects a record whose
+// sender lies outside the sending shard's span or whose recipient lies
+// outside every span, so that no id is narrowed to a Message's int32
+// before its range check.
+func TestDecodeBatchChecksIDs(t *testing.T) {
+	spans := []congest.Span{{Lo: 0, Hi: 4}, {Lo: 4, Hi: 10}}
+	done := []byte{1} // FL-DONE, which core registers
+	msgs, err := decodeBatch(appendMessageRecord(nil, 5, 2, done), 1, spans)
+	if err != nil || len(msgs) != 1 || msgs[0].From != 5 || msgs[0].To != 2 {
+		t.Fatalf("control record: decodeBatch = (%v, %v), want one message 5->2", msgs, err)
+	}
+	cases := map[string][]byte{
+		"sender outside the shard":     appendMessageRecord(nil, 3, 2, done),
+		"recipient outside every span": appendMessageRecord(nil, 5, 10, done),
+		"recipient past int32":         appendMessageRecord(nil, 5, 1<<32+2, done),
+		"sender past int32":            appendMessageRecord(nil, 1<<32+5, 2, done),
+	}
+	for name, p := range cases {
+		if msgs, err := decodeBatch(p, 1, spans); err == nil {
+			t.Errorf("%s: decodeBatch accepted %v", name, msgs)
+		}
 	}
 }
 

@@ -463,14 +463,14 @@ func (s *Shard) Send(round int, msgs []congest.Message) error {
 	}
 	batches := make([][]byte, s.k)
 	for _, m := range msgs {
-		sh := s.owner(m.To)
+		sh := s.owner(int(m.To))
 		if sh < 0 {
 			return fmt.Errorf("udp: message to node %d outside every span", m.To)
 		}
 		if sh == s.id || s.goDown[sh] {
 			continue
 		}
-		batches[sh] = appendMessageRecord(batches[sh], m.From, m.To, m.Payload)
+		batches[sh] = appendMessageRecord(batches[sh], int(m.From), int(m.To), m.Payload)
 	}
 	for sh := 0; sh < s.k; sh++ {
 		if sh == s.id || s.goDown[sh] {
@@ -583,10 +583,14 @@ func decodeBatch(p []byte, fromShard int, spans []congest.Span) ([]congest.Messa
 		if !spans[fromShard].Contains(from) {
 			return nil, fmt.Errorf("udp: shard %d forged sender %d", fromShard, from)
 		}
+		if to >= spans[len(spans)-1].Hi {
+			return nil, fmt.Errorf("udp: shard %d sent to node %d outside every span", fromShard, to)
+		}
 		if _, err := congest.ValidatePayload(payload); err != nil {
 			return nil, err
 		}
-		out = append(out, congest.Message{From: from, To: to, Payload: append([]byte(nil), payload...)})
+		// Both ids are range-checked above, so they fit the int32 node ids.
+		out = append(out, congest.Message{From: int32(from), To: int32(to), Payload: append([]byte(nil), payload...)})
 		p = rest
 	}
 	return out, nil
