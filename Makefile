@@ -1,27 +1,34 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build check vet lint sarif test test-race test-flperf bench bench-engine perf-smoke soak soak-respawn soak-e17 results quick-results examples clean
+.PHONY: all build check fmt-check vet lint sarif test test-race test-flperf bench bench-engine perf-smoke soak soak-respawn soak-e17 results quick-results examples clean
 
 all: build check
 
 build:
 	go build ./...
 
-# The gate every change must pass: vet, the custom analyzer suite (plus
-# its SARIF artifact), the full tests under the race detector (the
+# The gate every change must pass: gofmt, vet, the custom analyzer suite
+# (plus its SARIF artifact), the full tests under the race detector (the
 # pooled engine makes -race mandatory, not optional), and the benchmark
 # harness's own tests.
-check: vet lint sarif test-race test-flperf
+check: fmt-check vet lint sarif test-race test-flperf
+
+# Every tracked Go file outside the analyzers' testdata must be gofmt-clean
+# (the golden files there keep their hand-aligned `// want` columns).
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go' | grep -v '/testdata/')); \
+	if [ -n "$$out" ]; then printf 'gofmt -l lists:\n%s\n' "$$out"; exit 1; fi
 
 # cmd/flperf is its own module, so ./... does not reach it.
 vet:
 	go vet ./...
 	go -C cmd/flperf vet .
 
-# flvet enforces the determinism, CONGEST, shard-locality, and
-# memory-layout contracts statically: six syntactic analyzers plus the
-# dataflow suite (bitbudget, shardlocal, dettaint) — see DESIGN.md
-# "Static contracts". The committed baseline grandfathers known debt
+# flvet runs the analyzers that catch what the tests cannot: poolonly
+# (goroutines only in the shard pool), hotmap (no maps in the hot-path
+# files) and dettaint (no clock, environment, host or map-order value in
+# a payload or a seed) — see DESIGN.md "Static contracts" for the mutation
+# audit that chose them. The committed baseline grandfathers known debt
 # (currently empty); new findings still fail. cmd/flvet's own tests run
 # the same suite, so `make test` regresses too if an analyzer fires.
 lint:

@@ -1,10 +1,10 @@
 // Command flvet is the multichecker driver for the repo's custom static
-// analyzers (internal/analysis): the syntactic suite (detrand, maporder,
-// congestmsg, poolonly, failclosed, hotmap) plus the dataflow suite
-// (bitbudget, shardlocal, dettaint) — the compile-time-checked half of the
-// simulator's determinism, CONGEST bit-budget, shard-locality, fail-closed
-// wire, and memory-layout contracts. `make lint` (folded into `make
-// check`) runs it over ./..., so every change is gated on the suite.
+// analyzers (internal/analysis): poolonly and hotmap, two syntactic
+// checks, and dettaint, a dataflow check. Each guards a defect class that
+// the tests cannot see — a per-round goroutine, a per-call map, a
+// nondeterministic value that is constant on the test machine (DESIGN.md
+// §9 has the mutation audit behind the suite). `make lint` (folded into
+// `make check`) runs it over ./..., so every change is gated on the suite.
 //
 // Usage:
 //

@@ -32,8 +32,6 @@ type (
 	Instance = fl.Instance
 	// Solution is a set of open facilities plus a client assignment.
 	Solution = fl.Solution
-	// Edge is one connection possibility.
-	Edge = fl.Edge
 	// RawEdge names a bipartite edge during construction.
 	RawEdge = fl.RawEdge
 	// InstanceStats summarizes an instance's shape.
@@ -141,11 +139,6 @@ type (
 	// state plus network stats, with a compact wire codec (Encode /
 	// DecodeShardFragment).
 	Fragment = core.Fragment
-	// LinkDownError reports a link whose delivery retry budget was
-	// exhausted: which peer, which round, how many attempts were made. The
-	// UDP backend returns it; the in-process reliable-delivery shim counts
-	// the same event in the report's Net.LinkDowns.
-	LinkDownError = congest.LinkDownError
 )
 
 // SplitSpans partitions n protocol nodes into k contiguous shard spans as
@@ -154,6 +147,8 @@ func SplitSpans(n, k int) []Span { return congest.SplitSpans(n, k) }
 
 // NewChanNetwork builds the in-process reference Transport: k shards over
 // n nodes exchanging messages through channels with a strict round barrier.
+// A shard whose SolveShard fails must Abort the network so that its peers
+// stop waiting at the barrier.
 func NewChanNetwork(n int, spans []Span) (*congest.ChanNetwork, error) {
 	return congest.NewChanNetwork(n, spans)
 }
@@ -261,20 +256,8 @@ type (
 	Generator = gen.Generator
 	// Uniform is the non-metric random family.
 	Uniform = gen.Uniform
-	// SpreadFamily controls the coefficient spread rho exactly.
-	SpreadFamily = gen.Spread
-	// Euclidean is the planar metric family.
-	Euclidean = gen.Euclidean
 	// Clustered is the Gaussian-blob metric family.
 	Clustered = gen.Clustered
-	// Grid is the Manhattan-lattice metric family.
-	Grid = gen.Grid
-	// Line is the 1-D metric family.
-	Line = gen.Line
-	// SetCoverLike is the greedy-adversarial family.
-	SetCoverLike = gen.SetCoverLike
-	// Star is the symmetry-breaking stress family.
-	Star = gen.Star
 )
 
 // GeneratorByName returns a default-parameterized generator for a named

@@ -198,6 +198,7 @@ func TestPublicAPISharded(t *testing.T) {
 			frag, err := dfl.SolveShard(inst, cfg, spans[i], 3, net.Shard(i))
 			if err != nil {
 				errs[i] = err
+				net.Abort(err)
 				return
 			}
 			frags[i], errs[i] = dfl.DecodeShardFragment(frag.Encode(nil), inst.M(), inst.NC())

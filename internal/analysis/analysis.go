@@ -1,15 +1,17 @@
-// Package analysis is the home of flvet, a suite of static analyzers that
-// mechanically enforce the simulator's two load-bearing contracts:
+// Package analysis is the home of flvet, a suite of static analyzers for
+// the defects that the simulator's tests cannot see:
 //
-//   - Determinism: a run is a pure function of Config.Seed. One stray
-//     global math/rand call, wall-clock read, racy select, or map-ordered
-//     message emission silently breaks the byte-identical
-//     sequential/parallel equivalence (invariant I5) that the stress tests
-//     pin down.
-//   - CONGEST message bounds: the paper's trade-off analysis
-//     (Moscibroda–Wattenhofer, PODC 2005) charges every message O(log n)
-//     bits; payloads must therefore come from encoders with a declared,
-//     registered size bound.
+//   - poolonly: a goroutine spawned outside the shard pool, which changes
+//     no result but costs a spawn per round;
+//   - hotmap: a map allocated in an engine hot-path file, which costs an
+//     allocation per call that stays under the allocation gates;
+//   - dettaint: a nondeterministic value — clock, environment, host,
+//     map order, mutable global — reaching a payload or a seed, which is
+//     constant on the machine the tests run on.
+//
+// Every analyzer stays only while it catches a one-line defect that no
+// test, race run, fuzz smoke or allocation gate catches; DESIGN.md §9
+// holds the mutation audit.
 //
 // The vocabulary (Analyzer, Pass, Diagnostic) deliberately mirrors
 // golang.org/x/tools/go/analysis so analyzers could migrate to the real
@@ -160,10 +162,6 @@ func cutDirective(body, name string) (args string, ok bool) {
 		return "", true
 	}
 	if rest, found := strings.CutPrefix(body, name+" "); found {
-		return strings.TrimSpace(rest), true
-	}
-	// "size=8" style directives carry their argument after '='.
-	if rest, found := strings.CutPrefix(body, name+"="); found {
 		return strings.TrimSpace(rest), true
 	}
 	return "", false

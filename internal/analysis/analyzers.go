@@ -5,18 +5,9 @@ import (
 	"go/types"
 )
 
-// protocolPackages are the packages whose code participates in (or defines)
-// protocol executions: everything here must be a pure function of the
-// seeded configuration.
-var protocolPackages = []string{
-	"dfl/internal/core",
-	"dfl/internal/congest",
-	"dfl/internal/seq",
-}
-
 // All returns the flvet analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detrand, Maporder, Congestmsg, Poolonly, Failclosed, Hotmap, Bitbudget, Shardlocal, Dettaint}
+	return []*Analyzer{Poolonly, Hotmap, Dettaint}
 }
 
 // exprString renders an expression for diagnostics.
@@ -67,26 +58,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
-}
-
-// receiverOfFunc returns the named type a FuncDecl is a method on (nil for
-// plain functions).
-func receiverOfFunc(info *types.Info, fd *ast.FuncDecl) *types.Named {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return nil
-	}
-	def, ok := info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return nil
-	}
-	sig, ok := def.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
 }

@@ -6,29 +6,23 @@ import (
 	"sort"
 )
 
-// callGraph is the top of the dataflow layer: a package-local call graph
-// that lets the deep analyzers carry one level of summary information
-// across function boundaries. Only statically resolved calls to functions
-// and methods *declared in the analyzed package* appear as edges; calls
-// through interfaces, function values, and imports are leaves the
-// analyzers model with their own conservative defaults.
+// callGraph is the top of the dataflow layer: the package-local
+// declarations that let the deep analyzers carry one level of summary
+// information across function boundaries. Only statically resolved calls
+// to functions and methods *declared in the analyzed package* resolve to a
+// summary; calls through interfaces, function values, and imports are
+// leaves the analyzers model with their own conservative defaults.
 type callGraph struct {
 	// decls maps every package-level function/method object to its
 	// declaration (bodyless declarations are absent).
 	decls map[*types.Func]*ast.FuncDecl
-	// callees lists, per declaration, the distinct package-local functions
-	// it calls, in source order of first call.
-	callees map[*ast.FuncDecl][]*types.Func
 	// order fixes a deterministic iteration order over decls (source
 	// position), so analyzer output never depends on map iteration.
 	order []*types.Func
 }
 
 func buildCallGraph(pass *Pass) *callGraph {
-	cg := &callGraph{
-		decls:   map[*types.Func]*ast.FuncDecl{},
-		callees: map[*ast.FuncDecl][]*types.Func{},
-	}
+	cg := &callGraph{decls: map[*types.Func]*ast.FuncDecl{}}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -44,48 +38,5 @@ func buildCallGraph(pass *Pass) *callGraph {
 	sort.Slice(cg.order, func(i, j int) bool {
 		return cg.decls[cg.order[i]].Pos() < cg.decls[cg.order[j]].Pos()
 	})
-	for _, fn := range cg.order {
-		fd := cg.decls[fn]
-		seen := map[*types.Func]bool{}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := calleeFunc(pass.Info, call)
-			if callee == nil || seen[callee] {
-				return true
-			}
-			if _, local := cg.decls[callee]; local {
-				seen[callee] = true
-				cg.callees[fd] = append(cg.callees[fd], callee)
-			}
-			return true
-		})
-	}
 	return cg
-}
-
-// reachable returns the closure of roots under package-local calls,
-// excluding functions in stop (and not traversing through them).
-func (cg *callGraph) reachable(roots []*types.Func, stop map[*types.Func]bool) map[*types.Func]bool {
-	out := map[*types.Func]bool{}
-	var visit func(fn *types.Func)
-	visit = func(fn *types.Func) {
-		if out[fn] || stop[fn] {
-			return
-		}
-		fd, ok := cg.decls[fn]
-		if !ok {
-			return
-		}
-		out[fn] = true
-		for _, c := range cg.callees[fd] {
-			visit(c)
-		}
-	}
-	for _, r := range roots {
-		visit(r)
-	}
-	return out
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // This file is the bottom of the dataflow layer: a basic-block control-flow
-// graph over go/ast function bodies. The deep analyzers (bitbudget,
-// shardlocal, dettaint) run worklist dataflow over it instead of the purely
-// syntactic single-pass walks the first-generation analyzers use, so facts
+// graph over go/ast function bodies. dettaint runs worklist dataflow over
+// it instead of the purely syntactic single-pass walks of poolonly and
+// hotmap, so facts
 // survive joins, loops, and reassignment the way values actually flow at
 // run time.
 //
@@ -33,13 +33,7 @@ type Block struct {
 	Nodes []ast.Node
 	Succs []*Block
 	Preds []*Block
-
-	inCycle bool
 }
-
-// InCycle reports whether the block lies on a CFG cycle (a loop body,
-// header, or post statement). Computed once at build time.
-func (b *Block) InCycle() bool { return b.inCycle }
 
 // RangeHeader marks the implicit per-iteration assignment of a range
 // statement's key/value variables. It sits in the loop-header block (the
@@ -69,7 +63,6 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	b.cur = b.cfg.Entry
 	b.stmtList(body.List)
 	b.edge(b.cur, b.cfg.Exit)
-	markCycles(b.cfg)
 	return b.cfg
 }
 
@@ -397,68 +390,6 @@ func (b *cfgBuilder) jump(target *Block) {
 	}
 	b.edge(b.cur, target)
 	b.cur = b.newBlock()
-}
-
-// markCycles sets Block.inCycle for every block inside a nontrivial
-// strongly connected component (or with a self edge), via Tarjan's SCC
-// algorithm. Loop membership is what lets bitbudget tell a straight-line
-// append from one that repeats.
-func markCycles(c *CFG) {
-	n := len(c.Blocks)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []*Block
-	next := 0
-	var strong func(v *Block)
-	strong = func(v *Block) {
-		index[v.Index] = next
-		low[v.Index] = next
-		next++
-		stack = append(stack, v)
-		onStack[v.Index] = true
-		for _, w := range v.Succs {
-			if index[w.Index] < 0 {
-				strong(w)
-				if low[w.Index] < low[v.Index] {
-					low[v.Index] = low[w.Index]
-				}
-			} else if onStack[w.Index] && index[w.Index] < low[v.Index] {
-				low[v.Index] = index[w.Index]
-			}
-		}
-		if low[v.Index] == index[v.Index] {
-			var comp []*Block
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w.Index] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			if len(comp) > 1 {
-				for _, w := range comp {
-					w.inCycle = true
-				}
-			} else {
-				for _, s := range comp[0].Succs {
-					if s == comp[0] {
-						comp[0].inCycle = true
-					}
-				}
-			}
-		}
-	}
-	for _, blk := range c.Blocks {
-		if index[blk.Index] < 0 {
-			strong(blk)
-		}
-	}
 }
 
 // walkShallow visits every expression of one flat CFG node without

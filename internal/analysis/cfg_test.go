@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// The dataflow analyzers are only as sound as the CFG under them, so the
-// graph builder gets direct structural tests: block shapes, cycle
-// marking, RPO, and the solver's no-aliasing contract.
+// The dataflow analyzer is only as sound as the CFG under it, so the
+// graph builder gets direct structural tests: block shapes, loop back
+// edges, RPO, and the solver's no-aliasing contract.
 
 // parseBody wraps src in a function and returns its parsed body.
 func parseBody(t *testing.T, src string) *ast.BlockStmt {
@@ -22,7 +22,29 @@ func parseBody(t *testing.T, src string) *ast.BlockStmt {
 	return f.Decls[0].(*ast.FuncDecl).Body
 }
 
-// reachable returns the blocks reachable from entry.
+// inCycle reports whether b lies on a cycle: a path of successor edges
+// leads from b back to itself.
+func inCycle(b *Block) bool {
+	seen := map[*Block]bool{}
+	var dfs func(*Block) bool
+	dfs = func(x *Block) bool {
+		for _, s := range x.Succs {
+			if s == b {
+				return true
+			}
+			if !seen[s] {
+				seen[s] = true
+				if dfs(s) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return dfs(b)
+}
+
+// reachableBlocks returns the blocks reachable from entry.
 func reachableBlocks(c *CFG) map[*Block]bool {
 	seen := map[*Block]bool{}
 	var dfs func(*Block)
@@ -48,7 +70,7 @@ func TestCFGStraightLine(t *testing.T) {
 		t.Error("exit not reachable from entry")
 	}
 	for _, b := range cfg.Blocks {
-		if b.InCycle() {
+		if inCycle(b) {
 			t.Errorf("block %d marked in-cycle in straight-line code", b.Index)
 		}
 	}
@@ -62,7 +84,7 @@ func TestCFGIfElseJoins(t *testing.T) {
 		if len(b.Preds) >= 2 {
 			joined = true
 		}
-		if b.InCycle() {
+		if inCycle(b) {
 			t.Errorf("block %d marked in-cycle in branch-only code", b.Index)
 		}
 	}
@@ -75,7 +97,7 @@ func TestCFGForLoopCycle(t *testing.T) {
 	cfg := BuildCFG(parseBody(t, "x := 0\nfor c {\nx++\n}\n_ = x"))
 	var cyclic, acyclic int
 	for b := range reachableBlocks(cfg) {
-		if b.InCycle() {
+		if inCycle(b) {
 			cyclic++
 		} else {
 			acyclic++
@@ -87,7 +109,7 @@ func TestCFGForLoopCycle(t *testing.T) {
 	if acyclic < 2 {
 		t.Errorf("entry and after-loop code must stay out of the cycle, got %d acyclic blocks", acyclic)
 	}
-	if cfg.Exit.InCycle() {
+	if inCycle(cfg.Exit) {
 		t.Error("exit block marked in-cycle")
 	}
 }
@@ -105,14 +127,14 @@ func TestCFGRangeHeader(t *testing.T) {
 	if head == nil {
 		t.Fatal("no RangeHeader node emitted for a range loop")
 	}
-	if !head.InCycle() {
+	if !inCycle(head) {
 		t.Error("range header block not marked in-cycle")
 	}
 	// The header is the back-edge target: one of its predecessors must be
 	// a cyclic block (the body).
 	backEdge := false
 	for _, p := range head.Preds {
-		if p.InCycle() {
+		if inCycle(p) {
 			backEdge = true
 		}
 	}
@@ -183,7 +205,7 @@ func TestForwardFlowDoesNotAliasStates(t *testing.T) {
 		st["visited"] += len(b.Nodes) // deliberately mutates its argument
 		return st
 	}
-	states := forwardFlow(cfg, entry, join, clone, transfer, nil)
+	states := forwardFlow(cfg, entry, join, clone, transfer)
 	if got := states[cfg.Entry]["visited"]; got != 0 {
 		t.Errorf("entry in-state mutated by transfer: visited=%d, want 0", got)
 	}
@@ -223,12 +245,12 @@ func TestForwardFlowLoopFixpoint(t *testing.T) {
 		return c
 	}
 	transfer := func(b *Block, st map[string]int) map[string]int {
-		if b.InCycle() && st["n"] < cap {
+		if inCycle(b) && st["n"] < cap {
 			st["n"]++
 		}
 		return st
 	}
-	states := forwardFlow(cfg, map[string]int{}, join, clone, transfer, nil)
+	states := forwardFlow(cfg, map[string]int{}, join, clone, transfer)
 	if got := states[cfg.Exit]["n"]; got != cap {
 		t.Errorf("loop fixpoint stopped at n=%d, want saturation at %d", got, cap)
 	}

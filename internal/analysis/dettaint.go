@@ -7,13 +7,12 @@ import (
 	"strings"
 )
 
-// Dettaint is the dataflow deepening of detrand/maporder: instead of
-// flagging nondeterministic *calls*, it tracks nondeterministic *values* —
-// wall-clock reads, environment lookups, host-dependent runtime queries,
-// map-iteration order, and reads of package-level state mutated outside
-// init — and reports only when such a value reaches protocol-visible
-// state: the congest wire (Env.Send/Broadcast, //flvet:encoder
-// functions), an RNG seed, or a Seed-named field.
+// Dettaint guards seed-reproducibility by tracking nondeterministic
+// *values* — wall-clock reads, environment lookups, host-dependent runtime
+// queries, map-iteration order, and reads of package-level state mutated
+// outside init — and reports only when such a value reaches
+// protocol-visible state: the congest wire (Env.Send/Broadcast,
+// //flvet:encoder functions), an RNG seed, or a Seed-named field.
 //
 // Taint propagates through assignments, expressions, and one level of
 // package-local calls (per-function summaries record which parameters
@@ -88,7 +87,7 @@ type taintSummary struct {
 type dettaintCtx struct {
 	pass      *Pass
 	cg        *callGraph
-	encoders  map[*types.Func]int
+	encoders  map[*types.Func]bool
 	summaries map[*types.Func]*taintSummary
 	// mutableGlobals are package-level vars written outside init and not
 	// annotated //flvet:frozen; reading one is a taint source.
@@ -103,7 +102,7 @@ func runDettaint(pass *Pass) {
 	cx := &dettaintCtx{
 		pass:      pass,
 		cg:        buildCallGraph(pass),
-		encoders:  collectEncodersQuiet(pass),
+		encoders:  collectEncoders(pass),
 		summaries: map[*types.Func]*taintSummary{},
 		reported:  map[token.Pos]bool{},
 	}
@@ -124,6 +123,27 @@ func runDettaint(pass *Pass) {
 	for _, fn := range cx.cg.order {
 		cx.reportFn(fn)
 	}
+}
+
+// collectEncoders gathers the package's //flvet:encoder functions, whose
+// arguments are wire sinks.
+func collectEncoders(pass *Pass) map[*types.Func]bool {
+	encoders := map[*types.Func]bool{}
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if _, ok := docDirective(fd.Doc, "encoder"); !ok {
+				continue
+			}
+			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
+				encoders[fn] = true
+			}
+		}
+	}
+	return encoders
 }
 
 // collectMutableGlobals records package-level vars assigned (directly or
@@ -433,7 +453,7 @@ func (cx *dettaintCtx) scanFn(fn *types.Func, seedParams bool, sink func(pos tok
 		}
 		return env
 	}
-	states := forwardFlow(cfg, entry, joinTaintFacts, varFacts[taintVal].clone, transfer, nil)
+	states := forwardFlow(cfg, entry, joinTaintFacts, varFacts[taintVal].clone, transfer)
 	for _, b := range cfg.Blocks {
 		st, ok := states[b]
 		if !ok {
@@ -492,7 +512,7 @@ func (cx *dettaintCtx) visitSinks(n ast.Node, env varFacts[taintVal], sink func(
 			if fn == nil {
 				return true
 			}
-			if _, isEncoder := cx.encoders[fn]; isEncoder || isCongestEncoderCall(fn) {
+			if cx.encoders[fn] || isCongestEncoderCall(fn) {
 				var t taintVal
 				for _, arg := range sub.Args {
 					t = t.or(cx.taintOf(arg, env))
@@ -536,6 +556,13 @@ func isCongestEncoderCall(fn *types.Func) bool {
 		return false
 	}
 	return strings.HasPrefix(fn.Name(), "EncodeKind")
+}
+
+// seededConstructors are the math/rand (and v2) package-level functions
+// that build generators from caller-supplied state.
+var seededConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true, // math/rand
+	"NewPCG": true, "NewChaCha8": true, // math/rand/v2
 }
 
 // rngSeedCall recognizes RNG seeding: math/rand(/v2) generator

@@ -13,13 +13,13 @@ import (
 // must not bleed through, and a name must match whole (no prefixes).
 func TestDirectiveScoping(t *testing.T) {
 	src := `package p
-//flvet:guarded frame is fixed-size
+//flvet:ordered keys sorted below
 var a = 1
 var b = 2 //flvet:coldpath once per run
 var c = 3
 var d = 4
-//flvet:bounded caller caps trips
-//flvet:guarded stacked
+//flvet:nondet trace only
+//flvet:ordered stacked
 var e = 5
 var f = 6
 `
@@ -39,21 +39,21 @@ var f = 6
 		wantOK   bool
 	}{
 		// Same-line and line-above placement both bind.
-		{2, "guarded", "frame is fixed-size", true},
-		{3, "guarded", "frame is fixed-size", true},
+		{2, "ordered", "keys sorted below", true},
+		{3, "ordered", "keys sorted below", true},
 		{4, "coldpath", "once per run", true},
 		{5, "coldpath", "once per run", true},
 		// Two lines below the annotation is out of scope.
-		{4, "guarded", "", false},
+		{4, "ordered", "", false},
 		{6, "coldpath", "", false},
 		// Names match whole directives, not prefixes or other names.
-		{3, "guard", "", false},
+		{3, "order", "", false},
 		{3, "coldpath", "", false},
 		// Stacked directives: only the adjacent one reaches the next line.
-		{9, "guarded", "stacked", true},
-		{9, "bounded", "", false}, // two lines up, shadowed by the guarded line
-		{8, "bounded", "caller caps trips", true},
-		{10, "guarded", "", false}, // the var e line absorbed it; var f is bare
+		{9, "ordered", "stacked", true},
+		{9, "nondet", "", false}, // two lines up, shadowed by the ordered line
+		{8, "nondet", "trace only", true},
+		{10, "ordered", "", false}, // the var e line absorbed it; var f is bare
 	}
 	for _, c := range cases {
 		args, ok := pass.directiveAt(tf.LineStart(c.line), c.name)
@@ -91,7 +91,7 @@ func plain() {}
 	if args, ok := docDirective(fns["encode"].Doc, "encoder"); !ok || args != "maxbits=88" {
 		t.Errorf("encode: docDirective = (%q, %v), want (maxbits=88, true)", args, ok)
 	}
-	if _, ok := docDirective(fns["encode"].Doc, "bounded"); ok {
+	if _, ok := docDirective(fns["encode"].Doc, "frozen"); ok {
 		t.Error("encode: unrelated directive name matched")
 	}
 	if _, ok := docDirective(fns["plain"].Doc, "encoder"); ok {

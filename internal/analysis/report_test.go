@@ -13,7 +13,7 @@ import (
 
 func sampleFindings() []Finding {
 	return []Finding{
-		{Analyzer: "bitbudget", File: "internal/core/wire.go", Line: 75, Column: 2, Message: "payload too big"},
+		{Analyzer: "hotmap", File: "internal/core/nodes.go", Line: 75, Column: 2, Message: "map in hot path"},
 		{Analyzer: "dettaint", File: "internal/congest/shard.go", Line: 12, Column: 9, Message: "time flows into wire"},
 	}
 }
@@ -21,8 +21,8 @@ func sampleFindings() []Finding {
 func TestFindingsRelativizePaths(t *testing.T) {
 	root := string(filepath.Separator) + filepath.Join("mod", "root")
 	diags := []Diagnostic{
-		{Pos: token.Position{Filename: filepath.Join(root, "internal", "core", "x.go"), Line: 3, Column: 1}, Analyzer: "detrand", Message: "m"},
-		{Pos: token.Position{Filename: filepath.Join(string(filepath.Separator), "elsewhere", "y.go"), Line: 1, Column: 1}, Analyzer: "detrand", Message: "m"},
+		{Pos: token.Position{Filename: filepath.Join(root, "internal", "core", "x.go"), Line: 3, Column: 1}, Analyzer: "dettaint", Message: "m"},
+		{Pos: token.Position{Filename: filepath.Join(string(filepath.Separator), "elsewhere", "y.go"), Line: 1, Column: 1}, Analyzer: "dettaint", Message: "m"},
 	}
 	fs := Findings(diags, root)
 	if fs[0].File != "internal/core/x.go" {
@@ -79,19 +79,19 @@ func TestWriteSARIFShape(t *testing.T) {
 		t.Fatalf("results has %d entries, want 2", len(results))
 	}
 	res := results[0].(map[string]any)
-	if res["ruleId"] != "bitbudget" || res["level"] != "error" {
+	if res["ruleId"] != "hotmap" || res["level"] != "error" {
 		t.Errorf("result ruleId/level = %v/%v", res["ruleId"], res["level"])
 	}
 	idx := int(res["ruleIndex"].(float64))
-	if rules[idx].(map[string]any)["id"] != "bitbudget" {
-		t.Errorf("ruleIndex %d does not point at the bitbudget rule", idx)
+	if rules[idx].(map[string]any)["id"] != "hotmap" {
+		t.Errorf("ruleIndex %d does not point at the hotmap rule", idx)
 	}
-	if msg := res["message"].(map[string]any); msg["text"] != "payload too big" {
+	if msg := res["message"].(map[string]any); msg["text"] != "map in hot path" {
 		t.Errorf("message.text = %v", msg["text"])
 	}
 	loc := res["locations"].([]any)[0].(map[string]any)["physicalLocation"].(map[string]any)
 	art := loc["artifactLocation"].(map[string]any)
-	if art["uri"] != "internal/core/wire.go" || art["uriBaseId"] != "%SRCROOT%" {
+	if art["uri"] != "internal/core/nodes.go" || art["uriBaseId"] != "%SRCROOT%" {
 		t.Errorf("artifactLocation = %v", art)
 	}
 	region := loc["region"].(map[string]any)

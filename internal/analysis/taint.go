@@ -7,9 +7,7 @@ import (
 
 // This file holds the middle of the dataflow layer: a generic forward
 // worklist solver over the CFG, plus the variable-fact state shared by the
-// taint-style analyses (dettaint's nondeterminism taint and shardlocal's
-// locality facts). bitbudget reuses the same solver with its own numeric
-// lattice.
+// taint-style analyses (dettaint's nondeterminism taint).
 
 // forwardFlow runs a forward dataflow over cfg to fixpoint and returns the
 // stable entry state of every reachable block.
@@ -21,26 +19,19 @@ import (
 //   - clone copies a fact; the solver hands transfer a clone of the stored
 //     in-state so transfer may mutate its argument freely.
 //   - transfer computes a block's out-fact from its (cloned) in-fact.
-//   - widen, when non-nil, is applied to a block's freshly joined in-fact
-//     after that block's state has changed more than maxChanges times; it
-//     must force the fact to a fixpoint-safe top so unbounded lattices
-//     (bitbudget's byte counts) terminate.
 func forwardFlow[F any](
 	cfg *CFG,
 	entry F,
 	join func(dst F, src F) (F, bool),
 	clone func(F) F,
 	transfer func(*Block, F) F,
-	widen func(F) F,
 ) map[*Block]F {
-	const maxChanges = 3
 	rpo := cfg.RPO()
 	order := make(map[*Block]int, len(rpo))
 	for i, b := range rpo {
 		order[b] = i
 	}
 	in := make(map[*Block]F, len(rpo))
-	changes := make(map[*Block]int, len(rpo))
 	var zero F
 	in[cfg.Entry] = entry
 
@@ -74,10 +65,6 @@ func forwardFlow[F any](
 			}
 			merged, changed := join(cur, out)
 			if !seen || changed {
-				changes[s]++
-				if widen != nil && changes[s] > maxChanges {
-					merged = widen(merged)
-				}
 				in[s] = merged
 				if !inQueue[s] {
 					inQueue[s] = true
@@ -101,38 +88,6 @@ func (f varFacts[T]) clone() varFacts[T] {
 	return c
 }
 
-// joinUnion is the may-join: a var keeps a fact if any predecessor had one
-// (first writer wins on conflicting values, which taint reasons tolerate).
-func joinUnion[T comparable](dst, src varFacts[T]) (varFacts[T], bool) {
-	if dst == nil {
-		return src.clone(), true
-	}
-	changed := false
-	for k, v := range src { //flvet:ordered per-key union into a map, order-free
-		if _, ok := dst[k]; !ok {
-			dst[k] = v
-			changed = true
-		}
-	}
-	return dst, changed
-}
-
-// joinIntersect is the must-join: a var keeps a fact only if every
-// predecessor agrees on it exactly.
-func joinIntersect[T comparable](dst, src varFacts[T]) (varFacts[T], bool) {
-	if dst == nil {
-		return src.clone(), true
-	}
-	changed := false
-	for k, v := range dst { //flvet:ordered per-key intersection, order-free
-		if sv, ok := src[k]; !ok || sv != v {
-			delete(dst, k)
-			changed = true
-		}
-	}
-	return dst, changed
-}
-
 // lhsVar resolves an assignment target to the *types.Var it binds, for
 // plain identifier targets. Selector/index targets return nil — the
 // analyses model those separately.
@@ -148,16 +103,6 @@ func lhsVar(info *types.Info, e ast.Expr) *types.Var {
 	return v
 }
 
-// useVar resolves an identifier expression to the variable it reads.
-func useVar(info *types.Info, e ast.Expr) *types.Var {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	v, _ := info.Uses[id].(*types.Var)
-	return v
-}
-
 // rangeVars returns the key and value loop variables of a range statement
 // (nil where absent or blank).
 func rangeVars(info *types.Info, r *ast.RangeStmt) (key, value *types.Var) {
@@ -168,34 +113,4 @@ func rangeVars(info *types.Info, r *ast.RangeStmt) (key, value *types.Var) {
 		value = lhsVar(info, r.Value)
 	}
 	return key, value
-}
-
-// paramIndex returns the position of v among fn's declared parameters, or
-// -1. The receiver is not a parameter.
-func paramIndex(fd *ast.FuncDecl, info *types.Info, v *types.Var) int {
-	if fd.Type.Params == nil {
-		return -1
-	}
-	i := 0
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if info.Defs[name] == v {
-				return i
-			}
-			i++
-		}
-		if len(field.Names) == 0 {
-			i++
-		}
-	}
-	return -1
-}
-
-// receiverVar returns the declared receiver variable of a method, or nil.
-func receiverVar(fd *ast.FuncDecl, info *types.Info) *types.Var {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	v, _ := info.Defs[fd.Recv.List[0].Names[0]].(*types.Var)
-	return v
 }

@@ -20,8 +20,8 @@ func direct(env *congest.Env, buf []byte) {
 	env.Send(to, buf)    // want `wall-clock read time\.Now flows into the congest wire \(Env\.Send\)`
 }
 
-// mapOrder: iteration-order taint is the deep version of maporder — the
-// loop shape is innocent, the accumulated value is not.
+// mapOrder: iteration-order taint — the loop shape is innocent, the
+// accumulated value is not.
 func mapOrder(env *congest.Env, weights map[int]int) {
 	acc := 0
 	for _, w := range weights {
@@ -105,4 +105,16 @@ func encLeak(buf []byte) []byte {
 func escaped(env *congest.Env) {
 	//flvet:nondet trace beacon carries a timestamp by design; receivers ignore it for protocol state
 	env.Broadcast([]byte{byte(time.Now().Unix())}) // escaped by the directive above
+}
+
+// envSeed and hostPrio are the flows of DESIGN.md §9's mutations T1 and
+// T2: an environment variable folded into a run's seed, and the host's CPU
+// count folded into an OFFER priority. The tests run in one environment on
+// one host, so neither changes an execution they can see.
+func envSeed(seed int64) config {
+	return config{Seed: seed + int64(len(os.Getenv("DFL_SEED")))} // want `environment read os\.Getenv flows into seed field Seed`
+}
+
+func hostPrio(buf []byte, prio byte) []byte {
+	return encTiny(buf, prio^byte(runtime.NumCPU())) // want `host-dependent runtime query runtime\.NumCPU flows into wire encoder encTiny`
 }

@@ -1,7 +1,7 @@
 // Package transportclean stands in for a real-network adapter in the
 // transport boundary golden test: its import path contains "transport" and
-// its package doc declares the boundary, so detrand and dettaint must stay
-// entirely silent even though every construct below would be a violation in
+// its package doc declares the boundary, so dettaint must stay entirely
+// silent even though every construct below would be a violation in
 // protocol code.
 //
 //flvet:transport timers, deadlines and jitter are the point of an adapter

@@ -2,14 +2,12 @@ package analysis
 
 import "strings"
 
-// transportScopedPackages extends the deterministic protocol scope with the
-// real-transport adapters for the determinism analyzers only. The adapters
-// legitimately read the clock and draw jitter for timers and backoff, so
-// they declare a `//flvet:transport` boundary in their package doc and the
-// analyzers skip them — by declaration, not by silence: a transport package
-// that drops the directive is analyzed (and flagged) like protocol code.
-// The bit/shard/message analyzers keep the narrower protocolPackages scope;
-// wire framing in the adapters is covered by its own golden wire tests.
+// transportScopedPackages is dettaint's scope: the protocol packages plus
+// the real-transport adapter. The adapter legitimately reads the clock and
+// draws jitter for timers and backoff, so it declares a `//flvet:transport`
+// boundary in its package doc and dettaint skips it — by declaration, not
+// by silence: a transport package that drops the directive is analyzed
+// (and flagged) like protocol code.
 var transportScopedPackages = []string{
 	"dfl/internal/core",
 	"dfl/internal/congest",

@@ -277,8 +277,6 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 // arrays: the caller's nodes, the Envs of the ids the execution runs, and
 // the halted flags and next-round inboxes, indexed by global node id. A
 // shard worker may write an entry only at a node id of its own shard.
-//
-//flvet:shared every span of an execution indexes the same backing arrays by node id
 type nodeSet struct {
 	graph  *Graph
 	nodes  []Node

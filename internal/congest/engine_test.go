@@ -355,8 +355,8 @@ func (b *bcastNode) Round(r int, inbox []Message) bool {
 // append cannot write into it. The violations — a Send after a Broadcast,
 // a Broadcast after a Send, an oversized Broadcast — must abort with the
 // same error and the same partial Stats. RunShard over a ChanNetwork runs
-// the fault-free case only: it observes nothing, and a shard that aborts
-// leaves its peers waiting at the barrier.
+// the fault-free case only: it observes nothing, and its Stats are per
+// shard.
 func TestBroadcastMatchesSendLoop(t *testing.T) {
 	// Node 9 is isolated, so a zero-degree Broadcast is covered too.
 	edges := [][2]int{{0, 1}, {0, 2}, {0, 5}, {1, 3}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 0}, {8, 2}, {8, 6}}
@@ -431,6 +431,9 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				stats[si], errs[si] = RunShard(g, nodes, sp, Config{Seed: 11, BitLimit: 32}, net.Shard(si))
+				if errs[si] != nil {
+					net.Abort(errs[si])
+				}
 			}()
 		}
 		wg.Wait()

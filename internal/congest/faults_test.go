@@ -79,6 +79,10 @@ func TestFaultsValidation(t *testing.T) {
 		{"crash id negative", Faults{CrashAtRound: map[int]int{-1: 1}}, plain(), "CrashAtRound"},
 		{"crash id beyond graph", Faults{CrashAtRound: map[int]int{99: 1}}, plain(), "CrashAtRound"},
 		{"crash round negative", Faults{CrashAtRound: map[int]int{1: -3}}, plain(), "negative"},
+		// With several bad entries the error names the smallest node id,
+		// never one that map iteration order picked.
+		{"smallest bad crash id", Faults{CrashAtRound: map[int]int{-4: 1, -9: 1, 50: 1, 7: 1, -1: 1, 12: 1}}, plain(), "CrashAtRound names node -9 "},
+		{"smallest negative byzantine round", Faults{ByzantineFromRound: map[int]int{2: -1, 0: -5, 1: -2}}, plain(), "ByzantineFromRound[0] = -5 "},
 		{"recover id out of range", Faults{RecoverAtRound: map[int]int{7: 4}}, recoverable(), "RecoverAtRound"},
 		{"recover without crash", Faults{RecoverAtRound: map[int]int{1: 4}}, recoverable(), "no CrashAtRound"},
 		{"recover before crash", Faults{CrashAtRound: map[int]int{1: 4}, RecoverAtRound: map[int]int{1: 4}}, recoverable(), "not after"},
@@ -91,9 +95,13 @@ func TestFaultsValidation(t *testing.T) {
 	g := mustGraph(t, 3, [][2]int{{0, 1}, {1, 2}})
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := Run(g, tt.nodes, Config{Seed: 1, Faults: tt.f})
-			if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
-				t.Fatalf("Run = %v, want error containing %q", err, tt.wantErr)
+			// Map iteration order differs from run to run, so one run of a
+			// map-order bug could pass by luck.
+			for i := 0; i < 20; i++ {
+				_, err := Run(g, tt.nodes, Config{Seed: 1, Faults: tt.f})
+				if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+					t.Fatalf("Run = %v, want error containing %q", err, tt.wantErr)
+				}
 			}
 		})
 	}

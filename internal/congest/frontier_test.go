@@ -317,6 +317,9 @@ func TestTransportFrontierMatchesDense(t *testing.T) {
 			go func(si int, span Span) {
 				defer wg.Done()
 				stats, err := RunShard(g, nodes, span, Config{Seed: 424242}, net.Shard(si))
+				if err != nil {
+					net.Abort(err)
+				}
 				mu.Lock()
 				defer mu.Unlock()
 				if err != nil && firstErr == nil {

@@ -202,6 +202,9 @@ func TestFaultFreeInboxesHaveDegreeCapacity(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				_, errs[si] = RunShard(g, nodes, sp, Config{Seed: 4}, net.Shard(si))
+				if errs[si] != nil {
+					net.Abort(errs[si])
+				}
 			}()
 		}
 		wg.Wait()

@@ -244,8 +244,9 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 // reference implementation of the Transport contract — the UDP backend must
 // be observably equivalent to it on a lossless network — and as the test
 // double that lets the distributed round loop run without sockets. It has
-// no failure modes: every message is delivered and no peer is ever declared
-// down.
+// no failure modes of its own: every message is delivered and no peer is
+// ever declared down. A shard whose RunShard fails must Abort the network,
+// or its peers wait at the barrier for it forever.
 type ChanNetwork struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -262,6 +263,8 @@ type ChanNetwork struct {
 	// destination shard; swap holds the previous round's, being drained.
 	buf  [][]Message
 	swap [][]Message
+	// err, once set by Abort, fails every pending and later call.
+	err error
 }
 
 // NewChanNetwork builds an in-process network whose shard i owns spans[i].
@@ -289,6 +292,17 @@ func NewChanNetwork(n int, spans []Span) (*ChanNetwork, error) {
 // Shard returns shard i's Transport endpoint.
 func (c *ChanNetwork) Shard(i int) Transport { return &chanEndpoint{net: c, shard: i} }
 
+// Abort fails the run: every Begin, Send and Gather, blocked or later,
+// returns an error wrapping err. The first call wins.
+func (c *ChanNetwork) Abort(err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.err = fmt.Errorf("congest: network aborted: %w", err)
+		c.cond.Broadcast()
+	}
+}
+
 type chanEndpoint struct {
 	net   *ChanNetwork
 	shard int
@@ -298,8 +312,11 @@ func (e *chanEndpoint) Begin(round int) (RoundStart, error) {
 	c := e.net
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.open < round && !c.done {
+	for c.open < round && !c.done && c.err == nil {
 		c.cond.Wait()
+	}
+	if c.err != nil {
+		return RoundStart{}, c.err
 	}
 	return RoundStart{Done: c.done && c.open < round}, nil
 }
@@ -308,6 +325,9 @@ func (e *chanEndpoint) Send(round int, msgs []Message) error {
 	c := e.net
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.err != nil {
+		return c.err
+	}
 	if round != c.open {
 		return fmt.Errorf("congest: shard %d sent for round %d, open round is %d", e.shard, round, c.open)
 	}
@@ -327,6 +347,9 @@ func (e *chanEndpoint) Gather(round int, allHalted bool) ([]Message, error) {
 	c := e.net
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.err != nil {
+		return nil, c.err
+	}
 	if round != c.open {
 		return nil, fmt.Errorf("congest: shard %d gathered round %d, open round is %d", e.shard, round, c.open)
 	}
@@ -347,8 +370,11 @@ func (e *chanEndpoint) Gather(round int, allHalted bool) ([]Message, error) {
 		c.arrived, c.halted = 0, 0
 		c.cond.Broadcast()
 	} else {
-		for c.open == round && !c.done {
+		for c.open == round && !c.done && c.err == nil {
 			c.cond.Wait()
+		}
+		if c.err != nil {
+			return nil, c.err
 		}
 	}
 	out := c.swap[e.shard]

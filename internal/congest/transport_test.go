@@ -2,8 +2,10 @@ package congest
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSplitSpans(t *testing.T) {
@@ -75,6 +77,9 @@ func runShardFleet(t *testing.T, k int) (Stats, [][]string) {
 		go func(si int, span Span) {
 			defer wg.Done()
 			stats, err := RunShard(g, nodes, span, Config{Seed: 99}, net.Shard(si))
+			if err != nil {
+				net.Abort(err)
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil && firstErr == nil {
@@ -165,6 +170,62 @@ func TestRunShardRejectsFaultConfigs(t *testing.T) {
 	}
 	if _, err := RunShard(g, nodes, Span{0, 2}, Config{Parallel: true}, net.Shard(0)); err == nil {
 		t.Fatal("RunShard accepted the parallel runner")
+	}
+}
+
+// overNode broadcasts one byte every round until round 4; node 0 instead
+// broadcasts 9 bytes in round 2, over a 64-bit limit.
+type overNode struct{ env *Env }
+
+func (o *overNode) Init(env *Env) { o.env = env }
+
+func (o *overNode) Round(r int, _ []Message) bool {
+	if r == 2 && o.env.ID() == 0 {
+		o.env.Broadcast(make([]byte, 9))
+	} else {
+		o.env.Broadcast([]byte{byte(r)})
+	}
+	return r >= 4
+}
+
+// TestChanNetworkAbortReleasesPeers pins the failure path of an in-process
+// fleet: when one shard's RunShard fails, Abort wakes the peers blocked at
+// the barrier, so every shard returns an error instead of waiting forever.
+func TestChanNetworkAbortReleasesPeers(t *testing.T) {
+	g := mustGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
+	g.Finalize()
+	nodes := []Node{&overNode{}, &overNode{}, &overNode{}, &overNode{}}
+	spans := SplitSpans(4, 2)
+	net, err := NewChanNetwork(4, spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, len(spans))
+	var wg sync.WaitGroup
+	for si, sp := range spans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[si] = RunShard(g, nodes, sp, Config{Seed: 1, BitLimit: 64}, net.Shard(si))
+			if errs[si] != nil {
+				net.Abort(errs[si])
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shards still blocked 5s after one of them failed")
+	}
+	for si, err := range errs {
+		if err == nil {
+			t.Errorf("shard %d returned no error", si)
+		}
+	}
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "exceeds limit") {
+		t.Errorf("shard 0: %v, want the oversized broadcast", errs[0])
 	}
 }
 

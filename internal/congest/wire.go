@@ -5,14 +5,13 @@ import (
 	"fmt"
 )
 
-// This file is the runtime half of the congestmsg contract (see
-// internal/analysis): every wire-message kind that crosses the engine is
-// registered here with a hard bound on its encoded size, mechanically
-// backing the O(log n)-bit message claim the paper's trade-off analysis
-// rests on. The static analyzer guarantees payloads come only from
-// annotated encoders; the registry (exercised by the wire fuzz targets in
-// internal/fl and internal/core) holds those encoders to their declared
-// bounds on real data.
+// This file is the message-size contract: every wire-message kind that
+// crosses the engine is registered here with a hard bound on its encoded
+// size, mechanically backing the O(log n)-bit message claim the paper's
+// trade-off analysis rests on. The registry (exercised by the wire fuzz
+// targets in internal/core and by TestMessageBits) holds the encoders to
+// their declared bounds on real data, and the engine's BitLimit rejects
+// any send over the run's budget.
 
 // PayloadSpec declares one wire-message kind and its maximum encoded size.
 // Kinds share a single namespace across every protocol run on the engine
@@ -88,7 +87,7 @@ func EncodeKindUvarint(buf []byte, kind byte, v uint64) []byte {
 // kind byte plus the acknowledged sequence number as a uvarint. Acks never
 // travel through Env.Send — they are engine-level control traffic,
 // accounted in Stats.Acks/AckBits — but the kind is registered so traces
-// and the congestmsg contract can identify and bound it.
+// can identify it and TestMessageBits can hold it to its bound.
 const kindAck = '!'
 
 func init() {

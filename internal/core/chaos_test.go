@@ -318,6 +318,9 @@ func TestChaosLateCrashOrphanPolicy(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			frags[si], errs[si] = SolveShard(inst, cfg, span, seed, net.Shard(si))
+			if errs[si] != nil {
+				net.Abort(errs[si])
+			}
 		}()
 	}
 	wg.Wait()

@@ -59,6 +59,9 @@ func solveShardedCheckpointed(t *testing.T, inst *fl.Instance, cfg Config, seed 
 			defer wg.Done()
 			frags[si], errs[si] = SolveShardCheckpointed(inst, cfg, span, seed, net.Shard(si),
 				CheckpointConfig{Every: 1, Sink: sinks[si]})
+			if errs[si] != nil {
+				net.Abort(errs[si])
+			}
 		}(si, span)
 	}
 	wg.Wait()

@@ -29,6 +29,9 @@ func solveSharded(t *testing.T, inst *fl.Instance, cfg Config, seed int64, k int
 		go func(si int, span congest.Span) {
 			defer wg.Done()
 			frags[si], errs[si] = SolveShard(inst, cfg, span, seed, net.Shard(si))
+			if errs[si] != nil {
+				net.Abort(errs[si])
+			}
 		}(si, span)
 	}
 	wg.Wait()
@@ -90,7 +93,10 @@ func TestFragmentCodecRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func(si int, span congest.Span) {
 			defer wg.Done()
-			frags[si], _ = SolveShard(inst, Config{K: 4}, span, 7, net.Shard(si))
+			var err error
+			if frags[si], err = SolveShard(inst, Config{K: 4}, span, 7, net.Shard(si)); err != nil {
+				net.Abort(err)
+			}
 		}(si, span)
 	}
 	wg.Wait()
@@ -170,7 +176,10 @@ func TestAssembleMasksDownShard(t *testing.T) {
 		wg.Add(1)
 		go func(si int, span congest.Span) {
 			defer wg.Done()
-			frags[si], _ = SolveShard(inst, cfg, span, 5, net.Shard(si))
+			var err error
+			if frags[si], err = SolveShard(inst, cfg, span, 5, net.Shard(si)); err != nil {
+				net.Abort(err)
+			}
 		}(si, span)
 	}
 	wg.Wait()

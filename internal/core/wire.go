@@ -46,7 +46,7 @@ const (
 const maxOfferBits = (1 + 3 + 1 + 5) * 8
 
 // Size bounds for every wire kind, registered with the engine so traces
-// and the congestmsg contract's fuzz evidence can see them.
+// and the wire fuzz targets can see them.
 func init() {
 	congest.RegisterPayload(kindDone, "FL-DONE", 8)
 	congest.RegisterPayload(kindOffer, "FL-OFFER", maxOfferBits)
@@ -72,7 +72,6 @@ func encodeOffer(buf []byte, class, fine int, prio uint32) []byte {
 	buf = binary.AppendUvarint(buf, uint64(class))
 	buf = binary.AppendUvarint(buf, uint64(fine))
 	buf = binary.AppendUvarint(buf, uint64(prio))
-	//flvet:bounded class is O(sqrt K) (3-byte uvarint), fine <= 64 (1 byte), prio is 32 bits (5 bytes): 1+3+1+5 bytes = 80 bits
 	return buf
 }
 

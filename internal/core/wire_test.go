@@ -6,8 +6,8 @@ import (
 	"dfl/internal/congest"
 )
 
-// TestPayloadRegistration pins the registry half of the congestmsg
-// contract: every core wire kind is registered with the engine, the
+// TestPayloadRegistration pins the message-size registry: every core wire
+// kind is registered with the engine, the
 // single-byte payload vars fit their declared budgets, and DescribePayload
 // still recognizes each kind.
 func TestPayloadRegistration(t *testing.T) {
@@ -59,7 +59,7 @@ func TestPayloadRegistration(t *testing.T) {
 }
 
 // FuzzOfferWire holds encodeOffer to the bound its //flvet:encoder
-// annotation and registry entry declare: for every in-range input the
+// annotation and registry entry declare (no static check proves it): for every in-range input the
 // encoding round-trips exactly and stays within maxOfferBits.
 func FuzzOfferWire(f *testing.F) {
 	f.Add(0, 0, uint32(0))

@@ -132,11 +132,11 @@ func TestDecodeBatchChecksIDs(t *testing.T) {
 func TestBackoffSchedule(t *testing.T) {
 	ms := time.Millisecond
 	cases := []struct {
-		name       string
-		p          Policy
-		delays     []time.Duration // by attempt 0..n
-		exhausted  int             // first attempt count that is out of budget
-		totalWait  time.Duration
+		name      string
+		p         Policy
+		delays    []time.Duration // by attempt 0..n
+		exhausted int             // first attempt count that is out of budget
+		totalWait time.Duration
 	}{
 		{
 			name:      "default-shape",

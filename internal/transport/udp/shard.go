@@ -123,9 +123,9 @@ type Shard struct {
 	// reliable link dedups but does not order); it is replayed once the
 	// fleet book arrives.
 	pendingGo *Frame
-	done       bool
-	gwLost     bool // gateway link exhausted its budget
-	gathered   int  // rounds [0, gathered) are closed; late DATA is dropped
+	done      bool
+	gwLost    bool // gateway link exhausted its budget
+	gathered  int  // rounds [0, gathered) are closed; late DATA is dropped
 	// data[round][fromShard] assembles that peer's batch for the round.
 	data map[int]map[int]*chunkBuf
 	// complete[round] marks peers whose batch for the round is fully in.
