@@ -450,11 +450,13 @@ func (e *Env) Rand() *rand.Rand {
 // and the wake round itself always runs. The declaration is renewed per
 // Round call (beginRound clears it), so a node woken early must sleep
 // again explicitly, and declarations of round <= current+1 change nothing
-// (the next round runs regardless). Soundness is the node's obligation:
-// the engine's dense reference
-// mode (Config.Dense) ignores the declaration and executes every round for
-// real, and the determinism suite pins frontier runs byte-identical to it,
-// so an unsound declaration surfaces as an I5 digest divergence.
+// (the next round runs regardless). A declaration beyond the largest round
+// budget a run accepts (2^32-2) is clamped to that budget, which no run
+// reaches, so it still lasts the whole run. Soundness is the node's
+// obligation: the engine's dense reference mode (Config.Dense) ignores the
+// declaration and executes every round for real, and the determinism suite
+// pins frontier runs byte-identical to it, so an unsound declaration
+// surfaces as an I5 digest divergence.
 func (e *Env) SleepUntil(round int) { e.sleepUntil = round }
 
 // Reject records that the node discarded one inbox frame as malformed.

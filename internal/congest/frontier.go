@@ -1,6 +1,9 @@
 package congest
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // frontier is the active-set bookkeeping of the sparse round scheduler: it
 // tracks which nodes must actually run, send, or be cleared each round, so
@@ -16,12 +19,13 @@ import "slices"
 // admitWoken merges the batch back into the active list before the next
 // compute walk, preserving ascending-id execution order (invariant I5).
 type frontier struct {
-	// lo is the smallest id the frontier schedules. asleep and timerAt are
-	// indexed by id-lo and cover the ids from lo to the largest scheduled
-	// id, which is the whole span for a contiguous shard.
+	// lo is the smallest id the frontier schedules. slots is indexed by
+	// id-lo and covers the ids from lo to the largest scheduled id, which
+	// is the whole span for a contiguous shard.
 	lo int
-	// asleep marks nodes parked by Env.SleepUntil.
-	asleep []bool
+	// slots holds each node's sleep state: the asleep flag Env.SleepUntil
+	// sets and the node's one pending timer (see wakeSlot).
+	slots []wakeSlot
 	// active holds the runnable node ids in ascending order; the compute
 	// walk compacts halting, crashing, and sleeping nodes out in place.
 	active []int32
@@ -30,18 +34,13 @@ type frontier struct {
 	// the node's asleep flag is set (and clears it), and a recovery revive
 	// fires only for a node that left the active list when it crashed.
 	woken []int32
-	// timers is a min-heap of (round, id) wake calls with lazy
-	// invalidation: an entry whose node was woken early (or crashed) pops
-	// as a no-op because the node's asleep flag is already clear.
-	timers wakeHeap
-	// timerAt[id-lo], when non-zero, is the round of a live heap entry for
-	// id (the minimum one this frontier knows of). park skips the push when
-	// an existing entry already fires no later than the new declaration —
-	// the node wakes early, which the SleepUntil contract makes a no-op — so
-	// a node that is delivery-woken and re-parks every round contributes one
-	// heap entry, not one per round. 0 is "unset" (park is only ever called
-	// with until >= 2).
-	timerAt []int
+	// timers is the calendar of pending wakes: one row per distinct round
+	// some timer fires at, in ascending round order, each heading a FIFO
+	// list of node slots linked through wakeSlot.next/prev. A node has at
+	// most one timer, so the lists hold at most one entry per node and the
+	// table only as many rows as there are distinct pending rounds — a
+	// handful for a phase-structured protocol, whatever n is.
+	timers []wakeRound
 	// senders lists, in ascending id order, this round's merge-relevant
 	// nodes: staged output, a recorded send violation, or a fail-closed
 	// reject counter to drain. The compute walk appends; the merge resets.
@@ -52,27 +51,36 @@ type frontier struct {
 	recips []int32
 }
 
+// wakeSlot is one node's sleep state. at, when non-zero, is the round of
+// the node's pending timer, and next/prev link the node into that round's
+// list (as id-lo, -1 at either end); 0 is "no timer" (park is only ever
+// called with until >= 2). The timer outlives an early wake: a node that is
+// delivery-woken and re-parks for a later round keeps it, and so wakes
+// early — a no-op round under the SleepUntil contract — instead of being
+// relinked every round.
+type wakeSlot struct {
+	at         uint32
+	next, prev int32
+	// asleep marks a node parked by Env.SleepUntil.
+	asleep bool
+}
+
+// wakeRound is one row of the timer calendar: the nodes whose timers fire
+// at round at, from head to tail in link order, count of them.
+type wakeRound struct {
+	at                uint32
+	head, tail, count int32
+}
+
 // newFrontier returns a frontier scheduling the ascending ids active, with
 // sleep state covering them.
 func newFrontier(active []int32) *frontier {
 	f := &frontier{active: active}
 	if len(active) > 0 {
 		f.lo = int(active[0])
-		size := int(active[len(active)-1]) - f.lo + 1
-		f.asleep, f.timerAt = make([]bool, size), make([]int, size)
+		f.slots = make([]wakeSlot, int(active[len(active)-1])-f.lo+1)
 	}
 	return f
-}
-
-// wake re-admits a sleeping node (message delivery or timer expiry). A
-// node that is not asleep — already active, crashed, or woken earlier this
-// round — is left untouched, which is what makes stale timer entries and
-// repeated deliveries harmless.
-func (f *frontier) wake(id int32) {
-	if i := int(id) - f.lo; f.asleep[i] {
-		f.asleep[i] = false
-		f.woken = append(f.woken, id)
-	}
 }
 
 // revive stages a recovered node for re-admission. The caller guarantees
@@ -85,45 +93,119 @@ func (f *frontier) revive(id int32) {
 // park records a SleepUntil declaration: the node leaves the active list
 // (the compute walk drops it) and a timer guarantees it runs again no
 // later than the declared round even if no message arrives first (possibly
-// earlier, via a pre-existing entry — a contractual no-op round).
+// earlier, via a pending timer — a contractual no-op round). A declaration
+// beyond the largest round budget is clamped to it: no run reaches that
+// round, so the timer never fires either way.
 func (f *frontier) park(id int32, until int) {
-	i := int(id) - f.lo
-	f.asleep[i] = true
-	if t := f.timerAt[i]; t != 0 && t <= until {
-		return
+	i := int32(int(id) - f.lo)
+	s := &f.slots[i]
+	s.asleep = true
+	at := uint32(min(int64(until), maxRoundBudget))
+	if s.at != 0 {
+		if s.at <= at {
+			return
+		}
+		f.unlink(i)
 	}
-	f.timerAt[i] = until
-	f.timers.push(wakeEntry{at: until, id: id})
+	f.link(i, at)
 }
 
-// dropCrashed removes a node from the frontier when its crash fires:
-// a sleeping node just forgets its declaration (stale timer entries
-// lazily no-op), an active node is deleted from the sorted list so a
-// same-round recovery cannot re-admit it twice.
+// row returns the index of the timer row for round at, or where to insert
+// it, and whether it exists.
+func (f *frontier) row(at uint32) (int, bool) {
+	return slices.BinarySearchFunc(f.timers, at, func(w wakeRound, at uint32) int {
+		return cmp.Compare(w.at, at)
+	})
+}
+
+// link appends slot i, which has no timer, to the list of round at.
+func (f *frontier) link(i int32, at uint32) {
+	k, ok := f.row(at)
+	if !ok {
+		f.timers = slices.Insert(f.timers, k, wakeRound{at: at, head: -1, tail: -1})
+	}
+	w, s := &f.timers[k], &f.slots[i]
+	s.at, s.next, s.prev = at, -1, w.tail
+	if w.tail >= 0 {
+		f.slots[w.tail].next = i
+	} else {
+		w.head = i
+	}
+	w.tail = i
+	w.count++
+}
+
+// unlink removes slot i's pending timer from its round's list, dropping
+// the row when the list empties.
+func (f *frontier) unlink(i int32) {
+	s := &f.slots[i]
+	k, _ := f.row(s.at)
+	w := &f.timers[k]
+	if s.prev >= 0 {
+		f.slots[s.prev].next = s.next
+	} else {
+		w.head = s.next
+	}
+	if s.next >= 0 {
+		f.slots[s.next].prev = s.prev
+	} else {
+		w.tail = s.prev
+	}
+	s.at = 0
+	if w.count--; w.count == 0 {
+		f.timers = slices.Delete(f.timers, k, k+1)
+	}
+}
+
+// dropCrashed removes a node from the frontier when its crash fires: its
+// pending timer is unlinked, a sleeping node forgets its declaration, and
+// an active node is deleted from the sorted list so a same-round recovery
+// cannot re-admit it twice.
 func (f *frontier) dropCrashed(id int32) {
-	if i := int(id) - f.lo; f.asleep[i] {
-		f.asleep[i] = false
+	i := int32(int(id) - f.lo)
+	s := &f.slots[i]
+	if s.at != 0 {
+		f.unlink(i)
+	}
+	if s.asleep {
+		s.asleep = false
 		return
 	}
-	if i, ok := slices.BinarySearch(f.active, id); ok {
-		f.active = append(f.active[:i], f.active[i+1:]...)
+	if k, ok := slices.BinarySearch(f.active, id); ok {
+		f.active = append(f.active[:k], f.active[k+1:]...)
 	}
 }
 
 // admitWoken fires the timers due at round, wakes the sleepers the last
 // merge delivered to, and merges the woken batch back into the sorted
-// active list. Called at the start of each compute walk.
+// active list. Called at the start of each compute walk. A wake admits
+// only a node that is asleep: one already active, crashed, or woken
+// earlier this round is left untouched, which is what makes a timer that
+// outlived an early wake and repeated deliveries harmless. Each due list
+// is walked once and its row dropped, and woken is grown once per list to
+// the list's count, so a round that wakes many nodes does not grow it by
+// repeated appends.
 func (f *frontier) admitWoken(round int) {
-	for len(f.timers) > 0 && f.timers[0].at <= round {
-		e := f.timers[0]
-		f.timers.pop()
-		if i := int(e.id) - f.lo; f.timerAt[i] == e.at {
-			f.timerAt[i] = 0
+	slots, lo := f.slots, int32(f.lo)
+	due := 0
+	for ; due < len(f.timers) && int(f.timers[due].at) <= round; due++ {
+		w := f.timers[due]
+		f.woken = slices.Grow(f.woken, int(w.count))
+		for i := w.head; i >= 0; i = slots[i].next {
+			s := &slots[i]
+			s.at = 0
+			if s.asleep {
+				s.asleep = false
+				f.woken = append(f.woken, lo+i)
+			}
 		}
-		f.wake(e.id)
 	}
+	f.timers = slices.Delete(f.timers, 0, due)
 	for _, id := range f.recips {
-		f.wake(id)
+		if s := &slots[id-lo]; s.asleep {
+			s.asleep = false
+			f.woken = append(f.woken, id)
+		}
 	}
 	if len(f.woken) == 0 {
 		return
@@ -161,61 +243,4 @@ func mergeSortedIDs(list, batch []int32) []int32 {
 		}
 	}
 	return list
-}
-
-// wakeEntry is one scheduled timer wake: node id runs again at round at.
-type wakeEntry struct {
-	at int
-	id int32
-}
-
-// wakeHeap is a hand-rolled binary min-heap of wakeEntry ordered by round
-// then id (container/heap would box an interface per push on the round
-// path). Ties never matter for execution order — admitWoken sorts the
-// woken batch — but the fixed order keeps pops deterministic.
-type wakeHeap []wakeEntry
-
-func (h wakeHeap) less(a, b wakeEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.id < b.id
-}
-
-func (h *wakeHeap) push(e wakeEntry) {
-	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(q[i], q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-// pop removes the root; the caller has already read it from (*h)[0].
-func (h *wakeHeap) pop() {
-	q := *h
-	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last]
-	*h = q
-	i := 0
-	for {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < last && q.less(q[l], q[m]) {
-			m = l
-		}
-		if r < last && q.less(q[r], q[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
-	}
 }

@@ -2,6 +2,9 @@ package congest
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -367,5 +370,202 @@ func TestTransportFrontierMatchesDense(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// idleFrontier returns a frontier over the ids lo..lo+n-1 with nothing
+// active, as after a round in which every node parked or halted.
+func idleFrontier(lo, n int) *frontier {
+	f := newFrontier(idRange(lo, lo+n))
+	f.active = f.active[:0]
+	return f
+}
+
+// admit runs round's admission on f and returns the ids it admitted, then
+// empties the active list again and rewinds the recipients, as a compute
+// walk in which every admitted node halts and a merge would.
+func admit(f *frontier, round int) []int32 {
+	f.admitWoken(round)
+	got := slices.Clone(f.active)
+	f.active = f.active[:0]
+	f.recips = f.recips[:0]
+	return got
+}
+
+// TestFrontierEarlierReparkMovesTimer: a node delivery-woken before its
+// timer that re-parks for an earlier round fires at the earlier round, and
+// its old timer is gone: a later sleep is not cut short at the old round.
+func TestFrontierEarlierReparkMovesTimer(t *testing.T) {
+	f := idleFrontier(10, 4)
+	f.park(12, 10)
+	f.recips = append(f.recips, 12)
+	if got := admit(f, 3); !slices.Equal(got, []int32{12}) {
+		t.Fatalf("round 3: admitted %v, want the delivery wake [12]", got)
+	}
+	f.park(12, 7)
+	if len(f.timers) != 1 || f.timers[0].at != 7 || f.timers[0].count != 1 {
+		t.Fatalf("after re-parking until 7: timers %+v, want one row at 7", f.timers)
+	}
+	for r := 4; r <= 21; r++ {
+		got := admit(f, r)
+		switch r {
+		case 7:
+			if !slices.Equal(got, []int32{12}) {
+				t.Fatalf("round 7: admitted %v, want [12]", got)
+			}
+			f.park(12, 20)
+		case 20:
+			if !slices.Equal(got, []int32{12}) {
+				t.Fatalf("round 20: admitted %v, want [12]", got)
+			}
+		default:
+			if len(got) != 0 {
+				t.Fatalf("round %d: admitted %v, want nothing", r, got)
+			}
+		}
+	}
+	if len(f.timers) != 0 {
+		t.Fatalf("timers left after the last wake: %+v", f.timers)
+	}
+}
+
+// TestFrontierLaterReparkAddsNoEntry: a node that re-parks for a later
+// round than its pending timer keeps the one timer (it wakes early, a
+// no-op round under the SleepUntil contract) and gains no second entry.
+func TestFrontierLaterReparkAddsNoEntry(t *testing.T) {
+	f := idleFrontier(10, 4)
+	f.park(11, 5)
+	f.recips = append(f.recips, 11)
+	if got := admit(f, 2); !slices.Equal(got, []int32{11}) {
+		t.Fatalf("round 2: admitted %v, want the delivery wake [11]", got)
+	}
+	f.park(11, 9)
+	if len(f.timers) != 1 || f.timers[0].at != 5 || f.timers[0].count != 1 {
+		t.Fatalf("after re-parking until 9: timers %+v, want the one row at 5", f.timers)
+	}
+	for r := 3; r <= 12; r++ {
+		got := admit(f, r)
+		want := []int32(nil)
+		if r == 5 {
+			want = []int32{11}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: admitted %v, want %v", r, got, want)
+		}
+	}
+}
+
+// TestFrontierDueIDsAdmitAscending: the ids a round admits — timer wakes
+// in any park order, delivery wakes, and the nodes already active — come
+// out in ascending id order (the compute walk's order, invariant I5).
+func TestFrontierDueIDsAdmitAscending(t *testing.T) {
+	f := idleFrontier(10, 8)
+	for _, id := range []int32{15, 11, 17, 10, 13} {
+		f.park(id, 4)
+	}
+	f.park(14, 9)
+	f.active = append(f.active, 12, 16)
+	f.recips = append(f.recips, 14)
+	want := []int32{10, 11, 12, 13, 14, 15, 16, 17}
+	if got := admit(f, 4); !slices.Equal(got, want) {
+		t.Fatalf("admitted %v, want %v", got, want)
+	}
+}
+
+// TestFrontierCrashWithTimerAdmitsOnce: a node that crashes with a pending
+// timer and then recovers is admitted exactly once — by its recovery —
+// whether the recovery falls in the timer's round or before it, and a
+// later sleep is not cut short by the timer it had when it crashed.
+func TestFrontierCrashWithTimerAdmitsOnce(t *testing.T) {
+	for _, recoverAt := range []int{4, 6} {
+		t.Run(fmt.Sprintf("recover_at=%d", recoverAt), func(t *testing.T) {
+			f := idleFrontier(10, 4)
+			f.park(11, 6)
+			f.dropCrashed(11)
+			if len(f.timers) != 0 {
+				t.Fatalf("timers after the crash: %+v, want none", f.timers)
+			}
+			var admitted []int
+			for r := 3; r <= 12; r++ {
+				if r == recoverAt {
+					f.revive(11)
+				}
+				got := admit(f, r)
+				for _, id := range got {
+					if id != 11 {
+						t.Fatalf("round %d: admitted %v", r, got)
+					}
+					admitted = append(admitted, r)
+				}
+				if r == recoverAt {
+					f.park(11, 10)
+				}
+			}
+			if want := []int{recoverAt, 10}; !slices.Equal(admitted, want) {
+				t.Fatalf("node 11 admitted at rounds %v, want %v", admitted, want)
+			}
+		})
+	}
+}
+
+// TestFrontierFarSleepConstantBytes: a declaration at the far end of the
+// default round budget costs one timer row, not storage sized by round
+// number, and one beyond any budget is clamped to the budget limit.
+func TestFrontierFarSleepConstantBytes(t *testing.T) {
+	f := idleFrontier(0, 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f.park(1, DefaultMaxRounds-1)
+	f.admitWoken(2)
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 1024 {
+		t.Fatalf("SleepUntil(DefaultMaxRounds-1) allocated %d bytes, want O(1)", bytes)
+	}
+	if got := admit(f, DefaultMaxRounds-1); !slices.Equal(got, []int32{1}) {
+		t.Fatalf("round DefaultMaxRounds-1: admitted %v, want [1]", got)
+	}
+	f.park(2, math.MaxInt)
+	if len(f.timers) != 1 || f.timers[0].at != maxRoundBudget {
+		t.Fatalf("SleepUntil(MaxInt): timers %+v, want one row at %d", f.timers, uint32(maxRoundBudget))
+	}
+}
+
+// dozeNode sleeps from round 0 until its halt round.
+type dozeNode struct {
+	env  *Env
+	halt int
+}
+
+func (d *dozeNode) Init(env *Env) { d.env = env }
+
+func (d *dozeNode) Round(r int, inbox []Message) bool {
+	if r >= d.halt {
+		return true
+	}
+	d.env.SleepUntil(d.halt)
+	return false
+}
+
+// TestRunAllocsFlatInWakes: a run in which every node sleeps from round 0
+// to its halt round makes as many allocations at n=2^16 as at n=2^10.
+// Scheduling n timers and waking n nodes in one round may size storage by
+// n, but no allocation count may grow with the number of wakes.
+func TestRunAllocsFlatInWakes(t *testing.T) {
+	allocs := func(n int) float64 {
+		g := NewGraph(n)
+		nodes := make([]Node, n)
+		for i := range nodes {
+			nodes[i] = &dozeNode{halt: 8}
+		}
+		return testing.AllocsPerRun(3, func() {
+			st, err := Run(g, nodes, Config{Seed: 1})
+			if err != nil || st.Rounds != 9 {
+				t.Fatalf("run: %+v, %v", st, err)
+			}
+		})
+	}
+	small, large := allocs(1<<10), allocs(1<<16)
+	if small != large {
+		t.Fatalf("allocations per run: %v at n=2^10, %v at n=2^16, want equal", small, large)
 	}
 }
