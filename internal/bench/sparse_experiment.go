@@ -13,12 +13,15 @@ import (
 // round (congest.Env.SleepUntil). Cold neighbours of hot nodes still wake
 // once per delivery — that cost is part of the O(active + delivered) model
 // the frontier scheduler promises — so the measured active fraction is the
-// hot stride plus its woken fringe. The per-node runs counter records how
-// many rounds the scheduler actually executed for this node, which is the
-// one quantity the dormancy contract lets dense and frontier disagree on.
+// hot stride plus its woken fringe. An awake node declares nothing, so it
+// runs every round: the baseline of the same execution with no round
+// skipped. The per-node runs counter records how many rounds the scheduler
+// actually executed for this node, which is the one quantity the dormancy
+// contract lets an awake run and a sleeping one disagree on.
 type pulseNode struct {
 	env    *congest.Env
 	hot    bool
+	awake  bool
 	rounds int
 	runs   int
 }
@@ -34,24 +37,26 @@ func (n *pulseNode) Round(r int, inbox []congest.Message) bool {
 		n.env.Broadcast([]byte{byte(r), byte(r >> 8)})
 		return false
 	}
-	n.env.SleepUntil(n.rounds)
+	if !n.awake {
+		n.env.SleepUntil(n.rounds)
+	}
 	return false
 }
 
 // SparseRounds regenerates Table 18 (E18): steady-state per-round cost
 // versus active fraction. For each hot stride the same frozen graph runs
-// under the frontier scheduler and under the dense reference
-// (Config.Dense), whose Stats must match exactly — the experiment doubles
-// as an I5 check at benchmark scale. Every measured quantity is the
+// with the cold nodes asleep and with every node awake, whose Stats must
+// match exactly — the experiment doubles as a dormancy check at benchmark
+// scale. Every measured quantity is the
 // R-vs-2R differential T15 introduced for allocations — (x(2R)-x(R)) /
 // (rounds(2R)-rounds(R)) on the frozen graph — applied here to wall time,
 // executed node-rounds, senders, and mallocs alike. The differential
 // cancels per-run env construction and the two full-population rounds
 // every run contains (round 0, where all n nodes declare their sleep, and
 // the halt round, where all n wake to halt), which otherwise swamp the
-// steady state: what remains is the true per-round cost, O(n) bookkeeping
-// for dense regardless of activity, O(active + delivered) for the
-// frontier.
+// steady state: what remains is the true per-round cost, O(n) for the
+// awake run regardless of activity, O(active + delivered) for the
+// sleeping one.
 func SparseRounds(p Params) ([]Table, error) {
 	procs := engineProcs(p)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -69,18 +74,19 @@ func SparseRounds(p Params) ([]Table, error) {
 	}
 	t := Table{
 		ID:    "T18",
-		Title: "Sparse round execution: frontier vs dense scheduler",
-		Note: fmt.Sprintf("degree-8 circulant, n=%d, GOMAXPROCS=%d; every stride-th node broadcasts each round, the rest sleep until the halt round; all columns are steady-state R-vs-2R differentials on the frozen graph, cancelling env setup and the two full-population rounds; active/round = node-rounds the frontier actually executed (hot stride + delivery-woken fringe); dense and frontier Stats verified identical per row",
+		Title: "Sparse round execution: sleeping vs awake nodes",
+		Note: fmt.Sprintf("degree-8 circulant, n=%d, GOMAXPROCS=%d; every stride-th node broadcasts each round, the rest sleep until the halt round; all columns are steady-state R-vs-2R differentials on the frozen graph, cancelling env setup and the two full-population rounds; active/round = node-rounds the frontier actually executed with the cold nodes asleep (hot stride + delivery-woken fringe); awake = the same nodes declaring no sleep, so every live node runs every round on the same scheduler; speedup = awake/frontier ms per round; awake and frontier Stats verified identical per row",
 			n, procs),
-		Columns: []string{"stride", "active/round", "senders/round", "dense ms/round", "frontier ms/round", "speedup", "allocs/round"},
+		Columns: []string{"stride", "active/round", "senders/round", "awake ms/round", "frontier ms/round", "speedup", "allocs/round"},
 	}
 	// run executes one measurement on the frozen graph: node structs are
 	// reused (Init rebinds envs), so the allocation differential cancels
 	// per-run env setup exactly as in T15. Returns wall time, mallocs
 	// across the run, engine stats, and total Round invocations.
-	run := func(stride, rds int, dense bool) (time.Duration, uint64, congest.Stats, int64, error) {
+	run := func(stride, rds int, awake bool) (time.Duration, uint64, congest.Stats, int64, error) {
 		for i, pn := range pulse {
 			pn.hot = i%stride == 0
+			pn.awake = awake
 			pn.rounds = rds
 			pn.runs = 0
 		}
@@ -88,7 +94,7 @@ func SparseRounds(p Params) ([]Table, error) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		stats, err := congest.Run(g, nodes, congest.Config{Seed: p.Seed, Dense: dense})
+		stats, err := congest.Run(g, nodes, congest.Config{Seed: p.Seed})
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
 		var execs int64
@@ -101,13 +107,13 @@ func SparseRounds(p Params) ([]Table, error) {
 	// standard robust estimator on shared hardware — see engineBest);
 	// mallocs, stats, and execution counts are deterministic per run, so
 	// the first rep's values stand for all.
-	best := func(stride, rds int, dense bool) (time.Duration, uint64, congest.Stats, int64, error) {
-		bt, bm, bst, bex, err := run(stride, rds, dense)
+	best := func(stride, rds int, awake bool) (time.Duration, uint64, congest.Stats, int64, error) {
+		bt, bm, bst, bex, err := run(stride, rds, awake)
 		if err != nil {
 			return 0, 0, congest.Stats{}, 0, err
 		}
 		for rep := 1; rep < reps; rep++ {
-			elapsed, _, _, _, err := run(stride, rds, dense)
+			elapsed, _, _, _, err := run(stride, rds, awake)
 			if err != nil {
 				return 0, 0, congest.Stats{}, 0, err
 			}
@@ -126,16 +132,16 @@ func SparseRounds(p Params) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		d1t, _, d1st, _, err := best(stride, rounds, true)
+		a1t, _, a1st, _, err := best(stride, rounds, true)
 		if err != nil {
 			return nil, err
 		}
-		d2t, _, d2st, _, err := best(stride, 2*rounds, true)
+		a2t, _, a2st, _, err := best(stride, 2*rounds, true)
 		if err != nil {
 			return nil, err
 		}
-		if d1st != f1st || d2st != f2st {
-			return nil, fmt.Errorf("bench: E18 stride %d: frontier diverged from dense reference:\nfrontier %+v / %+v\ndense    %+v / %+v", stride, f1st, f2st, d1st, d2st)
+		if a1st != f1st || a2st != f2st {
+			return nil, fmt.Errorf("bench: E18 stride %d: sleeping run diverged from the awake one:\nfrontier %+v / %+v\nawake    %+v / %+v", stride, f1st, f2st, a1st, a2st)
 		}
 		extra := f2st.Rounds - f1st.Rounds
 		if extra <= 0 {
@@ -146,22 +152,22 @@ func SparseRounds(p Params) ([]Table, error) {
 		}
 		ex := float64(extra)
 		fms := (f2t - f1t).Seconds() * 1000 / ex
-		dms := (d2t - d1t).Seconds() * 1000 / ex
+		ams := (a2t - a1t).Seconds() * 1000 / ex
 		// Floor at 1us/round: below that the R-vs-2R difference is inside
 		// clock jitter, and the floor keeps the speedup ratio honest
 		// rather than dividing by a near-zero artifact.
 		if fms < 1e-3 {
 			fms = 1e-3
 		}
-		if dms < 1e-3 {
-			dms = 1e-3
+		if ams < 1e-3 {
+			ams = 1e-3
 		}
 		t.Add(in(stride),
 			f64(float64(f2ex-f1ex)/ex),
 			f64(float64(f2st.Senders-f1st.Senders)/ex),
-			f64(dms),
+			f64(ams),
 			f64(fms),
-			f64(dms/fms),
+			f64(ams/fms),
 			f64(float64(f2m-f1m)/ex))
 	}
 	return []Table{t}, nil

@@ -453,10 +453,10 @@ func (e *Env) Rand() *rand.Rand {
 // (the next round runs regardless). A declaration beyond the largest round
 // budget a run accepts (2^32-2) is clamped to that budget, which no run
 // reaches, so it still lasts the whole run. Soundness is the node's
-// obligation: the engine's dense reference mode (Config.Dense) ignores the
-// declaration and executes every round for real, and the determinism suite
-// pins frontier runs byte-identical to it, so an unsound declaration
-// surfaces as an I5 digest divergence.
+// obligation: the determinism suite runs the same nodes awake, with every
+// declaration withdrawn so every round executes for real, and pins the
+// sleeping run byte-identical to the awake one, so an unsound declaration
+// surfaces as a divergence.
 func (e *Env) SleepUntil(round int) { e.sleepUntil = round }
 
 // Reject records that the node discarded one inbox frame as malformed.

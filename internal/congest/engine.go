@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 )
 
@@ -31,19 +30,6 @@ type Config struct {
 	// Shards is the parallel runner's shard count, one worker goroutine per
 	// shard; 0 means GOMAXPROCS.
 	Shards int
-	// Dense selects the reference O(n) scheduler of the sequential runner:
-	// every round scans the full population for halt detection, compute,
-	// merge, and inbox clears, and Env.SleepUntil declarations are ignored
-	// (the declared no-op rounds execute for real). The default frontier
-	// scheduler instead walks only the active node list, the round's
-	// senders, and last round's recipients, making steady-state per-round
-	// cost O(active + delivered) instead of O(n). Both produce
-	// byte-identical executions (invariant I5); the determinism matrices pin
-	// every frontier runner against this mode, which keeps none of the
-	// frontier's lists, and it is the baseline of the E18 sparse-rounds
-	// benchmark. Run rejects it together with Parallel, and RunShard
-	// rejects it.
-	Dense bool
 	// Observer, when non-nil, is invoked after every round with the round
 	// number and the messages delivered in that round (sequential runner
 	// order). The slice is reused between rounds and is only valid for the
@@ -68,9 +54,21 @@ const DefaultMaxRounds = 1 << 20
 // unwritten stamp can equal.
 const maxRoundBudget = math.MaxUint32 - 1
 
-// roundBudget returns the round budget of cfg, or an error when it is
-// beyond maxRoundBudget.
-func roundBudget(cfg Config) (int, error) {
+// check is the config check both runners share: one node per vertex, an
+// in-range fault schedule, a non-negative retry budget and a round budget
+// within maxRoundBudget. It returns the round budget. RunShard rejects
+// faults and the reliable shim outright, but only after this check, so a
+// config one runner refuses as malformed the other refuses as well.
+func (cfg *Config) check(g *Graph, nodes []Node) (int, error) {
+	if len(nodes) != g.N() {
+		return 0, fmt.Errorf("congest: %d nodes for graph of %d vertices", len(nodes), g.N())
+	}
+	if err := cfg.Faults.validate(len(nodes), nodes); err != nil {
+		return 0, err
+	}
+	if cfg.Reliable.RetryBudget < 0 {
+		return 0, fmt.Errorf("congest: RetryBudget %d is negative", cfg.Reliable.RetryBudget)
+	}
 	if int64(cfg.MaxRounds) > maxRoundBudget {
 		return 0, fmt.Errorf("congest: MaxRounds %d exceeds the budget limit %d", cfg.MaxRounds, int64(maxRoundBudget))
 	}
@@ -110,8 +108,9 @@ type Stats struct {
 	Forged    int64 // byzantine rewrites and injections put on the wire
 	Rejected  int64 // frames discarded as malformed, by the shim's link-layer framing check or by fail-closed protocol decoders (Env.Reject)
 	LinkDowns int64 // reliable-shim frames abandoned with the retry budget exhausted
-	// Activity accounting of the frontier scheduler; the dense reference
-	// mode tracks the same quantities, so I5 comparisons cover them.
+	// Activity accounting of the frontier scheduler. A run of the same
+	// nodes kept awake has the same values, so the dormancy comparisons
+	// cover them.
 	LiveNodeRounds int64 // sum over executed rounds of the not-yet-halted node count
 	Senders        int64 // node-rounds in which a node staged at least one message
 	FinalLive      int   // nodes not yet halted when the run returned
@@ -121,19 +120,7 @@ type Stats struct {
 // statistics. len(nodes) must equal g.N(). Nodes are the caller's own
 // values; after Run returns the caller reads results directly out of them.
 func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
-	if len(nodes) != g.N() {
-		return Stats{}, fmt.Errorf("congest: %d nodes for graph of %d vertices", len(nodes), g.N())
-	}
-	if err := cfg.Faults.validate(len(nodes), nodes); err != nil {
-		return Stats{}, err
-	}
-	if cfg.Reliable.RetryBudget < 0 {
-		return Stats{}, fmt.Errorf("congest: RetryBudget %d is negative", cfg.Reliable.RetryBudget)
-	}
-	if cfg.Dense && cfg.Parallel {
-		return Stats{}, fmt.Errorf("congest: Dense is the sequential reference scheduler and cannot be combined with Parallel")
-	}
-	maxRounds, err := roundBudget(cfg)
+	maxRounds, err := cfg.check(g, nodes)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -142,7 +129,8 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	n := len(nodes)
 	var stats Stats
 	// x is the span over every node: it runs every round of a sequential
-	// run; a parallel run's shard spans share its node state.
+	// run; a parallel run's shard spans share its node state and schedule
+	// its nodes, so x then has no frontier.
 	x := &span{stats: &stats}
 	x.nodeSet = newNodeSet(g, nodes, 0, n, n, cfg, &x.buf)
 
@@ -167,15 +155,14 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	// global sender order, so a run that takes it stays sequential, which
 	// I5 makes byte-identical; the pool serves the rest.
 	var pool *shardPool
-	switch {
-	case cfg.Parallel && x.del == nil && n > 0:
+	if cfg.Parallel && x.del == nil && n > 0 {
 		shards := cfg.Shards
 		if shards <= 0 {
 			shards = runtime.GOMAXPROCS(0)
 		}
 		pool = newShardPool(x.nodeSet, shards)
 		defer pool.stop()
-	case !cfg.Dense:
+	} else {
 		x.fr = newFrontier(idRange(0, n))
 	}
 
@@ -189,8 +176,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 		recoverFires = compileFires(cfg.Faults.RecoverAtRound)
 	}
 	var crashCur, recoverCur int
-	// live counts the nodes not yet halted; the dense reference keeps it
-	// for the activity stats but detects global halt by a full scan.
+	// live counts the nodes not yet halted.
 	live := n
 	end := func(rounds int, err error) (Stats, error) {
 		stats.Rounds = rounds
@@ -214,9 +200,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 			crashed[id] = true
 			stats.Crashed++
 			live--
-			if x.fr != nil {
-				x.fr.dropCrashed(int32(id))
-			}
+			x.fr.dropCrashed(int32(id))
 			if x.del.shim != nil {
 				x.del.shim.onCrash(int32(id))
 			}
@@ -234,36 +218,24 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 			x.halted[id] = false
 			stats.Recovered++
 			live++
-			if x.fr != nil {
-				x.fr.revive(int32(id))
-			}
+			x.fr.revive(int32(id))
 			nodes[id].(Recoverable).Recover()
 		}
-		allHalted := live == 0
-		if cfg.Dense {
-			allHalted = !slices.Contains(x.halted, false)
-		}
-		if allHalted && !pendingFires(recoverFires[recoverCur:], crashed) {
+		if live == 0 && !pendingFires(recoverFires[recoverCur:], crashed) {
 			return end(round, nil)
 		}
 		stats.LiveNodeRounds += int64(live)
 
-		var ids []int32
-		switch {
-		case pool != nil:
+		if pool != nil {
 			halts, err := pool.runRound(round, &stats)
 			live -= halts
 			if err != nil {
 				return end(round+1, err)
 			}
 			continue
-		case cfg.Dense:
-			live -= x.computeDense(round)
-		default:
-			live -= x.compute(round)
-			ids = x.fr.senders
 		}
-		if err := x.merge(round, ids); err != nil {
+		live -= x.compute(round)
+		if err := x.merge(round); err != nil {
 			return end(round+1, err)
 		}
 		if cfg.Observer != nil {
@@ -333,8 +305,9 @@ func (ns *nodeSet) owns(id int) bool { return uint(id-ns.lo) < uint(len(ns.envs)
 // RunShard is one span whose drain hands remote traffic to a Transport.
 type span struct {
 	nodeSet
-	// fr schedules the span's nodes; nil on the dense reference and on
-	// Run's span of a parallel run, whose shard spans schedule them.
+	// fr schedules the span's nodes. Every span that computes and merges
+	// has one; only Run's span of a parallel run, whose shard spans
+	// schedule its nodes, has none.
 	fr    *frontier
 	stats *Stats
 	// del, when set, is the fault pipeline every drained message takes.
@@ -354,9 +327,9 @@ type span struct {
 }
 
 // compute is the frontier walk: it runs the span's active nodes for one
-// round in ascending id order, compacting halters and sleepers out of the
-// active list in place and recording the round's senders. It returns how
-// many nodes halted.
+// round in ascending id order, compacting halters, crashed nodes and
+// sleepers out of the active list in place and recording the round's
+// senders. It returns how many nodes halted.
 func (x *span) compute(round int) int {
 	fr := x.fr
 	fr.admitWoken(round)
@@ -389,54 +362,21 @@ func (x *span) compute(round int) int {
 	return halts
 }
 
-// computeDense is the reference scheduler of Config.Dense: every node that
-// has not halted runs, SleepUntil declarations are ignored, and no list is
-// kept, so a frontier run pinned against it checks the frontier's active,
-// sender and recipient lists.
-func (x *span) computeDense(round int) int {
-	x.buf.begin()
-	halts := 0
-	for id, nd := range x.nodes {
-		if x.halted[id] {
-			continue
-		}
-		x.envs[id].beginRound()
-		if nd.Round(round, x.inboxes[id]) {
-			x.halted[id] = true
-			halts++
-		}
-	}
-	return halts
-}
-
 // merge is the deterministic merge of one round on a single goroutine: it
-// clears the inboxes read this round, drains the senders in ascending id
-// order (every node on the dense reference), and ends the fault pipeline's
-// round. Because each sender stages at most one message per recipient per
-// round (enforced by Env.Send) and senders are walked in id order, every
-// inbox comes out sorted by sender id with no per-inbox sort. The buffers
-// are reused, so steady-state rounds allocate nothing here.
-func (x *span) merge(round int, senders []int32) error {
+// clears the inboxes read this round, drains the round's senders in
+// ascending id order, and ends the fault pipeline's round. Because each
+// sender stages at most one message per recipient per round (enforced by
+// Env.Send) and senders are walked in id order, every inbox comes out
+// sorted by sender id with no per-inbox sort. The buffers are reused, so
+// steady-state rounds allocate nothing here.
+func (x *span) merge(round int) error {
 	if x.del != nil {
 		x.del.beginRound(round)
 	}
 	x.clearInboxes()
-	if x.fr != nil {
-		for _, id := range senders {
-			if err := x.drain(round, x.env(id)); err != nil {
-				return err
-			}
-		}
-	} else {
-		for id := range x.envs {
-			env := &x.envs[id]
-			if err := x.drain(round, env); err != nil {
-				return err
-			}
-			// A node that halted this round may have sent final messages;
-			// clear them so later full walks do not count them again.
-			env.out = nil
-			env.rejected = 0
+	for _, id := range x.fr.senders {
+		if err := x.drain(round, x.env(id)); err != nil {
+			return err
 		}
 	}
 	if x.del != nil {
@@ -521,16 +461,11 @@ func (st *Stats) account(env *Env) error {
 }
 
 // clearInboxes starts a merge: the inboxes read this round are dead, so
-// they are reset to nil and the inbox chunks are rewound for the next
-// round's regions. The frontier knows which inboxes were filled; the dense
-// reference clears them all.
+// the frontier resets the ones it knows were filled to nil, and the inbox
+// chunks are rewound for the next round's regions.
 func (x *span) clearInboxes() {
 	x.inbox.rewind()
-	if x.fr != nil {
-		x.fr.clearInboxes(x.inboxes)
-	} else {
-		clear(x.inboxes)
-	}
+	x.fr.clearInboxes(x.inboxes)
 }
 
 // reserve gives node to's inbox its capacity on the node's first delivery
@@ -569,8 +504,8 @@ func (x *span) deliver(msg Message) {
 		return
 	}
 	box := x.inboxes[to]
-	if len(box) == 0 && x.fr != nil {
-		x.fr.recips = append(x.fr.recips, int32(to))
+	if len(box) == 0 {
+		x.fr.recips = append(x.fr.recips, to)
 	}
 	x.inboxes[to] = append(box, msg)
 }

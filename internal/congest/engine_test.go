@@ -347,7 +347,8 @@ func (b *bcastNode) Round(r int, inbox []Message) bool {
 // that the merge expands, to the per-neighbour Send loop it stands for:
 // the same Stats, the same inbox at every node in every round, and the
 // same Observer stream — round, sender, recipient and payload bytes, in
-// delivery order — on every runner, under drops, duplicates and delays,
+// delivery order — on every runner and on the runDense reference (which
+// observes nothing), under drops, duplicates and delays,
 // under the reliable shim, and with byzantine senders, whose rewrites are
 // drawn per recipient. Where no fault copies payloads, it also checks that
 // a broadcast really stages one copy: the messages of one sender in one
@@ -382,11 +383,19 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 		}
 		return logs
 	}
-	run := func(sendLoop bool, violate string, cfg Config, shared bool) result {
+	run := func(sendLoop bool, violate string, cfg Config, shared, dense bool) result {
 		g := mustGraph(t, 10, edges)
 		nodes, bn := newNodes(g.N(), sendLoop, violate)
 		var res result
 		cfg.Seed, cfg.BitLimit = 11, 32
+		if dense {
+			st, err := runDense(g, nodes, cfg)
+			res.stats, res.logs = st, logsOf(bn)
+			if err != nil {
+				res.err = err.Error()
+			}
+			return res
+		}
 		cfg.Observer = func(round int, delivered []Message) {
 			first := map[int]*byte{}
 			for _, msg := range delivered {
@@ -475,10 +484,11 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 		faulted func(Stats) bool
 	}{
 		{"sequential", Config{}, nil},
-		{"dense", Config{Dense: true}, nil},
+		// The runDense reference, which expands and accounts a broadcast
+		// record with none of the engine's merge code; it observes nothing.
+		{"dense", Config{}, nil},
 		{"parallel", Config{Parallel: true, Shards: 2}, nil},
 		{"faults", Config{Faults: lossy}, lossyStats},
-		{"faults/dense", Config{Dense: true, Faults: lossy}, lossyStats},
 		{"faults/parallel", Config{Parallel: true, Shards: 2, Faults: lossy}, lossyStats},
 		{"reliable", Config{Faults: Faults{DropProb: 0.3}, Reliable: Reliable{RetryBudget: 2}}, func(s Stats) bool { return s.Retransmits > 0 && s.Acks > 0 }},
 		{"byzantine", Config{Faults: byz}, func(s Stats) bool { return s.Forged > 0 }},
@@ -488,8 +498,9 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 	for _, violate := range []string{"", "sendAfterBroadcast", "broadcastAfterSend", "oversized"} {
 		for _, r := range runners {
 			t.Run(fmt.Sprintf("%s/violation=%s", r.name, violate), func(t *testing.T) {
-				want := run(true, violate, r.cfg, r.faulted == nil)
-				got := run(false, violate, r.cfg, r.faulted == nil)
+				dense := r.name == "dense"
+				want := run(true, violate, r.cfg, r.faulted == nil, dense)
+				got := run(false, violate, r.cfg, r.faulted == nil, dense)
 				switch {
 				case violate == "" && (want.err != "" || want.stats.Messages == 0 || r.faulted != nil && !r.faulted(want.stats)):
 					t.Fatalf("the Send loop run: %+v, %q; want messages, the faults at work and no error", want.stats, want.err)

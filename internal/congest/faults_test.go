@@ -108,9 +108,6 @@ func TestFaultsValidation(t *testing.T) {
 	if _, err := Run(g, plain(), Config{Reliable: Reliable{RetryBudget: -1}}); err == nil || !strings.Contains(err.Error(), "RetryBudget") {
 		t.Fatalf("negative retry budget accepted: %v", err)
 	}
-	if _, err := Run(g, plain(), Config{Dense: true, Parallel: true}); err == nil || !strings.Contains(err.Error(), "Dense") {
-		t.Fatalf("Dense with Parallel accepted: %v", err)
-	}
 }
 
 // faultRun executes the stress graph under a heavy fault schedule — drops,

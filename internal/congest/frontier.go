@@ -157,23 +157,18 @@ func (f *frontier) unlink(i int32) {
 	}
 }
 
-// dropCrashed removes a node from the frontier when its crash fires: its
-// pending timer is unlinked, a sleeping node forgets its declaration, and
-// an active node is deleted from the sorted list so a same-round recovery
-// cannot re-admit it twice.
+// dropCrashed clears a node's sleep state when its crash fires: its
+// pending timer is unlinked and a sleeping node forgets its declaration.
+// An active node stays listed until the crash round's compute walk, which
+// keeps no halted id; a recovery comes at least one round after its crash
+// (Faults.validate), so that walk always runs before revive re-admits it.
 func (f *frontier) dropCrashed(id int32) {
 	i := int32(int(id) - f.lo)
 	s := &f.slots[i]
 	if s.at != 0 {
 		f.unlink(i)
 	}
-	if s.asleep {
-		s.asleep = false
-		return
-	}
-	if k, ok := slices.BinarySearch(f.active, id); ok {
-		f.active = append(f.active[:k], f.active[k+1:]...)
-	}
+	s.asleep = false
 }
 
 // admitWoken fires the timers due at round, wakes the sleepers the last

@@ -14,9 +14,11 @@ import (
 // from its private stream and messaging every neighbour — and declares the
 // rounds in between no-ops. A delivery on a declared round wakes it: it
 // echoes 0xEE at the senders' neighbours unless the round's traffic was
-// itself only echoes. On an empty inbox the in-between rounds change no
-// state and draw nothing, which is exactly what makes the declaration
-// sound (the dense reference scheduler executes them for real).
+// itself only echoes, which it rejects as a fail-closed decoder would
+// (Env.Reject) while sending nothing — the one kind of round that is
+// merge-relevant with no output staged. On an empty inbox the in-between
+// rounds change no state and draw nothing, which is exactly what makes the
+// declaration sound (an awake run executes them for real).
 type drowsyNode struct {
 	env    *Env
 	stopAt int
@@ -49,10 +51,12 @@ func (d *drowsyNode) Round(r int, inbox []Message) bool {
 		for _, v := range d.env.Neighbors() {
 			d.env.Send(int(v), []byte{0xEE, byte(r)})
 		}
+	case len(inbox) > 0:
+		d.env.Reject()
 	}
 	// Sleep to the next action round, clamped to the halt round: halting
 	// is a state change, so sleeping past stopAt would be an unsound
-	// declaration and the dense comparison below would catch it.
+	// declaration and the awake comparison below would catch it.
 	next := r + 5 - r%5
 	if next > d.stopAt {
 		next = d.stopAt
@@ -86,61 +90,87 @@ func drowsySchedules() []struct {
 	}
 }
 
-func runDrowsy(t *testing.T, f Faults, dense, parallel bool, shards int) (Stats, [][]string) {
-	t.Helper()
-	g := stressGraph(t)
-	n := g.N()
+// newDrowsy returns the drowsy workload on n nodes.
+func newDrowsy(n int) ([]Node, []*drowsyNode) {
 	nodes := make([]Node, n)
 	drows := make([]*drowsyNode, n)
 	for i := range nodes {
 		drows[i] = &drowsyNode{stopAt: 12 + 5*(i%4)}
 		nodes[i] = drows[i]
 	}
-	stats, err := Run(g, nodes, Config{
-		Seed:     424242,
-		Dense:    dense,
-		Parallel: parallel,
-		Shards:   shards,
-		Faults:   f,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	logs := make([][]string, n)
+	return nodes, drows
+}
+
+func drowsyLogs(drows []*drowsyNode) [][]string {
+	logs := make([][]string, len(drows))
 	for i, d := range drows {
 		logs[i] = d.log
 	}
-	return stats, logs
+	return logs
+}
+
+// drowsySeed is the seed of the drowsy runs the references are compared on.
+const drowsySeed = 424242
+
+// runDrowsy runs the drowsy workload on the stress graph under cfg through
+// exec — Run, or the runDense reference — its nodes wrapped awake when
+// asked, and returns the Stats and the per-node receive logs.
+func runDrowsy(t *testing.T, exec func(*Graph, []Node, Config) (Stats, error), cfg Config, awakeNodes bool) (Stats, [][]string) {
+	t.Helper()
+	g := stressGraph(t)
+	nodes, drows := newDrowsy(g.N())
+	if awakeNodes {
+		nodes = awake(nodes)
+	}
+	stats, err := exec(g, nodes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats, drowsyLogs(drows)
+}
+
+// checkRun compares a run's Stats and logs with a reference run's.
+func checkRun(t *testing.T, label string, st, wantSt Stats, logs, wantLogs [][]string) {
+	t.Helper()
+	if st != wantSt {
+		t.Fatalf("%s stats differ:\n%+v\n%+v", label, st, wantSt)
+	}
+	for id := range wantLogs {
+		if fmt.Sprint(logs[id]) != fmt.Sprint(wantLogs[id]) {
+			t.Fatalf("%s node %d log diverged:\n%v\n%v", label, id, logs[id], wantLogs[id])
+		}
+	}
 }
 
 // TestFrontierDeterminismMatrix pins invariant I5 over the dormancy grid:
 // for every fault schedule, the frontier scheduler — sequential and at
-// shard counts 1, 2, and 8 — must reproduce the dense reference runner's
-// execution byte for byte: identical Stats (the activity counters
-// included) and identical per-node receive logs.
+// shard counts 1, 2, and 8 — must reproduce the run of the same nodes kept
+// awake byte for byte: identical Stats (the activity counters included)
+// and identical per-node receive logs. On the fault-free schedule the
+// awake run must in turn match the runDense reference, whose Stats and
+// inboxes come from no engine list.
 func TestFrontierDeterminismMatrix(t *testing.T) {
 	for _, sc := range drowsySchedules() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			denseStats, denseLogs := runDrowsy(t, sc.f, true, false, 0)
-			if denseStats.Senders == 0 || denseStats.LiveNodeRounds == 0 {
-				t.Fatalf("schedule too tame: %+v", denseStats)
+			cfg := Config{Seed: drowsySeed, Faults: sc.f}
+			refStats, refLogs := runDrowsy(t, Run, cfg, true)
+			if refStats.Senders == 0 || refStats.LiveNodeRounds == 0 || refStats.Rejected == 0 {
+				t.Fatalf("schedule too tame: %+v", refStats)
 			}
-			check := func(label string, st Stats, logs [][]string) {
-				if st != denseStats {
-					t.Fatalf("%s stats differ:\n%+v\n%+v", label, st, denseStats)
-				}
-				for id := range denseLogs {
-					if fmt.Sprint(logs[id]) != fmt.Sprint(denseLogs[id]) {
-						t.Fatalf("%s node %d log diverged:\n%v\n%v", label, id, logs[id], denseLogs[id])
-					}
-				}
+			// runDense simulates no fault pipeline, so only the fault-free
+			// schedule has its reference.
+			if !sc.f.active() {
+				st, logs := runDrowsy(t, runDense, cfg, false)
+				checkRun(t, "awake-vs-dense", refStats, st, refLogs, logs)
 			}
-			seqStats, seqLogs := runDrowsy(t, sc.f, false, false, 0)
-			check("frontier-seq", seqStats, seqLogs)
+			seqStats, seqLogs := runDrowsy(t, Run, cfg, false)
+			checkRun(t, "frontier-seq", seqStats, refStats, seqLogs, refLogs)
 			for _, shards := range []int{1, 2, 8} {
-				st, logs := runDrowsy(t, sc.f, false, true, shards)
-				check(fmt.Sprintf("frontier-shards=%d", shards), st, logs)
+				cfg := cfg
+				cfg.Parallel, cfg.Shards = true, shards
+				st, logs := runDrowsy(t, Run, cfg, false)
+				checkRun(t, fmt.Sprintf("frontier-shards=%d", shards), st, refStats, logs, refLogs)
 			}
 		})
 	}
@@ -181,8 +211,8 @@ func (n *tickNode) Round(r int, inbox []Message) bool {
 // TestFrontierSkipsQuiescentNodes is the work-ceiling pin behind the
 // sparse-rounds claim: on a star whose centre beacons every sixth round,
 // the frontier scheduler must invoke each leaf's Round only on round 0,
-// once per delivery, and at its halt round — while the dense reference
-// runs every node every round. The counts are exact, not bounds.
+// once per delivery, and at its halt round — while the same nodes kept
+// awake run every round. The counts are exact, not bounds.
 func TestFrontierSkipsQuiescentNodes(t *testing.T) {
 	const leaves, stopAt = 8, 30
 	build := func() ([]Node, []*tickNode, *Graph) {
@@ -219,91 +249,77 @@ func TestFrontierSkipsQuiescentNodes(t *testing.T) {
 	}
 
 	nodes, ticks, g = build()
-	denseStats, err := Run(g, nodes, Config{Seed: 1, Dense: true})
+	awakeStats, err := Run(g, awake(nodes), Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, tick := range ticks {
 		if got, want := tick.runs, stopAt+1; got != want {
-			t.Errorf("dense node %d ran %d rounds, want %d", i, got, want)
+			t.Errorf("awake node %d ran %d rounds, want %d", i, got, want)
 		}
 	}
-	if frontStats != denseStats {
-		t.Errorf("stats diverged:\nfrontier %+v\ndense    %+v", frontStats, denseStats)
+	if frontStats != awakeStats {
+		t.Errorf("stats diverged:\nfrontier %+v\nawake    %+v", frontStats, awakeStats)
 	}
 }
 
 // TestFrontierObserverParity is the tracing regression: with frontier
 // bookkeeping active the observer must still see every delivered message,
-// in the same per-round global-sender order as the dense reference,
-// sequential and sharded alike.
+// in the same per-round global-sender order as the run of the same nodes
+// kept awake. An observed run takes the sequential runner even when
+// Parallel asks for shards, so one observed shards=2 arm pins that
+// fallback, and the shard arms run unobserved — which is what lets them
+// reach the pool — and are held to the awake run's Stats and logs.
 func TestFrontierObserverParity(t *testing.T) {
-	observeRun := func(dense, parallel bool, shards int) ([]string, Stats) {
-		g := stressGraph(t)
-		nodes := make([]Node, g.N())
-		for i := range nodes {
-			nodes[i] = &drowsyNode{stopAt: 12 + 5*(i%4)}
-		}
+	observeRun := func(awakeNodes bool, cfg Config) ([]string, Stats, [][]string) {
 		var stream []string
-		stats, err := Run(g, nodes, Config{
-			Seed:     7,
-			Dense:    dense,
-			Parallel: parallel,
-			Shards:   shards,
-			Observer: func(round int, delivered []Message) {
-				last := int32(-1)
-				for _, m := range delivered {
-					if m.From < last {
-						t.Errorf("round %d: delivery order not ascending by sender (%d after %d)", round, m.From, last)
-					}
-					last = m.From
-					stream = append(stream, fmt.Sprintf("r%d %d>%d %x", round, m.From, m.To, m.Payload))
+		cfg.Seed = 7
+		cfg.Observer = func(round int, delivered []Message) {
+			last := int32(-1)
+			for _, m := range delivered {
+				if m.From < last {
+					t.Errorf("round %d: delivery order not ascending by sender (%d after %d)", round, m.From, last)
 				}
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
+				last = m.From
+				stream = append(stream, fmt.Sprintf("r%d %d>%d %x", round, m.From, m.To, m.Payload))
+			}
 		}
-		return stream, stats
+		stats, logs := runDrowsy(t, Run, cfg, awakeNodes)
+		return stream, stats, logs
 	}
-	denseStream, denseStats := observeRun(true, false, 0)
-	if len(denseStream) == 0 {
+	refStream, refStats, refLogs := observeRun(true, Config{})
+	if len(refStream) == 0 {
 		t.Fatal("workload too tame: nothing observed")
 	}
 	for _, v := range []struct {
-		label    string
-		parallel bool
-		shards   int
+		label string
+		cfg   Config
 	}{
 		{label: "frontier-seq"},
-		{label: "frontier-shards=2", parallel: true, shards: 2},
-		{label: "frontier-shards=8", parallel: true, shards: 8},
+		{label: "frontier-observed-shards=2", cfg: Config{Parallel: true, Shards: 2}},
 	} {
-		stream, stats := observeRun(false, v.parallel, v.shards)
-		if stats != denseStats {
-			t.Errorf("%s: stats diverged:\n%+v\n%+v", v.label, stats, denseStats)
+		stream, stats, logs := observeRun(false, v.cfg)
+		checkRun(t, v.label, stats, refStats, logs, refLogs)
+		if fmt.Sprint(stream) != fmt.Sprint(refStream) {
+			t.Errorf("%s: observer stream diverged (%d vs %d deliveries)", v.label, len(stream), len(refStream))
 		}
-		if fmt.Sprint(stream) != fmt.Sprint(denseStream) {
-			t.Errorf("%s: observer stream diverged (%d vs %d deliveries)", v.label, len(stream), len(denseStream))
-		}
+	}
+	for _, shards := range []int{2, 8} {
+		stats, logs := runDrowsy(t, Run, Config{Seed: 7, Parallel: true, Shards: shards}, false)
+		checkRun(t, fmt.Sprintf("frontier-shards=%d", shards), stats, refStats, logs, refLogs)
 	}
 }
 
 // TestTransportFrontierMatchesDense extends the transport-seam I5 check to
 // the frontier scheduler: a dormancy-heavy workload over a ChanNetwork
-// fleet must reproduce the sequential dense reference run's per-node logs
-// and, summed over the shards, its activity stats.
+// fleet must reproduce the runDense reference's per-node logs and, summed
+// over the shards, its activity stats.
 func TestTransportFrontierMatchesDense(t *testing.T) {
 	fleet := func(k int) (Stats, [][]string) {
 		g := stressGraph(t)
 		g.Finalize()
 		n := g.N()
-		nodes := make([]Node, n)
-		drows := make([]*drowsyNode, n)
-		for i := range nodes {
-			drows[i] = &drowsyNode{stopAt: 12 + 5*(i%4)}
-			nodes[i] = drows[i]
-		}
+		nodes, drows := newDrowsy(n)
 		spans := SplitSpans(n, k)
 		net, err := NewChanNetwork(n, spans)
 		if err != nil {
@@ -319,7 +335,7 @@ func TestTransportFrontierMatchesDense(t *testing.T) {
 			wg.Add(1)
 			go func(si int, span Span) {
 				defer wg.Done()
-				stats, err := RunShard(g, nodes, span, Config{Seed: 424242}, net.Shard(si))
+				stats, err := RunShard(g, nodes, span, Config{Seed: drowsySeed}, net.Shard(si))
 				if err != nil {
 					net.Abort(err)
 				}
@@ -331,6 +347,7 @@ func TestTransportFrontierMatchesDense(t *testing.T) {
 				total.Messages += stats.Messages
 				total.Bits += stats.Bits
 				total.Senders += stats.Senders
+				total.Rejected += stats.Rejected
 				total.LiveNodeRounds += stats.LiveNodeRounds
 				total.FinalLive += stats.FinalLive
 				if stats.Rounds > total.Rounds {
@@ -342,19 +359,16 @@ func TestTransportFrontierMatchesDense(t *testing.T) {
 		if firstErr != nil {
 			t.Fatal(firstErr)
 		}
-		logs := make([][]string, n)
-		for i, d := range drows {
-			logs[i] = d.log
-		}
-		return total, logs
+		return total, drowsyLogs(drows)
 	}
 
-	denseStats, denseLogs := runDrowsy(t, Faults{}, true, false, 0)
+	denseStats, denseLogs := runDrowsy(t, runDense, Config{Seed: drowsySeed}, false)
 	want := Stats{
 		Rounds:         denseStats.Rounds,
 		Messages:       denseStats.Messages,
 		Bits:           denseStats.Bits,
 		Senders:        denseStats.Senders,
+		Rejected:       denseStats.Rejected,
 		LiveNodeRounds: denseStats.LiveNodeRounds,
 		FinalLive:      denseStats.FinalLive,
 	}

@@ -152,21 +152,20 @@ type Transport interface {
 // in-process runners whenever the transport delivers every message: node
 // seeds derive from (cfg.Seed, id) exactly as in Run, and every inbox is
 // delivered sorted by ascending sender id. Lost remote messages degrade the
-// run exactly like injected drop faults. The in-process options Faults,
-// Reliable, Dense, Observer and Parallel are rejected rather than ignored.
+// run exactly like injected drop faults. The config passes Run's check
+// first; the in-process options Faults, Reliable, Observer and Parallel
+// are then rejected rather than ignored.
 func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats, error) {
-	n := g.N()
-	if len(nodes) != n {
-		return Stats{}, fmt.Errorf("congest: %d nodes for graph of %d vertices", len(nodes), n)
+	maxRounds, err := cfg.check(g, nodes)
+	if err != nil {
+		return Stats{}, err
 	}
+	n := g.N()
 	if sp.Lo < 0 || sp.Hi > n || sp.Lo > sp.Hi {
 		return Stats{}, fmt.Errorf("congest: shard span [%d,%d) out of range [0,%d)", sp.Lo, sp.Hi, n)
 	}
 	if cfg.Faults.active() || cfg.Reliable.enabled() {
 		return Stats{}, fmt.Errorf("congest: RunShard does not simulate faults; chaos on a transport run is injected at the packet layer")
-	}
-	if cfg.Dense {
-		return Stats{}, fmt.Errorf("congest: RunShard has no dense scheduler; Dense is the sequential Run's reference")
 	}
 	if cfg.Observer != nil || cfg.Parallel {
 		return Stats{}, fmt.Errorf("congest: RunShard runs its span on one goroutine and observes nothing; Observer and Parallel are in-process Run options")
@@ -176,10 +175,6 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 	// launching shards.
 	if !g.frozen {
 		return Stats{}, fmt.Errorf("congest: RunShard requires a finalized graph; call Finalize before launching shards")
-	}
-	maxRounds, err := roundBudget(cfg)
-	if err != nil {
-		return Stats{}, err
 	}
 
 	// One span over the local ids: a sleeping node stays live — the shard
@@ -209,7 +204,7 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 		stats.LiveNodeRounds += int64(live)
 		live -= x.compute(round)
 		x.remote = x.remote[:0]
-		if err := x.merge(round, x.fr.senders); err != nil {
+		if err := x.merge(round); err != nil {
 			return end(round+1, err)
 		}
 		if err := tr.Send(round, x.remote); err != nil {

@@ -147,6 +147,37 @@ func TestRunShardMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRunnersShareConfigCheck: a config Run refuses as malformed, RunShard
+// refuses with the same error. Negative values read as "off" to the checks
+// that keep faults and the reliable shim off a transport run, so only the
+// shared config check stands between them and a run.
+func TestRunnersShareConfigCheck(t *testing.T) {
+	g := mustGraph(t, 2, [][2]int{{0, 1}})
+	g.Finalize()
+	for _, tt := range []struct {
+		name    string
+		cfg     Config
+		wantErr string
+	}{
+		{"negative drop probability", Config{Faults: Faults{DropProb: -0.5}}, "DropProb -0.5 outside [0,1]"},
+		{"negative retry budget", Config{Reliable: Reliable{RetryBudget: -1}}, "RetryBudget -1 is negative"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			nodes := []Node{&recNode{stopAt: 1}, &recNode{stopAt: 1}}
+			if _, err := Run(g, nodes, tt.cfg); err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+				t.Errorf("Run = %v, want %q", err, tt.wantErr)
+			}
+			net, err := NewChanNetwork(2, []Span{{0, 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RunShard(g, nodes, Span{0, 2}, tt.cfg, net.Shard(0)); err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+				t.Errorf("RunShard = %v, want %q", err, tt.wantErr)
+			}
+		})
+	}
+}
+
 func TestRunShardRejectsFaultConfigs(t *testing.T) {
 	g := mustGraph(t, 2, [][2]int{{0, 1}})
 	g.Finalize()
@@ -160,9 +191,6 @@ func TestRunShardRejectsFaultConfigs(t *testing.T) {
 	}
 	if _, err := RunShard(g, nodes, Span{0, 2}, Config{Reliable: Reliable{RetryBudget: 2}}, net.Shard(0)); err == nil {
 		t.Fatal("RunShard accepted the simulated reliable shim")
-	}
-	if _, err := RunShard(g, nodes, Span{0, 2}, Config{Dense: true}, net.Shard(0)); err == nil {
-		t.Fatal("RunShard accepted the dense reference scheduler")
 	}
 	observer := func(int, []Message) {}
 	if _, err := RunShard(g, nodes, Span{0, 2}, Config{Observer: observer}, net.Shard(0)); err == nil {

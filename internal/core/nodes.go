@@ -288,9 +288,9 @@ func (f *facilityNode) Round(r int, inbox []congest.Message) bool {
 }
 
 // declareOfferSleep tells the engine how long the facility's rounds are
-// provably no-ops after an offer decision (see congest.Env.SleepUntil; the
-// dense reference scheduler ignores it, which is what pins the declarations
-// as sound). The rules mirror makeOffer's early returns: having offered, the
+// provably no-ops after an offer decision (see congest.Env.SleepUntil; a
+// test run of the same nodes kept awake executes those rounds, which is
+// what pins the declarations as sound). The rules mirror makeOffer's early returns: having offered, the
 // only upcoming work is the GRANT round at r+2. Having not offered, nothing
 // happens on an empty inbox until the first offer round of the phase whose
 // threshold admits the cached star — phases advance with the round number
@@ -304,7 +304,7 @@ func (f *facilityNode) Round(r int, inbox []congest.Message) bool {
 // Soundness of the RNG stream: makeOffer draws a priority only after its
 // early returns, each node owns a private stream, and the declaration
 // covers exactly rounds where makeOffer would early-return (phaseOf is
-// monotone in r), so skipped rounds draw nothing in the dense run either.
+// monotone in r), so skipped rounds draw nothing in the awake run either.
 func (f *facilityNode) declareOfferSleep(r int) {
 	if len(f.offeredPos) > 0 {
 		f.env.SleepUntil(r + 2)

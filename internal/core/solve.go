@@ -83,8 +83,7 @@ type options struct {
 	observer    func(round int, delivered []congest.Message)
 	quarantine  *bool // nil: auto (armed when corruption/byzantine present)
 	faults      congest.Faults
-	retryBudget int  // reliable-delivery shim budget; 0 = shim off
-	dense       bool // reference O(n)-per-round scheduler (congest.Config.Dense)
+	retryBudget int // reliable-delivery shim budget; 0 = shim off
 }
 
 // Option configures Solve.
@@ -149,18 +148,6 @@ func WithReliableDelivery(retryBudget int) Option {
 	return func(o *options) { o.retryBudget = retryBudget }
 }
 
-// WithDenseEngine runs the simulator's dense reference scheduler, which
-// walks the full node population every round and ignores the nodes'
-// SleepUntil declarations (see congest.Config.Dense). Executions are
-// byte-identical to the default frontier scheduler — that equality is
-// exactly what pins the protocol's dormancy declarations as sound — so this
-// is a verification and baseline-measurement knob, not a behavioral one.
-// The dense scheduler is sequential only: Solve rejects it together with
-// WithParallel.
-func WithDenseEngine(dense bool) Option {
-	return func(o *options) { o.dense = dense }
-}
-
 // WithQuarantine forces the sender-quarantine layer on or off, overriding
 // the default (armed exactly when the fault schedule includes corruption or
 // byzantine nodes). Forcing it off under a byzantine schedule measures the
@@ -179,7 +166,11 @@ func Solve(inst *fl.Instance, cfg Config, opts ...Option) (*fl.Solution, *Report
 	if cfg.SoftCapacity > 0 {
 		return nil, nil, errors.New("core: Solve is uncapacitated; use SolveSoftCap")
 	}
-	r, rep, err := runProtocol(inst, cfg, opts)
+	r, err := newRun(inst, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := runProtocol(inst, r, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -199,7 +190,11 @@ func SolveSoftCap(inst *fl.Instance, cfg Config, opts ...Option) (*fl.CapSolutio
 	if cfg.SoftCapacity < 1 {
 		return nil, nil, errors.New("core: SolveSoftCap needs SoftCapacity >= 1")
 	}
-	r, rep, err := runProtocol(inst, cfg, opts)
+	r, err := newRun(inst, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := runProtocol(inst, r, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -290,15 +285,11 @@ func (r *run) client(j int) ClientState {
 	}
 }
 
-// runProtocol is the in-process engine run behind Solve and SolveSoftCap:
-// the shared set-up, the option-driven fault schedule and quarantine, and
-// the report fields only the in-process engine knows (network stats,
-// byzantine and quarantine lists).
-func runProtocol(inst *fl.Instance, cfg Config, opts []Option) (*run, *Report, error) {
-	r, err := newRun(inst, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+// runProtocol is the in-process engine run behind Solve and SolveSoftCap,
+// over the set-up r that newRun built: the option-driven fault schedule
+// and quarantine, and the report fields only the in-process engine knows
+// (network stats, byzantine and quarantine lists).
+func runProtocol(inst *fl.Instance, r *run, opts []Option) (*Report, error) {
 	d, m, nc := r.d, inst.M(), inst.NC()
 	o := options{bitLimit: -1}
 	for _, opt := range opts {
@@ -361,10 +352,9 @@ func runProtocol(inst *fl.Instance, cfg Config, opts []Option) (*run, *Report, e
 		Observer:  o.observer,
 		Faults:    faults,
 		Reliable:  congest.Reliable{RetryBudget: o.retryBudget},
-		Dense:     o.dense,
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: protocol execution: %w", err)
+		return nil, fmt.Errorf("core: protocol execution: %w", err)
 	}
 
 	rep := &Report{Derived: d, Net: stats}
@@ -410,7 +400,7 @@ func runProtocol(inst *fl.Instance, cfg Config, opts []Option) (*run, *Report, e
 			}
 		}
 	}
-	return r, rep, nil
+	return rep, nil
 }
 
 // settle is the one result pass of every runner: it turns the committed
