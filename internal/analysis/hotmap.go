@@ -19,6 +19,7 @@ var hotmapFiles = map[string]bool{
 	"transport.go": true, // RunShard's round loop over the span executor
 	"nodes.go":     true, // facility/client state machines
 	"frontier.go":  true, // active-set bookkeeping on the per-round path
+	"delivery.go":  true, // fault pipeline and the reliable shim's per-edge link state
 }
 
 // Hotmap guards that layout: inside the hot-path files of the protocol

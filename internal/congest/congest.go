@@ -244,6 +244,16 @@ func (g *Graph) rowOffsets(u int) (int, int) {
 	return g.rowStart[u], g.rowStart[u+1]
 }
 
+// inEdge returns the slot of the directed edge from→to: to's row start
+// plus from's position in to's sorted row. The slots of the edges into one
+// node are contiguous, so per-link state kept at the receiver clears as
+// one row. Engine use only; from and to must be adjacent.
+func (g *Graph) inEdge(from, to int32) int {
+	lo, hi := g.rowStart[to], g.rowStart[to+1]
+	pos, _ := slices.BinarySearch(g.sorted[lo:hi], from)
+	return lo + pos
+}
+
 // errBipartiteReplay reports a second walk of Bipartite's edges that
 // yields other per-row degrees than the first.
 var errBipartiteReplay = errors.New("congest: the second walk of the bipartite edges does not replay the first")

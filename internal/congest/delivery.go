@@ -29,10 +29,9 @@ func (r Reliable) enabled() bool { return r.RetryBudget > 0 }
 // shim, or an observer are configured, running in the sequential
 // runner's deterministic merge — Run never starts the shard pool for such
 // a run — so a parallel request stays byte-identical to the sequential
-// run (invariant I5). Every
-// protocol-visible delivery — staged, delayed, retransmitted, forged —
-// funnels through commit into the merging span's deliver, which keeps the
-// frontier's recipient list complete.
+// run (invariant I5). Every protocol-visible delivery — staged, delayed,
+// retransmitted, forged — funnels through commit into the merging span's
+// deliver, which keeps the frontier's recipient list complete.
 //
 // Per merge round the order of operations — and therefore the order of
 // fault-stream draws — is fixed: (1) acknowledgements due this round, (2)
@@ -54,31 +53,31 @@ type delivery struct {
 	// byzFrom[id] is the round from which node id is byzantine, -1 when it
 	// never is; nil when no byzantine schedule is configured.
 	byzFrom []int
-	// byzSent tracks, per directed link, the merge round (stored as
-	// round+1 so the map's zero value never collides with round 0) in which
-	// a byzantine sender last staged a real message, so the injection pass
-	// only forges on links the node left silent.
-	byzSent map[uint64]int
+	// byzSent[e] is 1 + the merge round in which a byzantine sender last
+	// staged a real message on directed edge e (Graph.inEdge), so the
+	// injection pass only forges on links the node left silent.
+	byzSent []uint32
 	// checkFrames arms the reliable shim's link-layer framing check
-	// (ValidatePayload on every arrival). It is armed only under corruption
-	// or byzantine schedules: protocols outside the payload registry (tests,
-	// user protocols) may legitimately ship unregistered frames, and absent
-	// an adversary every frame is trusted, exactly as before.
+	// (ValidatePayload on every arrival), only under corruption or
+	// byzantine schedules: protocols outside the payload registry (tests,
+	// user protocols) may ship unregistered frames, and absent an
+	// adversary every frame is trusted.
 	checkFrames bool
 	// delivered is the observer's per-round view (reused across rounds).
 	delivered []Message
-	// delayed holds messages and frames in flight past their send round.
+	// delayed holds what is in flight past its send round: plain messages,
+	// with payloads owned by the delivery layer because round buffers do
+	// not survive the extra rounds, or the shim's frames.
 	delayed []delayedMsg
 	shim    *reliShim
 }
 
-// delayedMsg is one in-flight unit: either a plain message (payload owned
-// by the delivery layer — round buffers do not survive the extra rounds) or
-// a shim frame awaiting its deferred wire arrival.
+// delayedMsg is one in-flight unit, due at the receiver in merge round at:
+// a plain message, or, when the shim is on, the frame in slot.
 type delayedMsg struct {
-	at  int // merge round at which the unit reaches the receiver
-	msg Message
-	f   *frame // non-nil when the unit is a shim frame
+	at   int
+	msg  Message
+	slot int32
 }
 
 func newDelivery(cfg *Config, g *Graph, rng *rand.Rand, x *span, crashed []bool) *delivery {
@@ -105,14 +104,13 @@ func newDelivery(cfg *Config, g *Graph, rng *rand.Rand, x *span, crashed []bool)
 				d.byzFrom[id] = -1
 			}
 		}
-		d.byzSent = make(map[uint64]int)
+		d.byzSent = make([]uint32, g.rowStart[n])
 	}
 	if cfg.Reliable.enabled() {
 		d.shim = &reliShim{
-			n:       n,
 			budget:  cfg.Reliable.RetryBudget,
-			nextSeq: make(map[uint64]uint64),
-			recvWin: make(map[uint64]*SeqWindow),
+			nextSeq: make([]uint64, g.rowStart[n]),
+			recvWin: make([]SeqWindow, g.rowStart[n]),
 		}
 	}
 	return d
@@ -136,7 +134,7 @@ func (d *delivery) beginRound(round int) {
 // construction — and the rewrite is what the shim sequences and retransmits.
 func (d *delivery) transmit(round int, msg Message) {
 	if d.byzantineAt(msg.From, round) {
-		d.byzSent[linkKey(msg.From, msg.To, d.graph.N())] = round + 1
+		d.byzSent[d.graph.inEdge(msg.From, msg.To)] = uint32(round + 1)
 		p := d.forge(round, msg.From, msg.To, msg.Payload)
 		if p == nil {
 			return // the adversary chose silence on this link
@@ -191,7 +189,7 @@ func (d *delivery) injectForged(round int) {
 			continue
 		}
 		for _, to := range d.graph.Neighbors(int(id)) {
-			if d.byzSent[linkKey(id, to, n)] == round+1 {
+			if d.byzSent[d.graph.inEdge(id, to)] == uint32(round+1) {
 				continue
 			}
 			p := d.forge(round, id, to, nil)
@@ -217,8 +215,8 @@ func (d *delivery) plainTransmit(round int, msg Message) {
 	}
 	if k := d.faults.delayRounds(d.rng, round); k > 0 {
 		d.stats.Delayed++
-		owned := Message{From: msg.From, To: msg.To, Payload: append([]byte(nil), msg.Payload...)}
-		d.delayed = append(d.delayed, delayedMsg{at: round + k, msg: owned})
+		msg.Payload = append([]byte(nil), msg.Payload...)
+		d.delayed = append(d.delayed, delayedMsg{at: round + k, msg: msg})
 		return
 	}
 	if d.faults.shouldCorrupt(d.rng, round) {
@@ -259,6 +257,7 @@ func (d *delivery) commit(msg Message, injected bool) {
 		d.delivered = append(d.delivered, msg)
 	}
 	d.x.reserve(msg.To)
+	d.x.growInbox(msg.To)
 	d.x.deliver(msg)
 	if injected {
 		settleLast(d.x.inboxes[msg.To])
@@ -268,21 +267,19 @@ func (d *delivery) commit(msg Message, injected bool) {
 // finishRound ends the merge of one round: land delayed messages whose
 // flight time is up, then run the retransmissions that have come due.
 func (d *delivery) finishRound(round int) {
-	if len(d.delayed) > 0 {
-		kept := d.delayed[:0]
-		for _, dm := range d.delayed {
-			if dm.at > round {
-				kept = append(kept, dm)
-				continue
-			}
-			if dm.f != nil {
-				d.shim.arrive(d, round, dm.f, dm.f.payload, true)
-			} else {
-				d.commit(dm.msg, true)
-			}
+	kept := d.delayed[:0]
+	for _, dm := range d.delayed {
+		switch {
+		case dm.at > round:
+			kept = append(kept, dm)
+		case d.shim != nil:
+			d.shim.arrive(d, round, dm.slot, d.shim.frames[dm.slot].payload(), true)
+			d.shim.release(dm.slot)
+		default:
+			d.commit(dm.msg, true)
 		}
-		d.delayed = kept
 	}
+	d.delayed = kept
 	if d.shim != nil {
 		d.shim.retransmitDue(d, round)
 	}
@@ -299,69 +296,91 @@ func settleLast(inbox []Message) {
 }
 
 // reliShim is the per-link acknowledge/retransmit layer. Sequence state
-// (per-directed-link counters and receive windows) models the link
-// hardware, not protocol state: it survives node crashes and recoveries,
-// which is what lets a retransmission land after its receiver rejoins.
+// models the link hardware, not protocol state: it survives node crashes
+// and recoveries, which is what lets a retransmission land after its
+// receiver rejoins. It is kept in flat arrays indexed by directed-edge slot
+// (Graph.inEdge), so a crash clears the receiver's row. Frames are values
+// in one table, named by slot everywhere else, and a slot is reused only
+// under the rule stated at release.
 type reliShim struct {
-	n       int
 	budget  int
-	nextSeq map[uint64]uint64
-	recvWin map[uint64]*SeqWindow
+	nextSeq []uint64    // per edge: the next sequence number to send
+	recvWin []SeqWindow // per edge: the receiver's duplicate window
+	frames  []frame
+	free    []int32 // slots of frames no list names any more
 	// pending holds unacknowledged frames in creation order; acknowledged
 	// and dead frames are compacted out as they are encountered.
-	pending []*frame
-	// acks holds acknowledgements awaiting their transmit round, in the
-	// order the triggering arrivals were processed.
-	acks   []ackEvent
+	pending []int32
+	// acks holds the frames this merge round's arrivals acknowledge, in
+	// arrival order; the acks go out next round, on the reverse links.
+	acks   []int32
 	ackBuf []byte
 }
 
-// frame is one sequenced protocol message owned by the shim.
+// frame is one sequenced protocol message owned by the shim. A payload of
+// up to 16 bytes is kept in place; a longer one, which needs a bit limit
+// above 128 or none, spills to a heap copy.
 type frame struct {
 	from, to int32
+	edge     int // slot of the directed edge from→to
 	seq      uint64
-	payload  []byte
-	attempts int // wire transmissions so far (1 = the initial send)
-	nextTx   int // round of the next retransmission if unacked by then
+	nextTx   int   // round of the next retransmission if unacked by then
+	attempts int32 // wire transmissions so far (1 = the initial send)
+	refs     int32 // entries of pending, acks and delayed naming the frame
 	acked    bool
+	n        uint8 // length of an inline payload
+	inline   [16]byte
+	spill    []byte
 }
 
-// ackEvent is one pending acknowledgement: the receiver's link layer
-// answers an arrival in the round after it, on the reverse link.
-type ackEvent struct {
-	f  *frame
-	tx int
-}
-
-func linkKey(from, to int32, n int) uint64 {
-	return uint64(from)*uint64(n) + uint64(to)
-}
-
-// sendData wraps one staged protocol message into a fresh frame and runs
-// its initial wire attempt.
-func (s *reliShim) sendData(d *delivery, round int, msg Message) {
-	key := linkKey(msg.From, msg.To, s.n)
-	seq := s.nextSeq[key]
-	s.nextSeq[key] = seq + 1
-	f := &frame{
-		from:     msg.From,
-		to:       msg.To,
-		seq:      seq,
-		payload:  append([]byte(nil), msg.Payload...),
-		attempts: 1,
-		nextTx:   round + 2,
+func (f *frame) payload() []byte {
+	if f.spill != nil {
+		return f.spill
 	}
-	s.pending = append(s.pending, f)
-	s.attempt(d, round, f, false)
+	return f.inline[:f.n:f.n]
 }
 
-// attempt runs one wire transmission of f through the fault pipeline.
-// Duplication faults are not applied to frames: the sequence window makes
-// wire duplicates invisible to the protocol by construction.
-func (s *reliShim) attempt(d *delivery, round int, f *frame, retx bool) {
+// sendData wraps one staged protocol message into a frame and runs its
+// initial wire attempt.
+func (s *reliShim) sendData(d *delivery, round int, msg Message) {
+	if len(s.free) == 0 {
+		s.free = append(s.free, int32(len(s.frames)))
+		s.frames = append(s.frames, frame{})
+	}
+	i := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	e := d.graph.inEdge(msg.From, msg.To)
+	f := &s.frames[i]
+	*f = frame{from: msg.From, to: msg.To, edge: e, seq: s.nextSeq[e], nextTx: round + 2, attempts: 1, refs: 1}
+	s.nextSeq[e]++
+	f.n = uint8(copy(f.inline[:], msg.Payload))
+	if len(msg.Payload) > len(f.inline) {
+		f.spill = append([]byte(nil), msg.Payload...)
+	}
+	s.pending = append(s.pending, i)
+	s.attempt(d, round, i, false)
+}
+
+// release drops one reference to frame i. A slot returns to the free list
+// only when no entry of pending, acks or delayed names it (refs is 0) and
+// the recipient's round that reads the frame's committed payload has
+// computed. The first implies the second: an arrival that commits the
+// payload in merge r also queues an ack, which processAcks consumes in
+// merge r+1, and compute(r+1) runs before merge(r+1).
+func (s *reliShim) release(i int32) {
+	if s.frames[i].refs--; s.frames[i].refs == 0 {
+		s.free = append(s.free, i)
+	}
+}
+
+// attempt runs one wire transmission of frame i through the fault
+// pipeline. Duplication faults are not applied to frames: the sequence
+// window makes wire duplicates invisible to the protocol by construction.
+func (s *reliShim) attempt(d *delivery, round int, i int32, retx bool) {
+	f := &s.frames[i]
 	if retx {
 		d.stats.Retransmits++
-		d.stats.RetransmitBits += int64(len(f.payload) * 8)
+		d.stats.RetransmitBits += int64(len(f.payload()) * 8)
 	}
 	if d.dropOnWire(f.from, f.to, round) {
 		d.stats.Dropped++
@@ -369,10 +388,11 @@ func (s *reliShim) attempt(d *delivery, round int, f *frame, retx bool) {
 	}
 	if k := d.faults.delayRounds(d.rng, round); k > 0 {
 		d.stats.Delayed++
-		d.delayed = append(d.delayed, delayedMsg{at: round + k, f: f})
+		f.refs++
+		d.delayed = append(d.delayed, delayedMsg{at: round + k, slot: i})
 		return
 	}
-	payload := f.payload
+	payload := f.payload()
 	if d.faults.shouldCorrupt(d.rng, round) {
 		// Corruption mutates this one wire attempt, never the frame itself:
 		// a retransmission resends the intact original. Delayed frames are
@@ -380,18 +400,19 @@ func (s *reliShim) attempt(d *delivery, round int, f *frame, retx bool) {
 		d.stats.Corrupted++
 		payload = corruptPayload(d.rng, payload)
 	}
-	s.arrive(d, round, f, payload, retx)
+	s.arrive(d, round, i, payload, retx)
 }
 
-// arrive is one wire arrival at the receiver. A crashed receiver's link
-// layer is down: the attempt is lost without touching the receive window,
-// so a later retransmission can still land after the node recovers. A live
-// receiver acknowledges every arrival — including window duplicates, whose
-// original ack may have been lost — but only window-fresh frames reach the
-// protocol. Voluntarily halted nodes still acknowledge (their link layer
-// outlives the state machine), which stops pointless retries at completed
-// receivers.
-func (s *reliShim) arrive(d *delivery, round int, f *frame, payload []byte, injected bool) {
+// arrive is one wire arrival of frame i at the receiver. A crashed
+// receiver's link layer is down: the attempt is lost without touching the
+// receive window, so a later retransmission can still land after the node
+// recovers. A live receiver acknowledges every arrival — including window
+// duplicates, whose original ack may have been lost — but only
+// window-fresh frames reach the protocol. Voluntarily halted nodes still
+// acknowledge (their link layer outlives the state machine), which stops
+// pointless retries at completed receivers.
+func (s *reliShim) arrive(d *delivery, round int, i int32, payload []byte, injected bool) {
+	f := &s.frames[i]
 	if d.crashed[f.to] {
 		return
 	}
@@ -405,92 +426,72 @@ func (s *reliShim) arrive(d *delivery, round int, f *frame, payload []byte, inje
 			return
 		}
 	}
-	if s.win(linkKey(f.from, f.to, s.n)).Accept(f.seq) {
+	if s.recvWin[f.edge].Accept(f.seq) {
 		d.commit(Message{From: f.from, To: f.to, Payload: payload}, injected)
 	}
-	s.acks = append(s.acks, ackEvent{f: f, tx: round + 1})
+	f.refs++
+	s.acks = append(s.acks, i)
 }
 
-// processAcks transmits the acknowledgements due this round on their
-// reverse links. Acks are themselves droppable (schedules and DropProb
-// apply) but never delayed: a late ack is indistinguishable from a lost
-// one followed by a redundant, window-absorbed retransmission. Ack bits
-// are measured with the engine's registered LINK-ACK encoding and
-// accounted separately from protocol traffic.
+// processAcks transmits the acknowledgements of the last merge round's
+// arrivals on their reverse links. Acks are themselves droppable
+// (schedules and DropProb apply) but never delayed: a late ack is
+// indistinguishable from a lost one followed by a redundant,
+// window-absorbed retransmission. Ack bits are measured with the engine's
+// registered LINK-ACK encoding and accounted apart from protocol traffic.
 func (s *reliShim) processAcks(d *delivery, round int) {
-	if len(s.acks) == 0 {
-		return
+	for _, i := range s.acks {
+		// A crashed acking node sends nothing: its ack died with it.
+		if f := &s.frames[i]; !d.crashed[f.to] {
+			s.ackBuf = EncodeKindUvarint(s.ackBuf, kindAck, f.seq)
+			d.stats.Acks++
+			d.stats.AckBits += int64(len(s.ackBuf) * 8)
+			if d.dropOnWire(f.to, f.from, round) {
+				d.stats.Dropped++
+			} else {
+				f.acked = true
+			}
+		}
+		s.release(i)
 	}
-	kept := s.acks[:0]
-	for _, a := range s.acks {
-		if a.tx != round {
-			kept = append(kept, a)
-			continue
-		}
-		if d.crashed[a.f.to] {
-			continue // the acking node crashed before the ack left
-		}
-		s.ackBuf = EncodeKindUvarint(s.ackBuf, kindAck, a.f.seq)
-		d.stats.Acks++
-		d.stats.AckBits += int64(len(s.ackBuf) * 8)
-		if d.dropOnWire(a.f.to, a.f.from, round) {
-			d.stats.Dropped++
-			continue
-		}
-		a.f.acked = true
-	}
-	s.acks = kept
+	s.acks = s.acks[:0]
 }
 
 // retransmitDue retries the unacknowledged frames whose backoff expires
 // this round and compacts settled frames out of the pending queue. A
 // crashed sender's queue is wiped — its un-acked frames die with it — and
-// a frame whose budget is spent is abandoned and counted in
-// Stats.LinkDowns.
+// a frame whose budget is spent is abandoned and counted in Stats.LinkDowns.
 func (s *reliShim) retransmitDue(d *delivery, round int) {
-	if len(s.pending) == 0 {
-		return
-	}
 	kept := s.pending[:0]
-	for _, f := range s.pending {
-		if f.acked || d.crashed[f.from] {
-			continue
-		}
-		if f.nextTx != round {
-			kept = append(kept, f)
-			continue
-		}
-		if f.attempts >= 1+s.budget {
+	for _, i := range s.pending {
+		f := &s.frames[i]
+		switch {
+		case f.acked || d.crashed[f.from]:
+			s.release(i)
+		case f.nextTx != round:
+			kept = append(kept, i)
+		case int(f.attempts) > s.budget:
 			d.stats.LinkDowns++
-			continue
+			s.release(i)
+		default:
+			f.attempts++
+			f.nextTx = round + 1 + int(f.attempts)
+			s.attempt(d, round, i, true)
+			kept = append(kept, i)
 		}
-		f.attempts++
-		f.nextTx = round + 1 + f.attempts
-		s.attempt(d, round, f, true)
-		kept = append(kept, f)
 	}
 	s.pending = kept
 }
 
-// onCrash wipes the crashed node's receive windows: its inbox state died
-// with it, so frames it had accepted but never processed must be accepted
-// again when retransmitted after recovery. Sender-side sequence counters
-// (its own nextSeq entries and its peers' windows for frames it sent) are
-// deliberately left intact — resetting them would make post-recovery
-// frames collide with pre-crash history at the receivers.
-func (s *reliShim) onCrash(id int32) {
-	for from := int32(0); int(from) < s.n; from++ {
-		delete(s.recvWin, linkKey(from, id, s.n))
-	}
-}
-
-func (s *reliShim) win(key uint64) *SeqWindow {
-	w := s.recvWin[key]
-	if w == nil {
-		w = &SeqWindow{}
-		s.recvWin[key] = w
-	}
-	return w
+// onCrash wipes the crashed node's receive windows, its row of in-edges:
+// its inbox state died with it, so frames it had accepted but never
+// processed must be accepted again when retransmitted after recovery.
+// Sequence counters and its peers' windows for frames it sent stay:
+// resetting them would make post-recovery frames collide with pre-crash
+// history at the receivers.
+func (s *reliShim) onCrash(g *Graph, id int32) {
+	lo, hi := g.rowOffsets(int(id))
+	clear(s.recvWin[lo:hi])
 }
 
 // SeqWindow deduplicates a directed link's frames with a sliding 64-entry
@@ -498,9 +499,8 @@ func (s *reliShim) win(key uint64) *SeqWindow {
 // seen-bits. Anything below base was necessarily seen (the window only
 // slides past acknowledged history). The zero value is an empty window.
 // It is shared infrastructure of both reliable layers: the simulator's
-// shim below and the UDP backend's datagram links
-// (internal/transport/udp), which must absorb wire duplicates the same
-// way.
+// shim above and the UDP backend's datagram links (internal/transport/udp),
+// which must absorb wire duplicates the same way.
 type SeqWindow struct {
 	base uint64
 	mask uint64

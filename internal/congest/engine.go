@@ -202,7 +202,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 			live--
 			x.fr.dropCrashed(int32(id))
 			if x.del.shim != nil {
-				x.del.shim.onCrash(int32(id))
+				x.del.shim.onCrash(g, int32(id))
 			}
 		}
 		// Recovery rejoins a crashed node with empty protocol state: the
@@ -491,6 +491,21 @@ func (x *span) carveInbox(to int32) {
 	d := x.graph.Degree(int(to))
 	x.inboxes[to] = x.inbox.room(d, chunkSize(x.graph))
 	x.inbox.used += d
+}
+
+// growInbox moves node to's inbox, when it is full, to a region of the
+// inbox chunks of twice its capacity. The fault pipeline calls it before
+// each delivery: duplicates, delays and retransmissions can bring more
+// than Degree(to) messages in a round, and letting deliver's append move
+// the inbox would allocate again in every round they do.
+func (x *span) growInbox(to int32) {
+	box := x.inboxes[to]
+	if len(box) == 0 || len(box) < cap(box) {
+		return
+	}
+	c := 2 * cap(box)
+	x.inboxes[to] = append(x.inbox.room(c, chunkSize(x.graph)), box...)
+	x.inbox.used += c
 }
 
 // deliver appends msg to its recipient's next-round inbox and records the

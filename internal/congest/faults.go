@@ -116,9 +116,9 @@ func (r RoundRange) contains(round int) bool {
 	return round >= r.FromRound && round < r.ToRound
 }
 
-func (r RoundRange) validate(what string) error {
+func (r RoundRange) validate(list string, i int) error {
 	if r.FromRound < 0 || r.ToRound <= r.FromRound {
-		return fmt.Errorf("congest: %s has empty or negative round window [%d,%d)", what, r.FromRound, r.ToRound)
+		return fmt.Errorf("congest: %s[%d] has empty or negative round window [%d,%d)", list, i, r.FromRound, r.ToRound)
 	}
 	return nil
 }
@@ -216,7 +216,7 @@ func (f *Faults) validate(n int, nodes []Node) error {
 		if l.U < 0 || l.U >= n || l.V < 0 || l.V >= n {
 			return fmt.Errorf("congest: LinkDowns[%d] names nodes (%d,%d) outside [0,%d)", i, l.U, l.V, n)
 		}
-		if err := l.validate(fmt.Sprintf("LinkDowns[%d]", i)); err != nil {
+		if err := l.validate("LinkDowns", i); err != nil {
 			return err
 		}
 	}
@@ -226,12 +226,12 @@ func (f *Faults) validate(n int, nodes []Node) error {
 				return fmt.Errorf("congest: Partitions[%d] names node %d outside [0,%d)", i, id, n)
 			}
 		}
-		if err := p.validate(fmt.Sprintf("Partitions[%d]", i)); err != nil {
+		if err := p.validate("Partitions", i); err != nil {
 			return err
 		}
 	}
 	for i, b := range f.Bursts {
-		if err := b.validate(fmt.Sprintf("Bursts[%d]", i)); err != nil {
+		if err := b.validate("Bursts", i); err != nil {
 			return err
 		}
 	}

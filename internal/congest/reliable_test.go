@@ -1,7 +1,10 @@
 package congest
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -274,5 +277,132 @@ func TestReliableShimDeterministicAcrossWorkers(t *testing.T) {
 		if stats != refStats || log != refLog {
 			t.Errorf("workers=%d diverged: %+v vs %+v", workers, stats, refStats)
 		}
+	}
+}
+
+// pinNode is the node of the shim's execution pins. It logs every arrival
+// as round, sender and payload bytes, and sends each neighbour a LINK-ACK
+// frame (so an intact frame passes the framing check that corruption and
+// byzantine schedules arm) with a random body, by Broadcast in every other
+// round. A long node pads its frames to 24 bytes, past what a frame keeps
+// inline.
+type pinNode struct {
+	env    *Env
+	stopAt int
+	long   bool
+	log    []byte
+}
+
+func (p *pinNode) Init(env *Env) { p.env = env }
+
+func (p *pinNode) Recover() { p.log = append(p.log, '*') }
+
+func (p *pinNode) Round(r int, inbox []Message) bool {
+	for _, m := range inbox {
+		p.log = fmt.Appendf(p.log, "%d:%d:%x;", r, m.From, m.Payload)
+	}
+	if r >= p.stopAt {
+		return true
+	}
+	pay := []byte{kindAck, byte(p.env.Rand().Intn(256)), byte(r)}
+	if p.long {
+		pay = append(pay, make([]byte, 21)...)
+		pay[23] = byte(p.env.ID())
+	}
+	if (p.env.ID()+r)%2 == 0 {
+		p.env.Broadcast(pay)
+		return false
+	}
+	for _, v := range p.env.Neighbors() {
+		p.env.Send(int(v), pay)
+	}
+	return false
+}
+
+// TestReliableShimExecutionsPinned pins five shim executions on the stress
+// graph, one per fault family, to SHA-256 digests of their Stats and every
+// node's delivery log. The digests were computed before the shim kept its
+// link state in per-edge arrays and its frames in reused slots, so any
+// change to what the shim delivers, when, or in which RNG order fails here.
+func TestReliableShimExecutionsPinned(t *testing.T) {
+	cases := []struct {
+		name   string
+		faults Faults
+		long   bool
+		want   string
+	}{
+		{"drops_delays", Faults{DropProb: 0.3, DelayProb: 0.2, MaxDelay: 3}, true,
+			"53f032b9ec9abce0869c97344d7a8a077834046e7faab482df4175a2dc36a17e"},
+		{"duplicates", Faults{DropProb: 0.1, DupProb: 0.5}, false,
+			"a9a8daa6017fa37043a1479c9120af4100acd41856aeeced9ad6d8d575d9bb15"},
+		{"corruption", Faults{DropProb: 0.1, CorruptProb: 0.4, CorruptUntilRound: 100}, false,
+			"5b687444c6f10c8724e8fec68f7598ab0d018a1df94b69a37f617c3e6ce9932e"},
+		{"crash_recovery", Faults{DropProb: 0.2, CrashAtRound: map[int]int{3: 2, 9: 4}, RecoverAtRound: map[int]int{3: 6}}, false,
+			"1e77bacab29d2e8d33fa3939e9901d7f4855f16f6ee405c5f4470ea8d748b169"},
+		{"byzantine", Faults{DropProb: 0.1, ByzantineFromRound: map[int]int{4: 1, 11: 3}}, false,
+			"ef911ad7cd5702d145fff4e2b8c09c65494e36e63f00f76e0f2744047482e385"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := stressGraph(t)
+			nodes := make([]Node, g.N())
+			recs := make([]*pinNode, g.N())
+			for i := range nodes {
+				recs[i] = &pinNode{stopAt: 20 + i%5, long: tc.long && i%2 == 0}
+				nodes[i] = recs[i]
+			}
+			stats, err := Run(g, nodes, Config{Seed: 5, MaxRounds: 80, Faults: tc.faults, Reliable: Reliable{RetryBudget: 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Retransmits == 0 || stats.LinkDowns == 0 {
+				t.Fatalf("schedule too tame, no retransmissions or no spent budgets: %+v", stats)
+			}
+			h := sha256.New()
+			fmt.Fprintf(h, "%+v\n", stats)
+			for _, r := range recs {
+				h.Write(r.log)
+				h.Write([]byte{'\n'})
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("execution digest %s, want %s; stats %+v", got, tc.want, stats)
+			}
+		})
+	}
+}
+
+// TestReliableShimAllocsFlat holds the shim to a fixed number of
+// allocations per run, whatever the number of frames it carries: a run
+// under drops four times as long as another allocates exactly as much.
+// Frames are values in reused slots, so a heap frame per message fails
+// it, and so does a frame table that never reuses slots, which grows with
+// every frame sent. The drops are downed links, which retry every frame
+// on them until its budget is spent: under a deterministic schedule the
+// frames in flight peak at the same count in every round after the first
+// few, so the tables' amortized growth ends at the same size in both runs.
+// Random drops move that peak, and with it a few allocations of growth,
+// from run to run; TestChaosSolveAllocsNearClean bounds that case.
+func TestReliableShimAllocsFlat(t *testing.T) {
+	always := RoundRange{0, 1 << 20}
+	faults := Faults{LinkDowns: []LinkDown{{0, 2, always}, {7, 15, always}, {11, 12, always}}}
+	allocs := func(rounds int) float64 {
+		g := stressGraph(t)
+		nodes := make([]Node, g.N())
+		for i := range nodes {
+			nodes[i] = &chatterNode{rounds: rounds}
+		}
+		// A collection inside a measured run can allocate (a process's
+		// first one starts the runtime's mark workers), so collect first.
+		runtime.GC()
+		return testing.AllocsPerRun(3, func() {
+			st, err := Run(g, nodes, Config{Seed: 3, Faults: faults, Reliable: Reliable{RetryBudget: 2}})
+			if err != nil || st.Retransmits == 0 || st.LinkDowns == 0 || st.Rounds != rounds+1 {
+				t.Fatalf("run: %+v, %v", st, err)
+			}
+		})
+	}
+	short, long := allocs(16), allocs(64)
+	if short != long {
+		t.Fatalf("allocations per shim run: %v over 16 rounds, %v over 64, want equal", short, long)
 	}
 }

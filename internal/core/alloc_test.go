@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dfl/internal/congest"
 	"dfl/internal/gen"
 )
 
@@ -37,5 +38,36 @@ func TestSolveAllocBytesPerEdge(t *testing.T) {
 	t.Logf("%d directed edges, %.1f bytes allocated per directed edge", directed, perEdge)
 	if perEdge > maxSolveBytesPerEdge {
 		t.Fatalf("Solve allocated %.1f bytes per directed edge, bound %d", perEdge, maxSolveBytesPerEdge)
+	}
+}
+
+// TestChaosSolveAllocsNearClean is solve_chaos's allocation side row: on
+// instances of that workload's shape, a Solve under its faults, with the
+// reliable shim underneath, allocates at most twice what the same
+// instance's fault-free Solve does. The shim keeps its link state in
+// per-edge arrays and its frames in reused slots, so the fault pipeline
+// adds a fixed number of allocations rather than some per message.
+func TestChaosSolveAllocsNearClean(t *testing.T) {
+	chaos := []Option{
+		WithFaults(congest.Faults{DropProb: 0.2, DupProb: 0.1, CrashAtRound: map[int]int{0: 5, 1: 9}}),
+		WithReliableDelivery(2),
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		inst, err := gen.Uniform{M: 40, NC: 200, Density: 0.3, MinDegree: 2}.Generate(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := func(opts ...Option) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, _, err := Solve(inst, Config{K: 16}, append([]Option{WithSeed(seed)}, opts...)...); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		clean, shim := allocs(), allocs(chaos...)
+		t.Logf("instance %d: %v allocations fault-free, %v under solve_chaos's faults", seed, clean, shim)
+		if shim > 2*clean {
+			t.Errorf("instance %d: %v allocations under faults, more than twice the fault-free %v", seed, shim, clean)
+		}
 	}
 }

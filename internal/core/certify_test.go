@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,25 +34,32 @@ func TestCertifyRejectsCorruption(t *testing.T) {
 		t.Fatalf("clean run failed certification: %v", err)
 	}
 
-	// An assigned client whose facility we can close for case "closed".
-	victim := 0
+	// An assigned client, whose facility the cases close or exempt. Any
+	// other client would index Open with fl.Unassigned.
+	victim := slices.IndexFunc(sol.Assign, func(i int) bool { return i != fl.Unassigned })
+	if victim < 0 {
+		t.Fatal("clean run assigned no client")
+	}
 	target := sol.Assign[victim]
+	twice := fmt.Sprintf("client %d twice", victim)
 
+	// Each case corrupts through its own subtest's t, so a case that cannot
+	// apply to this run skips itself and nothing else.
 	cases := []struct {
 		name    string
-		corrupt func(s *fl.Solution, r *Report)
+		corrupt func(t *testing.T, s *fl.Solution, r *Report)
 		want    string
 	}{
-		{"unassign_client", func(s *fl.Solution, r *Report) {
+		{"unassign_client", func(t *testing.T, s *fl.Solution, r *Report) {
 			s.Assign[victim] = fl.Unassigned
 		}, "unassigned"},
-		{"assign_out_of_range", func(s *fl.Solution, r *Report) {
+		{"assign_out_of_range", func(t *testing.T, s *fl.Solution, r *Report) {
 			s.Assign[victim] = inst.M() + 3
 		}, "invalid facility"},
-		{"close_used_facility", func(s *fl.Solution, r *Report) {
+		{"close_used_facility", func(t *testing.T, s *fl.Solution, r *Report) {
 			s.Open[target] = false
 		}, "closed facility"},
-		{"assign_without_edge", func(s *fl.Solution, r *Report) {
+		{"assign_without_edge", func(t *testing.T, s *fl.Solution, r *Report) {
 			for i := 0; i < inst.M(); i++ {
 				if _, ok := inst.Cost(i, victim); !ok {
 					s.Open[i] = true
@@ -60,38 +69,38 @@ func TestCertifyRejectsCorruption(t *testing.T) {
 			}
 			t.Skip("victim is connected to every facility")
 		}, "no edge"},
-		{"tamper_cost", func(s *fl.Solution, r *Report) {
+		{"tamper_cost", func(t *testing.T, s *fl.Solution, r *Report) {
 			r.Cost++
 		}, "recomputed cost"},
-		{"tamper_open_count", func(s *fl.Solution, r *Report) {
+		{"tamper_open_count", func(t *testing.T, s *fl.Solution, r *Report) {
 			r.OpenFacilities++
 		}, "open facilities"},
-		{"assign_exempt_client", func(s *fl.Solution, r *Report) {
+		{"assign_exempt_client", func(t *testing.T, s *fl.Solution, r *Report) {
 			r.DeadClients = append(r.DeadClients, victim)
 			// Keep the cost/count cross-checks quiet so the exemption
 			// violation itself is what trips.
 			r.Cost = s.Cost(inst)
 		}, "exempt client"},
-		{"open_dead_facility", func(s *fl.Solution, r *Report) {
+		{"open_dead_facility", func(t *testing.T, s *fl.Solution, r *Report) {
 			r.DeadFacilities = append(r.DeadFacilities, target)
 		}, "dead facility"},
-		{"report_names_bogus_node", func(s *fl.Solution, r *Report) {
+		{"report_names_bogus_node", func(t *testing.T, s *fl.Solution, r *Report) {
 			r.DeadClients = append(r.DeadClients, inst.NC()+7)
 		}, "outside"},
 		// The duplicate cases would otherwise certify: the victim is
 		// unassigned and exempt, the cost matches.
-		{"client_in_two_exemption_lists", func(s *fl.Solution, r *Report) {
+		{"client_in_two_exemption_lists", func(t *testing.T, s *fl.Solution, r *Report) {
 			s.Assign[victim] = fl.Unassigned
 			r.DeadClients = append(r.DeadClients, victim)
 			r.OrphanedClients = append(r.OrphanedClients, victim)
 			r.Cost = s.Cost(inst)
-		}, "client 0 twice"},
-		{"client_twice_in_one_list", func(s *fl.Solution, r *Report) {
+		}, twice},
+		{"client_twice_in_one_list", func(t *testing.T, s *fl.Solution, r *Report) {
 			s.Assign[victim] = fl.Unassigned
 			r.DeceivedClients = append(r.DeceivedClients, victim, victim)
 			r.Cost = s.Cost(inst)
-		}, "client 0 twice"},
-		{"facility_in_two_exemption_lists", func(s *fl.Solution, r *Report) {
+		}, twice},
+		{"facility_in_two_exemption_lists", func(t *testing.T, s *fl.Solution, r *Report) {
 			// Close target and exempt every client it served.
 			s.Open[target] = false
 			for j, i := range s.Assign {
@@ -111,7 +120,7 @@ func TestCertifyRejectsCorruption(t *testing.T) {
 			r := *rep
 			r.DeadClients = append([]int(nil), rep.DeadClients...)
 			r.DeadFacilities = append([]int(nil), rep.DeadFacilities...)
-			tc.corrupt(s, &r)
+			tc.corrupt(t, s, &r)
 			err := Certify(inst, s, &r)
 			if err == nil {
 				t.Fatal("corrupted solution certified")
@@ -159,17 +168,20 @@ func TestCertifyCapRejectsCorruption(t *testing.T) {
 			break
 		}
 	}
+	if loaded < 0 {
+		t.Fatal("clean run assigned no client")
+	}
 	cases := []struct {
 		name    string
-		corrupt func(s *fl.CapSolution, r *Report)
+		corrupt func(t *testing.T, s *fl.CapSolution, r *Report)
 		want    string
 	}{
-		{"remove_copy", func(s *fl.CapSolution, r *Report) {
+		{"remove_copy", func(t *testing.T, s *fl.CapSolution, r *Report) {
 			// Dropping every copy of a loaded facility must trip the
 			// no-open-copy check before any cost cross-check.
 			s.Copies[loaded] = 0
 		}, "no open copy"},
-		{"negative_copies", func(s *fl.CapSolution, r *Report) {
+		{"negative_copies", func(t *testing.T, s *fl.CapSolution, r *Report) {
 			// Target an unloaded facility so the per-client no-open-copy
 			// check cannot fire first.
 			load := s.Load(inst)
@@ -181,7 +193,7 @@ func TestCertifyCapRejectsCorruption(t *testing.T) {
 			}
 			t.Skip("every facility is loaded")
 		}, "negative copies"},
-		{"overload", func(s *fl.CapSolution, r *Report) {
+		{"overload", func(t *testing.T, s *fl.CapSolution, r *Report) {
 			// Funnel every client into one facility without raising copies.
 			for j := range s.Assign {
 				if _, ok := inst.Cost(loaded, j); ok {
@@ -189,7 +201,7 @@ func TestCertifyCapRejectsCorruption(t *testing.T) {
 				}
 			}
 		}, "capacity"},
-		{"tamper_cost", func(s *fl.CapSolution, r *Report) {
+		{"tamper_cost", func(t *testing.T, s *fl.CapSolution, r *Report) {
 			r.Cost--
 		}, "recomputed cost"},
 	}
@@ -197,7 +209,7 @@ func TestCertifyCapRejectsCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sol.Clone()
 			r := *rep
-			tc.corrupt(s, &r)
+			tc.corrupt(t, s, &r)
 			err := CertifyCap(inst, cap, s, &r)
 			if err == nil {
 				t.Fatal("corrupted capacitated solution certified")

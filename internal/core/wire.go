@@ -21,6 +21,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"dfl/internal/congest"
@@ -75,25 +76,30 @@ func encodeOffer(buf []byte, class, fine int, prio uint32) []byte {
 	return buf
 }
 
+// errMalformedOffer is decodeOffer's error. It is a fixed value rather
+// than a formatted one because a client's offer pass decodes every frame in
+// its inbox, and under faults late frames of other kinds are routine there.
+var errMalformedOffer = errors.New("core: malformed offer payload")
+
 // decodeOffer parses an OFFER payload.
 func decodeOffer(p []byte) (class, fine int, prio uint32, err error) {
 	if len(p) < 4 || p[0] != kindOffer {
-		return 0, 0, 0, fmt.Errorf("core: malformed offer payload % x", p)
+		return 0, 0, 0, errMalformedOffer
 	}
 	off := 1
 	c, n := binary.Uvarint(p[off:])
 	if n <= 0 || c > 1<<20 {
-		return 0, 0, 0, fmt.Errorf("core: malformed offer class % x", p)
+		return 0, 0, 0, errMalformedOffer
 	}
 	off += n
 	fv, n2 := binary.Uvarint(p[off:])
 	if n2 <= 0 || fv > 64 {
-		return 0, 0, 0, fmt.Errorf("core: malformed offer fine class % x", p)
+		return 0, 0, 0, errMalformedOffer
 	}
 	off += n2
 	v, n3 := binary.Uvarint(p[off:])
 	if n3 <= 0 || v > 1<<32-1 {
-		return 0, 0, 0, fmt.Errorf("core: malformed offer priority % x", p)
+		return 0, 0, 0, errMalformedOffer
 	}
 	return int(c), int(fv), uint32(v), nil
 }
