@@ -58,7 +58,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		listen     = fs.String("listen", "127.0.0.1:0", "gateway bind address (role gateway)")
 		k          = fs.Int("k", 16, "protocol trade-off parameter")
 		seed       = fs.Int64("seed", 1, "protocol seed (must match across the fleet)")
-		chaosSpec  = fs.String("chaos", "", "packet chaos on this shard's socket, e.g. loss=0.1,dup=0.05,delay=0.05,lag=5ms")
+		chaosSpec  = fs.String("chaos", "", "packet chaos on this shard's socket, e.g. loss=0.1,dup=0.05,delay=0.05,lag=5ms (the seed used is printed to stderr)")
 		roundDelay = fs.Duration("round-delay", 0, "artificial pause per round (stretches runs for churn testing)")
 		showSol    = fs.Bool("solution", false, "gateway: print open facilities and assignments")
 		ckptFile   = fs.String("checkpoint", "", "shard: write a resumable checkpoint image to this file")
@@ -94,7 +94,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	case "gateway":
 		return runGateway(stdout, inst, cfg, spans, *listen, *admitWin, *showSol)
 	case "shard":
-		return runShard(stdout, inst, cfg, spans, *id, *gateway, *seed, *chaosSpec, *roundDelay,
+		return runShard(stdout, stderr, inst, cfg, spans, *id, *gateway, *seed, *chaosSpec, *roundDelay,
 			shardCkpt{file: *ckptFile, every: *ckptEvery, resume: *resume})
 	default:
 		return fmt.Errorf("-role must be gateway or shard, got %q", *role)
@@ -159,7 +159,7 @@ type shardCkpt struct {
 	resume bool
 }
 
-func runShard(stdout io.Writer, inst *fl.Instance, cfg core.Config, spans []congest.Span, id int, gateway string, seed int64, chaosSpec string, roundDelay time.Duration, ck shardCkpt) error {
+func runShard(stdout, stderr io.Writer, inst *fl.Instance, cfg core.Config, spans []congest.Span, id int, gateway string, seed int64, chaosSpec string, roundDelay time.Duration, ck shardCkpt) error {
 	if gateway == "" {
 		return fmt.Errorf("role shard needs -gateway")
 	}
@@ -197,6 +197,11 @@ func runShard(stdout io.Writer, inst *fl.Instance, cfg core.Config, spans []cong
 		sh, err = udp.Rejoin(id, len(spans), gateway, resumeRound, udp.Config{}, chaos)
 	} else {
 		sh, err = udp.Dial(id, len(spans), gateway, udp.Config{}, chaos)
+	}
+	if chaos != nil && chaos.Seed != 0 {
+		// The socket is wrapped, so the seed is set even when -chaos named
+		// none; passing it back as seed=N replays this shard's fault draws.
+		fmt.Fprintf(stderr, "chaos seed=%d\n", chaos.Seed)
 	}
 	if err != nil {
 		return err

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -248,5 +250,31 @@ func TestFleetCheckpointRestart(t *testing.T) {
 	// The whole point of the rung: the crash left no exemption behind.
 	if !strings.Contains(text, "dead_facilities=0 dead_clients=0 orphaned=0 unservable=0") {
 		t.Fatalf("restart did not erase the outage:\n%s", text)
+	}
+}
+
+// TestShardPrintsChaosSeed: a shard whose -chaos spec names no seed draws
+// one and prints it to stderr, so a failing run can be replayed with
+// seed=N. The gateway here never answers, so the shard gives up once its
+// HELLO exhausts the retry budget.
+func TestShardPrintsChaosSeed(t *testing.T) {
+	inst, err := gen.Uniform{M: 4, NC: 10, Density: 0.5, MinDegree: 1}.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	var stdout, stderr bytes.Buffer
+	err = run([]string{"-role", "shard", "-id", "0", "-shards", "2", "-gateway", silent.LocalAddr().String(),
+		"-in", writeInstance(t, inst), "-chaos", "loss=0.5"}, nil, &stdout, &stderr)
+	if err == nil {
+		t.Fatal("shard joined a fleet whose gateway never answered")
+	}
+	m := regexp.MustCompile(`(?m)^chaos seed=(-?\d+)$`).FindStringSubmatch(stderr.String())
+	if m == nil || m[1] == "0" {
+		t.Fatalf("no drawn chaos seed on stderr:\n%s", stderr.String())
 	}
 }

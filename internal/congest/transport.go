@@ -138,7 +138,10 @@ type Transport interface {
 	Send(round int, msgs []Message) error
 	// Gather blocks until the round's inbound remote traffic has arrived
 	// (or the barrier degraded), reporting whether every local node has
-	// halted. The returned messages become next-round inbox entries.
+	// halted. The returned messages become next-round inbox entries. The
+	// returned slice and its payloads stay valid until the next Gather,
+	// so a transport may reuse their storage then; RunShard consumes them
+	// in the next round's compute, before that call.
 	Gather(round int, allHalted bool) ([]Message, error)
 }
 

@@ -3,7 +3,7 @@ package udp
 import (
 	"fmt"
 	"math/rand"
-	"net"
+	"net/netip"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,17 +11,18 @@ import (
 )
 
 // Chaos is packet-level fault injection for soak runs: a filtering wrapper
-// around a shard's own socket that drops, duplicates and delays outbound
-// datagrams with the configured probabilities. Unlike the simulator's
-// scheduled faults this chaos is physical — a delayed datagram really does
-// race the frames sent after it, and a dropped one really does trigger the
-// retransmission machinery — which is exactly what the soak harness is for.
+// around the send half of a shard's own socket that drops, duplicates and
+// delays outbound datagrams with the configured probabilities. Unlike the
+// simulator's scheduled faults this chaos is physical — a delayed datagram
+// really does race the frames sent after it, and a dropped one really does
+// trigger the retransmission machinery — which is exactly what the soak
+// harness is for.
 type Chaos struct {
 	Loss  float64       // drop probability per datagram
 	Dup   float64       // duplication probability per datagram
 	Delay float64       // delay probability per datagram
 	Lag   time.Duration // how long a delayed datagram is held (reorders it past later sends)
-	Seed  int64         // rng seed; 0 seeds from the wall clock
+	Seed  int64         // rng seed; 0 draws one from the wall clock when wrapping, stored back here
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -72,25 +73,26 @@ func ParseChaos(spec string) (*Chaos, error) {
 	return c, nil
 }
 
-// Wrap returns conn with chaos applied to every outbound datagram.
-// Applying chaos on the send side only still exercises both directions of
-// every conversation once all parties wrap their sockets.
-func (c *Chaos) Wrap(conn net.PacketConn) net.PacketConn {
-	seed := c.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
+// wrap returns w with chaos applied to every datagram written through
+// it. Applying chaos on the send side only still exercises both
+// directions of every conversation once all parties wrap their sockets. A
+// zero Seed is drawn from the wall clock here and stored back in Seed, so
+// the run can be replayed with seed=Seed.
+func (c *Chaos) wrap(w datagramWriter) datagramWriter {
+	if c.Seed == 0 {
+		c.Seed = time.Now().UnixNano()
 	}
-	c.rng = rand.New(rand.NewSource(seed))
-	return &chaosConn{PacketConn: conn, chaos: c}
+	c.rng = rand.New(rand.NewSource(c.Seed))
+	return &chaosWriter{w: w, chaos: c}
 }
 
-type chaosConn struct {
-	net.PacketConn
+type chaosWriter struct {
+	w     datagramWriter
 	chaos *Chaos
 }
 
-func (cc *chaosConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	c := cc.chaos
+func (cw *chaosWriter) WriteToUDPAddrPort(p []byte, addr netip.AddrPort) (int, error) {
+	c := cw.chaos
 	c.mu.Lock()
 	drop := c.rng.Float64() < c.Loss
 	dup := c.rng.Float64() < c.Dup
@@ -102,13 +104,13 @@ func (cc *chaosConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	if delay && c.Lag > 0 {
 		held := append([]byte(nil), p...)
 		time.AfterFunc(c.Lag, func() {
-			_, _ = cc.PacketConn.WriteTo(held, addr)
+			_, _ = cw.w.WriteToUDPAddrPort(held, addr)
 		})
 		return len(p), nil
 	}
-	n, err := cc.PacketConn.WriteTo(p, addr)
+	n, err := cw.w.WriteToUDPAddrPort(p, addr)
 	if dup && err == nil {
-		_, _ = cc.PacketConn.WriteTo(p, addr)
+		_, _ = cw.w.WriteToUDPAddrPort(p, addr)
 	}
 	return n, err
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -21,7 +22,8 @@ const inflightCap = 32
 // tick of their deadline.
 const tick = 2 * time.Millisecond
 
-// pending is one sequenced frame awaiting acknowledgement.
+// pending is one sequenced frame awaiting acknowledgement. Slots live in
+// link.slots and are reused frame after frame, so wire keeps its capacity.
 type pending struct {
 	seq      uint64
 	wire     []byte // full encoded datagram, retransmitted verbatim
@@ -30,15 +32,59 @@ type pending struct {
 }
 
 // link is the per-peer reliable state: sender-side sequence and in-flight
-// tracking, receiver-side dedup window.
+// tracking, receiver-side dedup window. Frames sit in slots, which never
+// move between lists and are recycled through free, so a link's steady
+// state sends without allocating.
 type link struct {
-	addr     net.Addr
-	shard    int // peer's shard id, -1 until learned from its first frame
+	addr     netip.AddrPort // unmapped: the key of endpoint.links
+	shard    int            // peer's shard id, -1 until learned from its first frame
 	nextSeq  uint64
 	window   congest.SeqWindow
-	inflight map[uint64]*pending
-	queue    []*pending // flow-control overflow, FIFO
+	slots    []pending
+	inflight []int32 // slots transmitted and unacknowledged, at most inflightCap
+	queue    []int32 // flow-control overflow, FIFO
+	free     []int32
 	down     bool
+}
+
+// slot returns a free frame slot, growing the table only when every slot
+// is in flight or queued.
+func (l *link) slot() int32 {
+	if n := len(l.free); n > 0 {
+		i := l.free[n-1]
+		l.free = l.free[:n-1]
+		return i
+	}
+	l.slots = append(l.slots, pending{})
+	return int32(len(l.slots) - 1)
+}
+
+// ack retires the in-flight frame seq, reporting whether one was found.
+func (l *link) ack(seq uint64) bool {
+	for k, i := range l.inflight {
+		if l.slots[i].seq == seq {
+			last := len(l.inflight) - 1
+			l.inflight[k] = l.inflight[last]
+			l.inflight = l.inflight[:last]
+			l.free = append(l.free, i)
+			return true
+		}
+	}
+	return false
+}
+
+// datagramWriter is the send half of a socket; *net.UDPConn is one, and a
+// Chaos wraps one.
+type datagramWriter interface {
+	WriteToUDPAddrPort(p []byte, addr netip.AddrPort) (int, error)
+}
+
+// unmap keys an address the way endpoint.links does. A book address comes
+// from ResolveUDPAddr as a 16-byte IPv4, whose AddrPort is the v4-in-v6
+// form, while a datagram read from an IPv4 socket carries the 4-byte form;
+// unmapped, both name one link, and an IPv4 socket can write to it.
+func unmap(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // endpoint is one UDP party (a shard or the gateway): a socket, a reader
@@ -48,12 +94,13 @@ type link struct {
 // every timer tick (which makes plain cond waits deadline-capable).
 type endpoint struct {
 	shard  int // own shard id; gateways use the shard count k
-	conn   net.PacketConn
+	conn   *net.UDPConn
+	out    datagramWriter // conn, or conn behind a Chaos
 	policy Policy
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	links  map[string]*link
+	links  map[netip.AddrPort]*link
 	closed bool
 
 	// inc is this party's own incarnation, stamped on every outgoing frame.
@@ -67,7 +114,9 @@ type endpoint struct {
 	incOf func(shard int) uint64
 
 	// handler consumes each deduplicated non-ack frame; set before serve.
-	handler func(from net.Addr, f Frame)
+	// from is unmapped, and f.Body aliases the read buffer: a handler
+	// copies what it keeps.
+	handler func(from netip.AddrPort, f Frame)
 	// onDown observes a peer link exhausting its retry budget.
 	onDown func(l *link, e congest.LinkDownError)
 
@@ -75,18 +124,22 @@ type endpoint struct {
 	fenced   int64 // frames dropped for a stale or unknown incarnation
 
 	wg     sync.WaitGroup
-	sendMu sync.Mutex // serializes WriteTo (PacketConn is safe, chaos wrappers may not be)
-	outBuf []byte
+	sendMu sync.Mutex // serializes writes (UDPConn is safe, chaos wrappers may not be)
+	outBuf []byte     // acks are rendered here; guarded by mu
 }
 
-// newEndpoint wraps an already-bound socket. The caller sets handler and
-// onDown before calling serve.
-func newEndpoint(shard int, conn net.PacketConn, policy Policy) *endpoint {
+// newEndpoint wraps an already-bound socket, writing through chaos when it
+// is non-nil. The caller sets handler and onDown before calling serve.
+func newEndpoint(shard int, conn *net.UDPConn, chaos *Chaos, policy Policy) *endpoint {
 	ep := &endpoint{
 		shard:  shard,
 		conn:   conn,
+		out:    conn,
 		policy: policy,
-		links:  make(map[string]*link),
+		links:  make(map[netip.AddrPort]*link),
+	}
+	if chaos != nil {
+		ep.out = chaos.wrap(conn)
 	}
 	ep.cond = sync.NewCond(&ep.mu)
 	return ep
@@ -109,12 +162,12 @@ func (ep *endpoint) close() {
 	ep.wg.Wait()
 }
 
-func (ep *endpoint) link(addr net.Addr) *link {
-	key := addr.String()
-	l := ep.links[key]
+// link returns the link to addr, which must be unmapped.
+func (ep *endpoint) link(addr netip.AddrPort) *link {
+	l := ep.links[addr]
 	if l == nil {
-		l = &link{addr: addr, shard: -1, inflight: make(map[uint64]*pending)}
-		ep.links[key] = l
+		l = &link{addr: addr, shard: -1, inflight: make([]int32, 0, inflightCap)}
+		ep.links[addr] = l
 	}
 	return l
 }
@@ -123,7 +176,7 @@ func (ep *endpoint) readLoop() {
 	defer ep.wg.Done()
 	buf := make([]byte, 2048)
 	for {
-		n, from, err := ep.conn.ReadFrom(buf)
+		n, from, err := ep.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			ep.mu.Lock()
 			closed := ep.closed
@@ -147,13 +200,13 @@ func (ep *endpoint) readLoop() {
 			ep.mu.Unlock()
 			return
 		}
+		from = unmap(from)
 		l := ep.link(from)
 		if l.shard < 0 {
 			l.shard = f.Shard
 		}
 		if f.Kind == frAck {
-			if p := l.inflight[f.Seq]; p != nil {
-				delete(l.inflight, f.Seq)
+			if l.ack(f.Seq) {
 				ep.drainQueueLocked(l)
 			}
 			ep.cond.Broadcast()
@@ -180,7 +233,7 @@ func (ep *endpoint) readLoop() {
 			continue
 		}
 		// The frame body aliases the read buffer; handlers copy what they
-		// keep (they run with mu held, before the next ReadFrom).
+		// keep (they run with mu held, before the next read).
 		if ep.handler != nil {
 			ep.handler(from, f)
 		}
@@ -204,27 +257,27 @@ func (ep *endpoint) timerLoop() {
 			if l.down {
 				continue
 			}
-			for seq, p := range l.inflight {
+			for _, i := range l.inflight {
+				p := &l.slots[i]
 				if now.Before(p.deadline) {
 					continue
 				}
 				if ep.policy.Exhausted(p.attempts) {
-					delete(l.inflight, seq)
 					l.down = true
 					e := congest.LinkDownError{From: ep.shard, To: l.shard, Attempts: p.attempts}
 					if ep.onDown != nil {
 						ep.onDown(l, e)
 					}
-					continue
+					break
 				}
 				p.attempts++
 				p.deadline = now.Add(ep.policy.Delay(p.attempts - 1))
 				ep.writeDatagram(l.addr, p.wire)
 			}
 			if l.down {
-				// Abandon everything else queued for a dead peer.
-				l.inflight = make(map[uint64]*pending)
-				l.queue = nil
+				// Abandon everything in flight or queued for a dead peer; a
+				// down link never sends again.
+				l.slots, l.inflight, l.queue, l.free = nil, nil, nil, nil
 			}
 		}
 		ep.cond.Broadcast()
@@ -236,7 +289,27 @@ func (ep *endpoint) timerLoop() {
 // honouring the in-flight cap (excess frames queue and go out as acks make
 // room). Caller holds mu. Frames to a link already declared down are
 // dropped: the peer is dead, the degradation ladder has moved on.
-func (ep *endpoint) sendReliable(addr net.Addr, f Frame) {
+func (ep *endpoint) sendReliable(addr netip.AddrPort, f Frame) {
+	ep.sendFrame(addr, f, 0, 0)
+}
+
+// sendChunked splits body into maxChunk pieces (at least one, even when
+// empty) and sends each reliably as a frame of kind whose body is a chunk
+// header and the piece. Records are far smaller than a chunk by the
+// CONGEST bit limit, but they may straddle chunks: receivers reassemble
+// the whole body before parsing it. Caller holds mu.
+func (ep *endpoint) sendChunked(addr netip.AddrPort, kind byte, round int, body []byte) {
+	parts := max((len(body)+maxChunk-1)/maxChunk, 1)
+	for part := 0; part < parts; part++ {
+		lo := part * maxChunk
+		hi := min(lo+maxChunk, len(body))
+		ep.sendFrame(addr, Frame{Kind: kind, Round: round, Body: body[lo:hi]}, part, parts)
+	}
+}
+
+// sendFrame renders f into a free slot of the link to addr, with a chunk
+// header before the body when parts > 0, and transmits or queues it.
+func (ep *endpoint) sendFrame(addr netip.AddrPort, f Frame, part, parts int) {
 	l := ep.link(addr)
 	if l.down {
 		return
@@ -245,40 +318,56 @@ func (ep *endpoint) sendReliable(addr net.Addr, f Frame) {
 	f.Inc = ep.inc
 	f.Seq = l.nextSeq
 	l.nextSeq++
-	p := &pending{seq: f.Seq, wire: AppendFrame(nil, f)}
+	i := l.slot()
+	p := &l.slots[i]
+	p.seq = f.Seq
+	if p.wire == nil {
+		// One buffer per slot for its lifetime: every frame a receiver
+		// accepts fits.
+		p.wire = make([]byte, 0, maxFrameHeader+maxFrameBody)
+	}
+	body := f.Body
+	f.Body = nil
+	p.wire = AppendFrame(p.wire[:0], f)
+	if parts > 0 {
+		p.wire = appendChunkHeader(p.wire, part, parts)
+	}
+	p.wire = append(p.wire, body...)
 	if len(l.inflight) >= inflightCap {
-		l.queue = append(l.queue, p)
+		l.queue = append(l.queue, i)
 		return
 	}
-	ep.transmitLocked(l, p)
+	ep.transmitLocked(l, i)
 }
 
 func (ep *endpoint) drainQueueLocked(l *link) {
-	for len(l.queue) > 0 && len(l.inflight) < inflightCap {
-		p := l.queue[0]
-		l.queue = l.queue[1:]
-		ep.transmitLocked(l, p)
+	n := min(len(l.queue), inflightCap-len(l.inflight))
+	for _, i := range l.queue[:n] {
+		ep.transmitLocked(l, i)
 	}
+	l.queue = l.queue[:copy(l.queue, l.queue[n:])]
 }
 
-func (ep *endpoint) transmitLocked(l *link, p *pending) {
+func (ep *endpoint) transmitLocked(l *link, i int32) {
+	p := &l.slots[i]
 	p.attempts = 1
 	p.deadline = time.Now().Add(ep.policy.Delay(0))
-	l.inflight[p.seq] = p
+	l.inflight = append(l.inflight, i)
 	ep.writeDatagram(l.addr, p.wire)
 }
 
 // writeAck answers a sequenced frame; acks are fire-and-forget and carry
-// the acknowledged seq in their own seq field.
+// the acknowledged seq in their own seq field. Caller holds mu.
 func (ep *endpoint) writeAck(l *link, f Frame) {
-	ep.writeDatagram(l.addr, AppendFrame(nil, Frame{Kind: frAck, Shard: ep.shard, Inc: ep.inc, Round: f.Round, Seq: f.Seq}))
+	ep.outBuf = AppendFrame(ep.outBuf[:0], Frame{Kind: frAck, Shard: ep.shard, Inc: ep.inc, Round: f.Round, Seq: f.Seq})
+	ep.writeDatagram(l.addr, ep.outBuf)
 }
 
-func (ep *endpoint) writeDatagram(addr net.Addr, wire []byte) {
+func (ep *endpoint) writeDatagram(addr netip.AddrPort, wire []byte) {
 	// Fire and forget: a failed write is indistinguishable from wire loss
 	// and the retransmission machinery absorbs it either way.
 	ep.sendMu.Lock()
-	_, _ = ep.conn.WriteTo(wire, addr)
+	_, _ = ep.out.WriteToUDPAddrPort(wire, addr)
 	ep.sendMu.Unlock()
 }
 

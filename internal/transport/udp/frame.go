@@ -47,6 +47,10 @@ const (
 // unfragmented datagram on loopback and typical ethernet MTUs.
 const maxFrameBody = 1200
 
+// maxFrameHeader bounds AppendFrame's header: version and kind bytes,
+// three uvarints below frameLimit and the seq uvarint.
+const maxFrameHeader = 2 + 3*binary.MaxVarintLen32 + binary.MaxVarintLen64
+
 // Frame is a decoded datagram: the fixed header plus the kind-specific
 // body. Shard is the sender's shard id; the gateway sends as shard id k
 // (the shard count), which every receiver knows from its configuration.

@@ -2,6 +2,9 @@ package udp
 
 import (
 	"bytes"
+	"fmt"
+	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -109,7 +112,7 @@ func TestFrameDecodeFailClosed(t *testing.T) {
 func TestDecodeBatchChecksIDs(t *testing.T) {
 	spans := []congest.Span{{Lo: 0, Hi: 4}, {Lo: 4, Hi: 10}}
 	done := []byte{1} // FL-DONE, which core registers
-	msgs, err := decodeBatch(appendMessageRecord(nil, 5, 2, done), 1, spans)
+	msgs, err := decodeBatch(nil, appendMessageRecord(nil, 5, 2, done), 1, spans)
 	if err != nil || len(msgs) != 1 || msgs[0].From != 5 || msgs[0].To != 2 {
 		t.Fatalf("control record: decodeBatch = (%v, %v), want one message 5->2", msgs, err)
 	}
@@ -120,7 +123,7 @@ func TestDecodeBatchChecksIDs(t *testing.T) {
 		"sender past int32":            appendMessageRecord(nil, 1<<32+5, 2, done),
 	}
 	for name, p := range cases {
-		if msgs, err := decodeBatch(p, 1, spans); err == nil {
+		if msgs, err := decodeBatch(nil, p, 1, spans); err == nil {
 			t.Errorf("%s: decodeBatch accepted %v", name, msgs)
 		}
 	}
@@ -195,5 +198,50 @@ func TestChaosSpecParser(t *testing.T) {
 		if _, err := ParseChaos(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
+	}
+}
+
+// countingWriter records how many datagrams reach the socket.
+type countingWriter struct{ n int }
+
+func (w *countingWriter) WriteToUDPAddrPort(p []byte, _ netip.AddrPort) (int, error) {
+	w.n++
+	return len(p), nil
+}
+
+// TestChaosSeedReplays: wrapping a socket with a spec that names no seed
+// draws one and stores it in the Chaos, and a second wrap of the same
+// spec with that seed drops exactly the same datagrams.
+func TestChaosSeedReplays(t *testing.T) {
+	const spec = "loss=0.3"
+	drops := func(c *Chaos) []bool {
+		var w countingWriter
+		out := c.wrap(&w)
+		dropped := make([]bool, 500)
+		to := netip.MustParseAddrPort("127.0.0.1:9")
+		for i := range dropped {
+			before := w.n
+			out.WriteToUDPAddrPort([]byte{byte(i)}, to)
+			dropped[i] = w.n == before
+		}
+		return dropped
+	}
+	drawn, err := ParseChaos(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := drops(drawn)
+	if drawn.Seed == 0 {
+		t.Fatal("wrap drew a seed but did not store it")
+	}
+	replay, err := ParseChaos(fmt.Sprintf("%s,seed=%d", spec, drawn.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(first, drops(replay)) {
+		t.Fatalf("seed=%d did not replay the drops of the run that drew it", drawn.Seed)
+	}
+	if !slices.Contains(first, true) || !slices.Contains(first, false) {
+		t.Fatal("loss=0.3 dropped all or none of 500 datagrams")
 	}
 }

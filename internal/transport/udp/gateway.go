@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"net/netip"
 	"time"
 
 	"dfl/internal/congest"
@@ -34,7 +35,7 @@ type Gateway struct {
 	OnRound func(round int, down []bool)
 
 	// Guarded by ep.mu.
-	addrs  []net.Addr // per shard, learned from HELLO (updated on readmission)
+	addrs  []netip.AddrPort // per shard, learned from HELLO (updated on readmission)
 	hellos int
 	down   []bool
 	// round is the barrier currently open; readyGot/readyHalted record
@@ -53,14 +54,15 @@ type Gateway struct {
 	admitRound []int
 	// pending holds rejoin requests awaiting the next barrier, by shard.
 	pending  map[int]*rejoinReq
-	results  []*chunkBuf // per shard, RESULT assembly
+	results  []stream // per shard, RESULT assembly
 	resultOK []bool
+	goBody   []byte // GO bodies are rendered here, reused round after round
 }
 
 // rejoinReq is one shard's recovery offer: where it listens now and the
 // round its checkpoint replay resumes at.
 type rejoinReq struct {
-	addr        net.Addr
+	addr        netip.AddrPort
 	resumeRound int
 }
 
@@ -91,7 +93,11 @@ func NewGateway(addr string, spans []congest.Span, cfg Config) (*Gateway, error)
 	if k == 0 {
 		return nil, fmt.Errorf("udp: gateway needs at least one shard span")
 	}
-	conn, err := net.ListenPacket("udp", addr)
+	laddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("udp: gateway bind: %w", err)
+	}
+	conn, err := net.ListenUDP("udp", laddr)
 	if err != nil {
 		return nil, fmt.Errorf("udp: gateway bind: %w", err)
 	}
@@ -100,7 +106,7 @@ func NewGateway(addr string, spans []congest.Span, cfg Config) (*Gateway, error)
 		k:           k,
 		spans:       spans,
 		cfg:         cfg,
-		addrs:       make([]net.Addr, k),
+		addrs:       make([]netip.AddrPort, k),
 		down:        make([]bool, k),
 		readyGot:    make([]bool, k),
 		readyHalted: make([]bool, k),
@@ -108,7 +114,7 @@ func NewGateway(addr string, spans []congest.Span, cfg Config) (*Gateway, error)
 		downRound:   make([]int, k),
 		admitRound:  make([]int, k),
 		pending:     make(map[int]*rejoinReq),
-		results:     make([]*chunkBuf, k),
+		results:     make([]stream, k),
 		resultOK:    make([]bool, k),
 	}
 	for sh := 0; sh < k; sh++ {
@@ -116,7 +122,7 @@ func NewGateway(addr string, spans []congest.Span, cfg Config) (*Gateway, error)
 		g.downRound[sh] = -1
 		g.admitRound[sh] = -1
 	}
-	g.ep = newEndpoint(k, conn, cfg.Policy)
+	g.ep = newEndpoint(k, conn, nil, cfg.Policy)
 	g.ep.inc = 1 // the gateway is never replaced; its incarnation is constant
 	g.ep.incOf = func(shard int) uint64 {
 		if shard >= 0 && shard < k {
@@ -129,8 +135,7 @@ func NewGateway(addr string, spans []congest.Span, cfg Config) (*Gateway, error)
 		// Only the link to the shard's *current* address condemns it: after
 		// a readmission the old incarnation's link may still be timing out,
 		// and its death must not re-mask the recovered successor.
-		if l.shard >= 0 && l.shard < k && g.addrs[l.shard] != nil &&
-			l.addr.String() == g.addrs[l.shard].String() && !g.down[l.shard] {
+		if l.shard >= 0 && l.shard < k && l.addr == g.addrs[l.shard] && !g.down[l.shard] {
 			g.down[l.shard] = true
 			g.downRound[l.shard] = g.round
 		}
@@ -145,7 +150,7 @@ func (g *Gateway) Addr() string { return g.ep.conn.LocalAddr().String() }
 // Close releases the socket.
 func (g *Gateway) Close() { g.ep.close() }
 
-func (g *Gateway) handle(from net.Addr, f Frame) {
+func (g *Gateway) handle(from netip.AddrPort, f Frame) {
 	sh := f.Shard
 	if sh < 0 || sh >= g.k {
 		g.ep.rejected++
@@ -153,7 +158,7 @@ func (g *Gateway) handle(from net.Addr, f Frame) {
 	}
 	switch f.Kind {
 	case frHello:
-		if g.addrs[sh] == nil {
+		if !g.addrs[sh].IsValid() {
 			g.addrs[sh] = from
 			g.hellos++
 		}
@@ -182,17 +187,11 @@ func (g *Gateway) handle(from net.Addr, f Frame) {
 			g.ep.rejected++
 			return
 		}
-		if g.results[sh] == nil {
-			g.results[sh] = &chunkBuf{}
-		}
-		full, err := g.results[sh].add(part, parts, chunk)
-		if err != nil {
+		if err := g.results[sh].add(part, parts, chunk); err != nil {
 			g.ep.rejected++
 			return
 		}
-		if full {
-			g.resultOK[sh] = true
-		}
+		g.resultOK[sh] = g.results[sh].complete()
 	}
 }
 
@@ -248,9 +247,9 @@ func (g *Gateway) bookLocked() []byte {
 // incarnation. Carrying all of them in every GO makes the records
 // idempotent under loss and reordering — a survivor that missed the GO
 // announcing a readmission learns the new address and incarnation from any
-// later one.
+// later one. The body is valid until the next call; sending copies it.
 func (g *Gateway) goBodyLocked() []byte {
-	body := encodeDownList(g.down)
+	body := appendDownList(g.goBody[:0], g.down)
 	var n uint64
 	for sh := 0; sh < g.k; sh++ {
 		if g.inc[sh] > 1 {
@@ -268,6 +267,7 @@ func (g *Gateway) goBodyLocked() []byte {
 		body = binary.AppendUvarint(body, uint64(len(a)))
 		body = append(body, a...)
 	}
+	g.goBody = body
 	return body
 }
 
@@ -394,7 +394,8 @@ func (g *Gateway) Run(maxRounds int) (*Result, error) {
 	}
 	for sh := 0; sh < g.k; sh++ {
 		if g.resultOK[sh] {
-			res.Fragments[sh] = g.results[sh].bytes()
+			r := &g.results[sh]
+			res.Fragments[sh] = r.appendBody(make([]byte, 0, len(r.data)))
 		} else {
 			// No fragment in time: the shard is down as far as assembly is
 			// concerned, whatever the barrier bookkeeping said.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func TestGatewayReadyWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gw.Close()
-	addr, _ := net.ResolveUDPAddr("udp", "127.0.0.1:9999")
+	addr := netip.MustParseAddrPort("127.0.0.1:9999")
 
 	gw.ep.mu.Lock()
 	defer gw.ep.mu.Unlock()

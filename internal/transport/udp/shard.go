@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -62,32 +64,74 @@ func (c Config) withDefaults() Config {
 // frame header fit under maxFrameBody together.
 const maxChunk = 1100
 
-// chunkBuf reassembles one chunked body stream.
-type chunkBuf struct {
-	parts [][]byte
-	have  int
+// stream reassembles one chunked body: a peer's DATA batch for the open
+// round at a shard, or a shard's RESULT at the gateway. Chunks are kept in
+// arrival order in data and indexed by part in chunks, so storage grows
+// with the chunks that actually arrive, never with the parts count a frame
+// claims — that count is a number from the wire. A stream is reset and
+// reused, keeping its capacity.
+type stream struct {
+	parts  int        // the stream's length, set by its first chunk; 0 while empty
+	chunks []chunkRef // sorted by part
+	data   []byte
 }
 
-func (b *chunkBuf) add(part, parts int, chunk []byte) (complete bool, err error) {
-	if b.parts == nil {
-		b.parts = make([][]byte, parts)
+// chunkRef locates one chunk's bytes in stream.data.
+type chunkRef struct{ part, off, n int }
+
+// add stores chunk part of parts. A chunk whose parts count disagrees
+// with the stream's is refused; a part already held is ignored (the first
+// copy wins).
+func (s *stream) add(part, parts int, chunk []byte) error {
+	if s.parts == 0 {
+		s.parts = parts
+	} else if parts != s.parts {
+		return fmt.Errorf("udp: chunk %d/%d against stream of %d", part, parts, s.parts)
 	}
-	if parts != len(b.parts) || part >= len(b.parts) {
-		return false, fmt.Errorf("udp: chunk %d/%d against stream of %d", part, parts, len(b.parts))
+	k := len(s.chunks)
+	if k > 0 && s.chunks[k-1].part >= part {
+		// Chunks mostly arrive in order and append; an earlier part is
+		// inserted in place, or ignored if already held.
+		var held bool
+		k, held = slices.BinarySearchFunc(s.chunks, part, func(c chunkRef, part int) int { return c.part - part })
+		if held {
+			return nil
+		}
 	}
-	if b.parts[part] == nil {
-		b.parts[part] = append([]byte(nil), chunk...)
-		b.have++
-	}
-	return b.have == len(b.parts), nil
+	s.chunks = slices.Insert(s.chunks, k, chunkRef{part: part, off: len(s.data), n: len(chunk)})
+	s.data = append(grow(s.data, len(chunk)), chunk...)
+	return nil
 }
 
-func (b *chunkBuf) bytes() []byte {
-	var out []byte
-	for _, p := range b.parts {
-		out = append(out, p...)
+func (s *stream) complete() bool { return s.parts > 0 && len(s.chunks) == s.parts }
+
+// appendBody appends the complete stream's body, in part order, to dst.
+func (s *stream) appendBody(dst []byte) []byte {
+	for _, c := range s.chunks {
+		dst = append(dst, s.data[c.off:c.off+c.n]...)
 	}
-	return out
+	return dst
+}
+
+func (s *stream) reset() {
+	s.parts = 0
+	s.chunks = s.chunks[:0]
+	s.data = s.data[:0]
+}
+
+// grow returns s with room for n more elements. When it must move, it
+// doubles the capacity (or takes just enough, if that is more), so a
+// buffer's capacity stays within twice the most it has held. append's
+// 1.25× steps for large slices allocate about five times a buffer's final
+// size while it first fills, which in a fleet deployment's first busy
+// rounds raised its peak RSS.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	t := make(S, len(s), max(2*cap(s), len(s)+n))
+	copy(t, s)
+	return t
 }
 
 // Shard is the UDP implementation of congest.Transport: one per flnode
@@ -99,18 +143,19 @@ type Shard struct {
 	k   int
 	cfg Config
 
-	gwAddr net.Addr
+	gwAddr netip.AddrPort
 
 	// All fields below are guarded by ep.mu (handlers run with it held).
 	welcomed bool
-	peers    []net.Addr     // by shard id; nil for self
-	spans    []congest.Span // by shard id
+	peers    []netip.AddrPort // by shard id; the zero value for self
+	spans    []congest.Span   // by shard id
 	// peerInc is each peer's expected incarnation, the fencing table: zero
 	// until WELCOME/ADMIT fills it (so pre-welcome DATA is fenced, not
 	// parsed against a nil span table), updated by GO readmit records.
 	peerInc []uint64
 	maxGo   int    // highest round the gateway has opened; -1 initially
 	goDown  []bool // down set from the newest GO (full replace, newest wins)
+	goNext  []bool // the next GO's down set is decoded here, then swapped in
 	// admitRound is the first round this incarnation participates in: 0
 	// for an original process, the admission barrier for a rejoiner.
 	// Rounds below it (already replayed from the checkpoint) are catch-up:
@@ -125,11 +170,21 @@ type Shard struct {
 	pendingGo *Frame
 	done      bool
 	gwLost    bool // gateway link exhausted its budget
-	gathered  int  // rounds [0, gathered) are closed; late DATA is dropped
-	// data[round][fromShard] assembles that peer's batch for the round.
-	data map[int]map[int]*chunkBuf
-	// complete[round] marks peers whose batch for the round is fully in.
-	complete map[int]map[int][]congest.Message
+	// gathered is the open round: rounds [0, gathered) are closed, and
+	// the barrier lets no peer send DATA for a later round before this
+	// shard's READY for this one, so DATA for any other round is rejected.
+	gathered int
+	// batch[sh] reassembles peer sh's DATA for round gathered; the reader
+	// goroutine writes it, and Gather resets it when the round closes.
+	batch []stream
+	// in and arena are what the last Gather returned: the messages and
+	// the payload bytes they alias. Only Gather writes them, and only on
+	// the engine goroutine, so the engine reads payloads that no frame
+	// arriving later can overwrite.
+	in    []congest.Message
+	arena []byte
+	// out holds Send's per-peer DATA bodies, reused across rounds.
+	out [][]byte
 }
 
 var _ congest.Transport = (*Shard)(nil)
@@ -145,27 +200,24 @@ func newShard(id, k int, gateway string, cfg Config, chaos *Chaos, inc uint64) (
 	if err != nil {
 		return nil, fmt.Errorf("udp: resolve gateway: %w", err)
 	}
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, fmt.Errorf("udp: bind: %w", err)
-	}
-	var conn net.PacketConn = pc
-	if chaos != nil {
-		conn = chaos.Wrap(conn)
 	}
 	cfg = cfg.withDefaults()
 	s := &Shard{
 		id:       id,
 		k:        k,
 		cfg:      cfg,
-		gwAddr:   gwAddr,
+		gwAddr:   unmap(gwAddr.AddrPort()),
 		maxGo:    -1,
 		goDown:   make([]bool, k),
+		goNext:   make([]bool, k),
 		prevDown: make([]bool, k),
-		data:     make(map[int]map[int]*chunkBuf),
-		complete: make(map[int]map[int][]congest.Message),
+		batch:    make([]stream, k),
+		out:      make([][]byte, k),
 	}
-	s.ep = newEndpoint(id, conn, cfg.Policy)
+	s.ep = newEndpoint(id, conn, chaos, cfg.Policy)
 	s.ep.inc = inc
 	s.ep.incOf = func(shard int) uint64 {
 		if shard == k {
@@ -178,7 +230,7 @@ func newShard(id, k int, gateway string, cfg Config, chaos *Chaos, inc uint64) (
 	}
 	s.ep.handler = s.handle
 	s.ep.onDown = func(l *link, e congest.LinkDownError) {
-		if l.addr.String() == gwAddr.String() {
+		if l.addr == s.gwAddr {
 			s.gwLost = true
 		}
 		// A peer-shard link going down needs no local action: its DATA
@@ -265,7 +317,7 @@ func (s *Shard) Fenced() int64 {
 func (s *Shard) Close() { s.ep.close() }
 
 // handle runs on the reader goroutine with ep.mu held.
-func (s *Shard) handle(from net.Addr, f Frame) {
+func (s *Shard) handle(_ netip.AddrPort, f Frame) {
 	switch f.Kind {
 	case frWelcome:
 		if s.welcomed {
@@ -330,44 +382,22 @@ func (s *Shard) handle(from net.Addr, f Frame) {
 	case frDone:
 		s.done = true
 	case frData:
-		if !s.welcomed || f.Round < s.gathered || f.Shard < 0 || f.Shard >= s.k || f.Shard == s.id {
-			return // late or nonsensical; the round has moved on
+		if !s.welcomed || f.Shard < 0 || f.Shard >= s.k || f.Shard == s.id {
+			return // nonsensical
+		}
+		if f.Round != s.gathered {
+			// Late (Gather already timed out on it) or ahead of the
+			// barrier, which no honest peer can be.
+			s.ep.rejected++
+			return
 		}
 		part, parts, chunk, err := decodeChunkHeader(f.Body)
+		if err == nil {
+			err = s.batch[f.Shard].add(part, parts, chunk)
+		}
 		if err != nil {
 			s.ep.rejected++
-			return
 		}
-		byFrom := s.data[f.Round]
-		if byFrom == nil {
-			byFrom = make(map[int]*chunkBuf)
-			s.data[f.Round] = byFrom
-		}
-		buf := byFrom[f.Shard]
-		if buf == nil {
-			buf = &chunkBuf{}
-			byFrom[f.Shard] = buf
-		}
-		full, err := buf.add(part, parts, chunk)
-		if err != nil {
-			s.ep.rejected++
-			return
-		}
-		if !full {
-			return
-		}
-		msgs, err := decodeBatch(buf.bytes(), f.Shard, s.spans)
-		if err != nil {
-			s.ep.rejected++
-			return
-		}
-		byRound := s.complete[f.Round]
-		if byRound == nil {
-			byRound = make(map[int][]congest.Message)
-			s.complete[f.Round] = byRound
-		}
-		byRound[f.Shard] = msgs
-		delete(byFrom, f.Shard)
 	}
 }
 
@@ -378,7 +408,7 @@ func (s *Shard) handle(from net.Addr, f Frame) {
 // recovered peer's current address and incarnation, so no transition can
 // be lost to a dropped frame.
 func (s *Shard) applyGoLocked(f Frame) {
-	down, readmits, err := decodeGoBody(f.Body, s.k)
+	readmits, err := decodeGoBody(s.goNext, f.Body, s.k)
 	if err != nil {
 		s.ep.rejected++
 		return
@@ -387,7 +417,7 @@ func (s *Shard) applyGoLocked(f Frame) {
 		return
 	}
 	s.maxGo = f.Round
-	s.goDown = down
+	s.goDown, s.goNext = s.goNext, s.goDown
 	for _, r := range readmits {
 		if r.shard == s.id || r.inc <= s.peerInc[r.shard] {
 			continue
@@ -461,7 +491,9 @@ func (s *Shard) Send(round int, msgs []congest.Message) error {
 		// masked); replay only rebuilds local state.
 		return nil
 	}
-	batches := make([][]byte, s.k)
+	for sh := range s.out {
+		s.out[sh] = s.out[sh][:0]
+	}
 	for _, m := range msgs {
 		sh := s.owner(int(m.To))
 		if sh < 0 {
@@ -470,33 +502,15 @@ func (s *Shard) Send(round int, msgs []congest.Message) error {
 		if sh == s.id || s.goDown[sh] {
 			continue
 		}
-		batches[sh] = appendMessageRecord(batches[sh], int(m.From), int(m.To), m.Payload)
+		s.out[sh] = appendMessageRecord(grow(s.out[sh], 3*binary.MaxVarintLen32+len(m.Payload)), int(m.From), int(m.To), m.Payload)
 	}
 	for sh := 0; sh < s.k; sh++ {
 		if sh == s.id || s.goDown[sh] {
 			continue
 		}
-		s.sendChunkedLocked(s.peers[sh], frData, round, batches[sh])
+		s.ep.sendChunked(s.peers[sh], frData, round, s.out[sh])
 	}
 	return nil
-}
-
-// sendChunkedLocked splits body into maxChunk pieces (at least one, even
-// when empty) and sends them reliably. For DATA the split respects record
-// boundaries via the caller building records below maxChunk each; records
-// are far smaller than a chunk by the CONGEST bit limit.
-func (s *Shard) sendChunkedLocked(addr net.Addr, kind byte, round int, body []byte) {
-	parts := (len(body) + maxChunk - 1) / maxChunk
-	if parts == 0 {
-		parts = 1
-	}
-	for part := 0; part < parts; part++ {
-		lo := part * maxChunk
-		hi := min(lo+maxChunk, len(body))
-		chunk := appendChunkHeader(nil, part, parts)
-		chunk = append(chunk, body[lo:hi]...)
-		s.ep.sendReliable(addr, Frame{Kind: kind, Round: round, Body: chunk})
-	}
 }
 
 func (s *Shard) owner(id int) int {
@@ -512,7 +526,8 @@ func (s *Shard) owner(id int) int {
 // the gateway, and returns whatever arrived. Batches still missing at the
 // timeout are lost traffic — partial-round degradation, not failure; if
 // the peer is dead the gateway's barrier will mask it for the rounds that
-// follow.
+// follow. The messages and their payloads stay valid until the next
+// Gather.
 func (s *Shard) Gather(round int, allHalted bool) ([]congest.Message, error) {
 	s.ep.mu.Lock()
 	defer s.ep.mu.Unlock()
@@ -521,33 +536,57 @@ func (s *Shard) Gather(round int, allHalted bool) ([]congest.Message, error) {
 		// gateway ran this barrier without us.
 		return nil, nil
 	}
+	if round != s.gathered {
+		return nil, fmt.Errorf("udp: shard %d: gather for round %d while round %d is open", s.id, round, s.gathered)
+	}
 	deadline := time.Now().Add(s.cfg.GatherTimeout)
 	_ = s.ep.waitUntil(deadline, func() bool {
 		for sh := 0; sh < s.k; sh++ {
-			if sh == s.id || s.goDown[sh] {
-				continue
-			}
-			if _, ok := s.complete[round][sh]; !ok {
+			if sh != s.id && !s.goDown[sh] && !s.batch[sh].complete() {
 				return false
 			}
 		}
 		return true
 	})
-	var out []congest.Message
-	for sh := 0; sh < s.k; sh++ {
-		out = append(out, s.complete[round][sh]...)
-	}
+	in := s.collectLocked()
 	// Close the round: anything arriving for it later is stale.
 	s.gathered = round + 1
-	delete(s.data, round)
-	delete(s.complete, round)
 
-	body := []byte{0}
+	halted := []byte{0}
 	if allHalted {
-		body[0] = 1
+		halted[0] = 1
 	}
-	s.ep.sendReliable(s.gwAddr, Frame{Kind: frReady, Round: round, Body: body})
-	return out, nil
+	s.ep.sendReliable(s.gwAddr, Frame{Kind: frReady, Round: round, Body: halted})
+	return in, nil
+}
+
+// collectLocked decodes the open round's complete batches into in and
+// resets every batch for the next round. Each batch is copied into the
+// arena and decoded there, so the payloads alias memory the reader
+// goroutine never writes; the arena is grown once up front, so appending
+// never moves what earlier payloads alias. A batch that fails to decode is
+// rejected whole. Caller holds mu.
+func (s *Shard) collectLocked() []congest.Message {
+	size := 0
+	for sh := range s.batch {
+		if s.batch[sh].complete() {
+			size += len(s.batch[sh].data)
+		}
+	}
+	s.in, s.arena = s.in[:0], slices.Grow(s.arena[:0], size)
+	for sh := range s.batch {
+		b := &s.batch[sh]
+		if b.complete() {
+			lo := len(s.arena)
+			s.arena = b.appendBody(s.arena)
+			var err error
+			if s.in, err = decodeBatch(s.in, s.arena[lo:], sh, s.spans); err != nil {
+				s.ep.rejected++
+			}
+		}
+		b.reset()
+	}
+	return s.in
 }
 
 // SendResult ships the shard's encoded fragment to the gateway and blocks
@@ -556,7 +595,7 @@ func (s *Shard) Gather(round int, allHalted bool) ([]congest.Message, error) {
 func (s *Shard) SendResult(frag []byte) error {
 	s.ep.mu.Lock()
 	defer s.ep.mu.Unlock()
-	s.sendChunkedLocked(s.gwAddr, frResult, 0, frag)
+	s.ep.sendChunked(s.gwAddr, frResult, 0, frag)
 	err := s.ep.waitUntil(time.Now().Add(s.cfg.ResultTimeout), func() bool {
 		return s.gwLost || s.ep.flushedLocked()
 	})
@@ -569,31 +608,32 @@ func (s *Shard) SendResult(frag []byte) error {
 	return nil
 }
 
-// decodeBatch parses a complete DATA body into messages, validating each
-// payload against the registered wire kinds (fail closed: one bad record
-// rejects the batch, exactly like the simulator shim's framing check) and
-// each destination against the receiver's span layout.
-func decodeBatch(p []byte, fromShard int, spans []congest.Span) ([]congest.Message, error) {
-	var out []congest.Message
+// decodeBatch appends a complete DATA body's messages to dst, validating
+// each payload against the registered wire kinds (fail closed: one bad
+// record rejects the batch, exactly like the simulator shim's framing
+// check, and leaves dst as it was) and each destination against the
+// receiver's span layout. The payloads alias p.
+func decodeBatch(dst []congest.Message, p []byte, fromShard int, spans []congest.Span) ([]congest.Message, error) {
+	n := len(dst)
 	for len(p) > 0 {
 		from, to, payload, rest, err := decodeMessageRecord(p)
 		if err != nil {
-			return nil, err
+			return dst[:n], err
 		}
 		if !spans[fromShard].Contains(from) {
-			return nil, fmt.Errorf("udp: shard %d forged sender %d", fromShard, from)
+			return dst[:n], fmt.Errorf("udp: shard %d forged sender %d", fromShard, from)
 		}
 		if to >= spans[len(spans)-1].Hi {
-			return nil, fmt.Errorf("udp: shard %d sent to node %d outside every span", fromShard, to)
+			return dst[:n], fmt.Errorf("udp: shard %d sent to node %d outside every span", fromShard, to)
 		}
 		if _, err := congest.ValidatePayload(payload); err != nil {
-			return nil, err
+			return dst[:n], err
 		}
 		// Both ids are range-checked above, so they fit the int32 node ids.
-		out = append(out, congest.Message{From: int32(from), To: int32(to), Payload: append([]byte(nil), payload...)})
+		dst = append(grow(dst, 1), congest.Message{From: int32(from), To: int32(to), Payload: payload})
 		p = rest
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Control-frame body codecs.
@@ -612,8 +652,8 @@ func encodeBook(addrs []string, spans []congest.Span, incs []uint64) []byte {
 	return b
 }
 
-func decodeBook(p []byte, k int) ([]net.Addr, []congest.Span, []uint64, error) {
-	addrs := make([]net.Addr, k)
+func decodeBook(p []byte, k int) ([]netip.AddrPort, []congest.Span, []uint64, error) {
+	addrs := make([]netip.AddrPort, k)
 	spans := make([]congest.Span, k)
 	incs := make([]uint64, k)
 	for i := 0; i < k; i++ {
@@ -642,7 +682,7 @@ func decodeBook(p []byte, k int) ([]net.Addr, []congest.Span, []uint64, error) {
 			return nil, nil, nil, fmt.Errorf("%w: book incarnation", errFrame)
 		}
 		p = p[w:]
-		addrs[i] = addr
+		addrs[i] = unmap(addr.AddrPort())
 		spans[i] = congest.Span{Lo: int(lo), Hi: int(hi)}
 		incs[i] = inc
 	}
@@ -673,69 +713,74 @@ func decodeAdmit(p []byte) (inc uint64, book, downList []byte, err error) {
 type goReadmit struct {
 	shard int
 	inc   uint64
-	addr  net.Addr
+	addr  netip.AddrPort
 }
 
-// decodeGoBody splits a GO body into the full-replacement down set and the
-// cumulative readmit records.
-func decodeGoBody(p []byte, k int) ([]bool, []goReadmit, error) {
-	down, rest, err := decodeDownListPrefix(p, k)
+// decodeGoBody splits a GO body into the full-replacement down set, which
+// it writes into down (length k), and the cumulative readmit records.
+func decodeGoBody(down []bool, p []byte, k int) ([]goReadmit, error) {
+	rest, err := decodeDownListPrefix(down, p, k)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p = rest
 	n, w := binary.Uvarint(p)
 	if w <= 0 || n > uint64(k) {
-		return nil, nil, fmt.Errorf("%w: go readmit count", errFrame)
+		return nil, fmt.Errorf("%w: go readmit count", errFrame)
 	}
 	p = p[w:]
 	readmits := make([]goReadmit, 0, n)
 	for i := uint64(0); i < n; i++ {
 		sh, w := binary.Uvarint(p)
 		if w <= 0 || sh >= uint64(k) {
-			return nil, nil, fmt.Errorf("%w: go readmit shard", errFrame)
+			return nil, fmt.Errorf("%w: go readmit shard", errFrame)
 		}
 		p = p[w:]
 		inc, w := binary.Uvarint(p)
 		if w <= 0 || inc < 2 || inc >= frameLimit {
-			return nil, nil, fmt.Errorf("%w: go readmit incarnation", errFrame)
+			return nil, fmt.Errorf("%w: go readmit incarnation", errFrame)
 		}
 		p = p[w:]
 		alen, w := binary.Uvarint(p)
 		if w <= 0 || alen > uint64(len(p)-w) {
-			return nil, nil, fmt.Errorf("%w: go readmit addr", errFrame)
+			return nil, fmt.Errorf("%w: go readmit addr", errFrame)
 		}
 		p = p[w:]
 		addr, err := net.ResolveUDPAddr("udp", string(p[:alen]))
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: go readmit addr %q", errFrame, p[:alen])
+			return nil, fmt.Errorf("%w: go readmit addr %q", errFrame, p[:alen])
 		}
 		p = p[alen:]
-		readmits = append(readmits, goReadmit{shard: int(sh), inc: inc, addr: addr})
+		readmits = append(readmits, goReadmit{shard: int(sh), inc: inc, addr: unmap(addr.AddrPort())})
 	}
 	if len(p) != 0 {
-		return nil, nil, fmt.Errorf("%w: go trailing bytes", errFrame)
+		return nil, fmt.Errorf("%w: go trailing bytes", errFrame)
 	}
-	return down, readmits, nil
+	return readmits, nil
 }
 
 // encodeDownList renders the cumulative down-shard set carried by GO.
-func encodeDownList(down []bool) []byte {
-	var ids []uint64
-	for i, d := range down {
+func encodeDownList(down []bool) []byte { return appendDownList(nil, down) }
+
+func appendDownList(b []byte, down []bool) []byte {
+	n := 0
+	for _, d := range down {
 		if d {
-			ids = append(ids, uint64(i))
+			n++
 		}
 	}
-	b := binary.AppendUvarint(nil, uint64(len(ids)))
-	for _, id := range ids {
-		b = binary.AppendUvarint(b, id)
+	b = binary.AppendUvarint(b, uint64(n))
+	for i, d := range down {
+		if d {
+			b = binary.AppendUvarint(b, uint64(i))
+		}
 	}
 	return b
 }
 
 func decodeDownList(p []byte, k int) ([]bool, error) {
-	down, rest, err := decodeDownListPrefix(p, k)
+	down := make([]bool, k)
+	rest, err := decodeDownListPrefix(down, p, k)
 	if err != nil {
 		return nil, err
 	}
@@ -745,22 +790,23 @@ func decodeDownList(p []byte, k int) ([]bool, error) {
 	return down, nil
 }
 
-// decodeDownListPrefix parses a down list at the front of p, returning the
-// remainder for composite bodies (GO carries readmit records after it).
-func decodeDownListPrefix(p []byte, k int) ([]bool, []byte, error) {
-	down := make([]bool, k)
+// decodeDownListPrefix parses a down list at the front of p into down
+// (length k), returning the remainder for composite bodies (GO carries
+// readmit records after it).
+func decodeDownListPrefix(down []bool, p []byte, k int) ([]byte, error) {
+	clear(down)
 	n, w := binary.Uvarint(p)
 	if w <= 0 || n > uint64(k) {
-		return nil, nil, fmt.Errorf("%w: down list count", errFrame)
+		return nil, fmt.Errorf("%w: down list count", errFrame)
 	}
 	p = p[w:]
 	for i := uint64(0); i < n; i++ {
 		id, w := binary.Uvarint(p)
 		if w <= 0 || id >= uint64(k) {
-			return nil, nil, fmt.Errorf("%w: down list id", errFrame)
+			return nil, fmt.Errorf("%w: down list id", errFrame)
 		}
 		p = p[w:]
 		down[id] = true
 	}
-	return down, p, nil
+	return p, nil
 }
