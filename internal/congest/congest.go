@@ -350,6 +350,11 @@ func (m Message) Bits() int { return len(m.Payload) * 8 }
 // only for the duration of the Round call — a node must copy anything it
 // keeps — and read-only: the recipients of one Broadcast share a single
 // payload copy.
+//
+// A node sends only from its own Round call. Init may keep the Env and
+// read its identity, neighbours and random stream, but a Send or Broadcast
+// made from Init, from Recover, or on another node's Env is a send
+// violation that ends the run with an error naming the Env's node.
 type Node interface {
 	Init(env *Env)
 	Round(round int, inbox []Message) (halt bool)
@@ -360,73 +365,34 @@ type Node interface {
 // the recovery round and must reset the node to its post-Init state: all
 // protocol state is lost, while the environment — identity, neighbour
 // list, private random stream — survives the restart. Messages addressed
-// to the node while it was down stay lost.
+// to the node while it was down stay lost. Recover must not send: as from
+// Init, a send there is a violation that ends the run.
 type Recoverable interface {
 	Node
 	Recover()
 }
 
 // Env is a node's private handle to the network: its identity, neighbour
-// list, deterministic private randomness, and staged outgoing messages.
+// list, deterministic private randomness, and the sends of its Round call.
 //
-// The engine allocates the Env structs and the once-per-neighbour
-// generation stamps (4 bytes per directed edge) up front in flat per-run
-// arrays, partitioned by the frozen graph's CSR offsets, so nodes owned by
-// one shard occupy
-// contiguous memory (ids within a shard are near-contiguous). Staged
-// messages and their payload bytes live in the round buffers of the span
-// that runs the node (sendBuf), which hold one round's traffic and are
-// reused every round, so steady-state rounds allocate nothing.
+// An Env holds only the node's id, its lazily built random source and a
+// pointer to the cursor of the span that runs it, 24 bytes in one flat
+// per-run array. Everything else lives once per span (see cursor): the
+// per-run constants, the round buffer the span's nodes stage into, and the
+// send state of the one node the span is running. So Send and Broadcast
+// act only inside the node's own Round call (see Node), and Reject and
+// SleepUntil outside it do nothing.
 type Env struct {
-	graph *Graph
-	// seed derives the node's private RNG stream; rng itself is built
-	// lazily on first Rand() call. A math/rand source alone is ~5 KiB, so
-	// eager construction would dominate engine memory in the million-node
-	// regime — and most nodes (clients, benchmark chatter) never draw.
-	seed     int64
-	rng      *rand.Rand
-	bitLimit int
-	// sentGen records, per neighbour position (NeighborIndex order), the
-	// round generation in which that neighbour was last sent to; comparing
-	// against gen makes the once-per-neighbour check one load per send with
-	// no per-round clearing. A view into the engine's flat array, one slot
-	// per neighbour, so its length is the degree. A generation grows by one
-	// per round the node runs, so Run's round budget keeps it below 2^32
-	// (see maxRoundBudget).
-	sentGen []uint32
-	// buf is the round buffer of the span that runs the node, shared with
-	// every other node of that span.
-	buf *sendBuf
+	c *cursor
+	// rng is built on the first Rand() call from the node seed, which
+	// derives from the run seed and the id. A math/rand source alone is
+	// ~5 KiB, so eager construction would dominate engine memory in the
+	// million-node regime — and most nodes (clients, benchmark chatter)
+	// never draw.
+	rng *rand.Rand
 	// id is the node's id, an int32 like the ids of the graph's sorted
-	// rows, so that next shares its word.
+	// rows.
 	id int32
-	// The fields from next on are the ones every node that runs touches in
-	// a round (beginRound, the compute walk's check for output), kept
-	// together so that a round over many nodes touches few cache lines of
-	// each Env.
-	//
-	// next is the slot after the previous Send's (0 at the start of each
-	// round). Send tries it before NeighborIndex's O(log degree) search,
-	// so sends in ascending neighbour order find their slot in O(1);
-	// Broadcast's fast path stamps every slot without searching.
-	next    int32
-	sendErr error
-	// out holds the records staged this round: a window of the span's
-	// record chunks with room for Degree records, which bounds them (one
-	// message per neighbour per round), taken by the first record of the
-	// round (see sendBuf).
-	out []Message
-	gen uint32
-	// rejected counts inbox frames this node's protocol logic refused as
-	// malformed (fail-closed decode paths) in its current round. The drain
-	// of the deterministic merge adds it to Stats.Rejected — on the caller
-	// goroutine, or on the owning shard's worker in the sharded merge — so
-	// the counter is a plain int under every runner; beginRound resets it.
-	rejected int64
-	// sleepUntil is the node's quiescence declaration for the rounds after
-	// this one (see SleepUntil); beginRound resets it, so the declaration
-	// expires with the Round call that made it.
-	sleepUntil int
 }
 
 // ID returns the node's id.
@@ -434,10 +400,10 @@ func (e *Env) ID() int { return int(e.id) }
 
 // Neighbors returns the node's neighbour list in the graph's insertion
 // order (shared storage, do not modify).
-func (e *Env) Neighbors() []int32 { return e.graph.Neighbors(int(e.id)) }
+func (e *Env) Neighbors() []int32 { return e.c.graph.Neighbors(int(e.id)) }
 
 // Degree returns the node's degree.
-func (e *Env) Degree() int { return e.graph.Degree(int(e.id)) }
+func (e *Env) Degree() int { return e.c.graph.Degree(int(e.id)) }
 
 // Rand returns the node's private deterministic random source,
 // constructing it on first use. Laziness is unobservable to the
@@ -447,7 +413,7 @@ func (e *Env) Degree() int { return e.graph.Degree(int(e.id)) }
 // state.
 func (e *Env) Rand() *rand.Rand {
 	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(e.seed))
+		e.rng = rand.New(rand.NewSource(nodeSeed(e.c.seed, int(e.id))))
 	}
 	return e.rng
 }
@@ -458,78 +424,110 @@ func (e *Env) Rand() *rand.Rand {
 // frontier scheduler then skips those Round calls entirely; a message
 // delivery wakes the node in time to run the round the message arrives in,
 // and the wake round itself always runs. The declaration is renewed per
-// Round call (beginRound clears it), so a node woken early must sleep
-// again explicitly, and declarations of round <= current+1 change nothing
-// (the next round runs regardless). A declaration beyond the largest round
-// budget a run accepts (2^32-2) is clamped to that budget, which no run
-// reaches, so it still lasts the whole run. Soundness is the node's
-// obligation: the determinism suite runs the same nodes awake, with every
-// declaration withdrawn so every round executes for real, and pins the
-// sleeping run byte-identical to the awake one, so an unsound declaration
-// surfaces as a divergence.
-func (e *Env) SleepUntil(round int) { e.sleepUntil = round }
+// Round call (each call starts with none), so a node woken early must
+// sleep again explicitly, and declarations of round <= current+1 change
+// nothing (the next round runs regardless). A declaration beyond the
+// largest round budget a run accepts (2^32-2) is clamped to that budget,
+// which no run reaches, so it still lasts the whole run. Soundness is the
+// node's obligation: the determinism suite runs the same nodes awake, with
+// every declaration withdrawn so every round executes for real, and pins
+// the sleeping run byte-identical to the awake one, so an unsound
+// declaration surfaces as a divergence.
+func (e *Env) SleepUntil(round int) {
+	if c := e.c; c.id == e.id {
+		c.sleepUntil = round
+	}
+}
 
 // Reject records that the node discarded one inbox frame as malformed.
 // Fail-closed protocol decoders call it on every frame they refuse
 // (truncated varints, unknown kinds, out-of-range fields), which keeps
 // corrupted traffic visible in Stats.Rejected without polluting the
 // protocol-level message counters.
-func (e *Env) Reject() { e.rejected++ }
+func (e *Env) Reject() {
+	if c := e.c; c.id == e.id {
+		c.rejected++
+	}
+}
 
 // Send stages one message to neighbour 'to' for delivery next round. It
 // enforces the CONGEST constraints: the recipient must be a neighbour, at
 // most one message per neighbour per round, and the payload must respect
-// the engine's bit limit. The first violation is recorded and aborts the
-// run; subsequent sends become no-ops. The payload is copied into the
-// round buffer of the node's span, so the caller may reuse its slice at
-// once.
+// the engine's bit limit; and it must be called from the node's own Round
+// call. The first violation is recorded and aborts the run; subsequent
+// sends become no-ops. The payload is copied into the round buffer of the
+// node's span, so the caller may reuse its slice at once.
 //
 // Finding the neighbour's slot costs O(1) when 'to' is the next neighbour
 // in ascending id order after the previous send of the round, and a binary
 // search over the node's sorted row otherwise.
 func (e *Env) Send(to int, payload []byte) {
-	if e.sendErr != nil {
+	c := e.c
+	if c.sendErr != nil {
 		return
 	}
-	pos := int(e.next)
-	if pos >= len(e.sentGen) || int(e.graph.sorted[e.graph.rowStart[e.id]+pos]) != to {
+	if c.id != e.id {
+		e.stray()
+		return
+	}
+	g := c.graph
+	lo, hi := g.rowOffsets(int(e.id))
+	pos := int(c.next)
+	if pos >= hi-lo || int(g.sorted[lo+pos]) != to {
 		var ok bool
-		if pos, ok = e.graph.NeighborIndex(int(e.id), to); !ok {
-			e.sendErr = fmt.Errorf("congest: node %d sent to non-neighbour %d", e.id, to)
+		if pos, ok = g.NeighborIndex(int(e.id), to); !ok {
+			c.sendErr = fmt.Errorf("congest: node %d sent to non-neighbour %d", e.id, to)
 			return
 		}
 	}
-	if e.bitLimit > 0 && len(payload)*8 > e.bitLimit {
-		e.sendErr = fmt.Errorf("congest: node %d message of %d bits exceeds limit %d", e.id, len(payload)*8, e.bitLimit)
+	if c.bitLimit > 0 && len(payload)*8 > c.bitLimit {
+		c.sendErr = fmt.Errorf("congest: node %d message of %d bits exceeds limit %d", e.id, len(payload)*8, c.bitLimit)
 		return
 	}
-	if e.sentGen[pos] == e.gen {
-		e.sendErr = fmt.Errorf("congest: node %d sent twice to %d in one round", e.id, to)
+	if hi-lo > len(c.sent) {
+		c.grow(hi - lo)
+	}
+	if c.allSent || c.sent[pos] == c.gen {
+		c.sendErr = fmt.Errorf("congest: node %d sent twice to %d in one round", e.id, to)
 		return
 	}
-	e.sentGen[pos] = e.gen
-	e.next = int32(pos + 1)
-	e.stage(to, payload)
+	c.sent[pos] = c.gen
+	c.next = int32(pos + 1)
+	c.stage(to, payload, hi-lo)
 }
 
 // Broadcast stages the same payload to every neighbour, in Neighbors order.
 // When nothing is staged yet this round and the payload is within the bit
-// limit, no check can fail, so it stamps every neighbour as sent and
-// stages one broadcast record, which the merge expands into one message
-// per neighbour in Neighbors order, all sharing one payload copy.
-// Otherwise it is one Send per neighbour, which records violations and
-// stages a partial broadcast exactly as those Sends would.
+// limit, no check can fail, so it marks every neighbour as sent (one flag,
+// see cursor.allSent) and stages one broadcast record, which the merge
+// expands into one message per neighbour in Neighbors order, all sharing
+// one payload copy. Otherwise it is one Send per neighbour, which records
+// violations and stages a partial broadcast exactly as those Sends would.
 func (e *Env) Broadcast(payload []byte) {
-	if len(e.out) > 0 || e.sendErr != nil || len(e.sentGen) == 0 || (e.bitLimit > 0 && len(payload)*8 > e.bitLimit) {
+	c := e.c
+	if c.id != e.id {
+		e.stray()
+		return
+	}
+	lo, hi := c.graph.rowOffsets(int(e.id))
+	if len(c.out) > 0 || c.sendErr != nil || hi == lo || (c.bitLimit > 0 && len(payload)*8 > c.bitLimit) {
 		for _, v := range e.Neighbors() {
 			e.Send(int(v), payload)
 		}
 		return
 	}
-	for k := range e.sentGen {
-		e.sentGen[k] = e.gen
+	c.allSent = true
+	c.stage(broadcastTo, payload, hi-lo)
+}
+
+// stray records a send made outside the node's own Round call, where the
+// span is running another node or none, as a violation: from Init or
+// Recover it ends the run before the next round, and from another node's
+// Round call it is that call's violation.
+func (e *Env) stray() {
+	if c := e.c; c.sendErr == nil {
+		c.sendErr = fmt.Errorf("congest: node %d sent outside its own Round call", e.id)
 	}
-	e.stage(broadcastTo, payload)
 }
 
 // broadcastTo is the recipient of a broadcast record: it stands for one
@@ -537,23 +535,103 @@ func (e *Env) Broadcast(payload []byte) {
 // leaves the engine; every drain expands it (see span.expand).
 const broadcastTo = -1
 
-// stage appends one record and its payload copy to the node's window of
-// the span's round buffer.
-func (e *Env) stage(to int, payload []byte) {
-	b := e.buf
-	if len(e.out) == 0 {
-		e.out = b.recs.room(len(e.sentGen), chunkSize(e.graph))
+// cursor is what one span shares among all of its nodes' Envs: the run's
+// constants, the span's round buffer, and the send state of the node the
+// span is running. A span runs one node at a time, so that state needs one
+// copy per span, not one per node: begin readies it for a node's Round
+// call, and the compute walk moves the call's output into its senders list
+// (output) before the next node runs. Each shard of a parallel run has its
+// own cursor, written only by the shard's worker.
+type cursor struct {
+	graph    *Graph
+	seed     int64
+	bitLimit int
+	// buf is the round buffer the span's nodes stage into.
+	buf sendBuf
+	// id is the node whose Round call is running, or -1 between calls.
+	id int32
+	// next is the slot after the previous Send's (0 at the start of each
+	// call). Send tries it before NeighborIndex's O(log degree) search, so
+	// sends in ascending neighbour order find their slot in O(1).
+	next    int32
+	sendErr error
+	// out holds the records staged this call: a window of the span's
+	// record chunks with room for Degree records, which bounds them (one
+	// message per neighbour per round), taken by the first record of the
+	// call (see sendBuf).
+	out []Message
+	// rejected counts the inbox frames the node's protocol logic refused
+	// as malformed (fail-closed decode paths) in this call.
+	rejected int64
+	// sleepUntil is the node's quiescence declaration for the rounds after
+	// this one (see Env.SleepUntil).
+	sleepUntil int
+	// sent is the once-per-neighbour scratch, indexed by sorted-row
+	// position: sent[pos] == gen iff the node sent to that neighbour in
+	// this call. It grows with the largest degree that has sent, to at
+	// most twice that, and gen grows by one per call, so no call clears it. A gen that wraps to 0 is
+	// never used: begin clears the scratch and starts again at 1, so no
+	// stale stamp can equal a live gen.
+	sent []uint32
+	gen  uint32
+	// allSent marks a call whose Broadcast took the fast path: every
+	// neighbour counts as sent, without stamping the scratch.
+	allSent bool
+}
+
+// newCursor returns the cursor of a span of a run on g, with no node
+// running.
+func newCursor(g *Graph, seed int64, bitLimit int) cursor {
+	return cursor{graph: g, seed: seed, bitLimit: bitLimit, id: -1}
+}
+
+// begin readies the cursor for node id's Round call.
+func (c *cursor) begin(id int32) {
+	c.id, c.next = id, 0
+	c.sendErr, c.out = nil, nil
+	c.rejected, c.sleepUntil = 0, 0
+	c.allSent = false
+	if c.gen++; c.gen == 0 {
+		clear(c.sent)
+		c.gen = 1
 	}
-	e.out = append(e.out, Message{From: e.id, To: int32(to), Payload: b.copyPayload(payload)})
+}
+
+// output returns the running node's output of its call, as the drain
+// reads it.
+func (c *cursor) output() sender {
+	return sender{id: c.id, out: c.out, rejected: c.rejected, err: c.sendErr}
+}
+
+// grow extends the scratch to at least d slots, keeping the stamps of the
+// running call. It at least doubles the scratch, so a run whose sending
+// degrees keep rising allocates it O(log degree) times.
+func (c *cursor) grow(d int) {
+	sent := make([]uint32, max(d, 2*len(c.sent)))
+	copy(sent, c.sent)
+	c.sent = sent
+}
+
+// stage appends one record of the running node, whose degree is d, and
+// its payload copy to the node's window of the span's round buffer.
+func (c *cursor) stage(to int, payload []byte, d int) {
+	b := &c.buf
+	if len(c.out) == 0 {
+		c.out = b.recs.room(d, chunkSize(c.graph))
+	}
+	c.out = append(c.out, Message{From: c.id, To: int32(to), Payload: b.copyPayload(payload)})
 	b.recs.used++
 }
 
-func (e *Env) beginRound() {
-	e.out = nil
-	e.rejected = 0
-	e.gen++
-	e.next = 0
-	e.sleepUntil = 0
+// sender is one node's output of a round's Round call, as the drains read
+// it: the records it staged (a window of its span's record chunks, valid
+// until the span's next compute walk), its fail-closed rejects and its
+// send violation.
+type sender struct {
+	id       int32
+	out      []Message
+	rejected int64
+	err      error
 }
 
 // sendBuf is the send side of one span's round: the records its nodes

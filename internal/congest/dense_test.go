@@ -44,8 +44,8 @@ func awake(nodes []Node) []Node {
 // its own Stats, expands broadcast records over Graph.Neighbors and appends
 // a copy of every message to a freshly allocated inbox. Of the engine it
 // uses only newNodeSet, which lays out the Envs and initializes the nodes,
-// and the Env the nodes stage through: no span, frontier, merge, drain,
-// delivery or inbox reuse. A frontier run pinned against it therefore
+// and the Env and cursor the nodes stage through: no span, frontier,
+// merge, drain, delivery or inbox reuse. A frontier run pinned against it therefore
 // checks the frontier's active, sender and recipient lists, and the
 // engine's own accounting.
 func runDense(g *Graph, nodes []Node, cfg Config) (Stats, error) {
@@ -58,8 +58,10 @@ func runDense(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	}
 	g.Finalize()
 	n := len(nodes)
-	var buf sendBuf
-	ns := newNodeSet(g, nodes, 0, n, n, cfg, &buf)
+	c := newCursor(g, cfg.Seed, cfg.BitLimit)
+	if _, err := newNodeSet(nodes, 0, n, n, &c); err != nil {
+		return Stats{}, err
+	}
 	halted := make([]bool, n)
 	inboxes := make([][]Message, n)
 	var st Stats
@@ -73,32 +75,32 @@ func runDense(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 			return st, nil
 		}
 		st.LiveNodeRounds += int64(live)
-		var ran []int
+		var ran []sender
 		for id, nd := range nodes {
 			if halted[id] {
 				continue
 			}
-			ran = append(ran, id)
-			ns.envs[id].beginRound()
+			c.begin(int32(id))
 			if nd.Round(round, inboxes[id]) {
 				halted[id] = true
 				live--
 			}
+			ran = append(ran, c.output())
 		}
+		c.id = -1
 		st.Rounds, st.FinalLive = round+1, live
 		next := make([][]Message, n)
-		for _, id := range ran {
-			env := &ns.envs[id]
-			if env.sendErr != nil {
-				return st, env.sendErr
+		for _, s := range ran {
+			if s.err != nil {
+				return st, s.err
 			}
-			if len(env.out) > 0 {
+			if len(s.out) > 0 {
 				st.Senders++
 			}
-			for _, rec := range env.out {
+			for _, rec := range s.out {
 				to := []int32{rec.To}
 				if rec.To == broadcastTo {
-					to = g.Neighbors(id)
+					to = g.Neighbors(int(s.id))
 				}
 				bits := 8 * len(rec.Payload)
 				for _, v := range to {
@@ -106,11 +108,11 @@ func runDense(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 					st.Bits += int64(bits)
 					st.MaxMessageBits = max(st.MaxMessageBits, bits)
 					if !halted[v] {
-						next[v] = append(next[v], Message{From: int32(id), To: v, Payload: slices.Clone(rec.Payload)})
+						next[v] = append(next[v], Message{From: s.id, To: v, Payload: slices.Clone(rec.Payload)})
 					}
 				}
 			}
-			st.Rejected += env.rejected
+			st.Rejected += s.rejected
 		}
 		inboxes = next
 	}

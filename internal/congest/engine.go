@@ -48,10 +48,10 @@ type Config struct {
 // DefaultMaxRounds is the round budget when Config.MaxRounds is zero.
 const DefaultMaxRounds = 1 << 20
 
-// maxRoundBudget is the largest round budget a run accepts. A node's send
-// generation (Env.gen) starts at 1 and grows by one per round it runs, so
-// a budget of at most 2^32-2 rounds keeps it a nonzero uint32 that no
-// unwritten stamp can equal.
+// maxRoundBudget is the largest round budget a run accepts. The frontier
+// keeps a sleeping node's timer round as a uint32 in which 0 means "no
+// timer" (wakeSlot.at), so a budget of at most 2^32-2 rounds keeps every
+// round a timer can name a nonzero uint32.
 const maxRoundBudget = math.MaxUint32 - 1
 
 // check is the config check both runners share: one node per vertex, an
@@ -131,8 +131,11 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	// x is the span over every node: it runs every round of a sequential
 	// run; a parallel run's shard spans share its node state and schedule
 	// its nodes, so x then has no frontier.
-	x := &span{stats: &stats}
-	x.nodeSet = newNodeSet(g, nodes, 0, n, n, cfg, &x.buf)
+	x := &span{stats: &stats, cur: newCursor(g, cfg.Seed, cfg.BitLimit)}
+	x.nodeSet, err = newNodeSet(nodes, 0, n, n, &x.cur)
+	if err != nil {
+		return Stats{}, err
+	}
 
 	// Fault randomness lives on its own stream so that a Faults{} run is
 	// byte-identical to a fault-free run with the same seed. The stream is
@@ -160,7 +163,7 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 		if shards <= 0 {
 			shards = runtime.GOMAXPROCS(0)
 		}
-		pool = newShardPool(x.nodeSet, shards)
+		pool = newShardPool(x, shards)
 		defer pool.stop()
 	} else {
 		x.fr = newFrontier(idRange(0, n))
@@ -221,6 +224,9 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 			x.fr.revive(int32(id))
 			nodes[id].(Recoverable).Recover()
 		}
+		if err := x.cur.sendErr; err != nil {
+			return end(round, err)
+		}
 		if live == 0 && !pendingFires(recoverFires[recoverCur:], crashed) {
 			return end(round, nil)
 		}
@@ -249,6 +255,8 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 // arrays: the caller's nodes, the Envs of the ids the execution runs, and
 // the halted flags and next-round inboxes, indexed by global node id. A
 // shard worker may write an entry only at a node id of its own shard.
+// Nothing here is per edge, and an Env is 24 bytes: the send state of a
+// round lives on the span's cursor.
 type nodeSet struct {
 	graph  *Graph
 	nodes  []Node
@@ -262,33 +270,18 @@ type nodeSet struct {
 	inboxes [][]Message
 }
 
-// newNodeSet lays out the Envs of ids lo..hi-1 of an n-node graph, with
-// buf as their round buffer, and initializes their nodes. The Env structs
-// and the once-per-neighbour generation stamps (one slot per directed
-// edge) each live in one flat block, the stamps partitioned by the CSR row
-// offsets, so a shard's rounds walk a contiguous region of both.
-func newNodeSet(g *Graph, nodes []Node, lo, hi, n int, cfg Config, buf *sendBuf) nodeSet {
-	base, top := g.rowStart[lo], g.rowStart[hi]
-	genAll := make([]uint32, top-base)
-	ns := nodeSet{graph: g, nodes: nodes, envs: make([]Env, hi-lo), lo: lo, halted: make([]bool, n), inboxes: make([][]Message, n)}
+// newNodeSet lays out the Envs of ids lo..hi-1 of the n-node graph of
+// cursor c, in one flat block and all pointing at c, and initializes their
+// nodes. It returns the first send an Init made, which is a violation (see
+// Node).
+func newNodeSet(nodes []Node, lo, hi, n int, c *cursor) (nodeSet, error) {
+	ns := nodeSet{graph: c.graph, nodes: nodes, envs: make([]Env, hi-lo), lo: lo, halted: make([]bool, n), inboxes: make([][]Message, n)}
 	for id := lo; id < hi; id++ {
-		s, e := g.rowOffsets(id)
-		s, e = s-base, e-base
 		env := &ns.envs[id-lo]
-		*env = Env{
-			id:       int32(id),
-			graph:    g,
-			seed:     nodeSeed(cfg.Seed, id),
-			bitLimit: cfg.BitLimit,
-			sentGen:  genAll[s:e:e],
-			buf:      buf,
-			// gen starts at 1 so a zero-valued sentGen slot never collides
-			// with a live generation.
-			gen: 1,
-		}
+		*env = Env{id: int32(id), c: c}
 		nodes[id].Init(env)
 	}
-	return ns
+	return ns, c.sendErr
 }
 
 func (ns *nodeSet) env(id int32) *Env { return &ns.envs[int(id)-ns.lo] }
@@ -312,8 +305,9 @@ type span struct {
 	stats *Stats
 	// del, when set, is the fault pipeline every drained message takes.
 	del *delivery
-	// buf is the round buffer the span's nodes stage into.
-	buf sendBuf
+	// cur is the cursor every Env of the span's nodes points at: the run's
+	// constants, the round buffer and the running node's send state.
+	cur cursor
 	// bcast is the reused scratch a broadcast record expands into (see
 	// expand); it grows to the largest degree that broadcasts.
 	bcast []Message
@@ -328,12 +322,14 @@ type span struct {
 
 // compute is the frontier walk: it runs the span's active nodes for one
 // round in ascending id order, compacting halters, crashed nodes and
-// sleepers out of the active list in place and recording the round's
-// senders. It returns how many nodes halted.
+// sleepers out of the active list in place and moving each call's output
+// off the cursor into the round's senders list. It touches no Env: a node
+// reaches its Env only through its own calls. It returns how many nodes
+// halted.
 func (x *span) compute(round int) int {
-	fr := x.fr
+	fr, c := x.fr, &x.cur
 	fr.admitWoken(round)
-	x.buf.begin()
+	c.buf.begin()
 	fr.senders = fr.senders[:0]
 	keep := fr.active[:0]
 	halts := 0
@@ -341,23 +337,23 @@ func (x *span) compute(round int) int {
 		if x.halted[id] {
 			continue
 		}
-		env := x.env(id)
-		env.beginRound()
+		c.begin(id)
 		h := x.nodes[id].Round(round, x.inboxes[id])
-		if len(env.out) > 0 || env.sendErr != nil || env.rejected != 0 {
-			fr.senders = append(fr.senders, id)
+		if len(c.out) > 0 || c.sendErr != nil || c.rejected != 0 {
+			fr.addSender(c.output())
 		}
 		if h {
 			x.halted[id] = true
 			halts++
 			continue
 		}
-		if env.sleepUntil > round+1 {
-			fr.park(id, env.sleepUntil)
+		if c.sleepUntil > round+1 {
+			fr.park(id, c.sleepUntil)
 			continue
 		}
 		keep = append(keep, id)
 	}
+	c.id = -1
 	fr.active = keep
 	return halts
 }
@@ -374,8 +370,8 @@ func (x *span) merge(round int) error {
 		x.del.beginRound(round)
 	}
 	x.clearInboxes()
-	for _, id := range x.fr.senders {
-		if err := x.drain(round, x.env(id)); err != nil {
+	for i := range x.fr.senders {
+		if err := x.drain(round, &x.fr.senders[i]); err != nil {
 			return err
 		}
 	}
@@ -389,16 +385,15 @@ func (x *span) merge(round int) error {
 // drain processes one node's staged output for the round: it accounts the
 // output and routes every message, broadcast records expanded, to the
 // fault pipeline, in place to an owned recipient, or to remote. The
-// env and its records are left as they are; beginRound resets them when
-// the node next runs.
-func (x *span) drain(round int, env *Env) error {
-	if err := x.stats.account(env); err != nil {
+// records are left as they are; the next compute walk rewinds them.
+func (x *span) drain(round int, s *sender) error {
+	if err := x.stats.account(x.graph, s); err != nil {
 		return err
 	}
-	for i := range env.out {
-		msgs := env.out[i : i+1]
-		if env.out[i].To == broadcastTo {
-			msgs = x.expand(env.out[i])
+	for i := range s.out {
+		msgs := s.out[i : i+1]
+		if s.out[i].To == broadcastTo {
+			msgs = x.expand(s.out[i])
 		}
 		for _, msg := range msgs {
 			switch {
@@ -437,17 +432,18 @@ func (x *span) expand(rec Message) []Message {
 // node's recorded send violation, if any, before touching its records;
 // otherwise it counts every message — a broadcast record as one per
 // neighbour — and the node's fail-closed rejects.
-func (st *Stats) account(env *Env) error {
-	if env.sendErr != nil {
-		return env.sendErr
+func (st *Stats) account(g *Graph, s *sender) error {
+	if s.err != nil {
+		return s.err
 	}
-	if len(env.out) > 0 {
+	if len(s.out) > 0 {
 		st.Senders++
 	}
-	for _, rec := range env.out {
+	for _, rec := range s.out {
 		k := int64(1)
 		if rec.To == broadcastTo {
-			k = int64(len(env.sentGen))
+			lo, hi := g.rowOffsets(int(s.id))
+			k = int64(hi - lo)
 		}
 		bits := rec.Bits()
 		st.Messages += k
@@ -456,7 +452,7 @@ func (st *Stats) account(env *Env) error {
 			st.MaxMessageBits = bits
 		}
 	}
-	st.Rejected += env.rejected
+	st.Rejected += s.rejected
 	return nil
 }
 

@@ -277,6 +277,95 @@ func TestRunPolicesSends(t *testing.T) {
 			}
 		})
 	}
+	// The once-per-neighbour check's own cases, on a graph whose largest
+	// degree belongs to the last id: hub 5 is adjacent to 0..4, and 0 and
+	// 1 to each other. Each case scripts the hub, with node 0 sending to
+	// both its neighbours first; every other node halts in round 0.
+	hubCases := []struct {
+		name    string
+		hub     func(env *Env, r int) bool
+		wantErr string
+		msgs    int64
+	}{
+		// The hub's first send is to its highest slot, after a node of
+		// smaller degree has used the span's scratch.
+		{"maxDegreeDescending", func(env *Env, r int) bool {
+			for v := 4; v >= 0; v-- {
+				env.Send(v, []byte{byte(v)})
+			}
+			return true
+		}, "", 7},
+		{"repeatAfterHigher", func(env *Env, r int) bool {
+			env.Send(1, []byte{1})
+			env.Send(3, []byte{3})
+			env.Send(1, []byte{1})
+			return true
+		}, "sent twice", 0},
+		{"broadcastThenSend", func(env *Env, r int) bool {
+			env.Broadcast([]byte{1})
+			env.Send(2, []byte{2})
+			return true
+		}, "sent twice", 0},
+		// Round 0 stamps slots 0 and 1 of a cleared scratch with
+		// generation 1 and leaves the generation at its largest value, so
+		// the hub's next call wraps it. Trusting the wrapped 0 would match
+		// slots 2..4, which were never written; restarting at 1 without a
+		// clear would match the stale stamps of slots 0 and 1.
+		{"wrap", func(env *Env, r int) bool {
+			if r == 0 {
+				clear(env.c.sent)
+				env.c.gen = 1
+				env.Send(0, []byte{0})
+				env.Send(1, []byte{1})
+				env.c.gen = math.MaxUint32
+				return false
+			}
+			for v := 0; v <= 4; v++ {
+				env.Send(v, []byte{byte(v)})
+			}
+			return true
+		}, "", 9},
+	}
+	for _, tt := range hubCases {
+		for _, cfg := range []Config{{BitLimit: 16}, {BitLimit: 16, Parallel: true, Shards: 2}} {
+			t.Run(fmt.Sprintf("%s/parallel=%v", tt.name, cfg.Parallel), func(t *testing.T) {
+				g := mustGraph(t, 6, [][2]int{{0, 1}, {0, 5}, {1, 5}, {2, 5}, {3, 5}, {4, 5}})
+				nodes := make([]Node, g.N())
+				for i := range nodes {
+					nodes[i] = &scriptNode{}
+				}
+				nodes[0] = &scriptNode{script: func(env *Env, r int) bool {
+					env.Send(5, []byte{5})
+					env.Send(1, []byte{1})
+					return true
+				}}
+				nodes[5] = &scriptNode{script: tt.hub}
+				st, err := Run(g, nodes, cfg)
+				if tt.wantErr == "" {
+					if err != nil || st.Messages != tt.msgs {
+						t.Fatalf("Run = %+v, %v; want %d messages and no error", st, err, tt.msgs)
+					}
+					return
+				}
+				if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+					t.Fatalf("Run = %v, want %q", err, tt.wantErr)
+				}
+			})
+		}
+	}
+}
+
+// scriptNode runs its script in every Round call and halts when the
+// script says so; without a script it halts in round 0.
+type scriptNode struct {
+	env    *Env
+	script func(env *Env, r int) bool
+}
+
+func (s *scriptNode) Init(env *Env) { s.env = env }
+
+func (s *scriptNode) Round(r int, inbox []Message) bool {
+	return s.script == nil || s.script(s.env, r)
 }
 
 // bcastNode sends one payload to all its neighbours each round, either

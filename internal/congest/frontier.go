@@ -41,10 +41,11 @@ type frontier struct {
 	// table only as many rows as there are distinct pending rounds — a
 	// handful for a phase-structured protocol, whatever n is.
 	timers []wakeRound
-	// senders lists, in ascending id order, this round's merge-relevant
-	// nodes: staged output, a recorded send violation, or a fail-closed
-	// reject counter to drain. The compute walk appends; the merge resets.
-	senders []int32
+	// senders lists, in ascending id order, the output of this round's
+	// merge-relevant nodes: staged records, a recorded send violation, or
+	// a fail-closed reject count to drain. The compute walk appends, moving
+	// each off the span's cursor; the next walk resets it.
+	senders []sender
 	// recips lists the nodes whose inboxes were filled this round; the
 	// next round's admitWoken wakes those that sleep, and its merge clears
 	// exactly those inboxes instead of ranging over all n.
@@ -221,6 +222,20 @@ func (f *frontier) clearInboxes(inboxes [][]Message) {
 	}
 	f.recips = f.recips[:0]
 }
+
+// addSender appends one node's output to the round's senders list. The
+// list grows by doubling from minSenders entries: append's 1.25x steps for
+// large slices would reallocate a list of a few thousand 56-byte entries
+// many times in every run.
+func (f *frontier) addSender(s sender) {
+	if len(f.senders) == cap(f.senders) {
+		f.senders = slices.Grow(f.senders, max(len(f.senders), minSenders))
+	}
+	f.senders = append(f.senders, s)
+}
+
+// minSenders is the smallest senders list, in entries.
+const minSenders = 16
 
 // mergeSortedIDs merges the sorted, disjoint batch into the sorted list in
 // place (backward merge over the grown slice), returning the merged list.

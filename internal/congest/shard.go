@@ -11,7 +11,7 @@ import (
 // owns everything its span touches — the member nodes it runs and their
 // sleep state, the inboxes it ingests into, and its own Stats counters.
 // Delivery is therefore contention-free: no two workers ever write the
-// same inbox, counter, or env, and the only synchronization in a round is
+// same inbox, counter, or cursor, and the only synchronization in a round is
 // one internal barrier between the compute and ingest phases (plus the
 // start/join handshake with the caller).
 //
@@ -50,9 +50,12 @@ type shardPool struct {
 	wg     sync.WaitGroup // joins the workers of one round
 }
 
-// newShardPool splits the ids into contiguous shards and starts one worker
-// per shard over the execution's shared node state.
-func newShardPool(ns nodeSet, shards int) *shardPool {
+// newShardPool splits the ids of x, Run's span over every node, into
+// contiguous shards and starts one worker per shard over the execution's
+// shared node state. Each shard span gets its own cursor, and the Envs of
+// its members are pointed at it.
+func newShardPool(x *span, shards int) *shardPool {
+	ns := x.nodeSet
 	ranges := SplitSpans(len(ns.nodes), shards)
 	k := len(ranges)
 	p := &shardPool{
@@ -63,11 +66,11 @@ func newShardPool(ns nodeSet, shards int) *shardPool {
 		start:  make([]chan struct{}, k),
 	}
 	for s, r := range ranges {
-		x := &span{nodeSet: ns, fr: newFrontier(idRange(r.Lo, r.Hi)), stats: &Stats{}}
-		p.spans[s] = x
+		sx := &span{nodeSet: ns, fr: newFrontier(idRange(r.Lo, r.Hi)), stats: &Stats{}, cur: newCursor(x.cur.graph, x.cur.seed, x.cur.bitLimit)}
+		p.spans[s] = sx
 		p.start[s] = make(chan struct{})
 		for id := r.Lo; id < r.Hi; id++ {
-			x.env(int32(id)).buf = &x.buf
+			sx.env(int32(id)).c = &sx.cur
 		}
 	}
 	for w := 0; w < k; w++ {
@@ -139,8 +142,8 @@ func (p *shardPool) worker(w int) {
 // shard's senders, in ascending id order, and stops at the first that
 // recorded a send violation, returning it.
 func (p *shardPool) account(s *span) error {
-	for _, id := range s.fr.senders {
-		if err := s.stats.account(s.env(id)); err != nil {
+	for i := range s.fr.senders {
+		if err := s.stats.account(s.graph, &s.fr.senders[i]); err != nil {
 			return err
 		}
 	}
@@ -157,8 +160,8 @@ func (p *shardPool) ingest(w int) {
 	s, r := p.spans[w], p.ranges[w]
 	s.clearInboxes()
 	for _, src := range p.spans {
-		for _, id := range src.fr.senders {
-			for _, rec := range s.env(id).out {
+		for i := range src.fr.senders {
+			for _, rec := range src.fr.senders[i].out {
 				if rec.To != broadcastTo {
 					if r.Contains(int(rec.To)) {
 						s.reserve(rec.To)

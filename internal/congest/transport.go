@@ -185,8 +185,11 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 	// timer or an arrival (local or remote) wakes it. Messages to remote
 	// nodes collect in the remote slice the transport ships.
 	var stats Stats
-	x := &span{fr: newFrontier(idRange(sp.Lo, sp.Hi)), stats: &stats}
-	x.nodeSet = newNodeSet(g, nodes, sp.Lo, sp.Hi, n, cfg, &x.buf)
+	x := &span{fr: newFrontier(idRange(sp.Lo, sp.Hi)), stats: &stats, cur: newCursor(g, cfg.Seed, cfg.BitLimit)}
+	x.nodeSet, err = newNodeSet(nodes, sp.Lo, sp.Hi, n, &x.cur)
+	if err != nil {
+		return Stats{}, err
+	}
 	live := sp.Len()
 	end := func(rounds int, err error) (Stats, error) {
 		stats.Rounds = rounds

@@ -588,18 +588,27 @@ func (f *facilityNode) processRepair(inbox []congest.Message) {
 	f.connectForced(inbox, kindRepairForce, &f.openedInRepair)
 }
 
-// clientNode is client j's state machine.
-type clientNode struct {
+// clientRun is what every client of one run reads and none writes: the
+// instance, the configuration and the derived parameters, held once per
+// run instead of copied into each client.
+type clientRun struct {
 	inst *fl.Instance
-	idx  int // client index; node id is m+idx
 	cfg  Config
 	d    Derived
+}
 
-	env       *congest.Env
-	assigned  int  // facility index, or fl.Unassigned
+// clientNode is client j's state machine. The run's constants live in the
+// one clientRun every client points at: a per-client copy of them would be
+// about a fifth of the bytes of a Solve with solve_large's 125k clients.
+type clientNode struct {
+	*clientRun
+	idx int // client index; node id is m+idx
+
+	env      *congest.Env
+	assigned int // facility index, or fl.Unassigned
+	granted  int // facility node id granted this iteration, or -1
+
 	announced bool // DONE broadcast performed
-	granted   int  // facility node id granted this iteration, or -1
-
 	// cleanupConnected reports whether the client only connected via the
 	// cleanup fallback; repairConnected whether the repair pass had to
 	// reassign it (both used by the report).
@@ -623,20 +632,20 @@ var (
 	_ congest.Recoverable = (*clientNode)(nil)
 )
 
-// newClientNodes builds every client state machine in one flat allocation;
-// clients carry no per-edge state, so a single contiguous store is the
-// whole struct-of-arrays story on this side.
+// newClientNodes builds every client state machine in one flat allocation,
+// all pointing at one clientRun; clients carry no per-edge state, so a
+// single contiguous store is the whole struct-of-arrays story on this
+// side.
 func newClientNodes(inst *fl.Instance, cfg Config, d Derived) []*clientNode {
+	shared := &clientRun{inst: inst, cfg: cfg, d: d}
 	store := make([]clientNode, inst.NC())
 	out := make([]*clientNode, inst.NC())
 	for j := range store {
 		store[j] = clientNode{
-			inst:     inst,
-			idx:      j,
-			cfg:      cfg,
-			d:        d,
-			assigned: fl.Unassigned,
-			granted:  -1,
+			clientRun: shared,
+			idx:       j,
+			assigned:  fl.Unassigned,
+			granted:   -1,
 		}
 		out[j] = &store[j]
 	}
