@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build check fmt-check vet lint sarif test test-race test-flperf bench bench-engine perf-smoke soak soak-respawn soak-e17 results quick-results examples clean
+.PHONY: all build check fmt-check vet lint sarif test test-race test-flperf bench bench-engine perf-smoke loc soak soak-respawn soak-e17 results quick-results examples clean
 
 all: build check
 
@@ -82,6 +82,15 @@ bench-engine:
 # trips the bound immediately.
 perf-smoke:
 	go run ./cmd/flbench -quick -exp E13,E16,E18 -procs 4 -maxallocs 12
+
+# Code size: non-blank lines that are not `//` comments, in non-test Go
+# files outside analyzer testdata, per package directory and in total.
+# cmd/flperf, a module of its own, counts too; hidden directories (the
+# benchmark's build output) do not.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.*' | xargs awk ' \
+	!/^[ \t]*$$/ && !/^[ \t]*\/\// { d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++; t++ } \
+	END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # Churn soak over the real UDP transport: build the fleet binaries, then
 # run flnode fleets on loopback for 15s with 10% packet loss and one

@@ -14,9 +14,9 @@ import (
 // per-node allocation on the per-round path.
 var hotmapFiles = map[string]bool{
 	"congest.go":   true, // Graph + Env (Send once-per-neighbour check)
-	"engine.go":    true, // env layout and the span executor's round path
+	"engine.go":    true, // env layout and the round executor
 	"shard.go":     true, // shard workers and their in-place ingest
-	"transport.go": true, // RunShard's round loop over the span executor
+	"transport.go": true, // the round executor's transport edge
 	"nodes.go":     true, // facility/client state machines
 	"frontier.go":  true, // active-set bookkeeping on the per-round path
 	"delivery.go":  true, // fault pipeline and the reliable shim's per-edge link state

@@ -46,10 +46,10 @@ type delivery struct {
 	rng      *rand.Rand // nil when no probabilistic fault is configured
 	graph    *Graph
 	bitLimit int
-	x        *span // the merging span: halted flags and deliver
-	crashed  []bool
+	x        *span  // the merging span: halted flags and deliver
+	crashed  []bool // the nodes down by a crash
 	stats    *Stats
-	observe  bool
+	observer func(round int, delivered []Message)
 	// byzFrom[id] is the round from which node id is byzantine, -1 when it
 	// never is; nil when no byzantine schedule is configured.
 	byzFrom []int
@@ -63,7 +63,8 @@ type delivery struct {
 	// user protocols) may ship unregistered frames, and absent an
 	// adversary every frame is trusted.
 	checkFrames bool
-	// delivered is the observer's per-round view (reused across rounds).
+	// delivered is the observer's per-round view (reused across rounds),
+	// handed to it at the end of each round's merge.
 	delivered []Message
 	// delayed holds what is in flight past its send round: plain messages,
 	// with payloads owned by the delivery layer because round buffers do
@@ -80,20 +81,27 @@ type delayedMsg struct {
 	slot int32
 }
 
-func newDelivery(cfg *Config, g *Graph, rng *rand.Rand, x *span, crashed []bool) *delivery {
+func newDelivery(cfg *Config, g *Graph, x *span) *delivery {
 	n := g.N()
 	faults := &cfg.Faults
 	d := &delivery{
 		faults:      faults,
 		sched:       faults.compile(n),
-		rng:         rng,
 		graph:       g,
 		bitLimit:    cfg.BitLimit,
 		x:           x,
-		crashed:     crashed,
+		crashed:     make([]bool, n),
 		stats:       x.stats,
-		observe:     cfg.Observer != nil,
+		observer:    cfg.Observer,
 		checkFrames: faults.CorruptProb > 0 || len(faults.ByzantineFromRound) > 0,
+	}
+	// Fault randomness lives on its own stream so that a Faults{} run is
+	// byte-identical to a fault-free run with the same seed. The stream is
+	// created whenever any fault feature is active — even schedule-only
+	// configurations, which draw nothing from it — so activation never
+	// depends on which fields happen to consume randomness.
+	if faults.active() {
+		d.rng = rand.New(rand.NewSource(nodeSeed(cfg.Seed, 1<<30)))
 	}
 	if len(faults.ByzantineFromRound) > 0 {
 		d.byzFrom = make([]int, n)
@@ -253,7 +261,7 @@ func (d *delivery) dropOnWire(from, to int32, round int) bool {
 // which are moved to their sorted position to preserve the born-sorted
 // invariant.
 func (d *delivery) commit(msg Message, injected bool) {
-	if d.observe {
+	if d.observer != nil {
 		d.delivered = append(d.delivered, msg)
 	}
 	d.x.reserve(msg.To)
@@ -282,6 +290,9 @@ func (d *delivery) finishRound(round int) {
 	d.delayed = kept
 	if d.shim != nil {
 		d.shim.retransmitDue(d, round)
+	}
+	if d.observer != nil {
+		d.observer(round, d.delivered)
 	}
 }
 

@@ -68,11 +68,11 @@ func runDense(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	live := n
 	for round := 0; ; round++ {
 		st.Rounds, st.FinalLive = round, live
-		if round >= maxRounds {
-			return st, fmt.Errorf("%w (budget %d)", ErrRoundLimit, maxRounds)
-		}
 		if live == 0 {
 			return st, nil
+		}
+		if round >= maxRounds {
+			return st, fmt.Errorf("%w (budget %d)", ErrRoundLimit, maxRounds)
 		}
 		st.LiveNodeRounds += int64(live)
 		var ran []sender

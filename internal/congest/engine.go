@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 )
@@ -79,7 +78,9 @@ func (cfg *Config) check(g *Graph, nodes []Node) (int, error) {
 }
 
 // ErrRoundLimit is returned when a protocol does not halt within the round
-// budget.
+// budget: a node is still live when round MaxRounds would start. A run
+// whose nodes have all halted by then ends cleanly, with Rounds equal to
+// MaxRounds when the last of them halted in the final round.
 var ErrRoundLimit = errors.New("congest: round limit exceeded")
 
 // Stats reports what one run cost in the model's own currency. On error
@@ -124,130 +125,182 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-
 	g.Finalize()
 	n := len(nodes)
-	var stats Stats
-	// x is the span over every node: it runs every round of a sequential
-	// run; a parallel run's shard spans share its node state and schedule
-	// its nodes, so x then has no frontier.
-	x := &span{stats: &stats, cur: newCursor(g, cfg.Seed, cfg.BitLimit)}
-	x.nodeSet, err = newNodeSet(nodes, 0, n, n, &x.cur)
+	x, err := newExecutor(g, nodes, 0, n, &cfg)
 	if err != nil {
 		return Stats{}, err
 	}
 
-	// Fault randomness lives on its own stream so that a Faults{} run is
-	// byte-identical to a fault-free run with the same seed. The stream is
-	// created whenever any fault feature is active — even schedule-only
-	// configurations, which draw nothing from it — so activation never
-	// depends on which fields happen to consume randomness. Observed runs
-	// take the same pipeline, which with nothing configured delivers every
-	// message on time and records the round's deliveries.
-	var crashed []bool
+	// Faults and the reliable shim take the fault pipeline. Observed runs
+	// take it too, which with nothing configured delivers every message on
+	// time and records the round's deliveries for the Observer.
 	if cfg.Faults.active() || cfg.Reliable.enabled() || cfg.Observer != nil {
-		var faultRng *rand.Rand
-		if cfg.Faults.active() {
-			faultRng = rand.New(rand.NewSource(nodeSeed(cfg.Seed, 1<<30)))
-		}
-		crashed = make([]bool, n)
-		x.del = newDelivery(&cfg, g, faultRng, x, crashed)
+		x.del = newDelivery(&cfg, g, &x.span)
+		x.crashFires = compileFires(cfg.Faults.CrashAtRound)
+		x.recoverFires = compileFires(cfg.Faults.RecoverAtRound)
 	}
 
 	// The fault pipeline's draws and the observed order are defined in
 	// global sender order, so a run that takes it stays sequential, which
-	// I5 makes byte-identical; the pool serves the rest.
-	var pool *shardPool
+	// I5 makes byte-identical; the pool serves the rest. The pool's shard
+	// spans share x's node state and schedule its nodes, so x then has no
+	// frontier.
 	if cfg.Parallel && x.del == nil && n > 0 {
 		shards := cfg.Shards
 		if shards <= 0 {
 			shards = runtime.GOMAXPROCS(0)
 		}
-		pool = newShardPool(x, shards)
-		defer pool.stop()
+		x.pool = newShardPool(&x.span, shards)
+		defer x.pool.stop()
 	} else {
 		x.fr = newFrontier(idRange(0, n))
 	}
+	return x.run(maxRounds)
+}
 
-	// The crash/recovery schedules are maps; compile them once into fire
-	// lists sorted by (round, id) and consume them with cursors, so rounds
+// executor runs one execution round by round: it holds the span, the
+// run's Stats, the live count and the round budget, and wraps the shared
+// compute and merge in one of three edges. The in-process edge (Run)
+// fires the crash and recovery schedule; its fault pipeline, which calls
+// the Observer, runs inside the merge. The pool edge (Run with Parallel)
+// hands each round's compute and merge to the shard workers. The
+// transport edge (RunShard) opens each round with the Transport and
+// exchanges the span's remote traffic through it after the merge.
+type executor struct {
+	span
+	stats           Stats
+	live, maxRounds int // live counts the span's nodes not yet halted
+	// The crash/recovery schedules are maps; Run compiles them once into
+	// fire lists sorted by (round, id), consumed with cursors, so rounds
 	// past the last scheduled event pay nothing and no per-round walk ever
 	// touches randomized map iteration order.
-	var crashFires, recoverFires []fireEvent
-	if len(cfg.Faults.CrashAtRound) > 0 {
-		crashFires = compileFires(cfg.Faults.CrashAtRound)
-		recoverFires = compileFires(cfg.Faults.RecoverAtRound)
-	}
-	var crashCur, recoverCur int
-	// live counts the nodes not yet halted.
-	live := n
-	end := func(rounds int, err error) (Stats, error) {
-		stats.Rounds = rounds
-		stats.FinalLive = live
-		return stats, err
-	}
+	crashFires, recoverFires []fireEvent
+	crashCur, recoverCur     int
+	pool                     *shardPool
+	tr                       Transport
+}
 
+// newExecutor lays out the span of ids lo..hi-1 of g for a run under cfg
+// and initializes those nodes. It returns the first send an Init made,
+// which is a violation (see Node).
+func newExecutor(g *Graph, nodes []Node, lo, hi int, cfg *Config) (x *executor, err error) {
+	x = &executor{live: hi - lo}
+	x.span = span{stats: &x.stats, cur: newCursor(g, cfg.Seed, cfg.BitLimit)}
+	x.nodeSet, err = newNodeSet(nodes, lo, hi, g.N(), &x.cur)
+	return x, err
+}
+
+// run is the round loop of every runner: it steps the executor under the
+// round budget maxRounds until the run ends.
+func (x *executor) run(maxRounds int) (Stats, error) {
+	x.maxRounds = maxRounds
 	for round := 0; ; round++ {
-		if round >= maxRounds {
-			return end(round, fmt.Errorf("%w (budget %d)", ErrRoundLimit, maxRounds))
+		if done, err := x.step(round); done {
+			x.stats.FinalLive = x.live
+			return x.stats, err
 		}
-		for crashCur < len(crashFires) && crashFires[crashCur].at == round {
-			id := int(crashFires[crashCur].id)
-			crashCur++
-			// A node whose crash never fired (it halted voluntarily first)
-			// stays down.
-			if x.halted[id] {
-				continue
-			}
-			x.halted[id] = true
-			crashed[id] = true
-			stats.Crashed++
-			live--
-			x.fr.dropCrashed(int32(id))
-			if x.del.shim != nil {
-				x.del.shim.onCrash(g, int32(id))
-			}
-		}
-		// Recovery rejoins a crashed node with empty protocol state: the
-		// environment (identity, neighbours, private rng) survives, the
-		// state machine restarts.
-		for recoverCur < len(recoverFires) && recoverFires[recoverCur].at == round {
-			id := int(recoverFires[recoverCur].id)
-			recoverCur++
-			if !crashed[id] {
-				continue
-			}
-			crashed[id] = false
-			x.halted[id] = false
-			stats.Recovered++
-			live++
-			x.fr.revive(int32(id))
-			nodes[id].(Recoverable).Recover()
-		}
-		if err := x.cur.sendErr; err != nil {
-			return end(round, err)
-		}
-		if live == 0 && !pendingFires(recoverFires[recoverCur:], crashed) {
-			return end(round, nil)
-		}
-		stats.LiveNodeRounds += int64(live)
+	}
+}
 
-		if pool != nil {
-			halts, err := pool.runRound(round, &stats)
-			live -= halts
-			if err != nil {
-				return end(round+1, err)
-			}
+// step executes round and reports whether the run has ended, with its
+// error if it failed; a run can end before the round starts. Stats.Rounds
+// counts the rounds begun, so a round whose merge or exchange fails
+// counts.
+//
+// The round budget has one rule. The run is over when its nodes are:
+// every node has halted with no recovery pending, or, on a transport, the
+// fleet reported so at Begin. A run whose nodes halt in the last round of
+// the budget therefore ends cleanly with Rounds equal to MaxRounds, and
+// one with a node still live when round MaxRounds would start fails with
+// ErrRoundLimit. No crash or recovery fires at or past the budget.
+func (x *executor) step(round int) (done bool, err error) {
+	x.stats.Rounds = round
+	if x.tr != nil {
+		start, err := x.tr.Begin(round)
+		if err != nil {
+			return true, fmt.Errorf("congest: begin round %d: %w", round, err)
+		}
+		done = start.Done
+	} else {
+		if round < x.maxRounds {
+			x.fire(round)
+		}
+		// A Recover call's send is a violation.
+		err = x.cur.sendErr
+		done = err != nil || x.live == 0 && !x.recovering()
+	}
+	if !done && round >= x.maxRounds {
+		done, err = true, fmt.Errorf("%w (budget %d)", ErrRoundLimit, x.maxRounds)
+	}
+	if done {
+		return true, err
+	}
+	x.stats.Rounds = round + 1
+	x.stats.LiveNodeRounds += int64(x.live)
+	if x.pool != nil {
+		halts, err := x.pool.runRound(round, &x.stats)
+		x.live -= halts
+		return err != nil, err
+	}
+	x.live -= x.compute(round)
+	if err := x.merge(round); err != nil {
+		return true, err
+	}
+	if x.tr != nil {
+		return x.exchange(round)
+	}
+	return false, nil
+}
+
+// fire applies the crashes and then the recoveries scheduled for the start
+// of round.
+func (x *executor) fire(round int) {
+	for x.crashCur < len(x.crashFires) && x.crashFires[x.crashCur].at == round {
+		id := int(x.crashFires[x.crashCur].id)
+		x.crashCur++
+		// A node whose crash never fired (it halted voluntarily first)
+		// stays down.
+		if x.halted[id] {
 			continue
 		}
-		live -= x.compute(round)
-		if err := x.merge(round); err != nil {
-			return end(round+1, err)
-		}
-		if cfg.Observer != nil {
-			cfg.Observer(round, x.del.delivered)
+		x.halted[id] = true
+		x.del.crashed[id] = true
+		x.stats.Crashed++
+		x.live--
+		x.fr.dropCrashed(int32(id))
+		if x.del.shim != nil {
+			x.del.shim.onCrash(x.graph, int32(id))
 		}
 	}
+	// Recovery rejoins a crashed node with empty protocol state: the
+	// environment (identity, neighbours, private rng) survives, the
+	// state machine restarts.
+	for x.recoverCur < len(x.recoverFires) && x.recoverFires[x.recoverCur].at == round {
+		id := int(x.recoverFires[x.recoverCur].id)
+		x.recoverCur++
+		if !x.del.crashed[id] {
+			continue
+		}
+		x.del.crashed[id] = false
+		x.halted[id] = false
+		x.stats.Recovered++
+		x.live++
+		x.fr.revive(int32(id))
+		x.nodes[id].(Recoverable).Recover()
+	}
+}
+
+// recovering reports whether a node that is down by a crash has a recovery
+// still ahead of it (every unconsumed fire is strictly in the future),
+// which keeps the run alive even if every live node has halted.
+func (x *executor) recovering() bool {
+	for _, f := range x.recoverFires[x.recoverCur:] {
+		if x.del.crashed[f.id] {
+			return true
+		}
+	}
+	return false
 }
 
 // nodeSet is the node-indexed state of one execution, shared by all of its
@@ -284,18 +337,16 @@ func newNodeSet(nodes []Node, lo, hi, n int, c *cursor) (nodeSet, error) {
 	return ns, c.sendErr
 }
 
-func (ns *nodeSet) env(id int32) *Env { return &ns.envs[int(id)-ns.lo] }
-
 // owns reports whether node id runs in this execution.
 func (ns *nodeSet) owns(id int) bool { return uint(id-ns.lo) < uint(len(ns.envs)) }
 
-// span is the round executor: one compute walk over a set of nodes, one
+// span is the round work over a set of nodes: one compute walk, one
 // accounting of each sender's output (Stats.account), and one delivery
-// into the next round's inboxes. The runners differ only in how they wire
-// spans together — Run is one span over every node, a parallel run is one
-// span per contiguous shard whose worker accounts its own senders and
-// ingests every shard's staged records addressed to it (shard.go), and
-// RunShard is one span whose drain hands remote traffic to a Transport.
+// into the next round's inboxes. Every run steps one executor over one
+// span; a parallel run adds one span per contiguous shard, whose worker
+// accounts its own senders and ingests every shard's staged records
+// addressed to it (shard.go), and RunShard's span collects its remote
+// traffic for the Transport.
 type span struct {
 	nodeSet
 	// fr schedules the span's nodes. Every span that computes and merges
@@ -448,9 +499,7 @@ func (st *Stats) account(g *Graph, s *sender) error {
 		bits := rec.Bits()
 		st.Messages += k
 		st.Bits += k * int64(bits)
-		if bits > st.MaxMessageBits {
-			st.MaxMessageBits = bits
-		}
+		st.MaxMessageBits = max(st.MaxMessageBits, bits)
 	}
 	st.Rejected += s.rejected
 	return nil
@@ -555,18 +604,6 @@ func compileFires(sched map[int]int) []fireEvent {
 		return fires[i].id < fires[j].id
 	})
 	return fires
-}
-
-// pendingFires keeps the run alive while a currently-crashed node has a
-// recovery still ahead of it (every unconsumed fire is strictly in the
-// future), even if every live node has halted.
-func pendingFires(remaining []fireEvent, crashed []bool) bool {
-	for _, f := range remaining {
-		if crashed[f.id] {
-			return true
-		}
-	}
-	return false
 }
 
 // nodeSeed mixes the run seed with the node id (splitmix64 finalizer) so

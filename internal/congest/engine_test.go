@@ -628,9 +628,9 @@ type haltNode struct{}
 func (haltNode) Init(*Env)                 {}
 func (haltNode) Round(int, []Message) bool { return true }
 
-// TestRoundBudgetLimit checks that the runners reject a MaxRounds the
-// uint32 send generations could not count, and accept the largest one
-// they can.
+// TestRoundBudgetLimit checks that the runners reject a MaxRounds beyond
+// maxRoundBudget, whose rounds the frontier's uint32 wake slot could not
+// name, and accept the largest one it can.
 func TestRoundBudgetLimit(t *testing.T) {
 	g := NewGraph(1)
 	g.Finalize()

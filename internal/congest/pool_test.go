@@ -2,6 +2,7 @@ package congest
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -134,30 +135,94 @@ func TestInboxesArriveSortedWithoutSort(t *testing.T) {
 	}
 }
 
-// TestStatsRoundsOnRoundLimit pins the satellite fix: aborting on the round
-// budget must report the rounds actually executed, not zero.
+// exitRunners are the three runners of one execution over every node id:
+// the sequential runner, the shard pool at two shards, and RunShard on a
+// one-shard ChanNetwork. They share one round loop, so their exit paths
+// must agree.
+var exitRunners = []struct {
+	name string
+	run  func(g *Graph, nodes []Node, cfg Config) (Stats, error)
+}{
+	{"Run", Run},
+	{"pool", func(g *Graph, nodes []Node, cfg Config) (Stats, error) {
+		cfg.Parallel, cfg.Shards = true, 2
+		return Run(g, nodes, cfg)
+	}},
+	{"RunShard", func(g *Graph, nodes []Node, cfg Config) (Stats, error) {
+		g.Finalize()
+		sp := Span{0, g.N()}
+		net, err := NewChanNetwork(g.N(), []Span{sp})
+		if err != nil {
+			return Stats{}, err
+		}
+		return RunShard(g, nodes, sp, cfg, net.Shard(0))
+	}},
+}
+
+// TestStatsRoundsOnRoundLimit pins the round budget on every runner: a
+// run whose nodes have all halted when round MaxRounds would start ends
+// cleanly, one with a node still live then fails with ErrRoundLimit, and
+// either way Stats report the rounds actually executed, not zero.
 func TestStatsRoundsOnRoundLimit(t *testing.T) {
-	g := NewGraph(1)
-	stats, err := Run(g, []Node{spinNode{}}, Config{MaxRounds: 10})
-	if !errors.Is(err, ErrRoundLimit) {
-		t.Fatalf("err = %v, want ErrRoundLimit", err)
+	type exit struct {
+		err               bool
+		rounds, finalLive int
+		liveNodeRounds    int64
 	}
-	if stats.Rounds != 10 {
-		t.Fatalf("Rounds = %d, want 10 (the exhausted budget)", stats.Rounds)
+	type budgetCase struct {
+		name      string
+		stopAt    int // the round both nodes halt in; -1 spins forever
+		maxRounds int
+		want      exit
+	}
+	cases := []budgetCase{{"spin", -1, 10, exit{true, 10, 2, 20}}}
+	for _, mr := range []int{1, 2, 3} {
+		cases = append(cases,
+			budgetCase{fmt.Sprintf("halt in round %d of budget %d", mr-1, mr), mr - 1, mr, exit{false, mr, 0, int64(2 * mr)}},
+			budgetCase{fmt.Sprintf("halt in round %d of budget %d", mr, mr), mr, mr, exit{true, mr, 2, int64(2 * mr)}})
+	}
+	for _, tc := range cases {
+		var first Stats
+		for i, r := range exitRunners {
+			nodes := []Node{spinNode{}, spinNode{}}
+			if tc.stopAt >= 0 {
+				nodes = []Node{&recNode{stopAt: tc.stopAt}, &recNode{stopAt: tc.stopAt}}
+			}
+			stats, err := r.run(mustGraph(t, 2, [][2]int{{0, 1}}), nodes, Config{Seed: 3, MaxRounds: tc.maxRounds})
+			got := exit{err != nil, stats.Rounds, stats.FinalLive, stats.LiveNodeRounds}
+			if got != tc.want || (err != nil && !errors.Is(err, ErrRoundLimit)) {
+				t.Errorf("%s, %s: %+v, err %v; want %+v", tc.name, r.name, got, err, tc.want)
+			}
+			if i == 0 {
+				first = stats
+			} else if stats != first {
+				t.Errorf("%s: %s Stats %+v, %s's %+v", tc.name, r.name, stats, exitRunners[0].name, first)
+			}
+		}
 	}
 }
 
-// TestStatsRoundsOnSendError pins the other half of the satellite fix: a
-// send violation aborts with the partial round included in Rounds.
+// TestStatsRoundsOnSendError pins the other exit on every runner: a send
+// violation aborts with the same error and the same Stats, the partial
+// round included in Rounds.
 func TestStatsRoundsOnSendError(t *testing.T) {
-	g := mustGraph(t, 3, [][2]int{{0, 1}, {1, 2}})
-	nodes := []Node{&errNode{mode: "nonNeighbor"}, &errNode{}, &errNode{}}
-	stats, err := Run(g, nodes, Config{BitLimit: 16})
-	if err == nil {
-		t.Fatal("want send violation")
-	}
-	if stats.Rounds != 1 {
-		t.Fatalf("Rounds = %d, want 1 (the round whose merge hit the violation)", stats.Rounds)
+	var first Stats
+	var firstErr error
+	for i, r := range exitRunners {
+		g := mustGraph(t, 3, [][2]int{{0, 1}, {1, 2}})
+		nodes := []Node{&errNode{mode: "nonNeighbor"}, &errNode{}, &errNode{}}
+		stats, err := r.run(g, nodes, Config{BitLimit: 16})
+		if err == nil {
+			t.Fatalf("%s: want send violation", r.name)
+		}
+		if stats.Rounds != 1 {
+			t.Fatalf("%s: Rounds = %d, want 1 (the round whose merge hit the violation)", r.name, stats.Rounds)
+		}
+		if i == 0 {
+			first, firstErr = stats, err
+		} else if stats != first || err.Error() != firstErr.Error() {
+			t.Errorf("%s: (%+v, %v), %s's (%+v, %v)", r.name, stats, err, exitRunners[0].name, first, firstErr)
+		}
 	}
 }
 

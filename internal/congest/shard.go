@@ -70,7 +70,7 @@ func newShardPool(x *span, shards int) *shardPool {
 		p.spans[s] = sx
 		p.start[s] = make(chan struct{})
 		for id := r.Lo; id < r.Hi; id++ {
-			sx.env(int32(id)).c = &sx.cur
+			sx.envs[id].c = &sx.cur // x's ids start at 0
 		}
 	}
 	for w := 0; w < k; w++ {
@@ -99,9 +99,7 @@ func (p *shardPool) runRound(round int, st *Stats) (halts int, err error) {
 	for s, x := range p.spans {
 		st.Messages += x.stats.Messages
 		st.Bits += x.stats.Bits
-		if x.stats.MaxMessageBits > st.MaxMessageBits {
-			st.MaxMessageBits = x.stats.MaxMessageBits
-		}
+		st.MaxMessageBits = max(st.MaxMessageBits, x.stats.MaxMessageBits)
 		st.Rejected += x.stats.Rejected
 		st.Senders += x.stats.Senders
 		*x.stats = Stats{}

@@ -10,8 +10,9 @@ import (
 // This file is the engine's transport seam: the distributed counterpart of
 // the in-process runners in engine.go/shard.go. A Transport moves one
 // round's framed per-edge payloads between shards that live in different
-// goroutines or different processes; RunShard drives one span of the
-// engine's round executor against it. Two implementations exist:
+// goroutines or different processes; RunShard steps the engine's one
+// round executor over its span, with the transport edge (exchange) after
+// each merge. Two implementations exist:
 // ChanNetwork (below) wires shards of a single process together with
 // channels-free sync primitives and is the reference for the barrier
 // semantics, and internal/transport/udp speaks real datagrams between
@@ -184,60 +185,46 @@ func RunShard(g *Graph, nodes []Node, sp Span, cfg Config, tr Transport) (Stats,
 	// keeps reporting allHalted=false for it — but costs nothing until a
 	// timer or an arrival (local or remote) wakes it. Messages to remote
 	// nodes collect in the remote slice the transport ships.
-	var stats Stats
-	x := &span{fr: newFrontier(idRange(sp.Lo, sp.Hi)), stats: &stats, cur: newCursor(g, cfg.Seed, cfg.BitLimit)}
-	x.nodeSet, err = newNodeSet(nodes, sp.Lo, sp.Hi, n, &x.cur)
+	x, err := newExecutor(g, nodes, sp.Lo, sp.Hi, &cfg)
 	if err != nil {
 		return Stats{}, err
 	}
-	live := sp.Len()
-	end := func(rounds int, err error) (Stats, error) {
-		stats.Rounds = rounds
-		stats.FinalLive = live
-		return stats, err
+	x.fr = newFrontier(idRange(sp.Lo, sp.Hi))
+	x.tr = tr
+	return x.run(maxRounds)
+}
+
+// exchange is the transport edge of a round, after the merge: it ships the
+// span's remote messages, gathers the round's arrivals and delivers them
+// into the next round's inboxes.
+func (x *executor) exchange(round int) (done bool, err error) {
+	err = x.tr.Send(round, x.remote)
+	x.remote = x.remote[:0]
+	if err != nil {
+		return true, fmt.Errorf("congest: send round %d: %w", round, err)
 	}
-	for round := 0; ; round++ {
-		start, err := tr.Begin(round)
-		if err != nil {
-			return end(round, fmt.Errorf("congest: begin round %d: %w", round, err))
+	in, err := x.tr.Gather(round, x.live == 0)
+	if err != nil {
+		return true, fmt.Errorf("congest: gather round %d: %w", round, err)
+	}
+	for _, msg := range in {
+		if !x.owns(int(msg.To)) {
+			return true, fmt.Errorf("congest: transport delivered message for remote node %d to shard [%d,%d)", msg.To, x.lo, x.lo+len(x.envs))
 		}
-		if start.Done {
-			return end(round, nil)
-		}
-		if round >= maxRounds {
-			return end(round, fmt.Errorf("%w (budget %d)", ErrRoundLimit, maxRounds))
-		}
-		stats.LiveNodeRounds += int64(live)
-		live -= x.compute(round)
-		x.remote = x.remote[:0]
-		if err := x.merge(round); err != nil {
-			return end(round+1, err)
-		}
-		if err := tr.Send(round, x.remote); err != nil {
-			return end(round+1, fmt.Errorf("congest: send round %d: %w", round, err))
-		}
-		in, err := tr.Gather(round, live == 0)
-		if err != nil {
-			return end(round+1, fmt.Errorf("congest: gather round %d: %w", round, err))
-		}
-		for _, msg := range in {
-			if !x.owns(int(msg.To)) {
-				return end(round+1, fmt.Errorf("congest: transport delivered message for remote node %d to shard [%d,%d)", msg.To, sp.Lo, sp.Hi))
-			}
-			x.reserve(msg.To)
-			x.deliver(msg)
-		}
-		if len(in) > 0 {
-			// Local deliveries are already sorted by sender id; remote
-			// arrivals land behind them in transport order. Re-establish
-			// the born-sorted inbox invariant per recipient. The order is
-			// total: a sender stages at most one message per recipient per
-			// round, so sender ids within an inbox are unique.
-			for _, id := range x.fr.recips {
-				slices.SortFunc(x.inboxes[id], func(a, b Message) int { return int(a.From) - int(b.From) })
-			}
+		x.reserve(msg.To)
+		x.deliver(msg)
+	}
+	if len(in) > 0 {
+		// Local deliveries are already sorted by sender id; remote
+		// arrivals land behind them in transport order. Re-establish
+		// the born-sorted inbox invariant per recipient. The order is
+		// total: a sender stages at most one message per recipient per
+		// round, so sender ids within an inbox are unique.
+		for _, id := range x.fr.recips {
+			slices.SortFunc(x.inboxes[id], func(a, b Message) int { return int(a.From) - int(b.From) })
 		}
 	}
+	return false, nil
 }
 
 // ChanNetwork is the in-process Transport implementation: k shard endpoints

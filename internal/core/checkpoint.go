@@ -23,8 +23,8 @@ import (
 // delivered born-sorted; RNG streams are pure functions of the draw
 // sequence), so the log *is* the state: ResumeShard re-executes rounds
 // [0, r) with the logged inputs and lands on exactly the state the
-// uninterrupted run had after round r — including RNG positions, send-stamp
-// generations and every staged announcement. Replay also regenerates every
+// uninterrupted run had after round r — including RNG positions, sleep
+// timers and every staged announcement. Replay also regenerates every
 // message the pre-crash incarnation ever sent, byte for byte, which is what
 // makes readmission sound: as long as the log covers every round the dead
 // process acted in (the default cadence appends every round), the resumed
