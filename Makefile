@@ -26,18 +26,18 @@ vet:
 
 # flvet runs the analyzers that catch what the tests cannot: poolonly
 # (goroutines only in the shard pool), hotmap (no maps in the hot-path
-# files) and dettaint (no clock, environment, host or map-order value in
-# a payload or a seed) — see DESIGN.md "Static contracts" for the mutation
-# audit that chose them. The committed baseline grandfathers known debt
-# (currently empty); new findings still fail. cmd/flvet's own tests run
-# the same suite, so `make test` regresses too if an analyzer fires.
+# files) and detrand (no clock, environment, host or global math/rand call
+# in the protocol packages) — see DESIGN.md "Static contracts" for the
+# mutation audit that chose them. There is no suppression file and no
+# exemption directive: every finding fails the run. cmd/flvet's own tests
+# run the same suite, so `make test` regresses too if an analyzer fires.
 lint:
-	go run ./cmd/flvet -baseline flvet.baseline ./...
+	go run ./cmd/flvet ./...
 
 # Machine-readable copy of the same run for code-scanning upload; CI
 # attaches it as an artifact.
 sarif:
-	go run ./cmd/flvet -format sarif -baseline flvet.baseline ./... > flvet.sarif
+	go run ./cmd/flvet -format sarif ./... > flvet.sarif
 
 test:
 	go test ./...
@@ -69,19 +69,25 @@ bench-engine:
 
 # CI allocation gate: quick engine runs (E13 whole-run, E16 steady-state,
 # E18 sleeping vs awake nodes) that fail if any allocs/round row exceeds
-# the bound. E13's T10 rows time whole runs, so their figure is
-# per-run setup amortized over 12 rounds, and it grows with the shard
-# count; -procs 4 fixes the rows to seq, 1, 2 and 4 shards on every
-# machine. Since the parallel runner ingests staged records in place over
-# contiguous shards, the highest row is the 4-shard one at n=256, ~9.9
-# allocs/round (seq 3.1, 2 shards 6.2), and the 12 bound is that plus
-# ~17% headroom, rounded up. E16's T15 rows measure the steady
-# state at n=10^5 by differencing two runs on the same frozen graph; that
-# differential is 0 (a run-to-run jitter of a few allocations shows on
-# the sharded rows), so any reintroduced per-round allocation at scale
-# trips the bound immediately.
+# its bound. There are two bounds because the rows measure different
+# things. E13's T10 rows time whole runs, so their figure is per-run setup
+# amortized over 12 rounds, and it grows with the shard count; -procs 4
+# fixes the rows to seq, 1, 2 and 4 shards on every machine. Since the
+# parallel runner ingests staged records in place over contiguous shards,
+# the highest row is the 4-shard one at n=256. It read ~9.9 allocs/round
+# when the 12 bound was set (seq 3.1, 2 shards 6.2; the bound is that plus
+# ~17% headroom, rounded up), and reads 8.1-8.8 over 10 runs on 2 vCPUs
+# now (seq 2.6, 2 shards 5.0-5.3).
+# E16's T15 rows difference two runs on the same frozen graph at n=10^5;
+# they read 0 to 2 (a run-to-run jitter of a few allocations), so the 12
+# bound catches only a regression of many allocations per round there.
+# E18's T18 rows are steady-state differentials too, and read 0.000-0.083
+# over 10 runs of the unmutated tree on 2 vCPUs. Their bound of 1 trips on
+# a goroutine and a channel wrapped around one call per round (1.7-2.1
+# allocs/round on every row), which the 12 bound lets through.
 perf-smoke:
-	go run ./cmd/flbench -quick -exp E13,E16,E18 -procs 4 -maxallocs 12
+	go run ./cmd/flbench -quick -exp E13,E16 -procs 4 -maxallocs 12
+	go run ./cmd/flbench -quick -exp E18 -procs 4 -maxallocs 1
 
 # Code size: non-blank lines that are not `//` comments, in non-test Go
 # files outside analyzer testdata, per package directory and in total.

@@ -1,25 +1,25 @@
 // Command flvet is the multichecker driver for the repo's custom static
-// analyzers (internal/analysis): poolonly and hotmap, two syntactic
-// checks, and dettaint, a dataflow check. Each guards a defect class that
-// the tests cannot see — a per-round goroutine, a per-call map, a
-// nondeterministic value that is constant on the test machine (DESIGN.md
-// §9 has the mutation audit behind the suite). `make lint` (folded into
-// `make check`) runs it over ./..., so every change is gated on the suite.
+// analyzers (internal/analysis), three syntactic checks for defects the
+// tests cannot see: poolonly (a per-round goroutine), hotmap (a per-call
+// map on the hot path) and detrand (a clock, environment, host or global
+// math/rand call in a protocol package).
+// DESIGN.md §9 has the mutation audit behind the suite. `make lint`
+// (folded into `make check`) runs it over ./..., so every change is gated
+// on the suite.
 //
 // Usage:
 //
-//	flvet [-only name[,name]] [-list] [-format text|json|sarif|baseline] [-baseline file] [packages]
+//	flvet [-only name[,name]] [-list] [-format text|json|sarif] [packages]
 //
 // Packages default to ./... resolved against the enclosing module root.
 // -format selects text (the default vet-style lines), json (a findings
-// array), sarif (SARIF 2.1.0 for GitHub code scanning), or baseline (the
-// suppression-file format). -baseline subtracts a committed suppression
-// file from the findings: grandfathered entries do not fail the run,
-// stale entries only warn.
+// array), or sarif (SARIF 2.1.0 for GitHub code scanning). There is no
+// suppression file and no exemption directive: every finding fails the
+// run.
 //
-// Exit status: 0 clean, 1 findings (after baseline subtraction), 2
-// operational failure. A package that fails to load or type-check is an
-// operational failure reported with its import path, never a finding.
+// Exit status: 0 clean, 1 findings, 2 operational failure. A package that
+// fails to load or type-check is an operational failure reported with its
+// import path, never a finding.
 package main
 
 import (
@@ -41,8 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flags.SetOutput(stderr)
 	list := flags.Bool("list", false, "list the analyzers and exit")
 	only := flags.String("only", "", "comma-separated analyzer names to run (default: all)")
-	format := flags.String("format", "text", "output format: text, json, sarif, or baseline")
-	baselinePath := flags.String("baseline", "", "suppression file of grandfathered findings (analyzer<TAB>file<TAB>message lines)")
+	format := flags.String("format", "text", "output format: text, json, or sarif")
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
@@ -55,9 +54,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	switch *format {
-	case "text", "json", "sarif", "baseline":
+	case "text", "json", "sarif":
 	default:
-		fmt.Fprintf(stderr, "flvet: unknown -format %q (want text, json, sarif, or baseline)\n", *format)
+		fmt.Fprintf(stderr, "flvet: unknown -format %q (want text, json, or sarif)\n", *format)
 		return 2
 	}
 	if *only != "" {
@@ -73,21 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 			suite = append(suite, a)
-		}
-	}
-
-	var baseline analysis.Baseline
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "flvet: %v\n", err)
-			return 2
-		}
-		baseline, err = analysis.ParseBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(stderr, "flvet: baseline %s: %v\n", *baselinePath, err)
-			return 2
 		}
 	}
 
@@ -111,10 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diags = append(diags, analysis.RunAnalyzers(pkg, suite)...)
 	}
 	findings := analysis.Findings(diags, root)
-	stale := []string(nil)
-	if baseline != nil {
-		findings, stale = baseline.Filter(findings)
-	}
 
 	switch *format {
 	case "text":
@@ -123,15 +103,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = analysis.WriteJSON(stdout, findings)
 	case "sarif":
 		err = analysis.WriteSARIF(stdout, findings, suite)
-	case "baseline":
-		err = analysis.WriteBaseline(stdout, findings)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "flvet: %v\n", err)
 		return 2
-	}
-	for _, s := range stale {
-		fmt.Fprintf(stderr, "flvet: stale baseline entry (fixed? remove it): %s\n", strings.ReplaceAll(s, "\t", " | "))
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "flvet: %d finding(s)\n", len(findings))

@@ -5,8 +5,9 @@
 //     no result but costs a spawn per round;
 //   - hotmap: a map allocated in an engine hot-path file, which costs an
 //     allocation per call that stays under the allocation gates;
-//   - dettaint: a nondeterministic value — clock, environment, host,
-//     map order, mutable global — reaching a payload or a seed, which is
+//   - detrand: a wall-clock read, an environment or host query, or a
+//     global math/rand draw in a protocol package, whose value is not a
+//     function of the run's seed; an environment or host value is even
 //     constant on the machine the tests run on.
 //
 // Every analyzer stays only while it catches a one-line defect that no
@@ -17,11 +18,8 @@
 // golang.org/x/tools/go/analysis so analyzers could migrate to the real
 // framework if the dependency ever becomes available; the module is kept
 // dependency-free, so the driver, loader, and golden-test harness here are
-// small stdlib-only reimplementations.
-//
-// Analyzers honour `//flvet:` exemption directives placed on the offending
-// line, the line above it, or (for declarations) in the doc comment; see
-// DESIGN.md's "Static contracts" section for the full annotation catalogue.
+// small stdlib-only reimplementations. No analyzer has an exemption
+// directive: a finding is fixed, not annotated.
 package analysis
 
 import (
@@ -30,7 +28,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one named static check.
@@ -73,43 +70,19 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
-	Pkg      *types.Package
 	Info     *types.Info
 
 	diags *[]Diagnostic
-	// directives maps filename -> line -> flvet directive bodies (the text
-	// after "//flvet:", e.g. "ordered" or "encoder maxbits=88").
-	directives map[string]map[int][]string
 }
 
 func newPass(a *Analyzer, pkg *Package, sink *[]Diagnostic) *Pass {
-	p := &Pass{
-		Analyzer:   a,
-		Fset:       pkg.Fset,
-		Files:      pkg.Files,
-		Pkg:        pkg.Types,
-		Info:       pkg.Info,
-		diags:      sink,
-		directives: map[string]map[int][]string{},
+	return &Pass{
+		Analyzer: a,
+		Fset:     pkg.Fset,
+		Files:    pkg.Files,
+		Info:     pkg.Info,
+		diags:    sink,
 	}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				body, ok := strings.CutPrefix(c.Text, "//flvet:")
-				if !ok {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				byLine := p.directives[pos.Filename]
-				if byLine == nil {
-					byLine = map[int][]string{}
-					p.directives[pos.Filename] = byLine
-				}
-				byLine[pos.Line] = append(byLine[pos.Line], strings.TrimSpace(body))
-			}
-		}
-	}
-	return p
 }
 
 // Reportf records one diagnostic at pos.
@@ -119,52 +92,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// directiveAt returns the arguments of the first flvet directive with the
-// given name on the exact source line of pos or the line directly above it
-// ("//flvet:ordered" on the `for` line or its own line above both count).
-func (p *Pass) directiveAt(pos token.Pos, name string) (args string, ok bool) {
-	at := p.Fset.Position(pos)
-	byLine := p.directives[at.Filename]
-	for _, line := range []int{at.Line, at.Line - 1} {
-		for _, d := range byLine[line] {
-			if rest, found := cutDirective(d, name); found {
-				return rest, true
-			}
-		}
-	}
-	return "", false
-}
-
-// docDirective returns the arguments of the first flvet directive with the
-// given name inside a declaration's doc comment group.
-func docDirective(doc *ast.CommentGroup, name string) (args string, ok bool) {
-	if doc == nil {
-		return "", false
-	}
-	for _, c := range doc.List {
-		body, found := strings.CutPrefix(c.Text, "//flvet:")
-		if !found {
-			continue
-		}
-		if rest, match := cutDirective(strings.TrimSpace(body), name); match {
-			return rest, true
-		}
-	}
-	return "", false
-}
-
-// cutDirective splits a directive body ("encoder maxbits=88") into name and
-// arguments, matching on the name.
-func cutDirective(body, name string) (args string, ok bool) {
-	if body == name {
-		return "", true
-	}
-	if rest, found := strings.CutPrefix(body, name+" "); found {
-		return strings.TrimSpace(rest), true
-	}
-	return "", false
 }
 
 // RunAnalyzers applies each analyzer that matches pkg's import path and

@@ -13,7 +13,7 @@ import (
 // `// want "regexp"` comments in the testdata sources. Every diagnostic
 // must be wanted on its exact line and every want must fire — so the
 // golden files both seed violations the analyzer must catch and pin the
-// exemption annotations it must honour.
+// legitimate patterns it must leave silent.
 func RunGolden(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
 	root, err := ModuleRoot()

@@ -24,8 +24,8 @@ var hotmapFiles = map[string]bool{
 
 // Hotmap guards that layout: inside the hot-path files of the protocol
 // engine packages, allocating a map — make(map[...]...) or a map composite
-// literal — is flagged. Cold-path code that legitimately needs a map in one
-// of these files can exempt the line with `//flvet:coldpath <reason>`.
+// literal — is flagged. Set-up code that needs a map belongs in a file
+// outside the hot-path set.
 var Hotmap = &Analyzer{
 	Name:     "hotmap",
 	Doc:      "forbid map allocation in engine hot-path files (CSR/SoA memory layout)",
@@ -40,7 +40,6 @@ func runHotmap(pass *Pass) {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			var pos ast.Node
 			switch e := n.(type) {
 			case *ast.CallExpr:
 				id, ok := ast.Unparen(e.Fun).(*ast.Ident)
@@ -53,19 +52,14 @@ func runHotmap(pass *Pass) {
 				if !isMapType(pass.Info, e.Args[0]) {
 					return true
 				}
-				pos = e
 			case *ast.CompositeLit:
 				if e.Type == nil || !isMapType(pass.Info, e.Type) {
 					return true
 				}
-				pos = e
 			default:
 				return true
 			}
-			if _, exempt := pass.directiveAt(pos.Pos(), "coldpath"); exempt {
-				return true
-			}
-			pass.Reportf(pos.Pos(), "map allocation in engine hot-path file %s: use a position-indexed flat slice (CSR/SoA layout); mark genuine cold paths //flvet:coldpath", name)
+			pass.Reportf(n.Pos(), "map allocation in engine hot-path file %s: use a position-indexed flat slice (CSR/SoA layout)", name)
 			return true
 		})
 	}

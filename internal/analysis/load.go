@@ -21,7 +21,6 @@ type Package struct {
 	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
-	Types      *types.Package
 	Info       *types.Info
 }
 
@@ -93,15 +92,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			files = append(files, f)
 		}
 		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Implicits:  map[ast.Node]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Uses:  map[*ast.Ident]types.Object{},
 		}
 		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
-		if err != nil {
+		if _, err := conf.Check(lp.ImportPath, fset, files, info); err != nil {
 			return nil, &LoadError{ImportPath: lp.ImportPath, Reason: fmt.Sprintf("typecheck: %v", err)}
 		}
 		pkgs = append(pkgs, &Package{
@@ -109,7 +104,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Dir:        lp.Dir,
 			Fset:       fset,
 			Files:      files,
-			Types:      tpkg,
 			Info:       info,
 		})
 	}

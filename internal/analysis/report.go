@@ -1,18 +1,15 @@
 package analysis
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
 // Finding is one diagnostic with its path made module-relative — the
-// machine-readable unit shared by the text, JSON, and SARIF emitters and
-// by the baseline file.
+// machine-readable unit shared by the text, JSON, and SARIF emitters.
 type Finding struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"` // module-root-relative, slash-separated
@@ -22,8 +19,7 @@ type Finding struct {
 }
 
 // Findings converts diagnostics to findings, relativizing paths against
-// the module root so output (and the committed baseline) is stable across
-// checkouts.
+// the module root so output is stable across checkouts.
 func Findings(diags []Diagnostic, root string) []Finding {
 	out := make([]Finding, 0, len(diags))
 	for _, d := range diags {
@@ -165,74 +161,4 @@ func WriteSARIF(w io.Writer, findings []Finding, suite []*Analyzer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
-}
-
-// Baseline is a multiset of grandfathered findings keyed by
-// analyzer\tfile\tmessage. Line numbers are deliberately absent from the
-// key so unrelated edits above a suppressed finding do not invalidate it.
-type Baseline map[string]int
-
-// BaselineKey is the suppression identity of a finding.
-func BaselineKey(f Finding) string {
-	return f.Analyzer + "\t" + f.File + "\t" + f.Message
-}
-
-// ParseBaseline reads a baseline file: one tab-separated
-// analyzer<TAB>file<TAB>message per line, '#' comments and blank lines
-// ignored. Duplicate lines suppress that many findings.
-func ParseBaseline(r io.Reader) (Baseline, error) {
-	b := Baseline{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		if strings.Count(text, "\t") != 2 {
-			return nil, fmt.Errorf("baseline line %d: want analyzer<TAB>file<TAB>message, got %q", line, text)
-		}
-		b[text]++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// Filter splits findings into fresh ones (not covered by the baseline) and
-// returns the stale baseline entries that matched nothing — the caller
-// warns on those so the file shrinks as debt is paid, but they never fail
-// a run.
-func (b Baseline) Filter(findings []Finding) (fresh []Finding, stale []string) {
-	remaining := make(Baseline, len(b))
-	for k, n := range b { //flvet:ordered per-key copy into a map, order-free
-		remaining[k] = n
-	}
-	for _, f := range findings {
-		if remaining[BaselineKey(f)] > 0 {
-			remaining[BaselineKey(f)]--
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	for k, n := range remaining { //flvet:ordered collected into a sorted slice below
-		for ; n > 0; n-- {
-			stale = append(stale, k)
-		}
-	}
-	sort.Strings(stale)
-	return fresh, stale
-}
-
-// WriteBaseline renders findings in the committed-baseline format.
-func WriteBaseline(w io.Writer, findings []Finding) error {
-	for _, f := range findings {
-		if _, err := fmt.Fprintln(w, BaselineKey(f)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

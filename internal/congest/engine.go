@@ -594,7 +594,7 @@ func compileFires(sched map[int]int) []fireEvent {
 		return nil
 	}
 	fires := make([]fireEvent, 0, len(sched))
-	for id, at := range sched { //flvet:ordered sorted by (round, id) immediately below
+	for id, at := range sched { // sorted by (round, id) immediately below
 		fires = append(fires, fireEvent{at: at, id: int32(id)})
 	}
 	sort.Slice(fires, func(i, j int) bool {

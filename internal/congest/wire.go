@@ -25,8 +25,6 @@ type PayloadSpec struct {
 // payloadRegistry is written only by RegisterPayload calls made from the
 // payload-defining packages' init functions; after package initialization
 // it is read-only, so reads cannot observe nondeterministic state.
-//
-//flvet:frozen written only during package init via RegisterPayload
 var payloadRegistry = map[byte]PayloadSpec{}
 
 // RegisterPayload records a wire kind with its size bound. Registration
@@ -76,8 +74,6 @@ const MaxKindVarintBits = 88
 
 // EncodeKindUvarint renders a kind byte followed by one unsigned varint
 // into buf's storage; the reliable-delivery shim frames its acks with it.
-//
-//flvet:encoder maxbits=88
 func EncodeKindUvarint(buf []byte, kind byte, v uint64) []byte {
 	buf = append(buf[:0], kind)
 	return binary.AppendUvarint(buf, v)

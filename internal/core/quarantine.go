@@ -70,7 +70,7 @@ func (s *sentry) ids() []int {
 		return nil
 	}
 	out := make([]int, 0, len(s.quarantined))
-	for id := range s.quarantined { //flvet:ordered sorted immediately below
+	for id := range s.quarantined { // sorted immediately below
 		out = append(out, id)
 	}
 	sort.Ints(out)

@@ -65,8 +65,6 @@ func init() {
 // returning the encoded slice. Class values are O(sqrt(K)), the fine class
 // is at most 64, and priorities are 32 bits, so the payload stays within
 // the CONGEST budget.
-//
-//flvet:encoder maxbits=80
 func encodeOffer(buf []byte, class, fine int, prio uint32) []byte {
 	buf = buf[:0]
 	buf = append(buf, kindOffer)
@@ -119,8 +117,6 @@ const maxBeaconBits = 16
 
 // encodeBeacon renders a facility's repair-pass beacon — proof of life
 // plus its open/closed status — into buf, returning the encoded slice.
-//
-//flvet:encoder maxbits=16
 func encodeBeacon(buf []byte, open bool) []byte {
 	status := byte(0)
 	if open {

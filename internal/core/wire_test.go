@@ -58,9 +58,10 @@ func TestPayloadRegistration(t *testing.T) {
 	}
 }
 
-// FuzzOfferWire holds encodeOffer to the bound its //flvet:encoder
-// annotation and registry entry declare (no static check proves it): for every in-range input the
-// encoding round-trips exactly and stays within maxOfferBits.
+// FuzzOfferWire holds encodeOffer to the maxBits its payload registry
+// entry declares (FL-OFFER, maxOfferBits; no static check proves it): for
+// every in-range input the encoding round-trips exactly and stays within
+// maxOfferBits.
 func FuzzOfferWire(f *testing.F) {
 	f.Add(0, 0, uint32(0))
 	f.Add(1<<20, 64, ^uint32(0))

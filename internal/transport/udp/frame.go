@@ -10,12 +10,11 @@
 // faults — ending in core.Certify-validated exemptions, never a hang.
 //
 // The package deliberately owns the repo's nondeterministic edge: timers,
-// deadlines and jittered backoff live here and nowhere else (see the
-// flvet:transport boundary directive below). The deterministic protocol
-// core is untouched: a shard's node execution is byte-identical to the
-// in-process runners whenever the network delivers.
-//
-//flvet:transport real-network adapter: timers, deadlines and jitter are the point
+// deadlines and jittered backoff live here and in cmd/flnode, outside
+// flvet's detrand scope (internal/core, internal/congest, internal/seq).
+// The deterministic protocol core is untouched: a shard's node execution
+// is byte-identical to the in-process runners whenever the network
+// delivers.
 package udp
 
 import (
