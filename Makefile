@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build check fmt-check vet lint sarif test test-race test-flperf bench bench-engine perf-smoke loc soak soak-respawn soak-e17 results quick-results examples clean
+.PHONY: all build check fmt-check vet lint sarif test test-race test-flperf bench bench-engine loc soak soak-respawn soak-e17 results examples clean
 
 all: build check
 
@@ -44,7 +44,7 @@ test:
 
 # internal/bench runs without -race: its tests drive the engine paths
 # that congest's multi-shard matrices already run under the detector, and
-# they take about 100 s under it against 9 s without.
+# they take about 28 s under it against 3 s without.
 test-race:
 	go test -race $$(go list ./... | grep -v '^dfl/internal/bench$$')
 	go test ./internal/bench
@@ -66,28 +66,6 @@ bench:
 bench-engine:
 	@out=$$(go test -run XXX -bench 'EngineRound|MakeOffer|DistributedSolve|BroadcastBipartite' -benchmem ./... 2>&1) || { printf '%s\n' "$$out"; exit 1; }; \
 	printf '%s\n' "$$out" | grep -E 'Benchmark|^ok' || true
-
-# CI allocation gate: quick engine runs (E13 whole-run, E16 steady-state,
-# E18 sleeping vs awake nodes) that fail if any allocs/round row exceeds
-# its bound. There are two bounds because the rows measure different
-# things. E13's T10 rows time whole runs, so their figure is per-run setup
-# amortized over 12 rounds, and it grows with the shard count; -procs 4
-# fixes the rows to seq, 1, 2 and 4 shards on every machine. Since the
-# parallel runner ingests staged records in place over contiguous shards,
-# the highest row is the 4-shard one at n=256. It read ~9.9 allocs/round
-# when the 12 bound was set (seq 3.1, 2 shards 6.2; the bound is that plus
-# ~17% headroom, rounded up), and reads 8.1-8.8 over 10 runs on 2 vCPUs
-# now (seq 2.6, 2 shards 5.0-5.3).
-# E16's T15 rows difference two runs on the same frozen graph at n=10^5;
-# they read 0 to 2 (a run-to-run jitter of a few allocations), so the 12
-# bound catches only a regression of many allocations per round there.
-# E18's T18 rows are steady-state differentials too, and read 0.000-0.083
-# over 10 runs of the unmutated tree on 2 vCPUs. Their bound of 1 trips on
-# a goroutine and a channel wrapped around one call per round (1.7-2.1
-# allocs/round on every row), which the 12 bound lets through.
-perf-smoke:
-	go run ./cmd/flbench -quick -exp E13,E16 -procs 4 -maxallocs 12
-	go run ./cmd/flbench -quick -exp E18 -procs 4 -maxallocs 1
 
 # Code size: non-blank lines that are not `//` comments, in non-test Go
 # files outside analyzer testdata, per package directory and in total.
@@ -120,12 +98,12 @@ soak-e17:
 	go build -o bin/ ./cmd/flnode ./cmd/flsoak
 	./bin/flsoak -e17 -seed 4
 
-# Regenerate every table and figure (full size, ~15s) into results/.
+# Regenerate every table and figure into results/ (about 5 s on 2 vCPUs).
+# The committed CSVs are goldens: internal/bench's TestAllExperimentsQuick
+# fails on any changed cell, so after this target `git status results/`
+# shows exactly the cells a change moved.
 results:
 	go run ./cmd/flbench -out results
-
-quick-results:
-	go run ./cmd/flbench -quick -out results
 
 examples:
 	go run ./examples/quickstart
@@ -135,4 +113,4 @@ examples:
 	go run ./examples/lossy
 
 clean:
-	rm -rf results bin test_output.txt bench_output.txt flvet.sarif
+	rm -rf bin test_output.txt bench_output.txt flvet.sarif

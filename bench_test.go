@@ -1,8 +1,8 @@
-// Benchmarks: one testing.B target per evaluation artifact (tables T1-T6,
-// figures F1-F2; see EXPERIMENTS.md) plus micro-benchmarks for the hot
-// paths. The table/figure benchmarks run the harness in quick mode so that
-// `go test -bench=. -benchmem` finishes in minutes; `cmd/flbench` (without
-// -quick) regenerates the full-size artifacts.
+// Benchmarks: one testing.B target per evaluation artifact (tables T1-T9,
+// figures F1-F3; see EXPERIMENTS.md) plus micro-benchmarks for the hot
+// paths. The table/figure benchmarks run the full-size experiments with two
+// protocol seeds per measurement; `cmd/flbench` regenerates the committed
+// artifacts with the default five.
 package dfl_test
 
 import (
@@ -25,7 +25,7 @@ func runExperiment(b *testing.B, id string) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		tables, err := e.Run(bench.Params{Quick: true, Seed: 42, Runs: 2})
+		tables, err := e.Run(bench.Params{Seed: 42, Runs: 2})
 		if err != nil {
 			b.Fatal(err)
 		}

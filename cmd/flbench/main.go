@@ -1,28 +1,22 @@
 // Command flbench regenerates the evaluation: every table and figure in
 // EXPERIMENTS.md. Each experiment prints an aligned-text table to stdout
-// and, with -out, also writes one CSV per table for plotting. With -json
-// the produced tables are additionally written as one machine-readable
-// report (the format of the committed BENCH_seed.json perf baseline), and
-// -cpuprofile / -memprofile capture pprof profiles of the run so hot-path
-// regressions can be diagnosed without editing code.
+// and, with -out, also writes one CSV per table for plotting; `make
+// results` writes them to results/, where internal/bench's tests hold them
+// as goldens. With -json the produced tables are additionally written as
+// one machine-readable report (schema dfl-bench/1), and -cpuprofile /
+// -memprofile capture pprof profiles of the run so hot-path regressions
+// can be diagnosed without editing code. Timing lives in cmd/flperf.
 //
 // Usage:
 //
-//	flbench [-exp all|E1..E16] [-quick] [-seed N] [-runs N] [-out DIR]
+//	flbench [-list] [-exp all|E1,E2,...] [-seed N] [-runs N] [-out DIR]
 //	        [-faults SPEC] [-json FILE] [-note STR]
-//	        [-procs N] [-shards LIST] [-maxallocs N]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // -faults injects an adversarial fault schedule into the chaos and
 // byzantine experiments (E14, E15), e.g.
 // -faults drop=0.2,crash=3@5,corrupt=0.3,byz=0@8 — see bench.ParseFaultSpec
 // for the full syntax.
-//
-// -procs and -shards steer the engine experiments (E13, E16): -procs pins
-// GOMAXPROCS for the measurement (default: all cores) and -shards replaces
-// the default shard-count list with a comma-separated one (0 is the
-// sequential runner). -maxallocs turns the run into a CI perf gate: it
-// fails if any produced row allocates more than N allocations per round.
 package main
 
 import (
@@ -34,7 +28,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -52,8 +45,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("flbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		expFlag    = fs.String("exp", "all", "experiment ids (comma separated, E1..E18) or 'all'")
-		quick      = fs.Bool("quick", false, "small sizes and few seeds (seconds instead of minutes)")
+		expFlag    = fs.String("exp", "all", "experiment ids (comma separated, see -list) or 'all'")
 		seed       = fs.Int64("seed", 1, "master seed for instances and protocols")
 		runs       = fs.Int("runs", 0, "protocol seeds averaged per measurement (0 = default)")
 		outDir     = fs.String("out", "", "directory for CSV output (optional)")
@@ -61,9 +53,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		jsonPath   = fs.String("json", "", "write all produced tables as one machine-readable JSON report")
 		note       = fs.String("note", "", "free-form annotation recorded in the -json report")
 		faultSpec  = fs.String("faults", "", "fault schedule for the chaos/byzantine experiments, e.g. drop=0.2,crash=3@5,corrupt=0.3,byz=0@8")
-		procs      = fs.Int("procs", 0, "GOMAXPROCS for the engine experiment (0 = all cores)")
-		shardsFlag = fs.String("shards", "", "shard counts for the engine experiment, comma separated (0 = sequential runner)")
-		maxAllocs  = fs.Float64("maxallocs", 0, "fail if any engine-throughput row exceeds this many allocs/round (0 = no gate)")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
@@ -131,19 +120,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	shards, err := parseShards(*shardsFlag)
-	if err != nil {
-		return err
-	}
-	params := bench.Params{
-		Quick: *quick, Seed: *seed, Runs: *runs, FaultSpec: *faultSpec,
-		Procs: *procs, Shards: shards,
-	}
+	params := bench.Params{Seed: *seed, Runs: *runs, FaultSpec: *faultSpec}
 	report := jsonReport{
 		Schema:     "dfl-bench/1",
 		GoVersion:  runtime.Version(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Quick:      *quick,
 		Seed:       *seed,
 		Note:       *note,
 		FaultSpec:  *faultSpec,
@@ -183,61 +164,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "wrote %s\n", *jsonPath)
 	}
-	if *maxAllocs > 0 {
-		if err := checkAllocGate(report.Tables, *maxAllocs); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "alloc gate passed: every engine row <= %.1f allocs/round\n", *maxAllocs)
-	}
-	return nil
-}
-
-// parseShards turns the -shards list into the Params.Shards slice.
-func parseShards(spec string) ([]int, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, field := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad -shards entry %q: want a non-negative integer", field)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// checkAllocGate is the CI perf-smoke teeth: scan every produced table for
-// an "allocs/round" column and fail if any row exceeds the bound. With no
-// engine table in the run the gate is a configuration error, not a pass.
-func checkAllocGate(tables []jsonTable, bound float64) error {
-	checked := 0
-	for _, t := range tables {
-		col := -1
-		for i, c := range t.Columns {
-			if c == "allocs/round" {
-				col = i
-			}
-		}
-		if col < 0 {
-			continue
-		}
-		for _, row := range t.Rows {
-			v, err := strconv.ParseFloat(row[col], 64)
-			if err != nil {
-				return fmt.Errorf("%s: unparseable allocs/round cell %q", t.ID, row[col])
-			}
-			checked++
-			if v > bound {
-				return fmt.Errorf("alloc gate: %s row %v has %.1f allocs/round, bound is %.1f",
-					t.ID, row[0], v, bound)
-			}
-		}
-	}
-	if checked == 0 {
-		return fmt.Errorf("alloc gate: no allocs/round column in the selected experiments (run E13)")
-	}
 	return nil
 }
 
@@ -248,7 +174,6 @@ type jsonReport struct {
 	Schema     string      `json:"schema"`
 	GoVersion  string      `json:"go_version"`
 	GoMaxProcs int         `json:"gomaxprocs"`
-	Quick      bool        `json:"quick"`
 	Seed       int64       `json:"seed"`
 	Note       string      `json:"note,omitempty"`
 	FaultSpec  string      `json:"faults,omitempty"`

@@ -24,7 +24,7 @@ func TestRunList(t *testing.T) {
 func TestRunSingleExperimentWithCSV(t *testing.T) {
 	dir := t.TempDir()
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-exp", "E6", "-quick", "-out", dir}, &out, &errBuf); err != nil {
+	if err := run([]string{"-exp", "E6", "-out", dir}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "T4 —") {
@@ -41,10 +41,10 @@ func TestRunSingleExperimentWithCSV(t *testing.T) {
 
 func TestRunMultipleExperiments(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-exp", "E2, E6", "-quick"}, &out, &errBuf); err != nil {
+	if err := run([]string{"-exp", "E6, E10"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "== E2:") || !strings.Contains(out.String(), "== E6:") {
+	if !strings.Contains(out.String(), "== E6:") || !strings.Contains(out.String(), "== E10:") {
 		t.Fatalf("missing experiments:\n%s", out.String())
 	}
 }
@@ -53,7 +53,7 @@ func TestRunJSONReport(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "report.json")
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-exp", "E6", "-quick", "-json", path, "-note", "unit test"}, &out, &errBuf); err != nil {
+	if err := run([]string{"-exp", "E6", "-json", path, "-note", "unit test"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -91,7 +91,7 @@ func TestRunProfiles(t *testing.T) {
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-exp", "E6", "-quick", "-cpuprofile", cpu, "-memprofile", mem}, &out, &errBuf); err != nil {
+	if err := run([]string{"-exp", "E6", "-cpuprofile", cpu, "-memprofile", mem}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []string{cpu, mem} {
@@ -120,13 +120,13 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunFaultSpec(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-exp", "E14", "-quick", "-faults", "drop=0.25,crash=2@7"}, &out, &errBuf); err != nil {
+	if err := run([]string{"-exp", "E14", "-faults", "drop=0.25,crash=2@7"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "drop=0.25,crash=2@7") {
 		t.Fatalf("chaos table does not show the schedule:\n%s", out.String())
 	}
-	if err := run([]string{"-exp", "E14", "-quick", "-faults", "warp=1"}, &out, &errBuf); err == nil {
+	if err := run([]string{"-exp", "E14", "-faults", "warp=1"}, &out, &errBuf); err == nil {
 		t.Fatal("malformed -faults should fail before running experiments")
 	}
 }

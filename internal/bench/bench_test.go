@@ -2,8 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -76,31 +80,82 @@ func TestExperimentsHaveDistinctIDsAndClaims(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsQuick executes the entire suite in quick mode — the
-// end-to-end test that every table and figure can actually be regenerated.
+// update rewrites the goldens: go test ./internal/bench -run TestAllExperimentsQuick -update
+var update = flag.Bool("update", false, "rewrite results/*.csv from this run")
+
+// goldenDir holds the committed tables, one CSV per table, as
+// `make results` writes them.
+const goldenDir = "../../results"
+
+// TestAllExperimentsQuick regenerates every table and figure at the
+// `make results` parameters (seed 1, default runs) and compares each CSV
+// byte for byte with its golden in results/. Every cell is a deterministic
+// function of the code and the seed, so a changed cell is a changed
+// reproduction result: a change that moves one regenerates the goldens with
+// -update and names the column and the reason in CHANGES.md. The whole
+// suite runs in a few seconds, so the test runs it at full size; it keeps
+// the name it had when it ran a shrunken copy.
 func TestAllExperimentsQuick(t *testing.T) {
+	var mu sync.Mutex
+	produced := map[string]bool{} // golden file names
+	ran := 0                      // experiments whose tables all matched
+	t.Cleanup(func() {
+		// A -run filter or a failure leaves tables unproduced.
+		if ran < len(Experiments()) {
+			return
+		}
+		stale, err := filepath.Glob(filepath.Join(goldenDir, "*.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range stale {
+			if !produced[filepath.Base(name)] {
+				t.Errorf("%s is no experiment's table", name)
+			}
+		}
+	})
 	for _, e := range Experiments() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tables, err := e.Run(Params{Quick: true, Seed: 42})
+			t.Parallel()
+			tables, err := e.Run(Params{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tables) == 0 {
-				t.Fatal("no tables produced")
-			}
 			for _, tbl := range tables {
-				if len(tbl.Rows) == 0 {
-					t.Fatalf("table %s is empty", tbl.ID)
-				}
-				var buf bytes.Buffer
-				if err := tbl.Render(&buf); err != nil {
+				name := strings.ToLower(tbl.ID) + ".csv"
+				mu.Lock()
+				produced[name] = true
+				mu.Unlock()
+				var got bytes.Buffer
+				if err := tbl.CSV(&got); err != nil {
 					t.Fatal(err)
 				}
-				if err := tbl.CSV(&buf); err != nil {
-					t.Fatal(err)
+				path := filepath.Join(goldenDir, name)
+				if *update {
+					if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("%v (run with -update to write it)", err)
+				}
+				gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+				for i := range min(len(gotLines), len(wantLines)) {
+					if gotLines[i] != wantLines[i] {
+						t.Fatalf("%s line %d: this run has %q, the golden %q (-update rewrites it)",
+							path, i+1, gotLines[i], wantLines[i])
+					}
+				}
+				if len(gotLines) != len(wantLines) {
+					t.Fatalf("%s: this run has %d lines, the golden %d (-update rewrites it)",
+						path, len(gotLines), len(wantLines))
 				}
 			}
+			mu.Lock()
+			ran++
+			mu.Unlock()
 		})
 	}
 }
@@ -108,7 +163,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 // TestExactAuditAllPass asserts the theorem-shaped invariant end to end:
 // no FAIL verdict in the exact-ratio audit.
 func TestExactAuditAllPass(t *testing.T) {
-	tables, err := ExactAudit(Params{Quick: true, Seed: 1})
+	t.Parallel()
+	tables, err := ExactAudit(Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +180,8 @@ func TestExactAuditAllPass(t *testing.T) {
 // TestConvergenceReachesEveryone asserts every K-series of Figure 3 ends
 // at 100% connected, and that the cumulative series is non-decreasing.
 func TestConvergenceReachesEveryone(t *testing.T) {
-	tables, err := ConvergenceFigure(Params{Quick: true, Seed: 5})
+	t.Parallel()
+	tables, err := ConvergenceFigure(Params{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +214,8 @@ func TestConvergenceReachesEveryone(t *testing.T) {
 // TestFaultSensitivityAnchors checks T7's limiting rows: 0%% loss matches
 // the fault-free run and 100%% loss reports a fully-cleanup run.
 func TestFaultSensitivityAnchors(t *testing.T) {
-	tables, err := FaultSensitivity(Params{Quick: true, Seed: 3, Runs: 2})
+	t.Parallel()
+	tables, err := FaultSensitivity(Params{Seed: 3, Runs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +233,8 @@ func TestFaultSensitivityAnchors(t *testing.T) {
 // ratio across the K sweep is achieved at K > 1 or ties K=1 — i.e. spending
 // rounds does not hurt.
 func TestTradeoffDirection(t *testing.T) {
-	tables, err := TradeoffK(Params{Quick: true, Seed: 7, Runs: 3})
+	t.Parallel()
+	tables, err := TradeoffK(Params{Seed: 7, Runs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +293,8 @@ func TestParseFaultSpec(t *testing.T) {
 // default matrix (baseline row plus the spec, each with and without the
 // reliable shim).
 func TestChaosOverheadHonorsFaultSpec(t *testing.T) {
-	tables, err := ChaosOverhead(Params{Quick: true, Seed: 7, FaultSpec: "drop=0.3,crash=2@9"})
+	t.Parallel()
+	tables, err := ChaosOverhead(Params{Seed: 7, FaultSpec: "drop=0.3,crash=2@9"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +310,7 @@ func TestChaosOverheadHonorsFaultSpec(t *testing.T) {
 			t.Fatalf("uncertified row: %v", r)
 		}
 	}
-	if _, err := ChaosOverhead(Params{Quick: true, Seed: 7, FaultSpec: "warp=1"}); err == nil {
+	if _, err := ChaosOverhead(Params{Seed: 7, FaultSpec: "warp=1"}); err == nil {
 		t.Fatal("bad spec accepted")
 	}
 }

@@ -19,9 +19,6 @@ import (
 // recovering clients the undefended run abandons to the attacker.
 func ByzantineResilience(p Params) ([]Table, error) {
 	m, nc := 24, 120
-	if p.Quick {
-		m, nc = 12, 60
-	}
 	inst, err := gen.Uniform{M: m, NC: nc, Density: 0.6, MinDegree: 2}.Generate(p.Seed)
 	if err != nil {
 		return nil, err

@@ -17,17 +17,11 @@ import (
 // everything.
 func CapacitySweep(p Params) ([]Table, error) {
 	m, nc := 30, 150
-	if p.Quick {
-		m, nc = 10, 50
-	}
 	inst, err := gen.Uniform{M: m, NC: nc}.Generate(p.Seed)
 	if err != nil {
 		return nil, err
 	}
 	caps := []int{0, 50, 20, 10, 5, 2, 1} // 0 encodes "unlimited"
-	if p.Quick {
-		caps = []int{0, 10, 2}
-	}
 	t := Table{
 		ID:      "T8",
 		Title:   "Soft-capacitated extension: cost vs per-copy capacity (K=16)",

@@ -157,9 +157,6 @@ func ParseFaultSpec(spec string) (congest.Faults, error) {
 // schedule (plus the fault-free baseline).
 func ChaosOverhead(p Params) ([]Table, error) {
 	m, nc := 24, 120
-	if p.Quick {
-		m, nc = 12, 60
-	}
 	inst, err := gen.Uniform{M: m, NC: nc, Density: 0.6, MinDegree: 2}.Generate(p.Seed)
 	if err != nil {
 		return nil, err

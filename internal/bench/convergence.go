@@ -16,10 +16,6 @@ import (
 func ConvergenceFigure(p Params) ([]Table, error) {
 	m, nc := 40, 200
 	ks := []int{4, 16, 64}
-	if p.Quick {
-		m, nc = 12, 60
-		ks = []int{4, 16}
-	}
 	inst, err := gen.Uniform{M: m, NC: nc}.Generate(p.Seed)
 	if err != nil {
 		return nil, err

@@ -18,10 +18,6 @@ import (
 func TradeoffK(p Params) ([]Table, error) {
 	m, nc := 100, 400
 	ks := []int{1, 4, 9, 16, 25, 36, 64, 100}
-	if p.Quick {
-		m, nc = 20, 80
-		ks = []int{1, 4, 16, 64}
-	}
 	inst, err := gen.Uniform{M: m, NC: nc}.Generate(p.Seed)
 	if err != nil {
 		return nil, err
@@ -59,9 +55,6 @@ func TradeoffK(p Params) ([]Table, error) {
 // grows, at fixed K. The claim: rounds are a function of K only.
 func Scaling(p Params) ([]Table, error) {
 	ncs := []int{100, 200, 400, 800, 1600, 3200, 6400}
-	if p.Quick {
-		ncs = []int{50, 100, 200}
-	}
 	const k = 16
 	t := Table{
 		ID:      "T2",
@@ -102,9 +95,6 @@ func Comparison(p Params) ([]Table, error) {
 		gen  gen.Generator
 	}
 	sizeM, sizeNC := 40, 200
-	if p.Quick {
-		sizeM, sizeNC = 12, 60
-	}
 	workloads := []workload{
 		{"uniform", gen.Uniform{M: sizeM, NC: sizeNC}},
 		{"sparse", gen.Uniform{M: sizeM, NC: sizeNC, Density: 0.15, MinDegree: 2}},
@@ -159,10 +149,6 @@ func Comparison(p Params) ([]Table, error) {
 func SpreadFigure(p Params) ([]Table, error) {
 	rhos := []int64{10, 100, 1000, 10000, 100000, 1000000}
 	m, nc := 30, 150
-	if p.Quick {
-		rhos = []int64{10, 1000, 100000}
-		m, nc = 10, 50
-	}
 	const k = 16
 	t := Table{
 		ID:      "F1",
@@ -200,10 +186,6 @@ func SpreadFigure(p Params) ([]Table, error) {
 func FrontierFigure(p Params) ([]Table, error) {
 	ks := []int{1, 2, 4, 9, 16, 25, 36, 49, 64, 100, 144}
 	m, nc := 50, 250
-	if p.Quick {
-		ks = []int{1, 4, 16, 64}
-		m, nc = 12, 60
-	}
 	families := []struct {
 		name string
 		gen  gen.Generator
@@ -243,9 +225,6 @@ func FrontierFigure(p Params) ([]Table, error) {
 // O(log n) budget.
 func MessageBits(p Params) ([]Table, error) {
 	m, nc := 40, 200
-	if p.Quick {
-		m, nc = 12, 60
-	}
 	families := []struct {
 		name string
 		gen  gen.Generator
@@ -285,9 +264,6 @@ func MessageBits(p Params) ([]Table, error) {
 // cleanup fallback has to rescue.
 func Ablation(p Params) ([]Table, error) {
 	m, nc := 40, 200
-	if p.Quick {
-		m, nc = 12, 60
-	}
 	inst, err := gen.Uniform{M: m, NC: nc}.Generate(p.Seed)
 	if err != nil {
 		return nil, err
@@ -345,9 +321,6 @@ func Ablation(p Params) ([]Table, error) {
 // is violated.
 func ExactAudit(p Params) ([]Table, error) {
 	seeds := []int64{1, 2, 3, 4, 5, 6}
-	if p.Quick {
-		seeds = []int64{1, 2}
-	}
 	families := []struct {
 		name string
 		gen  gen.Generator

@@ -15,9 +15,6 @@ import (
 // the cheapest-per-client baseline, which anchors the last row.
 func FaultSensitivity(p Params) ([]Table, error) {
 	m, nc := 40, 200
-	if p.Quick {
-		m, nc = 12, 60
-	}
 	inst, err := gen.Uniform{M: m, NC: nc}.Generate(p.Seed)
 	if err != nil {
 		return nil, err
@@ -38,9 +35,6 @@ func FaultSensitivity(p Params) ([]Table, error) {
 		Columns: []string{"loss rate", "ratio", "cleanup%", "dropped msgs", "verdict"},
 	}
 	rates := []float64{0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0}
-	if p.Quick {
-		rates = []float64{0, 0.25, 1.0}
-	}
 	var prevRatio float64
 	for idx, rate := range rates {
 		var (

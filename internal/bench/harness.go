@@ -12,34 +12,20 @@ import (
 
 // Params control one experiment run.
 type Params struct {
-	// Quick shrinks instance sizes and seed counts so the whole suite runs
-	// in seconds; used by tests and `flbench -quick`.
-	Quick bool
 	// Seed derives all instance and protocol randomness.
 	Seed int64
 	// Runs is the number of protocol seeds averaged per measurement;
-	// 0 means 5 (2 in quick mode).
+	// 0 means 5.
 	Runs int
 	// FaultSpec, when non-empty, replaces the chaos experiment's default
 	// schedule matrix with one parsed from this compact syntax (see
 	// ParseFaultSpec); set by the flbench -faults flag.
 	FaultSpec string
-	// Procs pins GOMAXPROCS for the engine-throughput experiment; 0 means
-	// runtime.NumCPU(). Set by the flbench -procs flag. The seed baseline
-	// was recorded with the harness default of 1 — see BENCH_5.json.
-	Procs int
-	// Shards, when non-empty, replaces the engine experiment's default
-	// shard-count list (0 denotes the sequential runner in T10). Set by the
-	// flbench -shards flag.
-	Shards []int
 }
 
 func (p Params) runs() int {
 	if p.Runs > 0 {
 		return p.Runs
-	}
-	if p.Quick {
-		return 2
 	}
 	return 5
 }
@@ -80,16 +66,10 @@ func Experiments() []Experiment {
 			Claim: "per-copy capacities integrate into the same trade-off", Run: CapacitySweep},
 		{ID: "E12", Kind: "table", Name: "LP-gap audit (dual ascent vs exact LP vs OPT)",
 			Claim: "the cheap dual bound is within a small factor of the exact LP", Run: LPGapAudit},
-		{ID: "E13", Kind: "table", Name: "Engine throughput vs size and shard count",
-			Claim: "the simulator itself scales: rounds/sec tracks hardware, allocs/round stay flat", Run: EngineThroughput},
 		{ID: "E14", Kind: "table", Name: "Self-healing under adversarial fault schedules",
 			Claim: "crashes, duplication and heavy loss cost quality, never certified feasibility", Run: ChaosOverhead},
 		{ID: "E15", Kind: "table", Name: "Byzantine resilience under corruption and forgery",
 			Claim: "honest servable clients stay certified-served; quarantine buys back clients the lure attack strands", Run: ByzantineResilience},
-		{ID: "E16", Kind: "table", Name: "Million-node engine scaling",
-			Claim: "CSR adjacency and round-scoped message buffers keep steady-state allocs/round flat from 10^5 to 5*10^6 nodes", Run: MillionNodeScaling},
-		{ID: "E18", Kind: "table", Name: "Sparse round execution (sleeping vs awake nodes)",
-			Claim: "per-round cost scales with the active frontier, not n: sparse rounds run multiples faster than the same nodes kept awake every round, at identical output", Run: SparseRounds},
 	}
 }
 
@@ -111,8 +91,6 @@ func ExperimentByID(id string) (Experiment, error) {
 // distMeasure is one averaged distributed run.
 type distMeasure struct {
 	avgCost  float64
-	minCost  int64
-	maxCost  int64
 	rep      *core.Report // report of the last run (round counts are seed independent)
 	cleanupF float64      // average fraction of clients connected by cleanup
 }
@@ -131,12 +109,6 @@ func runDistributed(inst *fl.Instance, cfg core.Config, baseSeed int64, runs int
 		c := sol.Cost(inst)
 		total += c
 		cleanup += rep.CleanupClients
-		if s == 0 || c < m.minCost {
-			m.minCost = c
-		}
-		if c > m.maxCost {
-			m.maxCost = c
-		}
 		m.rep = rep
 	}
 	m.avgCost = float64(total) / float64(runs)

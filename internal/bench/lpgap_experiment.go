@@ -15,9 +15,6 @@ import (
 // and the integrality gap (the part no LP-based bound can close).
 func LPGapAudit(p Params) ([]Table, error) {
 	seeds := []int64{1, 2, 3, 4, 5}
-	if p.Quick {
-		seeds = []int64{1, 2}
-	}
 	families := []struct {
 		name string
 		gen  gen.Generator

@@ -14,7 +14,7 @@ import (
 // Table is one result artifact: a titled grid of cells. Figures are tables
 // too (series in columns), rendered to CSV for plotting.
 type Table struct {
-	ID      string // "T1".."T6", "F1", "F2"
+	ID      string // "T1".."T13", "F1".."F3"; results/<id>.csv in lower case
 	Title   string
 	Note    string
 	Columns []string

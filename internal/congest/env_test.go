@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -141,15 +142,7 @@ const maxRunBytesPerNode = 105
 // before round 0, so this is the engine's memory per node.
 func TestRunBytesPerNode(t *testing.T) {
 	const n, stride, rounds = 1 << 16, 1000, 8
-	g := NewGraph(n)
-	for u := 0; u < n; u++ {
-		for d := 1; d <= 4; d++ {
-			if err := g.AddEdge(u, (u+d)%n); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	g.Finalize()
+	g := circulant(t, n)
 	nodes := make([]Node, n)
 	for i := range nodes {
 		nodes[i] = &pulseNode{hot: i%stride == 0, rounds: rounds}
@@ -166,5 +159,96 @@ func TestRunBytesPerNode(t *testing.T) {
 	t.Logf("%.1f bytes allocated per node", perNode)
 	if perNode > maxRunBytesPerNode {
 		t.Fatalf("Run allocated %.1f bytes per node, bound %d", perNode, maxRunBytesPerNode)
+	}
+}
+
+// circulant is the degree-8 circulant on n nodes that flperf's engine
+// workloads run on, finalized.
+func circulant(t *testing.T, n int) *Graph {
+	t.Helper()
+	g := NewGraph(n)
+	for u := 0; u < n; u++ {
+		for d := 1; d <= 4; d++ {
+			if err := g.AddEdge(u, (u+d)%n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g.Finalize()
+	return g
+}
+
+// TestRunAllocsFlatInRounds holds a run to a fixed number of allocations,
+// whatever its length: on the same graph and nodes, a run of 2R rounds
+// allocates exactly as much as a run of R. Everything a run allocates is
+// laid out before round 0 or grows to a size the traffic of one round
+// fixes, so any allocation per round or per message fails it: a goroutine
+// and a channel around one call of the round loop, a map per compute walk,
+// a heap frame per message, or a shim frame table that never reuses slots.
+// The rows are the engine's regimes:
+//   - reliable_shim: every node broadcasts under three links that stay
+//     down, so the shim retries every frame on them until its budget is
+//     spent. Under this deterministic schedule the frames in flight peak
+//     at the same count in every round after the first few, so the
+//     tables' amortized growth ends at the same size in both runs. Random
+//     drops move that peak, and with it a few allocations of growth, from
+//     run to run; TestChaosSolveAllocsNearClean bounds that case.
+//   - chatter: every node broadcasts every round on the sequential runner
+//     (flperf's engine_dense traffic).
+//   - pulse: every 100th node broadcasts every round and the others sleep
+//     until the halt round, woken by each delivery (engine_sparse's shape).
+//   - chatter_2_shards: the chatter row on the 2-shard pool. Its count
+//     moves by one between otherwise equal runs (in 1 of 200 runs, and 1
+//     of 15 under the race detector, with GOMAXPROCS 1 as AllocsPerRun
+//     sets it), so the row allows a difference of 2: 1/8 of an allocation
+//     per added round, where one allocation per round adds 16.
+func TestRunAllocsFlatInRounds(t *testing.T) {
+	always := RoundRange{0, 1 << 20}
+	chatter := func(_, rounds int) Node { return &chatterNode{rounds: rounds} }
+	for _, tc := range []struct {
+		name   string
+		n      int // 0: the stress graph, else a circulant on n nodes
+		node   func(id, rounds int) Node
+		cfg    Config
+		rounds int
+		slack  float64 // the largest difference the row allows
+	}{
+		{name: "reliable_shim", node: chatter, rounds: 32, cfg: Config{Seed: 3,
+			Faults:   Faults{LinkDowns: []LinkDown{{0, 2, always}, {7, 15, always}, {11, 12, always}}},
+			Reliable: Reliable{RetryBudget: 2}}},
+		{name: "chatter", n: 1024, node: chatter, rounds: 16, cfg: Config{Seed: 1}},
+		{name: "pulse", n: 1 << 14, rounds: 16, cfg: Config{Seed: 1},
+			node: func(id, rounds int) Node { return &pulseNode{hot: id%100 == 0, rounds: rounds} }},
+		{name: "chatter_2_shards", n: 1024, node: chatter, rounds: 16, slack: 2,
+			cfg: Config{Seed: 1, Parallel: true, Shards: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := stressGraph(t)
+			if tc.n > 0 {
+				g = circulant(t, tc.n)
+			}
+			allocs := func(rounds int) float64 {
+				nodes := make([]Node, g.N())
+				for i := range nodes {
+					nodes[i] = tc.node(i, rounds)
+				}
+				// A collection inside a measured run can allocate (a
+				// process's first one starts the runtime's mark workers),
+				// so collect first.
+				runtime.GC()
+				return testing.AllocsPerRun(3, func() {
+					st, err := Run(g, nodes, tc.cfg)
+					if err != nil || st.Rounds != rounds+1 || st.Messages == 0 ||
+						tc.cfg.Reliable.RetryBudget > 0 && st.Retransmits == 0 {
+						t.Fatalf("run: %+v, %v", st, err)
+					}
+				})
+			}
+			short, long := allocs(tc.rounds), allocs(2*tc.rounds)
+			if math.Abs(long-short) > tc.slack {
+				t.Fatalf("allocations per run: %v over %d rounds, %v over %d, want a difference of at most %v",
+					short, tc.rounds, long, 2*tc.rounds, tc.slack)
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"testing"
 )
 
@@ -368,41 +367,5 @@ func TestReliableShimExecutionsPinned(t *testing.T) {
 				t.Errorf("execution digest %s, want %s; stats %+v", got, tc.want, stats)
 			}
 		})
-	}
-}
-
-// TestReliableShimAllocsFlat holds the shim to a fixed number of
-// allocations per run, whatever the number of frames it carries: a run
-// under drops four times as long as another allocates exactly as much.
-// Frames are values in reused slots, so a heap frame per message fails
-// it, and so does a frame table that never reuses slots, which grows with
-// every frame sent. The drops are downed links, which retry every frame
-// on them until its budget is spent: under a deterministic schedule the
-// frames in flight peak at the same count in every round after the first
-// few, so the tables' amortized growth ends at the same size in both runs.
-// Random drops move that peak, and with it a few allocations of growth,
-// from run to run; TestChaosSolveAllocsNearClean bounds that case.
-func TestReliableShimAllocsFlat(t *testing.T) {
-	always := RoundRange{0, 1 << 20}
-	faults := Faults{LinkDowns: []LinkDown{{0, 2, always}, {7, 15, always}, {11, 12, always}}}
-	allocs := func(rounds int) float64 {
-		g := stressGraph(t)
-		nodes := make([]Node, g.N())
-		for i := range nodes {
-			nodes[i] = &chatterNode{rounds: rounds}
-		}
-		// A collection inside a measured run can allocate (a process's
-		// first one starts the runtime's mark workers), so collect first.
-		runtime.GC()
-		return testing.AllocsPerRun(3, func() {
-			st, err := Run(g, nodes, Config{Seed: 3, Faults: faults, Reliable: Reliable{RetryBudget: 2}})
-			if err != nil || st.Retransmits == 0 || st.LinkDowns == 0 || st.Rounds != rounds+1 {
-				t.Fatalf("run: %+v, %v", st, err)
-			}
-		})
-	}
-	short, long := allocs(16), allocs(64)
-	if short != long {
-		t.Fatalf("allocations per shim run: %v over 16 rounds, %v over 64, want equal", short, long)
 	}
 }
