@@ -1,17 +1,17 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build check fmt-check vet lint sarif test test-race test-flperf bench bench-engine loc soak soak-respawn soak-e17 results examples clean
+.PHONY: all build check fmt-check vet lint test test-race test-flperf bench bench-engine loc soak soak-respawn soak-e17 results examples clean
 
 all: build check
 
 build:
 	go build ./...
 
-# The gate every change must pass: gofmt, vet, the custom analyzer suite
-# (plus its SARIF artifact), the full tests under the race detector (the
-# pooled engine makes -race mandatory, not optional) except the experiment
-# harness's, and the benchmark harness's own tests.
-check: fmt-check vet lint sarif test-race test-flperf
+# The gate every change must pass: gofmt, vet, the custom analyzer suite,
+# the full tests under the race detector (the pooled engine makes -race
+# mandatory, not optional) except the experiment harness's, and the
+# benchmark harness's own tests.
+check: fmt-check vet lint test-race test-flperf
 
 # Every tracked Go file outside the analyzers' testdata must be gofmt-clean
 # (the golden files there keep their hand-aligned `// want` columns).
@@ -33,11 +33,6 @@ vet:
 # run the same suite, so `make test` regresses too if an analyzer fires.
 lint:
 	go run ./cmd/flvet ./...
-
-# Machine-readable copy of the same run for code-scanning upload; CI
-# attaches it as an artifact.
-sarif:
-	go run ./cmd/flvet -format sarif ./... > flvet.sarif
 
 test:
 	go test ./...
@@ -113,4 +108,4 @@ examples:
 	go run ./examples/lossy
 
 clean:
-	rm -rf bin test_output.txt bench_output.txt flvet.sarif
+	rm -rf bin test_output.txt bench_output.txt

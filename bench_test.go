@@ -122,19 +122,6 @@ func BenchmarkSeqGreedy(b *testing.B) {
 	}
 }
 
-// BenchmarkSeqGreedyFast measures the lazy-heap greedy (identical output
-// to BenchmarkSeqGreedy's algorithm).
-func BenchmarkSeqGreedyFast(b *testing.B) {
-	inst := benchInstance(b, 30, 150)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := seq.GreedyFast(inst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkJainVazirani measures the primal-dual baseline.
 func BenchmarkJainVazirani(b *testing.B) {
 	inst := benchInstance(b, 30, 150)

@@ -18,8 +18,8 @@
 // gracefully: the gateway masks it down and the assembled solution
 // certifies with the victim's clients as exemptions.
 //
-// With -checkpoint FILE a shard snapshots a resumable image every
-// -checkpoint-every rounds; relaunching it with -resume rejoins the fleet
+// With -checkpoint FILE a shard snapshots a resumable image after every
+// round; relaunching it with -resume rejoins the fleet
 // from that image under a fresh incarnation, and if the gateway admits it
 // within -admit-window rounds of the death the outage degrades to
 // transient packet loss — the run ends with zero exemptions instead of a
@@ -62,7 +62,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		roundDelay = fs.Duration("round-delay", 0, "artificial pause per round (stretches runs for churn testing)")
 		showSol    = fs.Bool("solution", false, "gateway: print open facilities and assignments")
 		ckptFile   = fs.String("checkpoint", "", "shard: write a resumable checkpoint image to this file")
-		ckptEvery  = fs.Int("checkpoint-every", 1, "shard: checkpoint cadence in rounds (1 keeps resume loss-equivalent)")
 		resume     = fs.Bool("resume", false, "shard: resume from -checkpoint instead of starting fresh (rejoins the fleet)")
 		admitWin   = fs.Int("admit-window", 0, "gateway: rounds a down shard may rejoin within (0 = default)")
 	)
@@ -95,7 +94,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return runGateway(stdout, inst, cfg, spans, *listen, *admitWin, *showSol)
 	case "shard":
 		return runShard(stdout, stderr, inst, cfg, spans, *id, *gateway, *seed, *chaosSpec, *roundDelay,
-			shardCkpt{file: *ckptFile, every: *ckptEvery, resume: *resume})
+			shardCkpt{file: *ckptFile, resume: *resume})
 	default:
 		return fmt.Errorf("-role must be gateway or shard, got %q", *role)
 	}
@@ -155,7 +154,6 @@ func runGateway(stdout io.Writer, inst *fl.Instance, cfg core.Config, spans []co
 // shardCkpt bundles the shard role's checkpoint/resume options.
 type shardCkpt struct {
 	file   string
-	every  int
 	resume bool
 }
 
@@ -173,9 +171,9 @@ func runShard(stdout, stderr io.Writer, inst *fl.Instance, cfg core.Config, span
 	if err != nil {
 		return err
 	}
-	ckCfg := core.CheckpointConfig{}
+	var sink core.CheckpointSink
 	if ck.file != "" {
-		ckCfg = core.CheckpointConfig{Every: ck.every, Sink: core.NewFileSink(ck.file)}
+		sink = core.NewFileSink(ck.file)
 	}
 
 	var image []byte
@@ -213,13 +211,10 @@ func runShard(stdout, stderr io.Writer, inst *fl.Instance, cfg core.Config, span
 	}
 
 	var frag *core.Fragment
-	switch {
-	case ck.resume:
-		frag, err = core.ResumeShard(inst, cfg, spans[id], seed, image, tr, ckCfg)
-	case ckCfg.Sink != nil:
-		frag, err = core.SolveShardCheckpointed(inst, cfg, spans[id], seed, tr, ckCfg)
-	default:
-		frag, err = core.SolveShard(inst, cfg, spans[id], seed, tr)
+	if ck.resume {
+		frag, err = core.ResumeShard(inst, cfg, spans[id], seed, image, tr, sink)
+	} else {
+		frag, err = core.SolveShardCheckpointed(inst, cfg, spans[id], seed, tr, sink)
 	}
 	if err != nil {
 		return err

@@ -9,13 +9,12 @@
 //
 // Usage:
 //
-//	flvet [-only name[,name]] [-list] [-format text|json|sarif] [packages]
+//	flvet [-only name[,name]] [-list] [packages]
 //
 // Packages default to ./... resolved against the enclosing module root.
-// -format selects text (the default vet-style lines), json (a findings
-// array), or sarif (SARIF 2.1.0 for GitHub code scanning). There is no
-// suppression file and no exemption directive: every finding fails the
-// run.
+// Findings print as vet-style file:line:col lines, the shape the CI
+// problem matcher reads. There is no suppression file and no exemption
+// directive: every finding fails the run.
 //
 // Exit status: 0 clean, 1 findings, 2 operational failure. A package that
 // fails to load or type-check is an operational failure reported with its
@@ -41,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flags.SetOutput(stderr)
 	list := flags.Bool("list", false, "list the analyzers and exit")
 	only := flags.String("only", "", "comma-separated analyzer names to run (default: all)")
-	format := flags.String("format", "text", "output format: text, json, or sarif")
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
@@ -52,12 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(stderr, "flvet: unknown -format %q (want text, json, or sarif)\n", *format)
-		return 2
 	}
 	if *only != "" {
 		byName := map[string]*analysis.Analyzer{}
@@ -95,16 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diags = append(diags, analysis.RunAnalyzers(pkg, suite)...)
 	}
 	findings := analysis.Findings(diags, root)
-
-	switch *format {
-	case "text":
-		err = analysis.WriteText(stdout, findings)
-	case "json":
-		err = analysis.WriteJSON(stdout, findings)
-	case "sarif":
-		err = analysis.WriteSARIF(stdout, findings, suite)
-	}
-	if err != nil {
+	if err := analysis.WriteText(stdout, findings); err != nil {
 		fmt.Fprintf(stderr, "flvet: %v\n", err)
 		return 2
 	}

@@ -16,8 +16,6 @@
 package dfl
 
 import (
-	"io"
-
 	"dfl/internal/congest"
 	"dfl/internal/core"
 	"dfl/internal/fl"
@@ -50,23 +48,6 @@ func NewDenseInstance(name string, facilityCost []int64, costs [][]int64) (*Inst
 	return fl.NewDense(name, facilityCost, costs)
 }
 
-// ReadInstance parses the text instance format.
-func ReadInstance(r io.Reader) (*Instance, error) { return fl.Read(r) }
-
-// WriteInstance serializes an instance in the text instance format.
-func WriteInstance(w io.Writer, inst *Instance) error { return fl.Write(w, inst) }
-
-// ReadSolution parses the text solution format (pair with Validate).
-func ReadSolution(r io.Reader) (*Solution, error) { return fl.ReadSolution(r) }
-
-// WriteSolution serializes a solution in the text solution format.
-func WriteSolution(w io.Writer, sol *Solution) error { return fl.WriteSolution(w, sol) }
-
-// Unassigned marks a client that has no facility in Solution.Assign; the
-// certifier only tolerates it for clients a report exempts as dead or
-// unservable.
-const Unassigned = fl.Unassigned
-
 // Validate checks that sol is feasible for inst.
 func Validate(inst *Instance, sol *Solution) error { return fl.Validate(inst, sol) }
 
@@ -79,8 +60,6 @@ type (
 	DistConfig = core.Config
 	// DistReport describes one distributed run.
 	DistReport = core.Report
-	// DistDerived holds the derived protocol parameters.
-	DistDerived = core.Derived
 	// DistOption configures SolveDistributed.
 	DistOption = core.Option
 )
@@ -92,97 +71,27 @@ func SolveDistributed(inst *Instance, cfg DistConfig, opts ...DistOption) (*Solu
 	return core.Solve(inst, cfg, opts...)
 }
 
-// DeriveDistParams computes the protocol parameters (class base chi, phase
-// count, round budget) without running the protocol.
-func DeriveDistParams(inst *Instance, cfg DistConfig) (DistDerived, error) {
-	return core.Derive(inst, cfg)
-}
-
 // Run options for SolveDistributed.
 var (
 	// WithSeed fixes all protocol randomness.
 	WithSeed = core.WithSeed
 	// WithParallel runs the simulator with parallel round execution. A
-	// run with faults takes the sequential runner instead, with an
-	// identical result.
+	// run with faults, the reliable-delivery shim or an observer takes
+	// the sequential runner instead, with an identical result.
 	WithParallel = core.WithParallel
 	// WithFaults injects a fault schedule: drops, duplication, bounded
 	// reordering, bursts, link downs, partitions, crash-with-recovery,
 	// per-message corruption and byzantine nodes. The repair pass
 	// re-serves stranded clients, fail-closed decoding and the
-	// sender-quarantine layer defend honest nodes, and Certify vouches for
-	// the result; byzantine nodes and the clients they deceived are
-	// reported exemptions.
+	// sender-quarantine layer defend honest nodes, and the built-in
+	// certifier vouches for the result; byzantine nodes and the clients
+	// they deceived are reported exemptions.
 	WithFaults = core.WithFaults
 )
 
 // FaultSchedule configures injected failures for WithFaults; the zero
 // value injects nothing. See the congest package for field semantics.
 type FaultSchedule = congest.Faults
-
-// Distributed deployment across real processes (see internal/congest's
-// Transport seam and cmd/flnode for the UDP fleet built on it).
-type (
-	// Transport carries one shard's per-round message traffic; implement it
-	// to run the protocol over a real network (cmd/flnode's UDP backend) or
-	// use NewChanNetwork for an in-process reference deployment.
-	Transport = congest.Transport
-	// Span is one shard's contiguous range of node ids.
-	Span = congest.Span
-	// Message is one protocol message in flight between two nodes; custom
-	// Transports carry these.
-	Message = congest.Message
-	// RoundStart is what Transport.Begin reports: whether the fleet
-	// halted, which nodes went down, and which were readmitted.
-	RoundStart = congest.RoundStart
-	// Fragment is one shard's share of a distributed run: span-local node
-	// state plus network stats, with a compact wire codec (Encode /
-	// DecodeShardFragment).
-	Fragment = core.Fragment
-)
-
-// SplitSpans partitions n protocol nodes into k contiguous shard spans as
-// evenly as possible.
-func SplitSpans(n, k int) []Span { return congest.SplitSpans(n, k) }
-
-// NewChanNetwork builds the in-process reference Transport: k shards over
-// n nodes exchanging messages through channels with a strict round barrier.
-// A shard whose SolveShard fails must Abort the network so that its peers
-// stop waiting at the barrier.
-func NewChanNetwork(n int, spans []Span) (*congest.ChanNetwork, error) {
-	return congest.NewChanNetwork(n, spans)
-}
-
-// SolveShard runs one shard's share of the distributed algorithm over the
-// given transport; every party must agree on the instance, configuration,
-// span partition, and seed. A fault-free deployment assembles to exactly
-// the SolveDistributed solution for the same instance and seed.
-func SolveShard(inst *Instance, cfg DistConfig, span Span, seed int64, tr Transport) (*Fragment, error) {
-	return core.SolveShard(inst, cfg, span, seed, tr)
-}
-
-// DecodeShardFragment parses a fragment's wire bytes (fail-closed) for an
-// instance with m facilities and nc clients.
-func DecodeShardFragment(p []byte, m, nc int) (*Fragment, error) {
-	return core.DecodeFragment(p, m, nc)
-}
-
-// AssembleShards combines per-shard fragments into a certified solution.
-// A nil fragment marks a shard that died: its nodes are masked like
-// crashed nodes and surviving clients assigned into the lost span are
-// exempted as orphaned. The result is certified before being returned.
-func AssembleShards(inst *Instance, cfg DistConfig, frags []*Fragment) (*Solution, *DistReport, error) {
-	return core.Assemble(inst, cfg, frags)
-}
-
-// Certify independently validates a distributed run's solution against
-// its report: feasibility modulo the report's dead/unservable exemptions,
-// plus recomputed cost and open-facility accounting. SolveDistributed
-// already certifies internally; call this to re-check a solution you
-// stored, transformed, or received from elsewhere.
-func Certify(inst *Instance, sol *Solution, rep *DistReport) error {
-	return core.Certify(inst, sol, rep)
-}
 
 // SolveDistributedBest runs the protocol `runs` times with consecutive
 // seeds and returns the cheapest solution — the cheap way to shave the
@@ -202,12 +111,6 @@ func SolveDistributedSoftCap(inst *Instance, cfg DistConfig, opts ...DistOption)
 	return core.SolveSoftCap(inst, cfg, opts...)
 }
 
-// SolveSoftCapGreedy is the sequential greedy baseline for the
-// soft-capacitated problem.
-func SolveSoftCapGreedy(inst *Instance, capacity int) (*CapSolution, error) {
-	return seq.SoftCapGreedy(inst, capacity)
-}
-
 // ValidateCap checks a capacitated solution's feasibility under the given
 // per-copy capacity.
 func ValidateCap(inst *Instance, capacity int, sol *CapSolution) error {
@@ -219,29 +122,19 @@ var (
 	// SolveGreedy is the sequential greedy star algorithm
 	// (O(log n)-approximate on non-metric instances).
 	SolveGreedy = seq.Greedy
-	// SolveGreedyFast computes the identical solution with lazy-heap
-	// evaluation; prefer it on large instances.
-	SolveGreedyFast = seq.GreedyFast
 	// SolveJainVazirani is the primal-dual 3-approximation (metric).
 	SolveJainVazirani = seq.JainVazirani
 	// SolveJMS is the Jain-Mahdian-Saberi 1.861-approximation (metric).
 	SolveJMS = seq.JMS
-	// SolveMettuPlaxton is the radius-based single-pass algorithm
-	// (constant-factor on metric instances).
-	SolveMettuPlaxton = seq.MettuPlaxton
 	// SolveExact is exact branch-and-bound for small facility counts.
 	SolveExact = seq.Exact
-	// SolveOpenAll opens everything (upper anchor).
-	SolveOpenAll = seq.OpenAll
-	// SolveCheapestPerClient opens every client's cheapest facility.
-	SolveCheapestPerClient = seq.CheapestPerClient
 )
 
 // LocalSearchConfig tunes SolveLocalSearch.
 type LocalSearchConfig = seq.LocalSearchConfig
 
 // SolveLocalSearch polishes a starting solution with add/drop/swap moves;
-// a nil start begins from SolveCheapestPerClient.
+// a nil start begins from opening every client's cheapest facility.
 func SolveLocalSearch(inst *Instance, start *Solution, cfg LocalSearchConfig) (*Solution, error) {
 	return seq.LocalSearch(inst, start, cfg)
 }

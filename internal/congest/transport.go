@@ -96,19 +96,6 @@ type RoundStart struct {
 	// after the previous round; the shard must stop without executing this
 	// round.
 	Done bool
-	// DownNodes lists node ids newly masked because their owning shard was
-	// declared down since the previous round. The engine needs no action —
-	// a down peer is indistinguishable from a crashed node's silence — but
-	// hosts log and report it.
-	DownNodes []int
-	// Readmitted lists node ids restored since the previous round: their
-	// owning shard was declared down, recovered from a checkpoint, and was
-	// readmitted at this round's barrier. Down-then-readmitted is, from the
-	// engine's point of view, a transient loss window — traffic to and from
-	// those nodes resumes this round — so, as with DownNodes, the engine
-	// needs no action; hosts log and report it. Transports without a
-	// readmission protocol (ChanNetwork, the in-proc shim) never set it.
-	Readmitted []int
 }
 
 // Transport moves one shard's round traffic in a distributed run. The
@@ -119,17 +106,18 @@ type RoundStart struct {
 // Degradation contract: Gather must return rather than hang when a peer
 // stops answering (retry budgets, barrier timeouts). Messages that never
 // arrived are simply absent — the protocol layer above is certified against
-// message loss — and a peer declared dead is reported through the next
-// Begin's RoundStart.DownNodes and masked exactly like a crashed node.
+// message loss — so a peer declared dead needs no engine action: its nodes
+// fall silent like crashed ones, and the host's Assemble masks the lost
+// span (a nil fragment) when it combines the surviving shards' results.
 //
 // Readmission contract: a transport MAY later restore a down peer (the UDP
-// backend's REJOIN/ADMIT protocol does, at a round barrier), reporting it
-// through RoundStart.Readmitted. A readmitted peer's silence window behaves
-// exactly like a burst of message loss: the engine takes no special action,
-// traffic simply resumes. Transports must only readmit peers whose state is
-// consistent with everything they sent before going down (checkpoint replay
-// guarantees this for core.ResumeShard) — a peer restored to an older state
-// would retract announcements the protocol has already acted on.
+// backend's REJOIN/ADMIT protocol does, at a round barrier). A readmitted
+// peer's silence window behaves exactly like a burst of message loss: the
+// engine takes no special action, traffic simply resumes. Transports must
+// only readmit peers whose state is consistent with everything they sent
+// before going down (checkpoint replay guarantees this for
+// core.ResumeShard) — a peer restored to an older state would retract
+// announcements the protocol has already acted on.
 type Transport interface {
 	// Begin blocks until the coordinator opens the round.
 	Begin(round int) (RoundStart, error)

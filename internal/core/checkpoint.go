@@ -226,41 +226,25 @@ func (s *FileSink) Checkpoint(round int, data []byte) error {
 	return nil
 }
 
-// CheckpointConfig tunes a shard's checkpointing. The zero value disables
-// it (SolveShard without recovery).
-type CheckpointConfig struct {
-	// Every is the snapshot cadence in rounds: the sink receives a fresh
-	// image after every Every-th completed round. 1 — the recommended
-	// setting, and cmd/flnode's default — snapshots every round, which
-	// keeps resume rollback-free: every message the pre-crash process sent
-	// is regenerated identically on replay. Larger values trade write
-	// volume for a rollback window of up to Every-1 rounds in which
-	// pre-crash announcements are forgotten; the certifier surfaces any
-	// resulting inconsistency at assembly (fail loud, never wrong).
-	Every int
-	// Sink receives the images. Checkpointing is disabled if nil.
-	Sink CheckpointSink
-}
-
-func (c CheckpointConfig) enabled() bool { return c.Sink != nil && c.Every > 0 }
-
 // ckptRecorder wraps a Transport, appending each round's gathered remote
 // messages to an incrementally encoded log and shipping a full image to the
-// sink every Every rounds. A sink failure fails the run: a shard that
-// cannot make its progress durable must not pretend it can be recovered.
+// sink after every round. An image per round keeps resume rollback-free:
+// every message the pre-crash process sent is regenerated identically on
+// replay. A sink failure fails the run: a shard that cannot make its
+// progress durable must not pretend it can be recovered.
 type ckptRecorder struct {
 	inner congest.Transport
-	ck    CheckpointConfig
+	sink  CheckpointSink
 	hdr   []byte // encoded header prefix (version..seed), fixed
 	body  []byte // encoded round records so far
 	round int    // completed rounds recorded
 	from  int    // first round whose image is worth sinking (resume skips replayed ones)
 }
 
-func newCkptRecorder(inner congest.Transport, ck CheckpointConfig, span congest.Span, m, nc, k int, seed int64) *ckptRecorder {
+func newCkptRecorder(inner congest.Transport, sink CheckpointSink, span congest.Span, m, nc, k int, seed int64) *ckptRecorder {
 	hdr := append([]byte(nil), ckptVersion)
 	hdr = appendCkptHeader(hdr, span, m, nc, k, seed)
-	return &ckptRecorder{inner: inner, ck: ck, hdr: hdr}
+	return &ckptRecorder{inner: inner, sink: sink, hdr: hdr}
 }
 
 func (r *ckptRecorder) Begin(round int) (congest.RoundStart, error) { return r.inner.Begin(round) }
@@ -275,11 +259,11 @@ func (r *ckptRecorder) Gather(round int, allHalted bool) ([]congest.Message, err
 	}
 	r.body = appendCkptRound(r.body, msgs)
 	r.round++
-	if r.round > r.from && r.round%r.ck.Every == 0 {
+	if r.round > r.from {
 		image := append([]byte(nil), r.hdr...)
 		image = binary.AppendUvarint(image, uint64(r.round))
 		image = append(image, r.body...)
-		if err := r.ck.Sink.Checkpoint(r.round, image); err != nil {
+		if err := r.sink.Checkpoint(r.round, image); err != nil {
 			return msgs, fmt.Errorf("core: checkpoint after round %d: %w", round, err)
 		}
 	}
@@ -319,12 +303,12 @@ func (t *replayTransport) Gather(round int, allHalted bool) ([]congest.Message, 
 }
 
 // SolveShardCheckpointed is SolveShard with recovery snapshots: the shard's
-// remote-input log is encoded incrementally and shipped to ck.Sink every
-// ck.Every completed rounds. A later ResumeShard from any of those images
-// continues the run bit-identically.
-func SolveShardCheckpointed(inst *fl.Instance, cfg Config, span congest.Span, seed int64, tr congest.Transport, ck CheckpointConfig) (*Fragment, error) {
-	if ck.enabled() {
-		tr = newCkptRecorder(tr, ck, span, inst.M(), inst.NC(), cfg.K, seed)
+// remote-input log is encoded incrementally and shipped to sink after every
+// completed round; a nil sink checkpoints nothing. A later ResumeShard from
+// any of those images continues the run bit-identically.
+func SolveShardCheckpointed(inst *fl.Instance, cfg Config, span congest.Span, seed int64, tr congest.Transport, sink CheckpointSink) (*Fragment, error) {
+	if sink != nil {
+		tr = newCkptRecorder(tr, sink, span, inst.M(), inst.NC(), cfg.K, seed)
 	}
 	return SolveShard(inst, cfg, span, seed, tr)
 }
@@ -337,8 +321,8 @@ func SolveShardCheckpointed(inst *fl.Instance, cfg Config, span congest.Span, se
 // the dead process would have committed. The image must match the
 // deployment exactly (span, instance shape, K, seed); any mismatch rejects
 // rather than resuming a different run's state. Checkpointing continues
-// through ck for the rounds beyond the image.
-func ResumeShard(inst *fl.Instance, cfg Config, span congest.Span, seed int64, image []byte, tr congest.Transport, ck CheckpointConfig) (*Fragment, error) {
+// through sink, if non-nil, for the rounds beyond the image.
+func ResumeShard(inst *fl.Instance, cfg Config, span congest.Span, seed int64, image []byte, tr congest.Transport, sink CheckpointSink) (*Fragment, error) {
 	ckpt, err := DecodeCheckpoint(image)
 	if err != nil {
 		return nil, err
@@ -349,8 +333,8 @@ func ResumeShard(inst *fl.Instance, cfg Config, span congest.Span, seed int64, i
 			span.Lo, span.Hi, inst.M(), inst.NC(), cfg.K, seed)
 	}
 	var rt congest.Transport = &replayTransport{log: ckpt.Log, inner: tr}
-	if ck.enabled() {
-		rec := newCkptRecorder(rt, ck, span, inst.M(), inst.NC(), cfg.K, seed)
+	if sink != nil {
+		rec := newCkptRecorder(rt, sink, span, inst.M(), inst.NC(), cfg.K, seed)
 		rec.from = ckpt.Rounds() // replayed rounds are already durable; don't re-sink them
 		rt = rec
 	}

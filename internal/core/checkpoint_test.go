@@ -57,8 +57,7 @@ func solveShardedCheckpointed(t *testing.T, inst *fl.Instance, cfg Config, seed 
 		wg.Add(1)
 		go func(si int, span congest.Span) {
 			defer wg.Done()
-			frags[si], errs[si] = SolveShardCheckpointed(inst, cfg, span, seed, net.Shard(si),
-				CheckpointConfig{Every: 1, Sink: sinks[si]})
+			frags[si], errs[si] = SolveShardCheckpointed(inst, cfg, span, seed, net.Shard(si), sinks[si])
 			if errs[si] != nil {
 				net.Abort(errs[si])
 			}
@@ -224,8 +223,7 @@ func TestResumeShardMatchesUninterrupted(t *testing.T) {
 						t.Fatalf("shard %d: no checkpoint at round %d", si, r)
 					}
 					resumeSink := newMemSink()
-					frag, err := ResumeShard(inst, cfg, span, seed, image,
-						&logTransport{log: full.Log}, CheckpointConfig{Every: 1, Sink: resumeSink})
+					frag, err := ResumeShard(inst, cfg, span, seed, image, &logTransport{log: full.Log}, resumeSink)
 					if err != nil {
 						t.Fatalf("shard %d resume at round %d: %v", si, r, err)
 					}
@@ -270,11 +268,11 @@ func TestResumeShardRejectsMismatch(t *testing.T) {
 	}
 	for name, tc := range cases {
 		ci, cc, span, seed := tc()
-		if _, err := ResumeShard(ci, cc, span, seed, image, &logTransport{}, CheckpointConfig{}); err == nil {
+		if _, err := ResumeShard(ci, cc, span, seed, image, &logTransport{}, nil); err == nil {
 			t.Errorf("%s: ResumeShard accepted a mismatched image", name)
 		}
 	}
-	if _, err := ResumeShard(inst, cfg, spans[0], 3, image[:len(image)-1], &logTransport{}, CheckpointConfig{}); err == nil {
+	if _, err := ResumeShard(inst, cfg, spans[0], 3, image[:len(image)-1], &logTransport{}, nil); err == nil {
 		t.Error("ResumeShard accepted a truncated image")
 	}
 }

@@ -44,10 +44,9 @@ func Write(w io.Writer, inst *Instance) error {
 // order on disk is whatever order the stream produces (Read canonicalizes
 // on parse, so the formats round-trip).
 type StreamWriter struct {
-	bw   *bufio.Writer
-	m    int
-	nc   int
-	errs error
+	bw *bufio.Writer
+	m  int
+	nc int
 }
 
 // NewStreamWriter writes the header and returns a writer whose Facility and

@@ -75,19 +75,6 @@ func TestAllSolversOnEdgeCases(t *testing.T) {
 				}
 			})
 		}
-		t.Run(name+"/greedyfast", func(t *testing.T) {
-			fast, err := GreedyFast(inst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := Greedy(inst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast.Cost(inst) != ref.Cost(inst) {
-				t.Fatalf("fast %d != ref %d", fast.Cost(inst), ref.Cost(inst))
-			}
-		})
 		t.Run(name+"/mettuplaxton", func(t *testing.T) {
 			sol, err := MettuPlaxton(inst)
 			if err != nil {

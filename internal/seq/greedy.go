@@ -39,7 +39,7 @@ func Greedy(inst *fl.Instance) (*fl.Solution, error) {
 		var bestNum, bestDen int64 // best effectiveness = bestNum/bestDen
 		var bestStar []int
 		for i := 0; i < m; i++ {
-			num, den, star := bestStarFor(inst, i, sol.Open[i], active, nil)
+			num, den, star := bestStarFor(inst, i, sol.Open[i], active)
 			if den == 0 {
 				continue
 			}
@@ -64,14 +64,12 @@ func Greedy(inst *fl.Instance) (*fl.Solution, error) {
 // bestStarFor computes facility i's best star against the active clients:
 // the prefix (by ascending connection cost) minimizing
 // (openCost + sum costs) / size. It returns the numerator, denominator
-// (0 when i has no active client), and the prefix's client ids. starBuf,
-// when non-nil, is reused for the returned slice.
-func bestStarFor(inst *fl.Instance, i int, alreadyOpen bool, active []bool, starBuf []int) (num, den int64, star []int) {
+// (0 when i has no active client), and the prefix's client ids.
+func bestStarFor(inst *fl.Instance, i int, alreadyOpen bool, active []bool) (num, den int64, star []int) {
 	openCost := inst.FacilityCost(i)
 	if alreadyOpen {
 		openCost = 0
 	}
-	star = starBuf[:0]
 	var (
 		sum           = openCost
 		bestNum       int64

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dfl/internal/congest"
 	"dfl/internal/core"
 	"dfl/internal/gen"
 )
@@ -46,5 +47,31 @@ func TestDeploymentAllocsNearSolve(t *testing.T) {
 	t.Logf("allocations per run: deployment %.0f, in-process Solve %.0f (%.1f×)", fleet, solve, fleet/solve)
 	if fleet > 4*solve {
 		t.Errorf("deployment allocates %.0f, more than 4× Solve's %.0f", fleet, solve)
+	}
+}
+
+// TestShardBeginAllocsNothing holds Begin to what the engine reads of it,
+// RoundStart.Done: on an open round, with a peer shard marked down by the
+// newest GO, Begin allocates nothing. A Begin that lists the down span's
+// node ids allocates a slice of that span's size on every round.
+func TestShardBeginAllocsNothing(t *testing.T) {
+	s, err := newShard(0, 3, "127.0.0.1:9", Config{}, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const round = 4
+	s.ep.mu.Lock()
+	s.spans = congest.SplitSpans(3000, 3)
+	s.maxGo = round
+	s.goDown[2] = true
+	s.ep.mu.Unlock()
+	allocs := testing.AllocsPerRun(100, func() {
+		if rs, err := s.Begin(round); err != nil || rs.Done {
+			t.Fatalf("Begin(%d) = %+v, %v; want an open round", round, rs, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Begin allocates %.1f times per call with a peer down, want 0", allocs)
 	}
 }

@@ -52,18 +52,12 @@ type Gateway struct {
 	inc        []uint64
 	downRound  []int
 	admitRound []int
-	// pending holds rejoin requests awaiting the next barrier, by shard.
-	pending  map[int]*rejoinReq
+	// pending[sh] is the address shard sh's rejoin request came from,
+	// awaiting the next barrier; the zero value means no request.
+	pending  []netip.AddrPort
 	results  []stream // per shard, RESULT assembly
 	resultOK []bool
 	goBody   []byte // GO bodies are rendered here, reused round after round
-}
-
-// rejoinReq is one shard's recovery offer: where it listens now and the
-// round its checkpoint replay resumes at.
-type rejoinReq struct {
-	addr        netip.AddrPort
-	resumeRound int
 }
 
 // Result is a finished deployment: the raw fragment bytes each surviving
@@ -113,7 +107,7 @@ func NewGateway(addr string, spans []congest.Span, cfg Config) (*Gateway, error)
 		inc:         make([]uint64, k),
 		downRound:   make([]int, k),
 		admitRound:  make([]int, k),
-		pending:     make(map[int]*rejoinReq),
+		pending:     make([]netip.AddrPort, k),
 		results:     make([]stream, k),
 		resultOK:    make([]bool, k),
 	}
@@ -179,8 +173,10 @@ func (g *Gateway) handle(from netip.AddrPort, f Frame) {
 		}
 		// Recovered process offering to resume at f.Round. Admission is
 		// decided at the next barrier (Run owns the round state machine);
-		// last offer wins if the process retried from a new socket.
-		g.pending[sh] = &rejoinReq{addr: from, resumeRound: f.Round}
+		// last offer wins if the process retried from a new socket. The
+		// rejoiner itself checks that its admission round is not behind
+		// f.Round.
+		g.pending[sh] = from
 	case frResult:
 		part, parts, chunk, err := decodeChunkHeader(f.Body)
 		if err != nil {
@@ -204,22 +200,24 @@ func (g *Gateway) handle(from netip.AddrPort, f Frame) {
 // rebinds the shard's address, and sends ADMIT with everything the
 // recovered process needs to take its seat: its new incarnation, the fleet
 // book (addresses, spans, peer incarnations) and the current down set.
+//
+// Shards are walked in id order, so two rejoins at one barrier are
+// admitted, and their ADMITs sent, in the same order on every run.
 func (g *Gateway) admitLocked(round int) {
-	for sh, req := range g.pending {
-		if !g.down[sh] {
-			continue // not yet declared down; revisit next barrier
+	for sh, addr := range g.pending {
+		if !addr.IsValid() || !g.down[sh] {
+			continue // no request, or not yet declared down; revisit next barrier
 		}
+		g.pending[sh] = netip.AddrPort{}
 		if round-g.downRound[sh] > g.cfg.AdmitWindow {
-			delete(g.pending, sh)
 			continue
 		}
-		delete(g.pending, sh)
 		g.inc[sh]++
 		g.down[sh] = false
 		g.downRound[sh] = -1
-		g.addrs[sh] = req.addr
+		g.addrs[sh] = addr
 		g.admitRound[sh] = round
-		g.ep.sendReliable(req.addr, Frame{Kind: frAdmit, Round: round,
+		g.ep.sendReliable(addr, Frame{Kind: frAdmit, Round: round,
 			Body: g.encodeAdmitLocked(sh)})
 	}
 }
@@ -355,8 +353,8 @@ func (g *Gateway) Run(maxRounds int) (*Result, error) {
 		// pending entry for a shard that is still up is a forgery or a
 		// duplicate of an already-admitted offer — it must not block halt.
 		rejoining := false
-		for sh := range g.pending {
-			if g.down[sh] && round-g.downRound[sh] <= g.cfg.AdmitWindow {
+		for sh, addr := range g.pending {
+			if addr.IsValid() && g.down[sh] && round-g.downRound[sh] <= g.cfg.AdmitWindow {
 				rejoining = true
 			}
 		}

@@ -241,8 +241,7 @@ func rejoinDeployment(t *testing.T, inst *fl.Instance, cfg core.Config, seed int
 					return
 				}
 				defer sh.Close()
-				frag, err := core.ResumeShard(inst, cfg, spans[victim], seed, image, sh,
-					core.CheckpointConfig{Every: 1, Sink: sink})
+				frag, err := core.ResumeShard(inst, cfg, spans[victim], seed, image, sh, sink)
 				if err != nil {
 					respawnErr = err
 					return
@@ -270,8 +269,7 @@ func rejoinDeployment(t *testing.T, inst *fl.Instance, cfg core.Config, seed int
 				killMu.Unlock()
 				// The victim checkpoints every round so its successor can
 				// resume; its own run is expected to die mid-flight.
-				_, errs[i] = core.SolveShardCheckpointed(inst, cfg, spans[i], seed, sh,
-					core.CheckpointConfig{Every: 1, Sink: sink})
+				_, errs[i] = core.SolveShardCheckpointed(inst, cfg, spans[i], seed, sh, sink)
 				return
 			}
 			frag, err := core.SolveShard(inst, cfg, spans[i], seed, sh)
@@ -463,8 +461,7 @@ func TestUDPResumeParity(t *testing.T) {
 						return
 					}
 					defer sh.Close()
-					frags[i], errs[i] = core.SolveShardCheckpointed(inst, cfg, spans[i], seed, sh,
-						core.CheckpointConfig{Every: 1, Sink: sinks[i]})
+					frags[i], errs[i] = core.SolveShardCheckpointed(inst, cfg, spans[i], seed, sh, sinks[i])
 					if errs[i] == nil {
 						errs[i] = sh.SendResult(frags[i].Encode(nil))
 					}
@@ -490,8 +487,7 @@ func TestUDPResumeParity(t *testing.T) {
 					if image == nil {
 						t.Fatalf("shard %d: no checkpoint at round %d", si, r)
 					}
-					frag, err := core.ResumeShard(inst, cfg, spans[si], seed, image,
-						&logTransport{log: full.Log}, core.CheckpointConfig{})
+					frag, err := core.ResumeShard(inst, cfg, spans[si], seed, image, &logTransport{log: full.Log}, nil)
 					if err != nil {
 						t.Fatalf("shard %d resume at %d: %v", si, r, err)
 					}

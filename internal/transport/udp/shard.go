@@ -162,8 +162,7 @@ type Shard struct {
 	// Begin opens instantly, Send drops, Gather returns nothing and sends
 	// no READY — the fleet ran those rounds with the shard masked.
 	admitRound int
-	admitted   bool   // Rejoin only: ADMIT received
-	prevDown   []bool // down set reported by the previous Begin, for deltas
+	admitted   bool // Rejoin only: ADMIT received
 	// pendingGo parks a GO that beat WELCOME/ADMIT to the socket (the
 	// reliable link dedups but does not order); it is replayed once the
 	// fleet book arrives.
@@ -206,16 +205,15 @@ func newShard(id, k int, gateway string, cfg Config, chaos *Chaos, inc uint64) (
 	}
 	cfg = cfg.withDefaults()
 	s := &Shard{
-		id:       id,
-		k:        k,
-		cfg:      cfg,
-		gwAddr:   unmap(gwAddr.AddrPort()),
-		maxGo:    -1,
-		goDown:   make([]bool, k),
-		goNext:   make([]bool, k),
-		prevDown: make([]bool, k),
-		batch:    make([]stream, k),
-		out:      make([][]byte, k),
+		id:     id,
+		k:      k,
+		cfg:    cfg,
+		gwAddr: unmap(gwAddr.AddrPort()),
+		maxGo:  -1,
+		goDown: make([]bool, k),
+		goNext: make([]bool, k),
+		batch:  make([]stream, k),
+		out:    make([][]byte, k),
 	}
 	s.ep = newEndpoint(id, conn, chaos, cfg.Policy)
 	s.ep.inc = inc
@@ -457,23 +455,7 @@ func (s *Shard) Begin(round int) (congest.RoundStart, error) {
 	if err != nil {
 		return congest.RoundStart{}, fmt.Errorf("udp: shard %d: no barrier for round %d: %w", s.id, round, err)
 	}
-	var downNodes, readmitted []int
-	for sh, d := range s.goDown {
-		if d {
-			for id := s.spans[sh].Lo; id < s.spans[sh].Hi; id++ {
-				downNodes = append(downNodes, id)
-			}
-		}
-		if !d && s.prevDown[sh] {
-			// Down in the previous barrier, up in this one: the gateway
-			// readmitted the shard; report the restored nodes.
-			for id := s.spans[sh].Lo; id < s.spans[sh].Hi; id++ {
-				readmitted = append(readmitted, id)
-			}
-		}
-		s.prevDown[sh] = d
-	}
-	return congest.RoundStart{DownNodes: downNodes, Readmitted: readmitted}, nil
+	return congest.RoundStart{}, nil
 }
 
 // Send implements congest.Transport: it batches the round's remote
