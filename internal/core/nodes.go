@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -76,7 +77,7 @@ type facilityNode struct {
 
 	// Cached best star over the active clients; valid while !starDirty.
 	starDirty bool
-	starPos   []int32 // edge positions of active clients, ascending cost (reused scratch)
+	starPos   []int32 // edge positions of the scanned active clients, ascending cost (reused scratch)
 	bestLen   int     // prefix of starPos forming the best star; 0 = no active client
 	bestNum   int64   // best-star effectiveness numerator (cost + opening charge)
 	bestDen   int64   // best-star effectiveness denominator (= star size)
@@ -350,7 +351,9 @@ func (f *facilityNode) phaseOf(r int) int {
 //
 // The star is served from the incremental cache: recomputeBestStar runs
 // only after an invalidation (a DONE or CONNECT shrank the active set),
-// otherwise the iteration reuses the cached prefix verbatim.
+// otherwise the iteration reuses the cached prefix verbatim. The rescan
+// reads the row only up to the first active client at least as costly as
+// the best ratio, so it costs about the star's size, not the degree.
 func (f *facilityNode) makeOffer(r int) {
 	for _, pos := range f.offeredPos {
 		f.offeredAt[pos] = false
@@ -379,7 +382,7 @@ func (f *facilityNode) makeOffer(r int) {
 	}
 }
 
-// recomputeBestStar rebuilds the cached best star: one scan over the
+// recomputeBestStar rebuilds the cached best star: a scan along the
 // cost-sorted edge list compacts the active positions into starPos while
 // tracking the prefix minimizing (openingCharge + cost-prefix sum) / size.
 // In uncapacitated mode the opening charge is f once (zero if already
@@ -387,17 +390,29 @@ func (f *facilityNode) makeOffer(r int) {
 // charged again. The resulting star and its quantized class stay valid
 // until the active set changes, because every input of this scan — the
 // active flags, open/load/copies, the thresholds — is constant in between.
+//
+// The scan ends at the first active client whose cost is at least the
+// best ratio so far: costs ascend and the opening charge never falls as
+// the prefix grows, so no longer prefix can beat the best one (DESIGN §8).
+// starPos then holds only the scanned prefix. The stop waits while
+// MaxInt64/degree < best ratio, where a saturated sum could undercut it.
 func (f *facilityNode) recomputeBestStar() {
 	f.starDirty = false
 	f.starPos = f.starPos[:0]
 	f.bestLen, f.bestNum, f.bestDen, f.bestClass = 0, 0, 0, -1
 	var sum, t int64
+	deg := int64(len(f.edgeNode))
 	for pos := range f.edgeNode {
 		if !f.active[pos] {
 			continue
 		}
+		c := f.edges[pos].Cost
+		if f.bestLen > 0 && !fl.RatioLess(c, 1, f.bestNum, f.bestDen) &&
+			fl.RatioLessEq(f.bestNum, f.bestDen, math.MaxInt64, deg) {
+			break
+		}
 		f.starPos = append(f.starPos, int32(pos))
-		sum = fl.AddSat(sum, f.edges[pos].Cost)
+		sum = fl.AddSat(sum, c)
 		t++
 		total := fl.AddSat(sum, f.openingCharge(int(t)))
 		if f.bestLen == 0 || fl.RatioLess(total, t, f.bestNum, f.bestDen) {

@@ -8,17 +8,18 @@ import (
 )
 
 // benchFacility builds a facilityNode over one facility with nClients
-// attached clients. The opening cost is huge, so every star's effectiveness
-// ratio stays above the (tiny) thresholds of the benchmark Derived below:
-// makeOffer classifies the star as ineligible and returns after the scan
-// without needing a live congest.Env.
-func benchFacility(tb testing.TB, nClients int) *facilityNode {
+// attached clients at costs 1, 2, ..., nClients and the given opening cost.
+// The benchmarks' opening costs keep every star's effectiveness ratio above
+// the (tiny) thresholds of the benchmark Derived below: makeOffer
+// classifies the star as ineligible and returns after the scan without
+// needing a live congest.Env.
+func benchFacility(tb testing.TB, nClients int, openCost int64) *facilityNode {
 	tb.Helper()
 	edges := make([]fl.RawEdge, nClients)
 	for j := range edges {
 		edges[j] = fl.RawEdge{Facility: 0, Client: j, Cost: int64(j + 1)}
 	}
-	inst, err := fl.New("bench", []int64{1 << 40}, nClients, edges)
+	inst, err := fl.New("bench", []int64{openCost}, nClients, edges)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -39,10 +40,13 @@ func facilityNodes(tb testing.TB, inst *fl.Instance, cfg Config, d Derived) (*co
 }
 
 // BenchmarkMakeOffer measures the dirty path: the cache is invalidated
-// before every call, so each iteration pays the full best-star scan over
-// the 512-client edge list. This is the cost a DONE or CONNECT inflicts.
+// before every call, so each iteration rescans the 512-client edge list.
+// This is the cost a DONE or CONNECT inflicts. The scan stops at the first
+// client whose cost reaches the best ratio, and with an opening cost of
+// 2^40 no cost in the row (at most 512) does, so every call reads the whole
+// row: this is the worst case.
 func BenchmarkMakeOffer(b *testing.B) {
-	f := benchFacility(b, 512)
+	f := benchFacility(b, 512, 1<<40)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,11 +55,28 @@ func BenchmarkMakeOffer(b *testing.B) {
 	}
 }
 
+// BenchmarkMakeOfferEarlyStop measures the dirty path on the same row with
+// an opening cost of 128: the best star is the 16 cheapest clients (ratio
+// 16.5, still above the thresholds), and the scan ends at the 17th, whose
+// cost 17 reaches that ratio, so a call reads 17 of the 512 positions.
+func BenchmarkMakeOfferEarlyStop(b *testing.B) {
+	f := benchFacility(b, 512, earlyStopOpenCost)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.starDirty = true
+		f.makeOffer(1)
+	}
+}
+
+// earlyStopOpenCost is BenchmarkMakeOfferEarlyStop's opening cost.
+const earlyStopOpenCost = 128
+
 // BenchmarkMakeOfferCached measures the steady state: iterations between
 // invalidations reuse the cached best star, so the call should be near-free
 // and allocation-free.
 func BenchmarkMakeOfferCached(b *testing.B) {
-	f := benchFacility(b, 512)
+	f := benchFacility(b, 512, 1<<40)
 	f.starDirty = true
 	f.makeOffer(1) // prime the cache
 	b.ReportAllocs()
@@ -65,19 +86,30 @@ func BenchmarkMakeOfferCached(b *testing.B) {
 	}
 }
 
-// TestBenchFacilityIneligible pins the assumption the two benchmarks rely
-// on: with the huge opening cost the best star exists but is above every
-// threshold, so makeOffer returns before touching the (nil) environment.
+// TestBenchFacilityIneligible pins the assumptions the benchmarks rely
+// on: at both opening costs the best star exists but is above every
+// threshold, so makeOffer returns before touching the (nil) environment;
+// at 2^40 the scan reads the whole row, and at earlyStopOpenCost it stops
+// right after the 16-client best star.
 func TestBenchFacilityIneligible(t *testing.T) {
-	f := benchFacility(t, 16)
-	f.makeOffer(1)
-	if f.starDirty {
-		t.Fatal("makeOffer left the cache dirty")
-	}
-	if f.bestLen == 0 {
-		t.Fatal("no best star found")
-	}
-	if f.bestClass != -1 {
-		t.Fatalf("bestClass = %d, want -1 (ineligible)", f.bestClass)
+	for _, tc := range []struct {
+		openCost         int64
+		bestLen, scanned int
+	}{
+		{1 << 40, 512, 512},
+		{earlyStopOpenCost, 16, 16},
+	} {
+		f := benchFacility(t, 512, tc.openCost)
+		f.makeOffer(1)
+		if f.starDirty {
+			t.Fatal("makeOffer left the cache dirty")
+		}
+		if f.bestLen != tc.bestLen || len(f.starPos) != tc.scanned {
+			t.Fatalf("opening cost %d: best star %d clients after %d scanned, want %d after %d",
+				tc.openCost, f.bestLen, len(f.starPos), tc.bestLen, tc.scanned)
+		}
+		if f.bestClass != -1 {
+			t.Fatalf("opening cost %d: bestClass = %d, want -1 (ineligible)", tc.openCost, f.bestClass)
+		}
 	}
 }

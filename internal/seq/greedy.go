@@ -9,6 +9,7 @@ package seq
 
 import (
 	"errors"
+	"math"
 
 	"dfl/internal/fl"
 )
@@ -65,6 +66,9 @@ func Greedy(inst *fl.Instance) (*fl.Solution, error) {
 // the prefix (by ascending connection cost) minimizing
 // (openCost + sum costs) / size. It returns the numerator, denominator
 // (0 when i has no active client), and the prefix's client ids.
+//
+// The scan stops at the first active client whose cost is at least the
+// best ratio so far (see stopScan), so it reads about the star, not the row.
 func bestStarFor(inst *fl.Instance, i int, alreadyOpen bool, active []bool) (num, den int64, star []int) {
 	openCost := inst.FacilityCost(i)
 	if alreadyOpen {
@@ -78,9 +82,13 @@ func bestStarFor(inst *fl.Instance, i int, alreadyOpen bool, active []bool) (num
 		t             int64
 		haveCandidate bool
 	)
-	for _, e := range inst.FacilityEdges(i) { // sorted by ascending cost
+	row := inst.FacilityEdges(i)
+	for _, e := range row { // sorted by ascending cost
 		if !active[e.To] {
 			continue
+		}
+		if haveCandidate && stopScan(e.Cost, bestNum, bestDen, len(row)) {
+			break
 		}
 		star = append(star, e.To)
 		sum = fl.AddSat(sum, e.Cost)
@@ -94,6 +102,19 @@ func bestStarFor(inst *fl.Instance, i int, alreadyOpen bool, active []bool) (num
 		return 0, 0, star[:0]
 	}
 	return bestNum, bestDen, star[:bestLen]
+}
+
+// stopScan reports whether a best-star scan may end at an active client of
+// cost c, given the best ratio bestNum/bestDen over the prefixes before it
+// in a row of deg clients. Costs ascend along the row and the opening
+// charge never falls as the prefix grows, so once c >= the best ratio every
+// longer prefix of t' clients totals at least t' times it and cannot be
+// strictly better. Saturating sums read at most MaxInt64, so the stop also
+// needs MaxInt64/deg >= the best ratio; with costs at most fl.MaxCost that
+// holds on every row under 2^22 clients.
+func stopScan(c, bestNum, bestDen int64, deg int) bool {
+	return !fl.RatioLess(c, 1, bestNum, bestDen) &&
+		fl.RatioLessEq(bestNum, bestDen, math.MaxInt64, int64(deg))
 }
 
 // OpenAll opens every facility and connects each client to its cheapest

@@ -67,7 +67,9 @@ func SoftCapGreedy(inst *fl.Instance, cap int) (*fl.CapSolution, error) {
 
 // bestCapStarFor is the capacity-aware analogue of bestStarFor: scanning
 // facility i's active clients by ascending cost, the numerator charges a
-// fresh opening cost every time the prefix spills into a new copy.
+// fresh opening cost every time the prefix spills into a new copy. That
+// charge never falls as the prefix grows, so the same stopScan rule ends
+// the scan.
 func bestCapStarFor(inst *fl.Instance, i, cap, copies, load int, active []bool) (num, den int64, star []int) {
 	fi := inst.FacilityCost(i)
 	var (
@@ -78,9 +80,13 @@ func bestCapStarFor(inst *fl.Instance, i, cap, copies, load int, active []bool) 
 		bestLen int
 		have    bool
 	)
-	for _, e := range inst.FacilityEdges(i) { // ascending cost
+	row := inst.FacilityEdges(i)
+	for _, e := range row { // ascending cost
 		if !active[e.To] {
 			continue
+		}
+		if have && stopScan(e.Cost, bestNum, bestDen, len(row)) {
+			break
 		}
 		star = append(star, e.To)
 		t++
