@@ -33,8 +33,10 @@ import (
 // order the old slice-of-slices builder produced — so freezing changes no
 // observable iteration order. A second flat array keeps each row sorted by
 // neighbour id for O(log degree) adjacency queries; it is built by
-// transposing the deduplicated rows in O(edges), without a sort. Bipartite
-// skips the builder phase and fills both arrays straight from its walks.
+// transposing the deduplicated rows in O(edges), without a sort.
+// BipartiteRows and Bipartite skip the builder phase: they take only the
+// facility rows, scatter them into the client rows and transpose those
+// into the facilities' sorted rows, so the graph is frozen from the start.
 //
 // Neighbour ids are stored as int32, the O(log n)-bit id of the model, so
 // each directed edge costs 8 bytes across the two arrays; a graph holds at
@@ -154,34 +156,27 @@ func (g *Graph) freeze(dupErr *error) {
 	g.rowStart = newStart
 	g.nbrs = nbrs[:write:write]
 	g.pendU, g.pendV = nil, nil
-	g.transpose(cur, false)
+	g.transpose(cur)
 }
 
-// transpose fills the sorted rows from the frozen insertion-order rows and
-// freezes the graph; cur is scratch of n entries. Walking u ascending and
-// appending u to the sorted row of each of its neighbours leaves every
-// sorted row ascending, because the adjacency is symmetric (v is in u's
-// row iff u is in v's). A duplicate edge (u, v) therefore shows up as u
-// written twice in a row into v's sorted row; with checkDup set, transpose
-// reports the first one it meets, in walk order.
-func (g *Graph) transpose(cur []int, checkDup bool) (dupU, dupV int, dup bool) {
+// transpose fills the sorted rows from the frozen, deduplicated
+// insertion-order rows and freezes the graph; cur is scratch of n entries.
+// Walking u ascending and appending u to the sorted row of each of its
+// neighbours leaves every sorted row ascending, because the adjacency is
+// symmetric (v is in u's row iff u is in v's).
+func (g *Graph) transpose(cur []int) {
 	n, rowStart, nbrs := g.n, g.rowStart, g.nbrs
 	sorted := make([]int32, len(nbrs))
 	copy(cur, rowStart[:n])
 	for u := 0; u < n; u++ {
 		for _, v := range nbrs[rowStart[u]:rowStart[u+1]] {
-			k := cur[v]
-			if checkDup && !dup && k > rowStart[v] && sorted[k-1] == int32(u) {
-				dupU, dupV, dup = u, int(v), true
-			}
-			sorted[k] = int32(u)
+			sorted[cur[v]] = int32(u)
 			cur[v]++
 		}
 	}
 	g.sorted = sorted
 	g.edgeCount = len(nbrs) / 2
 	g.frozen = true
-	return dupU, dupV, dup
 }
 
 // Neighbors returns the neighbour list of u in insertion order. Shared
@@ -258,73 +253,174 @@ func (g *Graph) inEdge(from, to int32) int {
 // yields other per-row degrees than the first.
 var errBipartiteReplay = errors.New("congest: the second walk of the bipartite edges does not replay the first")
 
-// Bipartite builds the communication graph of a facility-location instance:
-// facilities occupy node ids 0..m-1 and clients m..m+nc-1; each (facility i,
-// client j) pair in edges becomes a communication edge. The returned graph
-// is already frozen, with each row in the order edges yields its pairs.
+// BipartiteRows builds the communication graph of a facility-location
+// instance from its facility rows: facilities occupy node ids 0..m-1 and
+// clients m..m+nc-1. start holds the m+1 CSR offsets of the rows, and
+// fill(i, row) is called once per facility, in ascending order, to write
+// the client indices (0..nc-1) of facility i's row; the graph keeps that
+// order as facility i's Neighbors. Every client's Neighbors lists its
+// facilities in ascending id order.
 //
-// edges is walked twice and writes straight into the CSR arrays: the first
-// walk counts every row's degree, the second fills the rows, and the
-// transpose into sorted rows follows. No pair list is staged. A pair out of
-// range, a duplicate pair, and a second walk that does not yield the same
-// per-row degrees as the first are errors, as is a node count beyond the
-// int32 id space, which is rejected before anything is allocated.
+// It also returns, for every facility, the permutation from its sorted row
+// to its insertion order: entry start[i]+k is the position in facility i's
+// Neighbors of the k-th entry of its SortedNeighbors. A client index out of
+// range and a client listed twice in one row are errors, as is a node
+// count beyond the int32 id space, which is rejected before anything is
+// allocated.
+func BipartiteRows(m, nc int, start []int, fill func(facility int, row []int32)) (*Graph, []int32, error) {
+	if m < 0 || nc < 0 || m > math.MaxInt32-nc {
+		return nil, nil, fmt.Errorf("congest: bipartite graph of %d+%d nodes exceeds the int32 id space", m, nc)
+	}
+	if len(start) != m+1 || start[0] != 0 || !slices.IsSorted(start) {
+		return nil, nil, fmt.Errorf("congest: %d facility row offsets, want %d ascending from 0", len(start), m+1)
+	}
+	g := newBipartite(m, nc, start)
+	for i := 0; i < m; i++ {
+		fill(i, g.nbrs[start[i]:start[i+1]:start[i+1]])
+	}
+	perm := make([]int32, start[m])
+	if err := g.linkClients(m, perm); err != nil {
+		return nil, nil, err
+	}
+	return g, perm, nil
+}
+
+// newBipartite allocates a bipartite graph whose facility rows span start,
+// for the caller to fill with client indices before linkClients.
+func newBipartite(m, nc int, start []int) *Graph {
+	n, e := m+nc, start[m]
+	g := &Graph{n: n, rowStart: make([]int, n+1), nbrs: make([]int32, 2*e), sorted: make([]int32, 2*e)}
+	copy(g.rowStart, start)
+	return g
+}
+
+// linkClients completes a graph from newBipartite once its facility rows
+// hold client indices, in linear passes over the edges. The first checks
+// each index, counts the client degrees and turns the index into a node
+// id. The second scatters the client rows, walking the facilities in
+// ascending order, so each client row comes out ascending. The third
+// transposes the client rows into the facilities' sorted rows, ascending
+// for the same reason; a client written twice in a row into one
+// facility's sorted row is a duplicate edge. The clients' sorted rows are
+// then copies of their insertion rows. Unless perm is nil, a last walk
+// over each facility's two rows, through a scratch of client positions
+// small enough to stay in cache, fills perm.
+func (g *Graph) linkClients(m int, perm []int32) error {
+	n, rowStart, nbrs, sorted := g.n, g.rowStart, g.nbrs, g.sorted
+	e := rowStart[m]
+	for i := 0; i < m; i++ {
+		for k := rowStart[i]; k < rowStart[i+1]; k++ {
+			j := int(nbrs[k])
+			if j < 0 || j >= n-m {
+				return fmt.Errorf("congest: edge (%d,%d) out of range [0,%d)", i, m+j, n)
+			}
+			rowStart[m+j+1]++
+			nbrs[k] = int32(m + j)
+		}
+	}
+	for u := m; u < n; u++ {
+		rowStart[u+1] += rowStart[u]
+	}
+	cur := make([]int, n)
+	copy(cur, rowStart[:n])
+	for i := 0; i < m; i++ {
+		for _, v := range nbrs[rowStart[i]:rowStart[i+1]] {
+			nbrs[cur[v]] = int32(i)
+			cur[v]++
+		}
+	}
+	for v := m; v < n; v++ {
+		for _, i := range nbrs[rowStart[v]:rowStart[v+1]] {
+			s := cur[i]
+			if s > rowStart[i] && sorted[s-1] == int32(v) {
+				return fmt.Errorf("congest: duplicate edge (%d,%d)", i, v)
+			}
+			sorted[s] = int32(v)
+			cur[i]++
+		}
+	}
+	copy(sorted[e:], nbrs[e:])
+	if perm != nil {
+		pos := cur // by client node id: its position in the facility's row
+		for i := 0; i < m; i++ {
+			lo, hi := rowStart[i], rowStart[i+1]
+			for p, v := range nbrs[lo:hi] {
+				pos[v] = p
+			}
+			for k, v := range sorted[lo:hi] {
+				perm[lo+k] = int32(pos[v])
+			}
+		}
+	}
+	g.edgeCount = e
+	g.frozen = true
+	return nil
+}
+
+// Bipartite builds the same graph as BipartiteRows from a walk of the
+// (facility i, client j) pairs instead of the rows: each facility's row
+// lists its clients in the order edges yields them, and each client's row
+// its facilities in ascending order.
+//
+// edges is walked twice: the first walk counts every row's degree, the
+// second fills the facility rows, and linkClients completes the graph. A
+// pair out of range, a duplicate pair, and a second walk that does not
+// yield the same per-row degrees as the first are errors, as is a node
+// count beyond the int32 id space, which is rejected before anything is
+// allocated.
 func Bipartite(m, nc int, edges func(yield func(facility, client int) bool)) (*Graph, error) {
 	if m < 0 || nc < 0 || m > math.MaxInt32-nc {
 		return nil, fmt.Errorf("congest: bipartite graph of %d+%d nodes exceeds the int32 id space", m, nc)
 	}
-	n := m + nc
 	var err error
 	inRange := func(i, j int) bool {
 		if i < 0 || i >= m || j < 0 || j >= nc {
-			err = fmt.Errorf("congest: edge (%d,%d) out of range [0,%d)", i, m+j, n)
+			err = fmt.Errorf("congest: edge (%d,%d) out of range [0,%d)", i, m+j, m+nc)
 			return false
 		}
 		return true
 	}
-	rowStart := make([]int, n+1)
+	start, deg := make([]int, m+1), make([]int, nc)
 	edges(func(i, j int) bool {
 		if !inRange(i, j) {
 			return false
 		}
-		rowStart[i+1]++
-		rowStart[m+j+1]++
+		start[i+1]++
+		deg[j]++
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	for u := 0; u < n; u++ {
-		rowStart[u+1] += rowStart[u]
+	for i := 0; i < m; i++ {
+		start[i+1] += start[i]
 	}
-	g := &Graph{n: n, rowStart: rowStart, nbrs: make([]int32, rowStart[n])}
-	cur := make([]int, n)
-	copy(cur, rowStart[:n])
+	// The second walk may not overfill a facility row or a client's
+	// degree, so it replays the first iff it also fills every edge slot.
+	g := newBipartite(m, nc, start)
+	cur, left := start, start[m] // g.rowStart holds the offsets now
 	edges(func(i, j int) bool {
 		if !inRange(i, j) {
 			return false
 		}
-		u, v := i, m+j
-		if cur[u] == rowStart[u+1] || cur[v] == rowStart[v+1] {
+		if cur[i] == g.rowStart[i+1] || deg[j] == 0 {
 			err = errBipartiteReplay
 			return false
 		}
-		g.nbrs[cur[u]] = int32(v)
-		cur[u]++
-		g.nbrs[cur[v]] = int32(u)
-		cur[v]++
+		g.nbrs[cur[i]] = int32(j)
+		cur[i]++
+		deg[j]--
+		left--
 		return true
 	})
+	if err == nil && left != 0 {
+		err = errBipartiteReplay
+	}
 	if err != nil {
 		return nil, err
 	}
-	for u := 0; u < n; u++ {
-		if cur[u] != rowStart[u+1] {
-			return nil, errBipartiteReplay
-		}
-	}
-	if u, v, dup := g.transpose(cur, true); dup {
-		return nil, fmt.Errorf("congest: duplicate edge (%d,%d)", u, v)
+	if err := g.linkClients(m, nil); err != nil {
+		return nil, err
 	}
 	return g, nil
 }

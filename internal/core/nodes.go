@@ -48,10 +48,10 @@ import (
 // by a forward galloping cursor (seek): the ids a facility looks up arrive
 // in ascending order, because inboxes are sorted by sender, so decoding a
 // round's messages costs O(log gap) per id, and O(1) when the ids are
-// dense, without any hashing or per-node allocation. newFacilityNodes
-// fills the edge position of every sorted-row entry for all facilities at
-// once by transposing the facility rows through a client-major bucket, in
-// time linear in the edge count and without a comparison sort.
+// dense, without any hashing or per-node allocation. The edge position of
+// every sorted-row entry comes with the graph: congest.BipartiteRows
+// returns each facility's sorted-to-insertion-order permutation, in time
+// linear in the edge count and without a comparison sort.
 type facilityNode struct {
 	inst *fl.Instance
 	idx  int // facility index == node id
@@ -62,7 +62,7 @@ type facilityNode struct {
 	// The edge list in ascending cost, as views of rows that the instance
 	// and the graph hold: edges is the instance's row, so edges[p].Cost is
 	// the connection cost at position p, and edgeNode the graph's
-	// insertion-order row, which buildGraph fills in the same order, so
+	// insertion-order row, which commGraph fills in the same order, so
 	// edgeNode[p] is the client node id at position p.
 	edges    []fl.Edge
 	edgeNode []int32
@@ -114,25 +114,21 @@ var (
 // slot never reallocates.
 const facBufCap = 16
 
-// newFacilityNodes builds every facility state machine over graph, the
-// communication graph buildGraph made of inst, and one shared
-// struct-of-arrays allocation: a handful of flat arrays sized by the total
-// facility-edge count, partitioned by the facility rows' offsets. Node i's
+// newFacilityNodes builds every facility state machine over graph and
+// posAt, the communication graph and permutation commGraph made of inst,
+// and one shared struct-of-arrays allocation: a handful of flat arrays
+// sized by the total facility-edge count, partitioned by the facility
+// rows' offsets (posAt is partitioned by the same offsets). Node i's
 // views cover its own contiguous region (capacity clamped by three-index
 // slicing, so a pathological overflow reallocates privately instead of
 // corrupting a neighbour's region). This replaces O(m) separate map/slice
 // allocations with O(1) large ones and keeps each facility's whole working
 // set on adjacent cache lines.
-func newFacilityNodes(inst *fl.Instance, graph *congest.Graph, cfg Config, d Derived) []*facilityNode {
-	m := inst.M()
-	total := 0
-	for i := 0; i < m; i++ {
-		total += graph.Degree(i)
-	}
+func newFacilityNodes(inst *fl.Instance, graph *congest.Graph, posAt []int32, cfg Config, d Derived) []*facilityNode {
+	m, total := inst.M(), len(posAt)
 	var (
 		store      = make([]facilityNode, m)
 		out        = make([]*facilityNode, m)
-		posAt      = make([]int32, total)
 		active     = make([]bool, total)
 		offeredAt  = make([]bool, total)
 		starPos    = make([]int32, total)
@@ -166,39 +162,7 @@ func newFacilityNodes(inst *fl.Instance, graph *congest.Graph, cfg Config, d Der
 		out[i] = &store[i]
 		off = e
 	}
-	fillPosAt(out, graph, m, inst.NC())
 	return out
-}
-
-// fillPosAt fills every facility's posAt by transposition. A walk over the
-// facilities in ascending order buckets each edge position by client, so
-// every client's bucket lists its facilities in ascending order — the
-// order of the client's sorted row. A walk over the clients in ascending
-// order then appends each position to its facility's posAt, which so
-// comes out in the order of the facility's sorted row. Both walks are
-// linear in the edge count.
-func fillPosAt(fs []*facilityNode, graph *congest.Graph, m, nc int) {
-	start := make([]int, nc+1)
-	for j := 0; j < nc; j++ {
-		start[j+1] = start[j] + graph.Degree(m+j)
-	}
-	byClient := make([]int32, start[nc])
-	cur := make([]int, nc)
-	copy(cur, start[:nc])
-	for _, f := range fs {
-		for p, node := range f.edgeNode {
-			j := int(node) - m
-			byClient[cur[j]] = int32(p)
-			cur[j]++
-		}
-	}
-	fill := make([]int, m) // entries written so far in each facility's posAt
-	for j := 0; j < nc; j++ {
-		for q, i := range graph.SortedNeighbors(m + j) {
-			fs[i].posAt[fill[i]] = byClient[start[j]+q]
-			fill[i]++
-		}
-	}
 }
 
 // seek returns the edge position of the given client node id, the

@@ -5,6 +5,7 @@ import (
 
 	"dfl/internal/congest"
 	"dfl/internal/fl"
+	"dfl/internal/gen"
 )
 
 // benchFacility builds a facilityNode over one facility with nClients
@@ -32,11 +33,11 @@ func benchFacility(tb testing.TB, nClients int, openCost int64) *facilityNode {
 // it, as newRun does.
 func facilityNodes(tb testing.TB, inst *fl.Instance, cfg Config, d Derived) (*congest.Graph, []*facilityNode) {
 	tb.Helper()
-	graph, err := buildGraph(inst)
+	graph, posAt, err := commGraph(inst)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return graph, newFacilityNodes(inst, graph, cfg, d)
+	return graph, newFacilityNodes(inst, graph, posAt, cfg, d)
 }
 
 // BenchmarkMakeOffer measures the dirty path: the cache is invalidated
@@ -110,6 +111,25 @@ func TestBenchFacilityIneligible(t *testing.T) {
 		}
 		if f.bestClass != -1 {
 			t.Fatalf("opening cost %d: bestClass = %d, want -1 (ineligible)", tc.openCost, f.bestClass)
+		}
+	}
+}
+
+// BenchmarkNewRun measures a Solve's set-up layer alone — Derive, the
+// communication graph with its facility index, and the node population —
+// on solve_mid's instance (800 facilities, 6400 clients, density 0.2,
+// K=16). The instance is generated before the timer starts.
+func BenchmarkNewRun(b *testing.B) {
+	inst, err := gen.Uniform{M: 800, NC: 6400, Density: 0.2, MinDegree: 3}.Generate(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{K: 16}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := newRun(inst, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -245,7 +245,7 @@ func newRun(inst *fl.Instance, cfg Config) (*run, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	graph, err := buildGraph(inst)
+	graph, posAt, err := commGraph(inst)
 	if err != nil {
 		return nil, fmt.Errorf("core: build communication graph: %w", err)
 	}
@@ -254,7 +254,7 @@ func newRun(inst *fl.Instance, cfg Config) (*run, error) {
 	r := &run{
 		d:          d,
 		graph:      graph,
-		facilities: newFacilityNodes(inst, graph, cfg, d),
+		facilities: newFacilityNodes(inst, graph, posAt, cfg, d),
 		clients:    newClientNodes(inst, cfg, d),
 	}
 	r.nodes = make([]congest.Node, 0, len(r.facilities)+len(r.clients))
@@ -496,17 +496,19 @@ func SolveBest(inst *fl.Instance, cfg Config, baseSeed int64, runs int, opts ...
 	return best, bestRep, nil
 }
 
-// buildGraph constructs the bipartite communication graph of inst:
-// facility i is node i, client j is node m+j.
-func buildGraph(inst *fl.Instance) (*congest.Graph, error) {
+// commGraph builds the bipartite communication graph of inst from its
+// facility rows — facility i is node i, client j is node m+j, and facility
+// i's Neighbors are its cost-sorted row — along with every facility's
+// sorted-to-cost-order permutation, the posAt of newFacilityNodes.
+func commGraph(inst *fl.Instance) (*congest.Graph, []int32, error) {
 	m := inst.M()
-	return congest.Bipartite(m, inst.NC(), func(yield func(i, j int) bool) {
-		for i := 0; i < m; i++ {
-			for _, e := range inst.FacilityEdges(i) {
-				if !yield(i, e.To) {
-					return
-				}
-			}
+	start := make([]int, m+1)
+	for i := 0; i < m; i++ {
+		start[i+1] = start[i] + len(inst.FacilityEdges(i))
+	}
+	return congest.BipartiteRows(m, inst.NC(), start, func(i int, row []int32) {
+		for k, e := range inst.FacilityEdges(i) {
+			row[k] = int32(e.To)
 		}
 	})
 }

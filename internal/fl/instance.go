@@ -1,9 +1,10 @@
 package fl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is one bipartite connection possibility, seen from either side.
@@ -141,11 +142,17 @@ func NewStreamed(name string, m, numClients int, stream func(fac func(i int, cos
 	if err != nil {
 		return nil, err
 	}
+	// seen[i] == j+1 iff facility i already occurred in client j's row; the
+	// stamp differs per row, so no reset pass is needed.
+	seen := make([]int, m)
 	for j := 0; j < numClients; j++ {
 		row := inst.cEdges[inst.cStart[j]:inst.cStart[j+1]]
 		sortEdges(row)
-		if err := checkNoDuplicate(row); err != nil {
-			return nil, fmt.Errorf("fl: client %d: %w", j, err)
+		for _, e := range row {
+			if seen[e.To] == j+1 {
+				return nil, fmt.Errorf("fl: client %d: duplicate edge to %d", j, e.To)
+			}
+			seen[e.To] = j + 1
 		}
 	}
 	for i := 0; i < m; i++ {
@@ -170,40 +177,14 @@ func NewDense(name string, facilityCost []int64, costs [][]int64) (*Instance, er
 	return New(name, facilityCost, len(costs), edges)
 }
 
+// sortEdges orders a row by ascending cost, then ascending endpoint.
 func sortEdges(es []Edge) {
-	sort.Slice(es, func(a, b int) bool {
-		if es[a].Cost != es[b].Cost {
-			return es[a].Cost < es[b].Cost
+	slices.SortFunc(es, func(a, b Edge) int {
+		if a.Cost != b.Cost {
+			return cmp.Compare(a.Cost, b.Cost)
 		}
-		return es[a].To < es[b].To
+		return cmp.Compare(a.To, b.To)
 	})
-}
-
-// checkNoDuplicate rejects repeated endpoints in one row. Rows are sorted
-// by (cost, id), so equal endpoints need not be adjacent; small rows take
-// the quadratic scan, large ones sort a scratch copy of the ids.
-func checkNoDuplicate(es []Edge) error {
-	if len(es) <= 16 {
-		for a := 1; a < len(es); a++ {
-			for b := 0; b < a; b++ {
-				if es[a].To == es[b].To {
-					return fmt.Errorf("duplicate edge to %d", es[a].To)
-				}
-			}
-		}
-		return nil
-	}
-	ids := make([]int, len(es))
-	for k, e := range es {
-		ids[k] = e.To
-	}
-	sort.Ints(ids)
-	for k := 1; k < len(ids); k++ {
-		if ids[k] == ids[k-1] {
-			return fmt.Errorf("duplicate edge to %d", ids[k])
-		}
-	}
-	return nil
 }
 
 // Name returns the instance's human-readable label.
@@ -257,22 +238,7 @@ func (in *Instance) CheapestEdge(j int) (Edge, bool) {
 // instance, rounded up, and at least 1. It parameterizes the class base of
 // the distributed algorithm.
 func (in *Instance) Spread() int64 {
-	var maxC int64
-	minC := int64(0)
-	consider := func(c int64) {
-		if c > maxC {
-			maxC = c
-		}
-		if c > 0 && (minC == 0 || c < minC) {
-			minC = c
-		}
-	}
-	for _, f := range in.facilityCost {
-		consider(f)
-	}
-	for _, e := range in.cEdges {
-		consider(e.Cost)
-	}
+	maxC, minC := in.costRange()
 	if minC == 0 {
 		return 1
 	}
@@ -282,22 +248,37 @@ func (in *Instance) Spread() int64 {
 // MinPositiveCost returns the smallest strictly positive coefficient of the
 // instance, or 1 when all coefficients are zero.
 func (in *Instance) MinPositiveCost() int64 {
-	minC := int64(0)
-	consider := func(c int64) {
-		if c > 0 && (minC == 0 || c < minC) {
-			minC = c
+	if _, minC := in.costRange(); minC > 0 {
+		return minC
+	}
+	return 1
+}
+
+// costRange returns the largest coefficient of the instance and its
+// smallest positive one (0 when there is none) in O(m+nc): client rows
+// ascend in cost, so a row's maximum is its last entry and its smallest
+// positive cost the first entry past its leading zeros.
+func (in *Instance) costRange() (maxC, minC int64) {
+	consider := func(lo, hi int64) {
+		maxC = max(maxC, hi)
+		if lo > 0 && (minC == 0 || lo < minC) {
+			minC = lo
 		}
 	}
 	for _, f := range in.facilityCost {
-		consider(f)
+		consider(f, f)
 	}
-	for _, e := range in.cEdges {
-		consider(e.Cost)
+	for j := 0; j < in.nc; j++ {
+		row := in.cEdges[in.cStart[j]:in.cStart[j+1]]
+		k := 0
+		for k < len(row) && row[k].Cost == 0 {
+			k++
+		}
+		if k < len(row) {
+			consider(row[k].Cost, row[len(row)-1].Cost)
+		}
 	}
-	if minC == 0 {
-		return 1
-	}
-	return minC
+	return maxC, minC
 }
 
 // Connectable reports whether every client has at least one incident edge,

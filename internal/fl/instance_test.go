@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -47,6 +48,7 @@ func TestNewValidation(t *testing.T) {
 		{"duplicate edge", []int64{1}, 1, []RawEdge{
 			{Facility: 0, Client: 0, Cost: 1}, {Facility: 0, Client: 0, Cost: 2},
 		}, "duplicate edge"},
+		{"duplicate edge in a long later row", make([]int64, 20), 2, longDupRow(), "client 1: duplicate edge to 5"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -59,6 +61,19 @@ func TestNewValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// longDupRow connects two clients to each of 20 facilities once, and client
+// 1 to facility 5 a second time at a cost far from the first, so the two
+// copies are not adjacent in the client's cost-sorted row.
+func longDupRow() []RawEdge {
+	var es []RawEdge
+	for j := 0; j < 2; j++ {
+		for i := 0; i < 20; i++ {
+			es = append(es, RawEdge{Facility: i, Client: j, Cost: int64(i)})
+		}
+	}
+	return append(es, RawEdge{Facility: 5, Client: 1, Cost: 100})
 }
 
 func TestInstanceAccessors(t *testing.T) {
@@ -131,6 +146,70 @@ func TestSpreadAndExtremes(t *testing.T) {
 	}
 	if got := zero.MinPositiveCost(); got != 1 {
 		t.Errorf("all-zero MinPositiveCost = %d, want 1", got)
+	}
+}
+
+// fullScanSpread is the reference Spread and MinPositiveCost read: every
+// facility cost and every client edge.
+func fullScanSpread(in *Instance) (spread, minPos int64) {
+	var maxC, minC int64
+	for _, c := range in.facilityCost {
+		maxC = max(maxC, c)
+		if c > 0 && (minC == 0 || c < minC) {
+			minC = c
+		}
+	}
+	for _, e := range in.cEdges {
+		maxC = max(maxC, e.Cost)
+		if e.Cost > 0 && (minC == 0 || e.Cost < minC) {
+			minC = e.Cost
+		}
+	}
+	if minC == 0 {
+		return 1, 1
+	}
+	return DivCeil(maxC, minC), minC
+}
+
+// TestSpreadMatchesFullScan checks that Spread and MinPositiveCost, which
+// read each client row only at its ends, agree with a scan of every edge
+// on random instances with zero-cost edges and all-zero rows, all-zero
+// instances, facility costs above every edge and isolated clients.
+func TestSpreadMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		m, nc := 1+rng.Intn(6), rng.Intn(12)
+		costRange := []int64{1, 3, 1000, MaxCost}[rng.Intn(4)]
+		zeroFrac := rng.Intn(4) // 0: no zero-cost edge, 3: about 3/4 of them zero
+		draw := func() int64 {
+			if trial%10 == 0 || rng.Intn(4) < zeroFrac {
+				return 0 // every tenth instance is all zero
+			}
+			return rng.Int63n(costRange) + 1
+		}
+		fac := make([]int64, m)
+		for i := range fac {
+			fac[i] = draw()
+			if trial%3 == 1 && trial%10 != 0 {
+				fac[i] = MaxCost - int64(rng.Intn(5)) // dominates every edge
+			}
+		}
+		var edges []RawEdge
+		for j := 0; j < nc; j++ {
+			for i := 0; i < m; i++ {
+				if rng.Intn(2) == 0 {
+					edges = append(edges, RawEdge{Facility: i, Client: j, Cost: draw()})
+				}
+			}
+		}
+		inst := mustInstance(t, "spread", fac, nc, edges)
+		wantSpread, wantMin := fullScanSpread(inst)
+		if got := inst.Spread(); got != wantSpread {
+			t.Fatalf("trial %d: Spread = %d, full scan %d", trial, got, wantSpread)
+		}
+		if got := inst.MinPositiveCost(); got != wantMin {
+			t.Fatalf("trial %d: MinPositiveCost = %d, full scan %d", trial, got, wantMin)
+		}
 	}
 }
 
