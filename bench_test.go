@@ -96,20 +96,6 @@ func BenchmarkDistributedSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedSolveParallel measures the sharded parallel runner
-// on the same workload.
-func BenchmarkDistributedSolveParallel(b *testing.B) {
-	inst := benchInstance(b, 30, 150)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Solve(inst, core.Config{K: 16},
-			core.WithSeed(int64(i)), core.WithParallel(true)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSeqGreedy measures the sequential greedy baseline.
 func BenchmarkSeqGreedy(b *testing.B) {
 	inst := benchInstance(b, 30, 150)

@@ -38,7 +38,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		in       = fs.String("in", "-", "instance file ('-' for stdin)")
 		k        = fs.Int("k", 16, "trade-off parameter for -algo dist")
 		seed     = fs.Int64("seed", 1, "protocol seed for -algo dist")
-		parallel = fs.Bool("parallel", false, "parallel simulator execution for -algo dist")
 		capacity = fs.Int("cap", 0, "per-copy soft capacity for -algo dist (0 = uncapacitated)")
 		showSol  = fs.Bool("solution", false, "print open facilities and assignments")
 		save     = fs.String("save", "", "write the (last) solution to this file in the text solution format")
@@ -71,7 +70,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fmt.Fprintln(stdout, "LP lower bound:", lb)
 
 	if *capacity > 0 {
-		return runSoftCap(stdout, inst, *k, *capacity, *seed, *parallel, lb)
+		return runSoftCap(stdout, inst, *k, *capacity, *seed, lb)
 	}
 
 	names := []string{*algo}
@@ -83,7 +82,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	for _, name := range names {
 		start := time.Now()
-		sol, rep, err := solveOne(inst, name, *k, *seed, *parallel)
+		sol, rep, err := solveOne(inst, name, *k, *seed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -124,11 +123,10 @@ func saveSolution(name string, sol *fl.Solution) error {
 	return cerr
 }
 
-func runSoftCap(stdout io.Writer, inst *fl.Instance, k, capacity int, seed int64, parallel bool, lb int64) error {
+func runSoftCap(stdout io.Writer, inst *fl.Instance, k, capacity int, seed, lb int64) error {
 	start := time.Now()
 	sol, rep, err := core.SolveSoftCap(inst,
-		core.Config{K: k, SoftCapacity: capacity},
-		core.WithSeed(seed), core.WithParallel(parallel))
+		core.Config{K: k, SoftCapacity: capacity}, core.WithSeed(seed))
 	if err != nil {
 		return err
 	}
@@ -151,12 +149,10 @@ func runSoftCap(stdout io.Writer, inst *fl.Instance, k, capacity int, seed int64
 	return nil
 }
 
-func solveOne(inst *fl.Instance, algo string, k int, seed int64, parallel bool) (*fl.Solution, *core.Report, error) {
+func solveOne(inst *fl.Instance, algo string, k int, seed int64) (*fl.Solution, *core.Report, error) {
 	switch algo {
 	case "dist":
-		sol, rep, err := core.Solve(inst, core.Config{K: k},
-			core.WithSeed(seed), core.WithParallel(parallel))
-		return sol, rep, err
+		return core.Solve(inst, core.Config{K: k}, core.WithSeed(seed))
 	case "greedy":
 		sol, err := seq.Greedy(inst)
 		return sol, nil, err

@@ -75,10 +75,6 @@ func SolveDistributed(inst *Instance, cfg DistConfig, opts ...DistOption) (*Solu
 var (
 	// WithSeed fixes all protocol randomness.
 	WithSeed = core.WithSeed
-	// WithParallel runs the simulator with parallel round execution. A
-	// run with faults, the reliable-delivery shim or an observer takes
-	// the sequential runner instead, with an identical result.
-	WithParallel = core.WithParallel
 	// WithFaults injects a fault schedule: drops, duplication, bounded
 	// reordering, bursts, link downs, partitions, crash-with-recovery,
 	// per-message corruption and byzantine nodes. The repair pass

@@ -26,8 +26,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("lower bound = %d", lb)
 	}
 
-	sol, rep, err := dfl.SolveDistributed(inst, dfl.DistConfig{K: 16},
-		dfl.WithSeed(1), dfl.WithParallel(true))
+	sol, rep, err := dfl.SolveDistributed(inst, dfl.DistConfig{K: 16}, dfl.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}

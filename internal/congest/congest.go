@@ -8,8 +8,8 @@
 // contiguous ranges, one persistent worker per shard, each shard ingesting
 // the round's staged records addressed to it) — and both produce
 // byte-identical executions for the same configuration and any shard
-// count, which the test suite verifies; a run with faults or an observer
-// takes the sequential runner. Message and bit counts,
+// count, which the test suite verifies. Faults, reliable delivery and
+// observers run on the sequential runner only. Message and bit counts,
 // per-message size limits, and halt detection are built in.
 package congest
 
@@ -208,12 +208,6 @@ func (g *Graph) Degree(u int) int {
 func (g *Graph) EdgeCount() int {
 	g.Finalize()
 	return g.edgeCount
-}
-
-// HasEdge reports whether u and v are adjacent.
-func (g *Graph) HasEdge(u, v int) bool {
-	_, ok := g.NeighborIndex(u, v)
-	return ok
 }
 
 // NeighborIndex returns a dense index for neighbour v of u — its position

@@ -26,10 +26,8 @@ func (r Reliable) enabled() bool { return r.RetryBudget > 0 }
 // delivery is the fault-aware message path. The plain engine merge hands
 // each message straight to span.deliver (sharded across workers in the
 // parallel runner); this layer replaces it whenever faults, the reliable
-// shim, or an observer are configured, running in the sequential
-// runner's deterministic merge — Run never starts the shard pool for such
-// a run — so a parallel request stays byte-identical to the sequential
-// run (invariant I5). Every protocol-visible delivery — staged, delayed,
+// shim, or an observer are configured, and runs only in the sequential
+// runner's merge. Every protocol-visible delivery — staged, delayed,
 // retransmitted, forged — funnels through commit into the merging span's
 // deliver, which keeps the frontier's recipient list complete.
 //

@@ -23,8 +23,8 @@ type Config struct {
 	// contiguous ranges of SplitSpans, each owned by one persistent worker
 	// goroutine started once per Run and reused every round.
 	// Execution is byte-identical to the sequential runner for every shard
-	// count (invariant I5), so a run that needs the fault pipeline — Faults,
-	// Reliable or an Observer — takes the sequential runner instead.
+	// count (invariant I5). The fault pipeline is sequential only, so Run
+	// rejects Parallel together with Faults, Reliable or an Observer.
 	Parallel bool
 	// Shards is the parallel runner's shard count, one worker goroutine per
 	// shard; 0 means GOMAXPROCS.
@@ -54,10 +54,11 @@ const DefaultMaxRounds = 1 << 20
 const maxRoundBudget = math.MaxUint32 - 1
 
 // check is the config check both runners share: one node per vertex, an
-// in-range fault schedule, a non-negative retry budget and a round budget
-// within maxRoundBudget. It returns the round budget. RunShard rejects
-// faults and the reliable shim outright, but only after this check, so a
-// config one runner refuses as malformed the other refuses as well.
+// in-range fault schedule, a non-negative retry budget, a round budget
+// within maxRoundBudget, and no Parallel on a run that needs the fault
+// pipeline. It returns the round budget. RunShard rejects faults and the
+// reliable shim outright, but only after this check, so a config one
+// runner refuses as malformed the other refuses as well.
 func (cfg *Config) check(g *Graph, nodes []Node) (int, error) {
 	if len(nodes) != g.N() {
 		return 0, fmt.Errorf("congest: %d nodes for graph of %d vertices", len(nodes), g.N())
@@ -68,6 +69,9 @@ func (cfg *Config) check(g *Graph, nodes []Node) (int, error) {
 	if cfg.Reliable.RetryBudget < 0 {
 		return 0, fmt.Errorf("congest: RetryBudget %d is negative", cfg.Reliable.RetryBudget)
 	}
+	if cfg.Parallel && cfg.pipeline() {
+		return 0, errors.New("congest: Parallel cannot run Faults, Reliable or an Observer; the fault pipeline is sequential")
+	}
 	if int64(cfg.MaxRounds) > maxRoundBudget {
 		return 0, fmt.Errorf("congest: MaxRounds %d exceeds the budget limit %d", cfg.MaxRounds, int64(maxRoundBudget))
 	}
@@ -75,6 +79,13 @@ func (cfg *Config) check(g *Graph, nodes []Node) (int, error) {
 		return DefaultMaxRounds, nil
 	}
 	return cfg.MaxRounds, nil
+}
+
+// pipeline reports whether a run takes the fault pipeline: faults, the
+// reliable shim, or an Observer, which with nothing else configured
+// delivers every message on time and records the round's deliveries.
+func (cfg *Config) pipeline() bool {
+	return cfg.Faults.active() || cfg.Reliable.enabled() || cfg.Observer != nil
 }
 
 // ErrRoundLimit is returned when a protocol does not halt within the round
@@ -132,21 +143,15 @@ func Run(g *Graph, nodes []Node, cfg Config) (Stats, error) {
 		return Stats{}, err
 	}
 
-	// Faults and the reliable shim take the fault pipeline. Observed runs
-	// take it too, which with nothing configured delivers every message on
-	// time and records the round's deliveries for the Observer.
-	if cfg.Faults.active() || cfg.Reliable.enabled() || cfg.Observer != nil {
+	if cfg.pipeline() {
 		x.del = newDelivery(&cfg, g, &x.span)
 		x.crashFires = compileFires(cfg.Faults.CrashAtRound)
 		x.recoverFires = compileFires(cfg.Faults.RecoverAtRound)
 	}
 
-	// The fault pipeline's draws and the observed order are defined in
-	// global sender order, so a run that takes it stays sequential, which
-	// I5 makes byte-identical; the pool serves the rest. The pool's shard
-	// spans share x's node state and schedule its nodes, so x then has no
-	// frontier.
-	if cfg.Parallel && x.del == nil && n > 0 {
+	// The pool's shard spans share x's node state and schedule its nodes,
+	// so x then has no frontier.
+	if cfg.Parallel && n > 0 {
 		shards := cfg.Shards
 		if shards <= 0 {
 			shards = runtime.GOMAXPROCS(0)

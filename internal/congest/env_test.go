@@ -49,9 +49,9 @@ func (s *strayNode) Round(r int, inbox []Message) bool {
 // call. A Send or Broadcast from Init or Recover would be staged where no
 // drain reads it, and one on another node's Env would land in the running
 // node's window, so each is a send violation that ends the run with an
-// error naming the Env's node. Init is checked under the sequential runner, the
-// 2-shard pool and RunShard; Recover needs a fault schedule, which every
-// runner that takes one runs sequentially, pool configuration included.
+// error naming the Env's node. Init is checked under the sequential
+// runner, the 2-shard pool and RunShard; Recover needs a fault schedule,
+// which only the sequential runner takes.
 func TestSendOutsideRoundIsViolation(t *testing.T) {
 	const want = "node 0 sent outside its own Round call"
 	pair := func() (*Graph, []Node) {
@@ -85,12 +85,10 @@ func TestSendOutsideRoundIsViolation(t *testing.T) {
 		check(t, "Init under RunShard", st, err, 0)
 
 		faults := Faults{CrashAtRound: map[int]int{0: 1}, RecoverAtRound: map[int]int{0: 2}}
-		for _, cfg := range []Config{{Faults: faults}, {Faults: faults, Parallel: true, Shards: 2}} {
-			g, nodes := pair()
-			nodes[0].(*strayNode).inRecover, nodes[0].(*strayNode).broadcast = true, bcast
-			st, err := Run(g, nodes, cfg)
-			check(t, "Recover under Run", st, err, 2)
-		}
+		g, nodes = pair()
+		nodes[0].(*strayNode).inRecover, nodes[0].(*strayNode).broadcast = true, bcast
+		st, err = Run(g, nodes, Config{Faults: faults})
+		check(t, "Recover under Run", st, err, 2)
 
 		// Node 1's Round call sends on node 0's Env: the violation is the
 		// call's, and the run ends with round 0.

@@ -66,7 +66,7 @@ func (d *drowsyNode) Round(r int, inbox []Message) bool {
 }
 
 // drowsySchedules is the dormancy acceptance grid: fault-free (pure
-// timer/delivery wakes, the only schedule a parallel run shards), crash
+// timer/delivery wakes, the only schedule the pool runs), crash
 // plus recovery (frontier eviction and revival), and corrupt+byzantine
 // (fault-pipeline delivery with adversarial wakes at arbitrary rounds).
 func drowsySchedules() []struct {
@@ -143,12 +143,13 @@ func checkRun(t *testing.T, label string, st, wantSt Stats, logs, wantLogs [][]s
 }
 
 // TestFrontierDeterminismMatrix pins invariant I5 over the dormancy grid:
-// for every fault schedule, the frontier scheduler — sequential and at
-// shard counts 1, 2, and 8 — must reproduce the run of the same nodes kept
-// awake byte for byte: identical Stats (the activity counters included)
-// and identical per-node receive logs. On the fault-free schedule the
-// awake run must in turn match the runDense reference, whose Stats and
-// inboxes come from no engine list.
+// for every fault schedule, the sequential frontier scheduler must
+// reproduce the run of the same nodes kept awake byte for byte: identical
+// Stats (the activity counters included) and identical per-node receive
+// logs. On the fault-free schedule, the one the pool runs, so must the
+// pool at shard counts 1, 2 and 8, and the awake run must in turn match
+// the runDense reference, whose Stats and inboxes come from no engine
+// list.
 func TestFrontierDeterminismMatrix(t *testing.T) {
 	for _, sc := range drowsySchedules() {
 		sc := sc
@@ -158,14 +159,15 @@ func TestFrontierDeterminismMatrix(t *testing.T) {
 			if refStats.Senders == 0 || refStats.LiveNodeRounds == 0 || refStats.Rejected == 0 {
 				t.Fatalf("schedule too tame: %+v", refStats)
 			}
-			// runDense simulates no fault pipeline, so only the fault-free
-			// schedule has its reference.
-			if !sc.f.active() {
-				st, logs := runDrowsy(t, runDense, cfg, false)
-				checkRun(t, "awake-vs-dense", refStats, st, refLogs, logs)
-			}
 			seqStats, seqLogs := runDrowsy(t, Run, cfg, false)
 			checkRun(t, "frontier-seq", seqStats, refStats, seqLogs, refLogs)
+			// runDense and the pool simulate no fault pipeline, so only the
+			// fault-free schedule has their runs.
+			if sc.f.active() {
+				return
+			}
+			st, logs := runDrowsy(t, runDense, cfg, false)
+			checkRun(t, "awake-vs-dense", refStats, st, refLogs, logs)
 			for _, shards := range []int{1, 2, 8} {
 				cfg := cfg
 				cfg.Parallel, cfg.Shards = true, shards
@@ -266,15 +268,12 @@ func TestFrontierSkipsQuiescentNodes(t *testing.T) {
 // TestFrontierObserverParity is the tracing regression: with frontier
 // bookkeeping active the observer must still see every delivered message,
 // in the same per-round global-sender order as the run of the same nodes
-// kept awake. An observed run takes the sequential runner even when
-// Parallel asks for shards, so one observed shards=2 arm pins that
-// fallback, and the shard arms run unobserved — which is what lets them
-// reach the pool — and are held to the awake run's Stats and logs.
+// kept awake. The pool observes nothing, so its shard arms run unobserved
+// and are held to the awake run's Stats and logs.
 func TestFrontierObserverParity(t *testing.T) {
-	observeRun := func(awakeNodes bool, cfg Config) ([]string, Stats, [][]string) {
+	observeRun := func(awakeNodes bool) ([]string, Stats, [][]string) {
 		var stream []string
-		cfg.Seed = 7
-		cfg.Observer = func(round int, delivered []Message) {
+		observe := func(round int, delivered []Message) {
 			last := int32(-1)
 			for _, m := range delivered {
 				if m.From < last {
@@ -284,25 +283,17 @@ func TestFrontierObserverParity(t *testing.T) {
 				stream = append(stream, fmt.Sprintf("r%d %d>%d %x", round, m.From, m.To, m.Payload))
 			}
 		}
-		stats, logs := runDrowsy(t, Run, cfg, awakeNodes)
+		stats, logs := runDrowsy(t, Run, Config{Seed: 7, Observer: observe}, awakeNodes)
 		return stream, stats, logs
 	}
-	refStream, refStats, refLogs := observeRun(true, Config{})
+	refStream, refStats, refLogs := observeRun(true)
 	if len(refStream) == 0 {
 		t.Fatal("workload too tame: nothing observed")
 	}
-	for _, v := range []struct {
-		label string
-		cfg   Config
-	}{
-		{label: "frontier-seq"},
-		{label: "frontier-observed-shards=2", cfg: Config{Parallel: true, Shards: 2}},
-	} {
-		stream, stats, logs := observeRun(false, v.cfg)
-		checkRun(t, v.label, stats, refStats, logs, refLogs)
-		if fmt.Sprint(stream) != fmt.Sprint(refStream) {
-			t.Errorf("%s: observer stream diverged (%d vs %d deliveries)", v.label, len(stream), len(refStream))
-		}
+	stream, stats, logs := observeRun(false)
+	checkRun(t, "frontier-seq", stats, refStats, logs, refLogs)
+	if fmt.Sprint(stream) != fmt.Sprint(refStream) {
+		t.Errorf("frontier-seq: observer stream diverged (%d vs %d deliveries)", len(stream), len(refStream))
 	}
 	for _, shards := range []int{2, 8} {
 		stats, logs := runDrowsy(t, Run, Config{Seed: 7, Parallel: true, Shards: shards}, false)

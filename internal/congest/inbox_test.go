@@ -86,71 +86,67 @@ func newInboxProbes(n, stopAt int) ([]Node, []*inboxProbe) {
 // settle). An inbox that has not spilled yet has exactly Degree capacity.
 func TestInboxSlabIsolation(t *testing.T) {
 	const stopAt = 10
-	for _, parallel := range []bool{false, true} {
-		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
-			g := stressGraph(t)
-			n := g.N()
-			nodes, probes := newInboxProbes(n, stopAt)
-			// delivered[r][v] lists what the merge of round r delivered to v.
-			delivered := make([][][]Message, stopAt)
-			cfg := Config{
-				Seed: 3, Parallel: parallel, Shards: 2,
-				Faults: Faults{DupProb: 0.6, DelayProb: 0.2, MaxDelay: 2},
-				Observer: func(r int, msgs []Message) {
-					if r >= stopAt {
-						return
-					}
-					delivered[r] = make([][]Message, n)
-					for _, m := range msgs {
-						m.Payload = slices.Clone(m.Payload)
-						delivered[r][m.To] = append(delivered[r][m.To], m)
-					}
-				},
+	g := stressGraph(t)
+	n := g.N()
+	nodes, probes := newInboxProbes(n, stopAt)
+	// delivered[r][v] lists what the merge of round r delivered to v.
+	delivered := make([][][]Message, stopAt)
+	cfg := Config{
+		Seed:   3,
+		Faults: Faults{DupProb: 0.6, DelayProb: 0.2, MaxDelay: 2},
+		Observer: func(r int, msgs []Message) {
+			if r >= stopAt {
+				return
 			}
-			if _, err := Run(g, nodes, cfg); err != nil {
-				t.Fatal(err)
+			delivered[r] = make([][]Message, n)
+			for _, m := range msgs {
+				m.Payload = slices.Clone(m.Payload)
+				delivered[r][m.To] = append(delivered[r][m.To], m)
 			}
-			spills := 0
-			ranges := make([][]inboxSeen, stopAt+1)
-			for v, p := range probes {
-				spilled := false
-				for _, s := range p.seen {
-					if s.round > 0 {
-						want := slices.Clone(delivered[s.round-1][v])
-						slices.SortStableFunc(want, func(a, b Message) int { return int(a.From) - int(b.From) })
-						var b bytes.Buffer
-						for _, m := range want {
-							fmt.Fprintf(&b, "%d:%x ", m.From, m.Payload)
-						}
-						if s.msgs != b.String() {
-							t.Fatalf("node %d round %d: inbox %q, observer delivered %q", v, s.round, s.msgs, b.String())
-						}
-					}
-					if s.len > g.Degree(v) && !spilled {
-						spilled = true
-						spills++
-					}
-					if !spilled && s.cap != 0 && s.cap != g.Degree(v) {
-						t.Fatalf("node %d round %d: inbox capacity %d before any overflow, want Degree %d", v, s.round, s.cap, g.Degree(v))
-					}
-					if s.cap > 0 {
-						ranges[s.round] = append(ranges[s.round], s)
-					}
+		},
+	}
+	if _, err := Run(g, nodes, cfg); err != nil {
+		t.Fatal(err)
+	}
+	spills := 0
+	ranges := make([][]inboxSeen, stopAt+1)
+	for v, p := range probes {
+		spilled := false
+		for _, s := range p.seen {
+			if s.round > 0 {
+				want := slices.Clone(delivered[s.round-1][v])
+				slices.SortStableFunc(want, func(a, b Message) int { return int(a.From) - int(b.From) })
+				var b bytes.Buffer
+				for _, m := range want {
+					fmt.Fprintf(&b, "%d:%x ", m.From, m.Payload)
+				}
+				if s.msgs != b.String() {
+					t.Fatalf("node %d round %d: inbox %q, observer delivered %q", v, s.round, s.msgs, b.String())
 				}
 			}
-			if spills == 0 {
-				t.Fatal("no inbox received more than Degree messages in a round; the schedule does not exercise overflow")
+			if s.len > g.Degree(v) && !spilled {
+				spilled = true
+				spills++
 			}
-			size := unsafe.Sizeof(Message{})
-			for r, rs := range ranges {
-				slices.SortFunc(rs, func(a, b inboxSeen) int { return int(a.base - b.base) })
-				for k := 1; k < len(rs); k++ {
-					if end := rs[k-1].base + uintptr(rs[k-1].cap)*size; end > rs[k].base {
-						t.Fatalf("round %d: inboxes %x (cap %d) and %x share memory", r, rs[k-1].base, rs[k-1].cap, rs[k].base)
-					}
-				}
+			if !spilled && s.cap != 0 && s.cap != g.Degree(v) {
+				t.Fatalf("node %d round %d: inbox capacity %d before any overflow, want Degree %d", v, s.round, s.cap, g.Degree(v))
 			}
-		})
+			if s.cap > 0 {
+				ranges[s.round] = append(ranges[s.round], s)
+			}
+		}
+	}
+	if spills == 0 {
+		t.Fatal("no inbox received more than Degree messages in a round; the schedule does not exercise overflow")
+	}
+	size := unsafe.Sizeof(Message{})
+	for r, rs := range ranges {
+		slices.SortFunc(rs, func(a, b inboxSeen) int { return int(a.base - b.base) })
+		for k := 1; k < len(rs); k++ {
+			if end := rs[k-1].base + uintptr(rs[k-1].cap)*size; end > rs[k].base {
+				t.Fatalf("round %d: inboxes %x (cap %d) and %x share memory", r, rs[k-1].base, rs[k-1].cap, rs[k].base)
+			}
+		}
 	}
 }
 
@@ -253,7 +249,8 @@ func (l *inboxLogger) Round(r int, inbox []Message) bool {
 // Each listener's inbox in its recovery round must be empty (everything
 // sent while it was down is lost), its later ones must hold exactly the
 // previous round's messages, and no other node's inbox may differ from a
-// run without the crash, on every runner.
+// run without the crash. The crash run takes the sequential runner, the
+// only one with a fault pipeline; its reference runs on either.
 func TestHaltedRecipientGetsNoInbox(t *testing.T) {
 	const stopAt, crashAt, recoverAt = 12, 3, 7
 	listeners := []int{0, 13}
@@ -277,6 +274,7 @@ func TestHaltedRecipientGetsNoInbox(t *testing.T) {
 	for _, cfg := range []Config{{Seed: 5}, {Seed: 5, Parallel: true, Shards: 2}} {
 		t.Run(fmt.Sprintf("parallel=%v", cfg.Parallel), func(t *testing.T) {
 			ref := run(t, cfg)
+			cfg.Parallel = false
 			cfg.Faults = Faults{CrashAtRound: map[int]int{}, RecoverAtRound: map[int]int{}}
 			for _, v := range listeners {
 				cfg.Faults.CrashAtRound[v], cfg.Faults.RecoverAtRound[v] = crashAt, recoverAt

@@ -29,8 +29,8 @@ func stressGraph(t *testing.T) *Graph {
 	return g
 }
 
-// runStress executes recNodes with staggered halt times under message drops
-// and crashes, returning the run's stats and per-node receive logs.
+// runStress executes recNodes with staggered halt times, returning the
+// run's stats and per-node receive logs.
 func runStress(t *testing.T, parallel bool, workers int) (Stats, [][]string) {
 	t.Helper()
 	g := stressGraph(t)
@@ -43,16 +43,7 @@ func runStress(t *testing.T, parallel bool, workers int) (Stats, [][]string) {
 		recs[i] = &recNode{stopAt: 3 + i/2}
 		nodes[i] = recs[i]
 	}
-	stats, err := Run(g, nodes, Config{
-		Seed:     99,
-		Parallel: parallel,
-		Shards:   workers,
-		Faults: Faults{
-			DropProb:       0.25,
-			DropUntilRound: 8,
-			CrashAtRound:   map[int]int{3: 2, 11: 4, 22: 1},
-		},
-	})
+	stats, err := Run(g, nodes, Config{Seed: 99, Parallel: parallel, Shards: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +56,11 @@ func runStress(t *testing.T, parallel bool, workers int) (Stats, [][]string) {
 
 // TestPoolStressEquivalence is the I5 invariant under stress: a Parallel
 // run must be byte-identical to the sequential runner for every worker
-// count, with drops and crashes injected and halted nodes clustering over
-// time. Faults take the sequential runner, so this pins that fallback's
-// contract; TestShardedDeterminismMatrix's fault-free row stresses the
-// pool itself.
+// count, from one shard to more workers than nodes, with halted nodes
+// clustering at the high ids over time.
 func TestPoolStressEquivalence(t *testing.T) {
 	seqStats, seqLogs := runStress(t, false, 0)
-	if seqStats.Dropped == 0 || seqStats.Crashed != 3 {
+	if seqStats.Messages == 0 || seqStats.Rounds < 12 {
 		t.Fatalf("stress scenario too tame: %+v", seqStats)
 	}
 	for _, workers := range []int{1, 2, 7, runtime.GOMAXPROCS(0), 64} {

@@ -234,51 +234,6 @@ func TestReliableShimDeliversAfterRecovery(t *testing.T) {
 	}
 }
 
-// TestReliableShimDeterministicAcrossWorkers runs the shim under heavy
-// loss on the stress graph and holds sequential and parallel runs to
-// byte-identical transcripts and stats.
-func TestReliableShimDeterministicAcrossWorkers(t *testing.T) {
-	run := func(parallel bool, workers int) (Stats, string) {
-		g := stressGraph(t)
-		nodes := make([]Node, g.N())
-		recs := make([]*chaosNode, g.N())
-		for i := range nodes {
-			recs[i] = &chaosNode{stopAt: 5 + i/4}
-			nodes[i] = recs[i]
-		}
-		stats, err := Run(g, nodes, Config{
-			Seed:     7,
-			Parallel: parallel,
-			Shards:   workers,
-			Faults: Faults{
-				DropProb:     0.4,
-				DelayProb:    0.2,
-				MaxDelay:     2,
-				CrashAtRound: map[int]int{3: 2},
-			},
-			Reliable: Reliable{RetryBudget: 3},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := ""
-		for _, r := range recs {
-			out += fmt.Sprint(r.log) + ";"
-		}
-		return stats, out
-	}
-	refStats, refLog := run(false, 0)
-	if refStats.Retransmits == 0 {
-		t.Fatalf("schedule too tame, no retransmissions: %+v", refStats)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		stats, log := run(true, workers)
-		if stats != refStats || log != refLog {
-			t.Errorf("workers=%d diverged: %+v vs %+v", workers, stats, refStats)
-		}
-	}
-}
-
 // pinNode is the node of the shim's execution pins. It logs every arrival
 // as round, sender and payload bytes, and sends each neighbour a LINK-ACK
 // frame (so an intact frame passes the framing check that corruption and

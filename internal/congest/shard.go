@@ -25,14 +25,13 @@ import (
 // and maxes of per-message quantities, so folding shard-local counters at
 // round end is order-independent.
 //
-// Only runs without the fault pipeline get a pool: Run hands a run with
-// faults, the reliable shim, or an observer to the sequential runner,
-// whose output is the same by I5. A round in which a node committed a
-// send violation is still delivered, but the run ends with it, so the
-// deliveries are never read: runRound folds the shard counters in shard
-// order up to the first shard that failed, whose worker stopped
-// accounting at the offender, which is the sequential drain's partial
-// accounting exactly.
+// Only fault-free, unobserved runs get a pool: Config.check rejects
+// Parallel on a run that needs the fault pipeline. A round in which a
+// node committed a send violation is still delivered, but the run ends
+// with it, so the deliveries are never read: runRound folds the shard
+// counters in shard order up to the first shard that failed, whose worker
+// stopped accounting at the offender, which is the sequential drain's
+// partial accounting exactly.
 type shardPool struct {
 	spans  []*span // one per shard, spans[s] running the ids of ranges[s]
 	ranges []Span  // SplitSpans' contiguous id ranges, ascending

@@ -3,10 +3,11 @@ package congest
 import "testing"
 
 // shardMatrixSchedules is the I5 acceptance grid: fault-free (the
-// shard-local ingest), drop+crash (fault delivery, which a parallel run
-// hands to the sequential runner), and corrupt+byzantine (adversarial
-// draws on the fault stream). Each must be byte-identical across the shard
-// counts of shardMatrixCounts and against the sequential runner.
+// shard-local ingest), drop+crash (fault delivery) and corrupt+byzantine
+// (adversarial draws on the fault stream). The fault-free schedule must be
+// byte-identical across the shard counts of shardMatrixCounts and against
+// the sequential runner; the others, which only the sequential runner
+// takes, against a rerun.
 func shardMatrixSchedules() []struct {
 	name string
 	f    Faults
@@ -63,7 +64,8 @@ func runShardMatrix(t *testing.T, f Faults, parallel bool, shards int, bcast boo
 // TestShardedDeterminismMatrix asserts invariant I5 over the full shard
 // grid: every schedule x node variant x shard count yields traces
 // (per-node receive logs, payload bytes included) and Stats byte-identical
-// to the sequential runner.
+// to the sequential runner. Shard count 0 is a sequential rerun, the one
+// arm of a faulty schedule.
 func TestShardedDeterminismMatrix(t *testing.T) {
 	for _, sc := range shardMatrixSchedules() {
 		sc := sc
@@ -76,8 +78,12 @@ func TestShardedDeterminismMatrix(t *testing.T) {
 				if sc.f.CorruptProb > 0 && seqStats.Corrupted == 0 {
 					t.Fatalf("schedule too tame: %+v", seqStats)
 				}
-				for _, shards := range shardMatrixCounts {
-					parStats, parLogs := runShardMatrix(t, sc.f, true, shards, bcast)
+				counts := shardMatrixCounts
+				if sc.f.active() {
+					counts = []int{0}
+				}
+				for _, shards := range counts {
+					parStats, parLogs := runShardMatrix(t, sc.f, shards > 0, shards, bcast)
 					if seqStats != parStats {
 						t.Fatalf("bcast=%v shards=%d stats differ:\n%+v\n%+v", bcast, shards, seqStats, parStats)
 					}

@@ -71,25 +71,6 @@ func spanOf(spans []Span, id int) int {
 	return -1
 }
 
-// LinkDownError reports one link whose reliable-delivery retry budget was
-// exhausted: the frame's sender gave up on the peer after the recorded
-// number of wire attempts. The UDP backend returns it when a datagram link
-// is declared down; the simulator's reliable shim counts the same event in
-// Stats.LinkDowns.
-type LinkDownError struct {
-	// From and To identify the directed link by shard id.
-	From, To int
-	// Round is the protocol round at which the link was declared down.
-	Round int
-	// Attempts is the number of wire transmissions spent (initial send plus
-	// retransmissions).
-	Attempts int
-}
-
-func (e *LinkDownError) Error() string {
-	return fmt.Sprintf("congest: link %d->%d down at round %d after %d attempts", e.From, e.To, e.Round, e.Attempts)
-}
-
 // RoundStart is what a Transport reports when it opens a round.
 type RoundStart struct {
 	// Done reports that the coordinator declared the run globally complete

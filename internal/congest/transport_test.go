@@ -178,26 +178,69 @@ func TestRunnersShareConfigCheck(t *testing.T) {
 	}
 }
 
+// TestRunShardRejectsFaultConfigs holds both runners to the rule that the
+// fault pipeline — Faults, Reliable or an Observer — runs only on the
+// sequential Run: Run takes each of them on the sequential runner, and
+// Parallel alone on the pool, but refuses Parallel together with any of them before a node's
+// Init runs; RunShard refuses all four.
 func TestRunShardRejectsFaultConfigs(t *testing.T) {
 	g := mustGraph(t, 2, [][2]int{{0, 1}})
 	g.Finalize()
-	net, err := NewChanNetwork(2, []Span{{0, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := []Node{&recNode{stopAt: 1}, &recNode{stopAt: 1}}
-	if _, err := RunShard(g, nodes, Span{0, 2}, Config{Faults: Faults{DropProb: 0.5}}, net.Shard(0)); err == nil {
-		t.Fatal("RunShard accepted a simulated fault schedule")
-	}
-	if _, err := RunShard(g, nodes, Span{0, 2}, Config{Reliable: Reliable{RetryBudget: 2}}, net.Shard(0)); err == nil {
-		t.Fatal("RunShard accepted the simulated reliable shim")
-	}
 	observer := func(int, []Message) {}
-	if _, err := RunShard(g, nodes, Span{0, 2}, Config{Observer: observer}, net.Shard(0)); err == nil {
-		t.Fatal("RunShard accepted an observer it never calls")
+	window := RoundRange{FromRound: 1, ToRound: 2}
+	pipelines := []struct {
+		name string
+		cfg  Config
+	}{
+		{"drop", Config{Faults: Faults{DropProb: 0.5}}},
+		{"dup", Config{Faults: Faults{DupProb: 0.5}}},
+		{"delay", Config{Faults: Faults{DelayProb: 0.5, MaxDelay: 1}}},
+		{"corrupt", Config{Faults: Faults{CorruptProb: 0.5}}},
+		{"crash", Config{Faults: Faults{CrashAtRound: map[int]int{1: 1}}}},
+		{"byzantine", Config{Faults: Faults{ByzantineFromRound: map[int]int{1: 1}}}},
+		{"link down", Config{Faults: Faults{LinkDowns: []LinkDown{{U: 0, V: 1, RoundRange: window}}}}},
+		{"partition", Config{Faults: Faults{Partitions: []Partition{{Side: []int{0}, RoundRange: window}}}}},
+		{"burst", Config{Faults: Faults{Bursts: []RoundRange{window}}}},
+		{"reliable", Config{Reliable: Reliable{RetryBudget: 2}}},
+		{"observer", Config{Observer: observer}},
 	}
-	if _, err := RunShard(g, nodes, Span{0, 2}, Config{Parallel: true}, net.Shard(0)); err == nil {
-		t.Fatal("RunShard accepted the parallel runner")
+	type row struct {
+		name   string
+		cfg    Config
+		runErr string // "" when Run must accept the config
+	}
+	rows := []row{{"parallel", Config{Parallel: true, Shards: 2}, ""}}
+	for _, p := range pipelines {
+		rows = append(rows, row{p.name, p.cfg, ""})
+		par := p.cfg
+		par.Parallel, par.Shards = true, 2
+		rows = append(rows, row{"parallel+" + p.name, par, "Parallel cannot run Faults, Reliable or an Observer"})
+	}
+	for _, tt := range rows {
+		t.Run(tt.name, func(t *testing.T) {
+			recs := []*recNode{{stopAt: 3}, {stopAt: 3}}
+			_, err := Run(g, []Node{recs[0], recs[1]}, tt.cfg)
+			switch {
+			case tt.runErr == "" && err != nil:
+				t.Fatalf("Run = %v, want a run", err)
+			case tt.runErr != "" && (err == nil || !strings.Contains(err.Error(), tt.runErr)):
+				t.Fatalf("Run = %v, want %q", err, tt.runErr)
+			case tt.runErr != "" && (recs[0].env != nil || recs[1].env != nil):
+				t.Fatal("Run refused the config after a node's Init ran")
+			case tt.runErr == "" && (recs[0].env.c != recs[1].env.c) != tt.cfg.Parallel:
+				// Each pool shard gives its members its own cursor; the
+				// sequential runner has one.
+				t.Fatalf("Parallel=%v but the two nodes' shard cursors differ=%v", tt.cfg.Parallel, !tt.cfg.Parallel)
+			}
+			net, err := NewChanNetwork(2, []Span{{0, 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := []Node{&recNode{stopAt: 3}, &recNode{stopAt: 3}}
+			if _, err := RunShard(g, nodes, Span{0, 2}, tt.cfg, net.Shard(0)); err == nil {
+				t.Fatal("RunShard accepted a config for the in-process runners")
+			}
+		})
 	}
 }
 
@@ -269,9 +312,7 @@ func TestChanNetworkRejectsBadSpans(t *testing.T) {
 // TestReliableRetryExhaustionTyped pins the shim's retry exhaustion: a
 // link held down past the shim's entire retry schedule must deliver
 // nothing and count the abandoned frame in Stats.LinkDowns, after the
-// budget's retransmissions are spent. The typed LinkDownError the UDP
-// backend returns for the same event names the link, the round, and the
-// attempts in its text.
+// budget's retransmissions are spent.
 func TestReliableRetryExhaustionTyped(t *testing.T) {
 	g := mustGraph(t, 2, [][2]int{{0, 1}})
 	s := &sink{stopAt: 14}
@@ -292,9 +333,5 @@ func TestReliableRetryExhaustionTyped(t *testing.T) {
 	}
 	if stats.Retransmits != 2 {
 		t.Fatalf("Stats.Retransmits = %d, want the budget of 2", stats.Retransmits)
-	}
-	e := &LinkDownError{From: 0, To: 1, Round: 9, Attempts: 3}
-	if msg := e.Error(); msg != "congest: link 0->1 down at round 9 after 3 attempts" {
-		t.Fatalf("unexpected error text %q", msg)
 	}
 }

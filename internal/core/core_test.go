@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dfl/internal/congest"
 	"dfl/internal/fl"
 	"dfl/internal/gen"
 	"dfl/internal/lp"
@@ -170,30 +169,6 @@ func TestSolveDeterministicPerSeed(t *testing.T) {
 	}
 	for j := range s1.Assign {
 		if s1.Assign[j] != s2.Assign[j] {
-			t.Fatalf("assignment differs at client %d", j)
-		}
-	}
-}
-
-func TestSolveParallelMatchesSequential(t *testing.T) {
-	inst, err := gen.Uniform{M: 12, NC: 50, Density: 0.4, MinDegree: 1}.Generate(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, rs, err := Solve(inst, Config{K: 16}, WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, rp, err := Solve(inst, Config{K: 16}, WithSeed(9), WithParallel(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Cost(inst) != sp.Cost(inst) || rs.Net != rp.Net {
-		t.Fatalf("parallel run diverged: cost %d vs %d, net %+v vs %+v",
-			ss.Cost(inst), sp.Cost(inst), rs.Net, rp.Net)
-	}
-	for j := range ss.Assign {
-		if ss.Assign[j] != sp.Assign[j] {
 			t.Fatalf("assignment differs at client %d", j)
 		}
 	}
@@ -475,57 +450,5 @@ func TestIsqrtCeil(t *testing.T) {
 		if got := isqrtCeil(tt.k); got != tt.w {
 			t.Errorf("isqrtCeil(%d) = %d, want %d", tt.k, got, tt.w)
 		}
-	}
-}
-
-func TestSolveLocalModeUnlimitedMessages(t *testing.T) {
-	// BitLimit 0 is the LOCAL model: same protocol, no size policing.
-	inst, err := gen.Uniform{M: 10, NC: 40}.Generate(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, ra, err := Solve(inst, Config{K: 9}, WithSeed(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, rb, err := Solve(inst, Config{K: 9}, WithSeed(6), WithBitLimit(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cost(inst) != b.Cost(inst) || ra.Net.Messages != rb.Net.Messages {
-		t.Fatal("bit limit changed a compliant run")
-	}
-}
-
-func TestSolveTightBitLimitRejected(t *testing.T) {
-	// An 8-bit budget cannot carry an OFFER; the engine must abort loudly
-	// rather than run a silently-wrong protocol.
-	inst, err := gen.Uniform{M: 6, NC: 20}.Generate(13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Solve(inst, Config{K: 9}, WithSeed(6), WithBitLimit(8)); err == nil {
-		t.Fatal("want engine bit-limit violation")
-	}
-}
-
-func TestObserverParallelSeesSameTraffic(t *testing.T) {
-	inst, err := gen.Uniform{M: 8, NC: 30}.Generate(14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := func(parallel bool) int64 {
-		var n int64
-		_, _, err := Solve(inst, Config{K: 9}, WithSeed(2), WithParallel(parallel),
-			WithObserver(func(round int, delivered []congest.Message) {
-				n += int64(len(delivered))
-			}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	if a, b := count(false), count(true); a != b {
-		t.Fatalf("observer traffic differs: %d vs %d", a, b)
 	}
 }

@@ -95,44 +95,6 @@ func TestSolveFeasibleUnderLossProperty(t *testing.T) {
 	}
 }
 
-// TestSolveParallelLossyEquivalence combines I5 and I7: the pooled
-// parallel runner must stay byte-identical to the sequential one — stats,
-// costs, and per-client assignments — even with message drops injected,
-// for every worker-pool size.
-func TestSolveParallelLossyEquivalence(t *testing.T) {
-	inst, err := gen.Uniform{M: 14, NC: 70, Density: 0.35, MinDegree: 1}.Generate(21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []float64{0, 0.3} {
-		ss, rs, err := Solve(inst, Config{K: 16}, WithSeed(8), WithFaults(congest.Faults{DropProb: p}))
-		if err != nil {
-			t.Fatalf("p=%.1f sequential: %v", p, err)
-		}
-		for _, workers := range []int{1, 2, 7, 0} { // 0 = GOMAXPROCS
-			sp, rp, err := Solve(inst, Config{K: 16}, WithSeed(8), WithFaults(congest.Faults{DropProb: p}),
-				WithParallel(true), WithShards(workers))
-			if err != nil {
-				t.Fatalf("p=%.1f workers=%d: %v", p, workers, err)
-			}
-			if rs.Net != rp.Net {
-				t.Fatalf("p=%.1f workers=%d: net stats diverged: %+v vs %+v",
-					p, workers, rs.Net, rp.Net)
-			}
-			if ss.Cost(inst) != sp.Cost(inst) {
-				t.Fatalf("p=%.1f workers=%d: cost %d vs %d",
-					p, workers, ss.Cost(inst), sp.Cost(inst))
-			}
-			for j := range ss.Assign {
-				if ss.Assign[j] != sp.Assign[j] {
-					t.Fatalf("p=%.1f workers=%d: assignment differs at client %d",
-						p, workers, j)
-				}
-			}
-		}
-	}
-}
-
 func TestSolveBestPicksMinimum(t *testing.T) {
 	inst, err := gen.Uniform{M: 20, NC: 100}.Generate(9)
 	if err != nil {

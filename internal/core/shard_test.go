@@ -47,10 +47,10 @@ func solveSharded(t *testing.T, inst *fl.Instance, cfg Config, seed int64, k int
 	return sol, rep
 }
 
-// TestSolveShardMatchesSolve is the distributed analogue of the
-// parallel-vs-sequential parity test: a fault-free sharded run over a
-// transport must reproduce Solve's solution and its whole Report — masking
-// lists, counters and every Net field — at every shard count. Both paths
+// TestSolveShardMatchesSolve is the transport's parity test: a fault-free
+// sharded run over a transport must reproduce Solve's solution and its
+// whole Report — masking lists, counters and every Net field — at every
+// shard count. Both paths
 // share the run set-up and the result pass, so a mismatch points at the
 // set-up, the harvest, or Assemble's Net aggregation.
 func TestSolveShardMatchesSolve(t *testing.T) {

@@ -77,9 +77,6 @@ type Report struct {
 // options collects run-level knobs; see the With* functions.
 type options struct {
 	seed        int64
-	parallel    bool
-	shards      int
-	bitLimit    int // <0: engine default from network size; 0: unlimited
 	observer    func(round int, delivered []congest.Message)
 	quarantine  *bool // nil: auto (armed when corruption/byzantine present)
 	faults      congest.Faults
@@ -92,28 +89,6 @@ type Option func(*options)
 // WithSeed sets the seed for all protocol randomness. Runs are fully
 // reproducible from (instance, config, seed).
 func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
-
-// WithParallel runs the simulator with its persistent worker-pool round
-// executor. The execution is identical to the sequential one, so a run
-// with faults, the reliable-delivery shim or an observer, which needs the
-// simulator's sequential fault pipeline, takes the sequential runner.
-func WithParallel(parallel bool) Option { return func(o *options) { o.parallel = parallel } }
-
-// WithShards sets the number of shards — contiguous node-id ranges — the
-// parallel runner splits the communication graph into (each shard is owned
-// by one persistent worker); 0 means GOMAXPROCS. It has no effect on a
-// sequential run.
-// Executions are byte-identical across shard counts — the shard-local
-// ingest preserves the solver's delivery-order assumption (inboxes sorted
-// by sender id) — so this is purely a performance knob. A run with faults,
-// the reliable-delivery shim or an observer takes the sequential runner,
-// where it has no effect either.
-func WithShards(shards int) Option { return func(o *options) { o.shards = shards } }
-
-// WithBitLimit overrides the CONGEST message-size budget in bits
-// (0 disables the check). The default is congest.SuggestedBitLimit of the
-// network size.
-func WithBitLimit(bits int) Option { return func(o *options) { o.bitLimit = bits } }
 
 // WithObserver installs a per-round observer that receives every delivered
 // message; used by the tracing tool.
@@ -291,13 +266,9 @@ func (r *run) client(j int) ClientState {
 // (network stats, byzantine and quarantine lists).
 func runProtocol(inst *fl.Instance, r *run, opts []Option) (*Report, error) {
 	d, m, nc := r.d, inst.M(), inst.NC()
-	o := options{bitLimit: -1}
+	var o options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	bitLimit := o.bitLimit
-	if bitLimit < 0 {
-		bitLimit = congest.SuggestedBitLimit(r.graph.N())
 	}
 
 	faults := o.faults
@@ -344,11 +315,9 @@ func runProtocol(inst *fl.Instance, r *run, opts []Option) (*Report, error) {
 		}
 	}
 	stats, err := congest.Run(r.graph, r.nodes, congest.Config{
-		BitLimit:  bitLimit,
+		BitLimit:  congest.SuggestedBitLimit(r.graph.N()),
 		Seed:      o.seed,
 		MaxRounds: maxRounds,
-		Parallel:  o.parallel,
-		Shards:    o.shards,
 		Observer:  o.observer,
 		Faults:    faults,
 		Reliable:  congest.Reliable{RetryBudget: o.retryBudget},

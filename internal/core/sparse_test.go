@@ -30,19 +30,17 @@ func (a *awakeNode) Round(r int, inbox []congest.Message) bool {
 func (a *awakeNode) Recover() { a.Node.(congest.Recoverable).Recover() }
 
 // TestDenseEngineMatchesFrontier pins the protocol's dormancy declarations
-// (the SleepUntil calls in nodes.go) as sound: the frontier scheduler —
-// sequential and sharded — must reproduce the dense execution, the same
-// nodes kept awake every round, exactly, under honest, lossy,
-// crash-with-recovery, and corrupt+byzantine schedules. Any node that
-// oversleeps a round in which it would have changed state, sent, or drawn
-// randomness shows up here as a diverging trace, report or node state.
+// (the SleepUntil calls in nodes.go) as sound: the frontier scheduler must
+// reproduce the dense execution, the same nodes kept awake every round,
+// exactly, under honest, lossy, crash-with-recovery, and corrupt+byzantine
+// schedules. Any node that oversleeps a round in which it would have
+// changed state, sent, or drawn randomness shows up here as a diverging
+// trace, report or node state.
 //
 // The awake run and the frontier-seq arm are observed and compared down
-// to the per-round observer stream. An observed run takes the sequential
-// runner whatever its shard request, so the shard arms run unobserved,
-// which lets the honest schedule reach the pool (a run with faults takes
-// the sequential runner either way), and one observed shards=2 arm pins
-// that fallback.
+// to the per-round observer stream. An observer puts every run on the
+// fault pipeline, so an unobserved frontier arm also runs, which on the
+// honest schedule takes the plain merge.
 func TestDenseEngineMatchesFrontier(t *testing.T) {
 	inst := chaosInstance(t)
 	cfg := Config{K: 16}
@@ -71,7 +69,7 @@ func TestDenseEngineMatchesFrontier(t *testing.T) {
 		clients    []ClientState
 		stream     []string
 	}
-	run := func(sc []Option, awake, observe bool, shards int) trace {
+	run := func(sc []Option, awake, observe bool) trace {
 		r, err := newRun(inst, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -89,9 +87,6 @@ func TestDenseEngineMatchesFrontier(t *testing.T) {
 					tr.stream = append(tr.stream, fmt.Sprintf("r%d %d>%d %x", round, m.From, m.To, m.Payload))
 				}
 			}))
-		}
-		if shards > 0 {
-			opts = append(opts, WithParallel(true), WithShards(shards))
 		}
 		rep, err := runProtocol(inst, r, opts)
 		if err != nil {
@@ -115,7 +110,7 @@ func TestDenseEngineMatchesFrontier(t *testing.T) {
 	for _, sc := range schedules {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			dense := run(sc.opts, true, true, 0)
+			dense := run(sc.opts, true, true)
 			if len(dense.stream) == 0 {
 				t.Fatal("schedule too tame: nothing observed")
 			}
@@ -134,11 +129,8 @@ func TestDenseEngineMatchesFrontier(t *testing.T) {
 						label, len(got.stream), len(dense.stream))
 				}
 			}
-			check("frontier-seq", run(sc.opts, false, true, 0), true)
-			check("frontier-observed-shards=2", run(sc.opts, false, true, 2), true)
-			for _, shards := range []int{2, 8} {
-				check(fmt.Sprintf("frontier-shards=%d", shards), run(sc.opts, false, false, shards), false)
-			}
+			check("frontier-seq", run(sc.opts, false, true), true)
+			check("frontier-unobserved", run(sc.opts, false, false), false)
 		})
 	}
 }

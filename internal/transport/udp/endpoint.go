@@ -118,7 +118,7 @@ type endpoint struct {
 	// copies what it keeps.
 	handler func(from netip.AddrPort, f Frame)
 	// onDown observes a peer link exhausting its retry budget.
-	onDown func(l *link, e congest.LinkDownError)
+	onDown func(l *link)
 
 	rejected int64 // malformed datagrams discarded fail-closed
 	fenced   int64 // frames dropped for a stale or unknown incarnation
@@ -264,9 +264,8 @@ func (ep *endpoint) timerLoop() {
 				}
 				if ep.policy.Exhausted(p.attempts) {
 					l.down = true
-					e := congest.LinkDownError{From: ep.shard, To: l.shard, Attempts: p.attempts}
 					if ep.onDown != nil {
-						ep.onDown(l, e)
+						ep.onDown(l)
 					}
 					break
 				}

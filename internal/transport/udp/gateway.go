@@ -125,7 +125,7 @@ func NewGateway(addr string, spans []congest.Span, cfg Config) (*Gateway, error)
 		return 0
 	}
 	g.ep.handler = g.handle
-	g.ep.onDown = func(l *link, e congest.LinkDownError) {
+	g.ep.onDown = func(l *link) {
 		// Only the link to the shard's *current* address condemns it: after
 		// a readmission the old incarnation's link may still be timing out,
 		// and its death must not re-mask the recovered successor.

@@ -227,7 +227,7 @@ func newShard(id, k int, gateway string, cfg Config, chaos *Chaos, inc uint64) (
 		return 0 // unknown peer (or pre-welcome): fence
 	}
 	s.ep.handler = s.handle
-	s.ep.onDown = func(l *link, e congest.LinkDownError) {
+	s.ep.onDown = func(l *link) {
 		if l.addr == s.gwAddr {
 			s.gwLost = true
 		}
