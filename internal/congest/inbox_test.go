@@ -85,6 +85,12 @@ func newInboxProbes(n, stopAt int) ([]Node, []*inboxProbe) {
 // that node (stably sorted by sender, which is how delayed arrivals
 // settle). An inbox that has not spilled yet has exactly Degree capacity.
 func TestInboxSlabIsolation(t *testing.T) {
+	// Only the sequential runner has a fault pipeline; the arm keeps the
+	// name it had when a parallel arm ran beside it.
+	t.Run("parallel=false", testInboxSlabIsolation)
+}
+
+func testInboxSlabIsolation(t *testing.T) {
 	const stopAt = 10
 	g := stressGraph(t)
 	n := g.N()
